@@ -1,128 +1,42 @@
-"""Hot numeric kernels for the measurement-grid searches.
+"""The classical-mutual-information kernel behind the measurement-grid searches.
 
 The only inner loop that dominates runtime is the classical-mutual-information
-evaluation over measurement-setting grids (about a million settings per
-optimizer call at the default resolution).  Each setting reduces to three
-numbers: x = nA.rA, y = nB.rB and w = nA.T.nB, from which the joint outcome
-table is p_ij = (1 + si*x + sj*y + si*sj*w)/4.
-
-Both a numba @njit implementation and a pure-numpy broadcast implementation
-are provided.  The jitted path is used when numba imports cleanly; setting
-the environment variable RQCX_NO_NUMBA=1 forces the numpy path.  See
-benchmarks/bench_kernels.py for a timing comparison.
+evaluation over measurement-setting grids (about a quarter of a million
+settings per grid scan at the default resolution).  Each setting reduces to
+three numbers: x = nA.rA, y = nB.rB and w = nA.T.nB, from which the joint
+outcome table is p_ij = (1 + si*x + sj*y + si*sj*w)/4.  The marginals need
+only x or y: p_i0 + p_i1 = (1 + si*x)/2 and p_0j + p_1j = (1 + sj*y)/2.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "RQCX_NO_NUMBA"
+
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    """p*log2(p) elementwise, 0 where p <= 0 (0*log 0 = 0; rounding can dip below 0)."""
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
 
 
-def _plogp(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+def _marginal_plogp(x: np.ndarray) -> np.ndarray:
+    """Sum of p*log2(p) over the two outcomes of a party with Bloch projection x."""
+    return _xlog2x(0.5 * (1.0 + x)) + _xlog2x(0.5 * (1.0 - x))
 
 
-def cmi_table_numpy(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _cmi(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """CMI (bits) of the settings (x, y, w); the three arrays broadcast against w."""
+    joint = _xlog2x(0.25 * (1.0 + x + y + w))
+    joint += _xlog2x(0.25 * (1.0 + x - y - w))
+    joint += _xlog2x(0.25 * (1.0 - x + y - w))
+    joint += _xlog2x(0.25 * (1.0 - x - y + w))
+    return joint - _marginal_plogp(x) - _marginal_plogp(y)
+
+
+def cmi_table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """CMI (bits) for every (A-setting, B-setting) pair; w has shape (nA, nB)."""
-    xa = np.asarray(x, float)[:, None]
-    yb = np.asarray(y, float)[None, :]
-    w = np.asarray(w, float)
-    p00 = 0.25 * (1.0 + xa + yb + w)
-    p01 = 0.25 * (1.0 + xa - yb - w)
-    p10 = 0.25 * (1.0 - xa + yb - w)
-    p11 = 0.25 * (1.0 - xa - yb + w)
-    joint = _plogp(p00) + _plogp(p01) + _plogp(p10) + _plogp(p11)
-    marg_a = _plogp(p00 + p01) + _plogp(p10 + p11)
-    marg_b = _plogp(p00 + p10) + _plogp(p01 + p11)
-    return joint - marg_a - marg_b
+    return _cmi(np.asarray(x, float)[:, None], np.asarray(y, float)[None, :], np.asarray(w, float))
 
 
-def cmi_flat_numpy(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """CMI for paired 1-d arrays of settings."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    w = np.asarray(w, float)
-    p00 = 0.25 * (1.0 + x + y + w)
-    p01 = 0.25 * (1.0 + x - y - w)
-    p10 = 0.25 * (1.0 - x + y - w)
-    p11 = 0.25 * (1.0 - x - y + w)
-    joint = _plogp(p00) + _plogp(p01) + _plogp(p10) + _plogp(p11)
-    marg_a = _plogp(p00 + p01) + _plogp(p10 + p11)
-    marg_b = _plogp(p00 + p10) + _plogp(p01 + p11)
-    return joint - marg_a - marg_b
-
-
-_flag_off = os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-NUMBA_AVAILABLE = False
-cmi_table_numba = None
-cmi_flat_numba = None
-
-if not _flag_off:
-    try:
-        from numba import njit
-
-        @njit(cache=True, inline="always")
-        def _plogp_s(p):
-            if p > 0.0:
-                return p * np.log2(p)
-            return 0.0
-
-        @njit(cache=True, inline="always")
-        def _cmi_scalar(x, y, w):
-            p00 = 0.25 * (1.0 + x + y + w)
-            p01 = 0.25 * (1.0 + x - y - w)
-            p10 = 0.25 * (1.0 - x + y - w)
-            p11 = 0.25 * (1.0 - x - y + w)
-            joint = _plogp_s(p00) + _plogp_s(p01) + _plogp_s(p10) + _plogp_s(p11)
-            marg_a = _plogp_s(p00 + p01) + _plogp_s(p10 + p11)
-            marg_b = _plogp_s(p00 + p10) + _plogp_s(p01 + p11)
-            return joint - marg_a - marg_b
-
-        @njit(cache=True)
-        def _cmi_table_jit(x, y, w):
-            out = np.empty((x.shape[0], y.shape[0]))
-            for i in range(x.shape[0]):
-                for j in range(y.shape[0]):
-                    out[i, j] = _cmi_scalar(x[i], y[j], w[i, j])
-            return out
-
-        @njit(cache=True)
-        def _cmi_flat_jit(x, y, w):
-            out = np.empty(x.shape[0])
-            for i in range(x.shape[0]):
-                out[i] = _cmi_scalar(x[i], y[i], w[i])
-            return out
-
-        def cmi_table_numba(x, y, w):  # noqa: F811 - public alias over the jit
-            return _cmi_table_jit(
-                np.ascontiguousarray(x, float),
-                np.ascontiguousarray(y, float),
-                np.ascontiguousarray(w, float),
-            )
-
-        def cmi_flat_numba(x, y, w):  # noqa: F811
-            return _cmi_flat_jit(
-                np.ascontiguousarray(x, float),
-                np.ascontiguousarray(y, float),
-                np.ascontiguousarray(w, float),
-            )
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-JIT_ENABLED = NUMBA_AVAILABLE and not _flag_off
-
-if JIT_ENABLED:
-    cmi_table = cmi_table_numba
-    cmi_flat = cmi_flat_numba
-else:
-    cmi_table = cmi_table_numpy
-    cmi_flat = cmi_flat_numpy
+def cmi_flat(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """CMI for paired 1-d arrays of settings: the diagonal of cmi_table."""
+    return _cmi(np.asarray(x, float), np.asarray(y, float), np.asarray(w, float))

@@ -6,9 +6,10 @@ routes can be checked against each other.
 
 A local setting is a pair of Bloch directions (theta, phi per party); the
 outcome table is p_ij = Tr[(Pi_i x Pi_j) rho].  The searches are
-deterministic coarse-to-fine: a full grid over the four angles followed by
-local refinement rounds that halve the step, with ties resolved toward the
-lexicographically smallest angle tuple.
+deterministic coarse-to-fine: a grid over the four angles that scans each
+distinct measurement once, followed by local refinement rounds that halve
+the step, with ties resolved toward the lexicographically smallest angle
+tuple.
 
 Complementary (mutually unbiased) bases come from the one-parameter complex
 Hadamard family applied to a base pair, which sweeps the full great circle
@@ -34,6 +35,10 @@ from . import kernels
 from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
+# Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
+# grid-64 oracle call peaks at about 155 MB resident; the grid stage's memory
+# grows as grid**4, so 128 would need about 2 GB.
+GRID_MAX = 64
 _TWO_PI = 2.0 * np.pi
 
 
@@ -121,10 +126,21 @@ def _fano_parts(rho: np.ndarray):
     return t[1:, 0].copy(), t[0, 1:].copy(), t[1:, 1:].copy()
 
 
-def _directions(thetas: np.ndarray, phis: np.ndarray):
-    """Unit vectors for the (theta-major) cartesian product of angle grids."""
-    t = np.repeat(thetas, phis.size)
-    p = np.tile(phis, thetas.size)
+def _grid_directions(grid: int):
+    """Distinct measurement directions of the grid x grid sphere grid, in scan order.
+
+    The full grid runs theta over [0, pi] (grid points) and phi over [0, 2pi)
+    (grid points), theta-major.  Directions n and -n give the same projective
+    measurement, so only the first occurrence of each is kept: the theta = 0
+    pole once (theta = pi is its antipode), then every inner theta row, except
+    that for even grids the rows past the equator are dropped, since each holds
+    the antipodes (pi - theta, phi + pi) of an earlier row.
+    """
+    thetas = np.linspace(0.0, np.pi, grid)
+    phis = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
+    rows = thetas[1 : grid // 2] if grid % 2 == 0 else thetas[1:-1]
+    t = np.concatenate(([0.0], np.repeat(rows, grid)))
+    p = np.concatenate(([0.0], np.tile(phis, rows.size)))
     st = np.sin(t)
     return np.column_stack((st * np.cos(p), st * np.sin(p), np.cos(t))), t, p
 
@@ -168,12 +184,20 @@ def _refine_angles(parts, angles0, steps0, rounds: int, sign: float):
     return angles, sign * best
 
 
+def _check_search(grid: int, refine: int) -> None:
+    if grid < 8:
+        raise ValueError("grid must be at least 8")
+    if grid > GRID_MAX:
+        raise ValueError(f"grid must be at most {GRID_MAX} (the grid scan's memory grows as grid**4)")
+    if refine < 0:
+        raise ValueError("refine must be at least 0")
+
+
 def optimize_cmi(rho: np.ndarray, mode: str, grid: int = 32, refine: int = 4) -> OptimizationResult:
     """Extremize classical mutual information over all local projective bases."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
     sign = 1.0 if mode == "max" else -1.0
@@ -194,11 +218,13 @@ def _grid_steps(grid: int) -> np.ndarray:
 
 
 def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
-    """Full 4-angle grid scan; returns up to `keep` tied leaders in scan order."""
+    """4-angle grid scan; returns up to `keep` tied leaders in scan order.
+
+    Each party scans the distinct directions of `_grid_directions`, so a
+    leader is the first of its ties in the scan order of the full grid.
+    """
     ra, rb, tt = parts
-    thetas = np.linspace(0.0, np.pi, grid)
-    phis = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    na, ta, pa = _directions(thetas, phis)
+    na, ta, pa = _grid_directions(grid)
     x = na @ ra
     y = na @ rb
     w = na @ tt @ na.T
@@ -266,8 +292,7 @@ def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> Optimizatio
     the returned value is the phase-stage maximum over its complementary
     family, evaluated from explicit measurement statistics.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
     eye = np.eye(2, dtype=complex)
@@ -283,8 +308,7 @@ def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationR
     carried forward); stage 2 maximizes over the Hadamard phases of the
     bases complementary to each leader and keeps the overall best.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
     leaders = _grid_stage(parts, grid, 1.0, keep=8)

@@ -180,6 +180,17 @@ class TestSurfaceOracleCrossover:
         assert set(by_measure) == {"laqc", "qs", "cs"}
         assert float(by_measure["laqc"]["abs_error"]) < 2e-3
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--refine", "-1"], "refine must be at least 0"), (["--grid", "65"], "grid must be at most 64")],
+        ids=["refine", "grid"],
+    )
+    def test_oracle_search_bounds_exit_one(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "oracle", "--state", "werner", "--param", "0.5", *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_crossover_value(self, capsys):
         code, out, _ = run_cli(capsys, "crossover")
         assert code == 0

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_xstate
+from rqcx import kernels
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import cs, laqc, measure_set, qs, u_func
 from rqcx.oracle import (
+    GRID_MAX,
     LocalMeasurement,
+    _fano_parts,
+    _grid_directions,
+    _grid_stage,
     basis_vectors,
     classical_mutual_info,
     complementary_basis,
@@ -131,11 +138,84 @@ class TestOptimizeCmi:
         with pytest.raises(ValueError):
             optimize_cmi(MIXED, "max", grid=4)
 
+    def test_grid_ceiling(self):
+        with pytest.raises(ValueError, match="at most"):
+            optimize_cmi(MIXED, "max", grid=GRID_MAX + 1)
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda rho, r: optimize_cmi(rho, "max", 8, r), lambda rho, r: laqc_oracle(rho, 8, r),
+         lambda rho, r: qs_oracle(rho, 8, r)],
+        ids=["optimize_cmi", "laqc_oracle", "qs_oracle"],
+    )
+    def test_negative_refine_rejected(self, search):
+        with pytest.raises(ValueError, match="refine"):
+            search(MIXED, -1)
+        assert search(MIXED, 0).refinement_depth == 0
+
     def test_deterministic(self):
         rho = xstate_to_matrix(make_state(FamilySpec("mnms", 0.3)))
         r1 = optimize_cmi(rho, "max")
         r2 = optimize_cmi(rho, "max")
         assert r1 == r2
+
+
+def _full_sphere_leader(parts, grid, sign):
+    """First tied leader of the full grid x grid sphere scan, every direction repeated as it falls."""
+    ra, rb, tt = parts
+    thetas = np.linspace(0.0, np.pi, grid)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    t, p = np.repeat(thetas, grid), np.tile(phis, grid)
+    n = np.column_stack((np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)))
+    flat = (sign * kernels.cmi_table(n @ ra, n @ rb, n @ tt @ n.T)).ravel()
+    k = int(np.flatnonzero(flat >= flat.max() - 1e-9)[0])
+    ia, ib = divmod(k, n.shape[0])
+    return np.array([t[ia], p[ia], t[ib], p[ib]]), sign * float(flat[k])
+
+
+class TestGridStage:
+    def test_distinct_directions_at_grid_32(self):
+        dirs, _, _ = _grid_directions(32)
+        assert dirs.shape == (481, 3)
+        overlap = np.abs(dirs @ dirs.T)
+        np.fill_diagonal(overlap, 0.0)
+        # |n_i . n_j| = 1 would mean equal or antipodal directions
+        assert overlap.max() < 1.0 - 1e-6
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_full_sphere_scan(self, rng, sign):
+        rhos = [xstate_to_matrix(make_state(FamilySpec(kind, x)))
+                for kind, x in (("werner", 0.5), ("mnms", 0.3), ("mems", 0.4))]
+        rhos += [xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng)]
+        for rho in rhos:
+            parts = _fano_parts(rho)
+            angles, value = _grid_stage(parts, 32, sign)[0]
+            full_angles, full_value = _full_sphere_leader(parts, 32, sign)
+            assert value == pytest.approx(full_value, abs=1e-12)
+            np.testing.assert_array_equal(angles, full_angles)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    weights=st.tuples(_unit, _unit, _unit, _unit).filter(lambda w: sum(w) > 1e-3),
+    coherences=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+                     st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)),
+)
+def test_cmi_unchanged_by_flipping_a_direction(weights, coherences, angles):
+    # n -> -n is (theta, phi) -> (pi - theta, phi + pi); the grid scan keeps one of each pair
+    a, b, c, d = (v / sum(weights) for v in weights)
+    r, s = coherences[0] * np.sqrt(a * d), coherences[1] * np.sqrt(b * c)
+    rho = xstate_to_matrix(XStateParams(a, b, c, d, r, s))
+    ta, pa, tb, pb = angles
+    value = classical_mutual_info(post_measurement_probs(rho, LocalMeasurement(ta, pa, tb, pb)))
+    flip_a = LocalMeasurement(np.pi - ta, pa + np.pi, tb, pb)
+    flip_b = LocalMeasurement(ta, pa, np.pi - tb, pb + np.pi)
+    for m in (flip_a, flip_b):
+        assert classical_mutual_info(post_measurement_probs(rho, m)) == pytest.approx(value, abs=1e-12)
 
 
 class TestLaqcOracle:
