@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -155,20 +156,63 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
     if count < 2 or not lo < hi:
         raise InvalidStateError(f"grid needs count >= 2 and min < max, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
-def _emit(rows: list[dict], columns: Sequence[str], opts: dict) -> None:
-    fmt = opts["format"]
-    if fmt == "csv":
-        lines = ["# " + ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+def _time_grid(opts: dict) -> np.ndarray:
+    tmax, steps = float(opts["tmax"]), int(opts["steps"])
+    if not (math.isfinite(tmax) and tmax > 0.0):
+        raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
+    if steps < 2:
+        raise InvalidStateError(f"--steps must be at least 2, got {steps}")
+    return np.linspace(0.0, tmax, steps)
+
+
+def _cells(column, as_json: bool) -> list[str]:
+    """One column (a float array, or a list) as text.
+
+    A float column formats each distinct value once: np.unique runs on the
+    int64 bit view, because on the floats it would merge -0.0 into 0.0, which
+    print differently.  JSON floats are what json.dumps writes: float.__repr__,
+    or NaN, Infinity and -Infinity.  Other cells go through str (CSV) or
+    json.dumps (JSON).
+    """
+    if isinstance(column, list) and not all(isinstance(v, float) for v in column):
+        return list(map(json.dumps if as_json else str, column))
+    bits = np.ascontiguousarray(column, dtype=np.float64).ravel().view(np.int64)
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    floats = uniq.view(np.float64)
+    text = list(map(float.__repr__ if as_json else "{:.17g}".format, floats.tolist()))
+    if as_json:
+        for i in np.flatnonzero(~np.isfinite(floats)):
+            text[i] = json.dumps(float(floats[i]))
+    return np.array(text, dtype=object)[inverse.ravel()].tolist()
+
+
+def _emit(columns: dict, opts: dict) -> None:
+    """Write named columns of equal length as CSV or as a JSON array of rows.
+
+    The bytes equal those of one dict per row written with f"{v:.17g}" cells
+    (CSV) or json.dumps(rows, indent=2) (JSON).  Every row is filled into one
+    row template by a single %-format over the cells in row-major order.
+    """
+    as_json = opts["format"] == "json"
+    cells = [_cells(col, as_json) for col in columns.values()]
+    n, k = len(cells[0]), len(cells)
+    flat = [None] * (n * k)
+    for j, col in enumerate(cells):
+        flat[j::k] = col
+    if as_json:
+        keys = (json.dumps(name).replace("%", "%%") for name in columns)
+        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        text = "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n]\n" if n else "[]\n"
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        rows = "\n".join([",".join(["%s"] * k)] * n) % tuple(flat)
+        text = "# " + ",".join(columns) + "\n" + (rows + "\n" if n else "")
     if opts["out"]:
         with open(opts["out"], "w") as fh:
             fh.write(text)
@@ -176,65 +220,48 @@ def _emit(rows: list[dict], columns: Sequence[str], opts: dict) -> None:
         sys.stdout.write(text)
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _cmd_validate(opts: dict) -> int:
     params, matrix = _resolve_state(opts)
     report = validate_xstate(params) if params is not None else validate_density_matrix(matrix)
-    rows = [{"check": "valid", "ok": int(report.valid), "magnitude": 0.0}]
-    rows += [
-        {"check": name, "ok": 0, "magnitude": float(mag)} for name, mag in report.violations
-    ]
-    _emit(rows, ("check", "ok", "magnitude"), opts)
+    names = [name for name, _ in report.violations]
+    columns = {
+        "check": ["valid", *names],
+        "ok": [int(report.valid)] + [0] * len(names),
+        "magnitude": [0.0] + [float(mag) for _, mag in report.violations],
+    }
+    _emit(columns, opts)
     return 0
 
 
 def _cmd_measures(opts: dict) -> int:
-    params = _xstate_of(opts)
-    ms = measures.measure_set(params)
-    rows = [
-        {
-            "concurrence": ms.concurrence,
-            "laqc": ms.laqc,
-            "qs": ms.qs,
-            "cs": ms.cs,
-        }
-    ]
-    _emit(rows, ("concurrence", "laqc", "qs", "cs"), opts)
+    ms = measures.measure_set(_xstate_of(opts))
+    _emit({name: [getattr(ms, name)] for name in ("concurrence", "laqc", "qs", "cs")}, opts)
     return 0
+
+
+# output column -> TrajectoryRow field
+_TRAJECTORY_COLUMNS = {
+    "t": "t", "lambda": "lam", "concurrence": "concurrence", "laqc": "laqc", "qs": "qs", "cs": "cs",
+}
 
 
 def _cmd_evolve(opts: dict) -> int:
     params = _xstate_of(opts)
     model = _noise_of(opts)
-    tgrid = np.linspace(0.0, float(opts["tmax"]), int(opts["steps"]))
-    rows = [
-        {
-            "t": r.t,
-            "lambda": r.lam,
-            "concurrence": r.concurrence,
-            "laqc": r.laqc,
-            "qs": r.qs,
-            "cs": r.cs,
-        }
-        for r in dynamics.trajectory(params, model, tgrid)
-    ]
-    _emit(rows, ("t", "lambda", "concurrence", "laqc", "qs", "cs"), opts)
+    rows = dynamics.trajectory(params, model, _time_grid(opts))
+    columns = {name: [getattr(r, attr) for r in rows] for name, attr in _TRAJECTORY_COLUMNS.items()}
+    _emit(columns, opts)
     return 0
 
 
 def _cmd_events(opts: dict) -> int:
     params = _xstate_of(opts)
     model = _noise_of(opts)
-    tgrid = np.linspace(0.0, float(opts["tmax"]), int(opts["steps"]))
-    rows_t = dynamics.trajectory(params, model, tgrid)
-    events = dynamics.detect_events(rows_t, model, params, float(opts["revival_threshold"]))
-    rows = [{"kind": e.kind, "measure": e.measure, "t": e.t, "value": e.value} for e in events]
-    _emit(rows, ("kind", "measure", "t", "value"), opts)
+    rows = dynamics.trajectory(params, model, _time_grid(opts))
+    events = dynamics.detect_events(rows, model, params, float(opts["revival_threshold"]))
+    names = ("kind", "measure", "t", "value")
+    columns = {name: [getattr(e, name) for e in events] for name in names}
+    _emit(columns, opts)
     return 0
 
 
@@ -248,12 +275,12 @@ def _cmd_surface(opts: dict) -> int:
         time_grid=_parse_grid(str(opts["time_grid"])),
     )
     params, tgrid, values = dynamics.surface(spec, opts["measure_a"], opts["measure_b"])
-    rows = [
-        {"param": float(params[i]), "t": float(tgrid[j]), "value": float(values[i, j])}
-        for i in range(params.size)
-        for j in range(tgrid.size)
-    ]
-    _emit(rows, ("param", "t", "value"), opts)
+    columns = {
+        "param": np.repeat(params, tgrid.size),
+        "t": np.tile(tgrid, params.size),
+        "value": values.ravel(),
+    }
+    _emit(columns, opts)
     return 0
 
 
@@ -267,16 +294,19 @@ def _cmd_oracle(opts: dict) -> int:
         ("qs", oracle.qs_oracle(rho, grid, refine).value, ms.qs),
         ("cs", oracle.optimize_cmi(rho, "max", grid, refine).value, ms.cs),
     )
-    rows = [
-        {"measure": name, "oracle": o, "closed_form": c, "abs_error": abs(o - c)}
-        for name, o, c in pairs
-    ]
-    _emit(rows, ("measure", "oracle", "closed_form", "abs_error"), opts)
+    names, found, exact = (list(col) for col in zip(*pairs))
+    columns = {
+        "measure": names,
+        "oracle": found,
+        "closed_form": exact,
+        "abs_error": [abs(o - c) for o, c in zip(found, exact)],
+    }
+    _emit(columns, opts)
     return 0
 
 
 def _cmd_crossover(opts: dict) -> int:
-    _emit([{"z_star": families.crossover_z()}], ("z_star",), opts)
+    _emit({"z_star": [families.crossover_z()]}, opts)
     return 0
 
 

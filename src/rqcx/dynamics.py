@@ -173,8 +173,8 @@ def detect_events(
 ) -> list[EventRecord]:
     """Sudden deaths, revival peaks and asymptotic decay on a trajectory.
 
-    Quantum-measure deaths are taken from the polished envelope zeros and
-    cross-checked against the sampled envelope sign pattern; concurrence
+    Quantum-measure deaths are taken from the polished envelope zeros, each
+    checked to be a sign change of the envelope just around it; concurrence
     boundaries come from bisection on its own signed margin.  Revival peaks
     are golden-section maxima between consecutive zero points and reported
     only above `threshold`.
@@ -184,7 +184,7 @@ def detect_events(
     require_valid(state)
     t_end = rows[-1].t
     zeros = lambda_zeros(noise, t_end)
-    _check_sign_pattern(rows, zeros)
+    _check_sign_changes(noise, zeros)
     events: list[EventRecord] = []
     for name in ("laqc", "qs"):
         events.extend(_envelope_zero_events(rows, state, noise, name, zeros, threshold, t_end))
@@ -193,16 +193,16 @@ def detect_events(
     return events
 
 
-def _check_sign_pattern(rows, zeros) -> None:
-    ts = np.array([row.t for row in rows])
-    lams = np.array([row.lam for row in rows])
+def _check_sign_changes(noise: NoiseModel, zeros) -> None:
+    """Each envelope zero must be a sign change of Lambda itself.
+
+    Lambda is evaluated 1e-7 left and right of the zero, not at the nearest
+    samples, so a coarse time grid cannot hide the crossing.
+    """
+    h = 1e-7
     for tz in zeros:
-        left = lams[ts < tz - 1e-12]
-        right = lams[ts > tz + 1e-12]
-        if left.size and right.size and left[-1] * right[0] > 0:
-            raise RuntimeError(
-                f"envelope zero at t={tz} is not bracketed by a sampled sign change"
-            )
+        if lambda_of_t(noise, max(tz - h, 0.0)) * lambda_of_t(noise, tz + h) > 0:
+            raise RuntimeError(f"envelope zero at t={tz} is not a sign change of Lambda")
 
 
 def _row_peak(rows, lo, hi, attr) -> float:

@@ -29,8 +29,8 @@ class Rtn:
     a_over_gamma: float
 
     def __post_init__(self):
-        if not self.a_over_gamma > 0.0:
-            raise ValueError("RTN coupling strength must be positive")
+        if not (np.isfinite(self.a_over_gamma) and self.a_over_gamma > 0.0):
+            raise ValueError("RTN coupling strength must be finite and positive")
         if not 2.0 * self.a_over_gamma > 1.0:
             raise ValueError(
                 "RTN requires 2a/gamma > 1 (oscillatory regime); "
@@ -49,8 +49,8 @@ class Moun:
     Gamma_over_gamma: float
 
     def __post_init__(self):
-        if not self.Gamma_over_gamma > 0.0:
-            raise ValueError("MOUN relaxation rate must be positive")
+        if not (np.isfinite(self.Gamma_over_gamma) and self.Gamma_over_gamma > 0.0):
+            raise ValueError("MOUN relaxation rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class Markov:
     lambda_over_gamma: float
 
     def __post_init__(self):
-        if not self.lambda_over_gamma > 0.0:
-            raise ValueError("Markovian decay rate must be positive")
+        if not (np.isfinite(self.lambda_over_gamma) and self.lambda_over_gamma > 0.0):
+            raise ValueError("Markovian decay rate must be finite and positive")
 
 
 NoiseModel = Rtn | Moun | Markov
@@ -142,8 +142,8 @@ def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
     Only RTN crosses zero, at t_k = (k*pi - arctan(omega)) / omega; the
     monotone models return an empty list.
     """
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if not isinstance(model, Rtn):
         return []
     w = model.omega

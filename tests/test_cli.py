@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqcx import cli
 
@@ -240,3 +246,119 @@ class TestConfigAndErrors:
             "--noise", "moun",
         )
         assert code == 1
+
+
+class TestInputBoundary:
+    WERNER = ["--state", "werner", "--param", "0.5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", *WERNER, "--tmax", "inf", "--steps", "3"],
+            ["evolve", *WERNER, "--tmax", "nan"],
+            ["evolve", *WERNER, "--tmax", "0"],
+            ["evolve", *WERNER, "--tmax", "-1"],
+            ["evolve", *WERNER, "--steps", "0"],
+            ["evolve", *WERNER, "--steps", "1"],
+            ["events", *WERNER, "--tmax", "inf"],
+            ["events", *WERNER, "--steps", "2"],
+            ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "inf"],
+            ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "inf"],
+            ["surface", "--state", "mnms", "--time-grid", "0:inf:3"],
+            ["surface", "--state", "mnms", "--param-grid", "nan:1:3"],
+            ["surface", "--state", "mnms", "--param-grid=-inf:1:3"],
+        ],
+        ids=[
+            "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
+            "events-tmax-inf", "events-steps-two", "rtn-rate-inf", "markov-rate-inf",
+            "grid-max-inf", "grid-min-nan", "grid-min-neg-inf",
+        ],
+    )
+    def test_bad_input_exits_one_quietly(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_coarse_grid_events_match_fine_grid(self, capsys):
+        argv = ["events", "--state", "werner", "--param", "0.6667", "--tmax", "3"]
+        found = {}
+        for steps in ("8", "600"):
+            code, out, _ = run_cli(capsys, *argv, "--steps", steps)
+            assert code == 0
+            found[steps] = [r for r in parse_csv(out)[1] if r["measure"] in ("laqc", "qs")]
+        assert len(found["8"]) == len(found["600"]) > 0
+        for coarse, fine in zip(found["8"], found["600"]):
+            assert (coarse["kind"], coarse["measure"]) == (fine["kind"], fine["measure"])
+            assert float(coarse["t"]) == pytest.approx(float(fine["t"]), abs=1e-9)
+            assert float(coarse["value"]) == pytest.approx(float(fine["value"]), abs=1e-9)
+
+
+def reference_bytes(columns, fmt):
+    """The row-dict emitter the column emitter replaced."""
+    names = list(columns)
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
+    rows = [dict(zip(names, row)) for row in zip(*values)]
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    lines = ["# " + ",".join(names)] + [",".join(cell(r[c]) for c in names) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emitted(columns, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(columns, {"format": fmt, "out": None})
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 0.1, 1e22, -1.5]
+
+
+@st.composite
+def column_sets(draw):
+    n = draw(st.integers(0, 12))
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["float-array", "float-list", "str", "int"]))
+        if kind.startswith("float"):
+            # a small pool drawn from, so columns repeat values
+            values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+            pool = draw(st.lists(values, min_size=1, max_size=5))
+            col = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            columns[name] = np.array(col, dtype=float) if kind == "float-array" else col
+        elif kind == "str":
+            columns[name] = draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))
+        else:
+            columns[name] = draw(st.lists(st.integers(), min_size=n, max_size=n))
+    return columns
+
+
+class TestEmitter:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(column_sets())
+    def test_matches_row_dict_emitter(self, columns):
+        for fmt in ("csv", "json"):
+            assert emitted(columns, fmt) == reference_bytes(columns, fmt)
+
+    @pytest.mark.parametrize("fmt, negative_zero", [("csv", "\n-0,0,1\n"), ("json", '"x": -0.0,')])
+    def test_special_floats(self, fmt, negative_zero):
+        col = np.array(SPECIAL_FLOATS + SPECIAL_FLOATS[::-1])
+        columns = {"x": col, "y": (-col).tolist(), "name": [str(i) for i in range(col.size)]}
+        text = emitted(columns, fmt)
+        assert text == reference_bytes(columns, fmt)
+        assert negative_zero in text
+
+    @pytest.mark.parametrize("fmt, expected", [("csv", "# a,b\n"), ("json", "[]\n")])
+    def test_zero_rows(self, fmt, expected):
+        columns = {"a": np.empty(0), "b": []}
+        assert emitted(columns, fmt) == expected == reference_bytes(columns, fmt)

@@ -1,0 +1,71 @@
+"""Byte-for-byte output of every subcommand, in both formats.
+
+The files under tests/golden/ were written by the earlier row-dict emitter
+(``f"{v:.17g}"`` cells for CSV, ``json.dumps(rows, indent=2)`` for JSON), so
+these tests pin the output contract across changes to how rows are emitted.
+Each file is named ``<case>.<format>``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from rqcx import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "validate_werner": ["validate", "--state", "werner", "--param", "0.5"],
+    "validate_file": [
+        "validate", "--state", "file", "--state-file", str(GOLDEN / "violating_state.json"),
+    ],
+    "measures_mems": ["measures", "--state", "mems", "--param", "0.8"],
+    "measures_mnms": ["measures", "--state", "mnms", "--param", "0.5"],
+    "evolve_rtn": [
+        "evolve", "--state", "werner", "--param", "0.8",
+        "--noise", "rtn", "--a-over-gamma", "4", "--tmax", "1.5", "--steps", "25",
+    ],
+    "evolve_moun": [
+        "evolve", "--state", "mnms", "--param", "0.5",
+        "--noise", "moun", "--Gamma-over-gamma", "1", "--tmax", "3", "--steps", "40",
+    ],
+    "events_rtn": [
+        "events", "--state", "werner", "--param", "1",
+        "--noise", "rtn", "--a-over-gamma", "4", "--tmax", "3",
+    ],
+    "events_markov": [
+        "events", "--state", "mems", "--param", "0.8",
+        "--noise", "markov", "--tmax", "2", "--steps", "50",
+    ],
+    "events_none": [
+        "events", "--state", "werner", "--param", "0",
+        "--noise", "markov", "--tmax", "2", "--steps", "20",
+    ],
+    "surface_werner": [
+        "surface", "--state", "werner", "--param-grid", "0:1:20", "--time-grid", "0:3:30",
+        "--noise", "rtn", "--measure-a", "concurrence", "--measure-b", "qs",
+    ],
+    "surface_mems": [
+        "surface", "--state", "mems", "--param-grid", "0:1:7", "--time-grid", "0:2:11",
+        "--noise", "moun", "--measure-a", "laqc", "--measure-b", "qs",
+    ],
+    "oracle_mems": ["oracle", "--state", "mems", "--param", "0.8", "--grid", "8", "--refine", "2"],
+    "crossover": ["crossover"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(capsys, case, fmt):
+    code = cli.main(CASES[case] + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_matches_golden(tmp_path, fmt):
+    path = tmp_path / f"surface.{fmt}"
+    code = cli.main(CASES["surface_werner"] + ["--format", fmt, "--out", str(path)])
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / f"surface_werner.{fmt}").read_bytes()

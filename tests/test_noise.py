@@ -36,6 +36,12 @@ class TestModels:
             with pytest.raises(ValueError):
                 bad(0.0)
 
+    @pytest.mark.parametrize("model", [Rtn, Moun, Markov])
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_nonfinite_rates_rejected(self, model, rate):
+        with pytest.raises(ValueError, match="finite"):
+            model(rate)
+
     def test_config_round_trip(self):
         assert noise_from_config({"kind": "rtn", "a_over_gamma": 4.0}) == RTN4
         assert noise_from_config({"kind": "moun", "Gamma_over_gamma": 2.0}) == Moun(2.0)
@@ -149,6 +155,11 @@ class TestZeros:
 
     def test_window_short_of_first_zero(self):
         assert lambda_zeros(RTN4, 0.2) == []
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
+    def test_window_must_be_finite_and_positive(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            lambda_zeros(RTN4, t_max)
 
     def test_sign_alternates_between_zeros(self):
         zeros = lambda_zeros(RTN4, 3.0)
