@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .measures import u_func
+from .search import bisect
 from .states import XStateParams
 
 FAMILY_KINDS = ("werner", "mnms", "mems")
@@ -75,18 +76,7 @@ def crossover_z(tol: float = 1e-12) -> float:
     The residual u(z)/2 - (3z - 1)/2 is positive just above the separability
     threshold z = 1/3 and negative from the crossover until z = 1.
     """
-    def residual(z: float) -> float:
+    def residual(z):
         return 0.5 * u_func(z) - 0.5 * (3.0 * z - 1.0)
 
-    lo, hi = 0.34, 0.99
-    f_lo = residual(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(bisect(residual, 0.34, 0.99, tol)[0])

@@ -52,9 +52,10 @@ class MeasureSet:
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
+    """v*log2(v) elementwise, 0 where v <= 0 (0*log 0 = 0); NaN stays NaN."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    mask = v > 0.0
+    out = np.zeros(v.shape)
+    mask = ~(v <= 0.0)
     out[mask] = v[mask] * np.log2(v[mask])
     return out
 
@@ -164,10 +165,6 @@ def measure_set(p: XStateParams) -> MeasureSet:
 
 
 # Array-valued internals used by the sweep engine; no per-call validation.
-
-def _g12_arrays(t11, t22):
-    return 0.5 * _u(np.asarray(t11, float)), 0.5 * _u(np.asarray(t22, float))
-
 
 def _g3_scalar(t30: float, t03: float, t33: float) -> float:
     vals = np.array(

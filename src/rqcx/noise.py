@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .search import bisect
 from .states import (
     SIGMA_Z,
     BlochX,
@@ -147,30 +148,16 @@ def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
     if not isinstance(model, Rtn):
         return []
     w = model.omega
-    half_gap = 0.5 * np.pi / w
-    zeros = []
-    k = 1
-    while True:
-        t_k = (k * np.pi - np.arctan(w)) / w
-        if t_k > t_max:
-            break
-        zeros.append(_polish_zero(model, t_k, half_gap))
-        k += 1
-    return zeros
+    # one index past the estimated last zero; the t_k <= t_max test trims it
+    k = np.arange(1.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 2.0)
+    t_k = (k * np.pi - np.arctan(w)) / w
+    return _polish_zero(model, t_k[t_k <= t_max], 0.5 * np.pi / w).tolist()
 
 
-def _polish_zero(model: NoiseModel, t0: float, half_gap: float) -> float:
-    lo, hi = t0 - 0.5 * half_gap, t0 + 0.5 * half_gap
-    f_lo = lambda_of_t(model, max(lo, 0.0))
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = lambda_of_t(model, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _polish_zero(model: NoiseModel, t0: np.ndarray, half_gap: float) -> np.ndarray:
+    """Bisect Lambda within a quarter period either side of each estimate t0.
+
+    Every bracket lies in t > 0: the first zero is (pi - arctan(omega))/omega,
+    more than half_gap/2 = pi/(4 omega) from 0.
+    """
+    return bisect(lambda t: lambda_of_t(model, t), t0 - 0.5 * half_gap, t0 + 0.5 * half_gap, 1e-15)

@@ -297,6 +297,20 @@ class TestInputBoundary:
             assert float(coarse["t"]) == pytest.approx(float(fine["t"]), abs=1e-9)
             assert float(coarse["value"]) == pytest.approx(float(fine["value"]), abs=1e-9)
 
+    @pytest.mark.parametrize("a, steps", [("4", "12"), ("10", "30")])
+    def test_coarse_grid_keeps_concurrence_deaths(self, capsys, a, steps):
+        # each concurrence death has its revival inside the same sample interval
+        argv = ["events", "--state", "werner", "--param", repr(2.0 / 3.0), "--a-over-gamma", a, "--tmax", "3"]
+        deaths = {}
+        for n in (steps, "600"):
+            code, out, _ = run_cli(capsys, *argv, "--steps", n)
+            assert code == 0
+            rows = parse_csv(out)[1]
+            deaths[n] = [float(r["t"]) for r in rows if (r["kind"], r["measure"]) == ("sudden_death", "concurrence")]
+        assert len(deaths[steps]) == len(deaths["600"]) >= 2
+        for coarse, fine in zip(deaths[steps], deaths["600"]):
+            assert coarse == pytest.approx(fine, abs=1e-7)
+
 
 def reference_bytes(columns, fmt):
     """The row-dict emitter the column emitter replaced."""

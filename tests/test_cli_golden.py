@@ -3,7 +3,9 @@
 The files under tests/golden/ were written by the earlier row-dict emitter
 (``f"{v:.17g}"`` cells for CSV, ``json.dumps(rows, indent=2)`` for JSON), so
 these tests pin the output contract across changes to how rows are emitted.
-Each file is named ``<case>.<format>``.
+The ``events_moun`` and ``events_coarse*`` files were written by the scalar
+golden-section and bisection searches that the lane searches replaced, so they
+also pin event times and values.  Each file is named ``<case>.<format>``.
 """
 
 from pathlib import Path
@@ -36,6 +38,20 @@ CASES = {
     "events_markov": [
         "events", "--state", "mems", "--param", "0.8",
         "--noise", "markov", "--tmax", "2", "--steps", "50",
+    ],
+    "events_moun": [
+        "events", "--state", "werner", "--param", "0.7", "--noise", "moun", "--Gamma-over-gamma", "1",
+    ],
+    "events_coarse": [
+        "events", "--state", "mnms", "--param", "0.8",
+        "--noise", "rtn", "--a-over-gamma", "4", "--steps", "40",
+    ],
+    # each concurrence crossing is alone in its sample interval, and some of
+    # those intervals also hold an envelope extremum: their sample brackets
+    # must be bisected as they are
+    "events_coarse_werner": [
+        "events", "--state", "werner", "--param", "0.8",
+        "--noise", "rtn", "--a-over-gamma", "4", "--steps", "30",
     ],
     "events_none": [
         "events", "--state", "werner", "--param", "0",

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from conftest import random_xstate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rqcx.dynamics import SweepSpec, detect_events, surface, trajectory
+from rqcx import search
+from rqcx.dynamics import SweepSpec, _measure_arrays, _StateMeasures, detect_events, surface, trajectory
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
-from rqcx.noise import Moun, Rtn, lambda_zeros
+from rqcx.noise import Markov, Moun, Rtn, _polish_zero, lambda_of_t, lambda_zeros
 from rqcx.states import XStateParams
 
 RTN4 = Rtn(4.0)
@@ -170,3 +174,143 @@ def test_event_records_from_file_state():
     events = detect_events(rows, RTN4, st)
     kinds = {e.kind for e in events}
     assert "sudden_death" in kinds
+
+
+def test_nan_envelope_gives_nan_measures():
+    m = _measure_arrays(make_state(FamilySpec("werner", 0.8)), np.array([np.nan, 0.5]))
+    for name in ("concurrence", "laqc", "qs", "cs"):
+        assert np.isnan(m[name][0])
+        assert np.isfinite(m[name][1])
+
+
+# The scalar searches the lane searches replaced, kept as the reference: one
+# function call per step, one bracket at a time.
+
+_INVPHI = 0.5 * (np.sqrt(5.0) - 1.0)
+
+
+def _golden_max(f, lo, hi, tol=1e-9):
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    t = 0.5 * (a + b)
+    return t, f(t)
+
+
+def _bisect_root(f, lo, hi, tol=1e-9):
+    f_lo = f(lo)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _polish_zero_scalar(model, t0, half_gap):
+    lo, hi = t0 - 0.5 * half_gap, t0 + 0.5 * half_gap
+    f_lo = lambda_of_t(model, max(lo, 0.0))
+    for _ in range(200):
+        if hi - lo <= 1e-15:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = lambda_of_t(model, mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo > 0) == (f_mid > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_NOISES = st.one_of(
+    st.floats(0.55, 12.0).map(Rtn),
+    st.floats(0.2, 5.0).map(Moun),
+    st.floats(0.2, 5.0).map(Markov),
+)
+_BRACKETS = st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)), min_size=1, max_size=8)
+
+
+def _ordered(brackets):
+    return [(min(p), max(p)) for p in brackets]
+
+
+class TestLaneSearches:
+    """Each lane of a lane search equals the scalar search on its bracket, bit for bit."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), noise=_NOISES, brackets=_BRACKETS)
+    def test_bisect_matches_scalar(self, seed, noise, brackets):
+        measures = _StateMeasures(random_xstate(np.random.default_rng(seed)))
+
+        def margin(t):
+            return measures.margin(np.atleast_1d(lambda_of_t(noise, t)))
+
+        lo, hi = np.array(_ordered(brackets)).T
+        lanes = search.bisect(margin, lo, hi, 1e-9)
+        for k in range(lo.size):
+            assert lanes[k] == _bisect_root(lambda t: float(margin(t)[0]), float(lo[k]), float(hi[k]))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=_NOISES,
+        brackets=_BRACKETS,
+        names=st.lists(st.sampled_from(["laqc", "qs", "concurrence"]), min_size=8, max_size=8),
+    )
+    def test_golden_max_matches_scalar(self, seed, noise, brackets, names):
+        measures = _StateMeasures(random_xstate(np.random.default_rng(seed)))
+
+        def at(t):
+            return measures(np.atleast_1d(lambda_of_t(noise, t)))
+
+        lo, hi = np.array(_ordered(brackets)).T
+
+        def f(t, lanes):
+            m = at(t)
+            return np.array([m[names[k]][j] for j, k in enumerate(lanes)])
+
+        t, v = search.golden_max(f, lo, hi, 1e-9)
+        for k in range(lo.size):
+            ref = _golden_max(lambda x: float(at(x)[names[k]][0]), float(lo[k]), float(hi[k]))
+            assert (t[k], v[k]) == ref
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(a=st.floats(0.55, 12.0), tmax=st.floats(0.1, 10.0), shift=st.floats(-0.3, 0.3))
+    def test_polish_matches_scalar(self, a, tmax, shift):
+        model = Rtn(a)
+        w = model.omega
+        half_gap = 0.5 * np.pi / w
+        t0 = (np.arange(1.0, 1.0 + np.ceil(tmax * w / np.pi)) * np.pi - np.arctan(w)) / w
+        # off-centre estimates still bracket their zero; past t = 8 a float's
+        # spacing exceeds the 1e-15 tolerance and lanes stop after 200 halvings
+        t0 = t0 + shift * half_gap
+        lanes = _polish_zero(model, t0, half_gap)
+        assert lanes.tolist() == [_polish_zero_scalar(model, float(t), half_gap) for t in t0]
+
+    def test_crossover_single_lane(self):
+        from rqcx.families import crossover_z
+
+        assert crossover_z() == 0.4214994714145314
+
+    def test_empty_lanes(self):
+        assert search.bisect(np.sin, [], [], 1e-9).size == 0
+        t, v = search.golden_max(lambda t, lanes: np.sin(t), [], [], 1e-9)
+        assert t.size == v.size == 0
