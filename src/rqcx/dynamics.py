@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FamilySpec, make_state
-from .measures import _g3_scalar, _middle_of_three, _u
+from .measures import _branches, _middle_of_three, _u
 from .noise import NoiseModel, Rtn, lambda_of_t, lambda_zeros
 from .search import bisect, golden_max
 from .states import XStateParams, require_valid, xstate_to_bloch
@@ -68,7 +68,7 @@ class _StateMeasures:
     def __init__(self, state: XStateParams):
         b = xstate_to_bloch(state)
         self._t11, self._t22 = b.t11, b.t22
-        self._g3 = _g3_scalar(b.t30, b.t03, b.t33)
+        self._g3 = _branches(b)[2]
         self._r, self._s = np.abs(state.r), np.abs(state.s)
         self._root_bc = np.sqrt(max(state.b, 0.0) * max(state.c, 0.0))
         self._root_ad = np.sqrt(max(state.a, 0.0) * max(state.d, 0.0))
@@ -158,18 +158,28 @@ def detect_events(
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     values = at(np.concatenate(([0.0, t_end], zeros, mids, deaths)))
     parts = np.cumsum([1, 1, len(zeros), len(zeros)])
-    events: list[EventRecord] = []
     segments = []  # (lo, hi, measure) of every revival search
     for name in ("laqc", "qs"):
+        segments += [(lo, hi, name) for lo, hi in zip(zeros, zeros[1:] + [t_end])]
+    if deaths.size:
+        cuts = sorted({tb for tb, _ in boundaries if tb >= deaths[0] - 1e-12} | {t_end})
+        segments += [(lo, hi, "concurrence") for lo, hi in zip(cuts[:-1], cuts[1:])]
+    peak_t, peak_v, is_peak = _segment_maxima(at, segments)
+    # per measure, the maximum of each segment that ends on a zero
+    closing = peak_v[: 2 * len(zeros)].reshape(2, len(zeros))[:, :-1]
+    events: list[EventRecord] = []
+    for j, name in enumerate(("laqc", "qs")):
         start, end, on_zero, on_mid, _ = np.split(values[name], parts)
         sampled = np.array([getattr(row, name) for row in rows])
+        # the largest value seen before each zero: a sample, the midpoint, or
+        # the maximum of the segment between the previous zero and this one
         pre = np.maximum(_row_peaks(ts, sampled, bounds[:-1], zeros), on_mid)
+        pre[1:] = np.maximum(pre[1:], closing[j])
         events += [
             EventRecord("sudden_death", name, float(tz), float(v))
             for tz, p, v in zip(zeros, pre, on_zero)
             if p > threshold
         ]
-        segments += [(lo, hi, name) for lo, hi in zip(zeros, zeros[1:] + [t_end])]
         if not zeros and start[0] > threshold and end[0] < start[0]:
             events.append(EventRecord("asymptotic", name, float(t_end), float(end[0])))
     start, end, _, _, on_death = np.split(values["concurrence"], parts)
@@ -180,15 +190,12 @@ def detect_events(
         for tb, p, v in zip(deaths, pre, on_death)
         if p > threshold
     ]
-    if deaths.size:
-        cuts = sorted({tb for tb, _ in boundaries if tb >= deaths[0] - 1e-12} | {t_end})
-        segments += [(lo, hi, "concurrence") for lo, hi in zip(cuts[:-1], cuts[1:])]
-    elif start[0] > threshold and end[0] < start[0]:
+    if not deaths.size and start[0] > threshold and end[0] < start[0]:
         events.append(EventRecord("asymptotic", "concurrence", float(t_end), float(end[0])))
     events += [
-        EventRecord("revival_peak", name, t, v)
-        for name, t, v in _interior_peaks(at, segments)
-        if v > threshold
+        EventRecord("revival_peak", segments[k][2], float(peak_t[k]), float(peak_v[k]))
+        for k in np.flatnonzero(is_peak)
+        if peak_v[k] > threshold
     ]
     events.sort(key=lambda e: (e.t, e.measure, e.kind))
     return events
@@ -273,16 +280,16 @@ def _concurrence_boundaries(ts, margin, noise, zeros, t_end) -> list[tuple[float
     return boundaries
 
 
-def _interior_peaks(at, segments):
+def _segment_maxima(at, segments):
     """Golden-section maxima of every (lo, hi, measure) segment at once.
 
-    `at` maps an array of times to the measures there.  Gives (measure, t,
-    value) for each peak that lies strictly inside its segment and is a local
-    maximum there; segments narrower than 1e-9 are skipped.
+    `at` maps an array of times to the measures there.  Gives the arrays t
+    and v of each segment's maximum and a mask of the revival peaks: the
+    maxima of segments at least 1e-9 wide that lie strictly inside their
+    segment and are local maxima there.
     """
-    segments = [seg for seg in segments if not seg[1] - seg[0] < 1e-9]
     if not segments:
-        return []
+        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     lo = np.array([seg[0] for seg in segments])
     hi = np.array([seg[1] for seg in segments])
     which = np.array([_PEAK_MEASURES.index(seg[2]) for seg in segments])
@@ -293,10 +300,12 @@ def _interior_peaks(at, segments):
 
     t, v = golden_max(f, lo, hi, 1e-9)
     h = 1e-4 * (hi - lo)
-    inner = np.flatnonzero(~(t - h <= lo) & ~(t + h >= hi))
+    inner = np.flatnonzero(~(hi - lo < 1e-9) & ~(t - h <= lo) & ~(t + h >= hi))
     side = f(np.concatenate((t[inner] - h[inner], t[inner] + h[inner])), np.concatenate((inner, inner)))
     local = (v[inner] > side[: inner.size] - 1e-15) & (v[inner] > side[inner.size :] - 1e-15)
-    return [(segments[k][2], float(t[k]), float(v[k])) for k in inner[local]]
+    peak = np.zeros(lo.size, dtype=bool)
+    peak[inner[local]] = True
+    return t, v, peak
 
 
 def surface(spec: SweepSpec, measure_a: str, measure_b: str):

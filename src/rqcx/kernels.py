@@ -14,8 +14,8 @@ import numpy as np
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
-    """p*log2(p) elementwise, 0 where p <= 0 (0*log 0 = 0; rounding can dip below 0)."""
-    return p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    """p*log2(p) elementwise; 0 where p <= 0 (-0.0 below 0, where rounding dips), NaN stays NaN."""
+    return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
 
 
 def _marginal_plogp(x: np.ndarray) -> np.ndarray:

@@ -12,15 +12,21 @@ max(g1, g2): the quantum correlations recoverable in bases mutually
 unbiased to the computational basis, which g3 (a purely classical,
 diagonal-sector quantity) never feeds.  Wu's symmetric classical measure
 takes the best of all three branches and the quantum one the runner-up.
+
+One private kernel, _branches, evaluates g1, g2 and g3 together.
+measure_set, g_branch, laqc, qs and cs validate their input and index
+into it; the sweep engine takes g3 from it as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import _xlog2x
 from .states import (
     SIGMA_Y,
     BlochX,
@@ -51,15 +57,6 @@ class MeasureSet:
     cs: float
 
 
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    """v*log2(v) elementwise, 0 where v <= 0 (0*log 0 = 0); NaN stays NaN."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape)
-    mask = ~(v <= 0.0)
-    out[mask] = v[mask] * np.log2(v[mask])
-    return out
-
-
 def _u(x):
     x = np.asarray(x, dtype=float)
     return _xlog2x(1.0 + x) + _xlog2x(1.0 - x)
@@ -79,39 +76,62 @@ def branch_values(i: int, b: BlochX) -> GBranchValues:
     """alpha/beta/gamma/delta for branch i; their sum is exactly 4."""
     if i not in (1, 2, 3):
         raise ValueError("branch index must be 1, 2, or 3")
-    t_i0, t_0i = (b.t30, b.t03) if i == 3 else (0.0, 0.0)
-    t_ii = {1: b.t11, 2: b.t22, 3: b.t33}[i]
+    t_i0, t_0i, t_ii = (b.t30, b.t03, b.t33) if i == 3 else (0.0, 0.0, b.t11 if i == 1 else b.t22)
     return GBranchValues(
-        alpha=1.0 + t_i0 + t_0i + t_ii,
-        beta=1.0 + t_i0 - t_0i - t_ii,
-        gamma=1.0 - t_i0 + t_0i - t_ii,
-        delta=1.0 - t_i0 - t_0i + t_ii,
-        branch=i,
+        1.0 + t_i0 + t_0i + t_ii,
+        1.0 + t_i0 - t_0i - t_ii,
+        1.0 - t_i0 + t_0i - t_ii,
+        1.0 - t_i0 - t_0i + t_ii,
+        i,
     )
+
+
+def _branches(b: BlochX) -> tuple[float, float, float]:
+    """(g1, g2, g3) of a Bloch vector the caller has validated.
+
+    The twelve branch log arguments (alpha..delta of each branch) and the
+    four u-terms of g3, 1 +- t03 and 1 +- t30, form one (4, 4) array that
+    goes through one _xlog2x and one row sum.  Each value equals the
+    branch evaluated on its own, to the bit: a row sum adds in the order of
+    a 4-element sum, u(0) = 0 drops out of g1 and g2, and the u-terms are
+    added in pairs, u(t03) + u(t30), as u itself adds them.
+    """
+    x03, x30 = min(max(b.t03, -1.0), 1.0), min(max(b.t30, -1.0), 1.0)
+    vals = [
+        *branch_values(1, b)[:4], *branch_values(2, b)[:4], *branch_values(3, b)[:4],
+        1.0 + x03, 1.0 - x03, 1.0 + x30, 1.0 - x30,
+    ]
+    if min(vals) < -_BRANCH_TOL:  # the u-terms are never negative
+        k = next(k for k in (0, 4, 8) if min(vals[k : k + 4]) < -_BRANCH_TOL)
+        low = min(vals[k : k + 4])
+        raise ValueError(f"branch {k // 4 + 1} has negative log argument {low:.3e}: unphysical input")
+    if max(abs(b.t03), abs(b.t30)) > 1.0 + 1e-12:
+        raise ValueError("u(x) requires |x| <= 1")
+    terms = _xlog2x(np.array(vals).reshape(4, 4))  # a log argument below 0 counts as 0
+    s1, s2, s3, _ = terms.sum(axis=1).tolist()
+    p03, m03, p30, m30 = terms[3].tolist()
+    g3 = 0.25 * s3 - 0.5 * ((p03 + m03) + (p30 + m30))
+    return max(0.25 * s1, 0.0), max(0.25 * s2, 0.0), max(g3, 0.0)
 
 
 def g_branch(i: int, b: BlochX) -> float:
     require_valid_bloch(b)
-    vals = branch_values(i, b)
-    arr = np.array(vals[:4], dtype=float)
-    if arr.min() < -_BRANCH_TOL:
-        raise ValueError(f"branch {i} has negative log argument {arr.min():.3e}: unphysical input")
-    arr = np.clip(arr, 0.0, None)
-    t_i0, t_0i = (b.t30, b.t03) if i == 3 else (0.0, 0.0)
-    g = 0.25 * float(_xlog2x(arr).sum()) - 0.5 * (u_func(t_0i) + u_func(t_i0))
-    return max(g, 0.0)
+    if i not in (1, 2, 3):
+        raise ValueError("branch index must be 1, 2, or 3")
+    return _branches(b)[(1, 2, 3).index(i)]
 
 
 def laqc(b: BlochX) -> float:
     """Local available quantum correlations, max(g1, g2); zero for classical states."""
     require_valid_bloch(b)
-    return max(g_branch(1, b), g_branch(2, b))
+    g1, g2, _ = _branches(b)
+    return max(g1, g2)
 
 
 def cs(b: BlochX) -> float:
     """Symmetric classical correlations: the best branch of the three."""
     require_valid_bloch(b)
-    return max(g_branch(i, b) for i in (1, 2, 3))
+    return max(_branches(b))
 
 
 def qs(b: BlochX) -> float:
@@ -121,15 +141,18 @@ def qs(b: BlochX) -> float:
     every case qs <= laqc.
     """
     require_valid_bloch(b)
-    g = sorted((g_branch(1, b), g_branch(2, b), g_branch(3, b)), reverse=True)
-    return g[1]
+    return sorted(_branches(b), reverse=True)[1]
 
 
 def concurrence_x(p: XStateParams) -> float:
     """Wootters concurrence of an X state, normalized to 1 on Bell states."""
     require_valid(p)
-    c1 = 2.0 * (abs(p.r) - np.sqrt(max(p.b, 0.0) * max(p.c, 0.0)))
-    c2 = 2.0 * (abs(p.s) - np.sqrt(max(p.a, 0.0) * max(p.d, 0.0)))
+    return _concurrence(p)
+
+
+def _concurrence(p: XStateParams) -> float:
+    c1 = 2.0 * (abs(p.r) - math.sqrt(max(p.b, 0.0) * max(p.c, 0.0)))
+    c2 = 2.0 * (abs(p.s) - math.sqrt(max(p.a, 0.0) * max(p.d, 0.0)))
     return float(max(0.0, c1, c2))
 
 
@@ -153,32 +176,15 @@ def concurrence_general(rho: np.ndarray) -> float:
 
 
 def measure_set(p: XStateParams) -> MeasureSet:
-    """All four measures of a single X state."""
+    """All four measures of a single X state, validated once."""
     b = xstate_to_bloch(p)
-    g = sorted((g_branch(1, b), g_branch(2, b), g_branch(3, b)))
-    return MeasureSet(
-        concurrence=concurrence_x(p),
-        laqc=max(g_branch(1, b), g_branch(2, b)),
-        qs=g[1],
-        cs=g[2],
-    )
+    require_valid_bloch(b)
+    g1, g2, g3 = _branches(b)
+    g = sorted((g1, g2, g3))
+    return MeasureSet(concurrence=_concurrence(p), laqc=max(g1, g2), qs=g[1], cs=g[2])
 
 
 # Array-valued internals used by the sweep engine; no per-call validation.
-
-def _g3_scalar(t30: float, t03: float, t33: float) -> float:
-    vals = np.array(
-        [
-            1.0 + t30 + t03 + t33,
-            1.0 + t30 - t03 - t33,
-            1.0 - t30 + t03 - t33,
-            1.0 - t30 - t03 + t33,
-        ]
-    )
-    vals = np.clip(vals, 0.0, None)
-    g = 0.25 * float(_xlog2x(vals).sum()) - 0.5 * float(_u(t30) + _u(t03))
-    return max(g, 0.0)
-
 
 def _middle_of_three(g1, g2, g3):
     stacked = np.stack(np.broadcast_arrays(g1, g2, g3))

@@ -10,6 +10,7 @@ correlation coefficients, (T30, T03, T11, T22, T33), besides T00 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class ValidationReport:
         assert self.valid == (len(self.violations) == 0)
 
 
+_VALID = ValidationReport(True, ())
+
+
 class InvalidStateError(ValueError):
     """Raised when an operation receives an unphysical state."""
 
@@ -71,7 +75,7 @@ def validate_xstate(p: XStateParams, tol: float = STRUCT_TOL) -> ValidationRepor
     """Check hermiticity/positivity constraints; report every violation."""
     fields = (p.a, p.b, p.c, p.d, p.r, p.s)
     violations: list[tuple[str, float]] = []
-    if not all(np.isfinite(fields)):
+    if not all(map(math.isfinite, fields)):
         return ValidationReport(False, (("finite_values", float("inf")),))
     neg = -min(p.a, p.b, p.c, p.d)
     if neg > tol:
@@ -80,13 +84,13 @@ def validate_xstate(p: XStateParams, tol: float = STRUCT_TOL) -> ValidationRepor
     if drift > tol:
         violations.append(("unit_trace", drift))
     # coherence bounds keep the two 2x2 blocks positive semi-definite
-    r_excess = abs(p.r) - np.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
+    r_excess = abs(p.r) - math.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
     if r_excess > tol:
         violations.append(("r_coherence_bound", float(r_excess)))
-    s_excess = abs(p.s) - np.sqrt(max(p.b, 0.0) * max(p.c, 0.0))
+    s_excess = abs(p.s) - math.sqrt(max(p.b, 0.0) * max(p.c, 0.0))
     if s_excess > tol:
         violations.append(("s_coherence_bound", float(s_excess)))
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 def require_valid(p: XStateParams) -> None:
@@ -97,15 +101,15 @@ def require_valid(p: XStateParams) -> None:
 
 def validate_bloch(b: BlochX, tol: float = STRUCT_TOL) -> ValidationReport:
     coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
-    if not all(np.isfinite(coeffs)):
+    if not all(map(math.isfinite, coeffs)):
         return ValidationReport(False, (("finite_values", float("inf")),))
     violations = []
-    over = max(abs(t) for t in coeffs) - 1.0
+    over = max(map(abs, coeffs)) - 1.0
     if over > tol:
         violations.append(("coefficient_range", float(over)))
     inner = validate_xstate(_bloch_to_xstate_raw(b), tol)
     violations.extend(inner.violations)
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 def require_valid_bloch(b: BlochX) -> None:

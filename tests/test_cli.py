@@ -311,6 +311,27 @@ class TestInputBoundary:
         for coarse, fine in zip(deaths[steps], deaths["600"]):
             assert coarse == pytest.approx(fine, abs=1e-7)
 
+    def test_coarse_grid_keeps_death_after_small_revival(self, capsys):
+        # the last laqc/qs revival (1.03e-4) barely clears the threshold and no
+        # sample of the 12-step grid sees it; the death after it must be kept
+        argv = [
+            "events", "--state", "werner", "--param", "0.6206931880817418",
+            "--a-over-gamma", "2.4382261913270877", "--tmax", "3.330135403594978",
+        ]
+        deaths = {}
+        for steps in ("12", "20000"):
+            code, out, _ = run_cli(capsys, *argv, "--steps", steps)
+            assert code == 0
+            rows = parse_csv(out)[1]
+            deaths[steps] = {
+                name: [float(r["t"]) for r in rows if (r["kind"], r["measure"]) == ("sudden_death", name)]
+                for name in ("laqc", "qs")
+            }
+        for name in ("laqc", "qs"):
+            assert len(deaths["12"][name]) == len(deaths["20000"][name]) == 4
+            for coarse, fine in zip(deaths["12"][name], deaths["20000"][name]):
+                assert coarse == pytest.approx(fine, abs=1e-9)
+
 
 def reference_bytes(columns, fmt):
     """The row-dict emitter the column emitter replaced."""
