@@ -1,6 +1,6 @@
 """Residual quantum correlations of 2-qubit X states under dephasing noise."""
 
-from .dynamics import EventRecord, SweepSpec, TrajectoryRow, detect_events, surface, trajectory
+from .dynamics import EventRecord, SweepSpec, Trajectory, detect_events, surface, trajectory
 from .families import FamilySpec, crossover_z, family_concurrence_closed, family_laqc_closed, make_state, werner_concurrence_rtn
 from .measures import (
     MeasureSet,

@@ -20,8 +20,10 @@ from . import dynamics, families, measures, noise, oracle, stateio
 from .states import (
     InvalidStateError,
     matrix_to_xstate,
+    validate_bloch,
     validate_density_matrix,
     validate_xstate,
+    xstate_to_bloch,
     xstate_to_matrix,
 )
 
@@ -222,7 +224,12 @@ def _emit(columns: dict, opts: dict) -> None:
 
 def _cmd_validate(opts: dict) -> int:
     params, matrix = _resolve_state(opts)
-    report = validate_xstate(params) if params is not None else validate_density_matrix(matrix)
+    if params is None:
+        report = validate_density_matrix(matrix)
+    else:
+        report = validate_xstate(params)
+        if report.valid:  # a Bloch coefficient may still lie just past 1, as measure_set finds
+            report = validate_bloch(xstate_to_bloch(params))
     names = [name for name, _ in report.violations]
     columns = {
         "check": ["valid", *names],
@@ -239,26 +246,16 @@ def _cmd_measures(opts: dict) -> int:
     return 0
 
 
-# output column -> TrajectoryRow field
-_TRAJECTORY_COLUMNS = {
-    "t": "t", "lambda": "lam", "concurrence": "concurrence", "laqc": "laqc", "qs": "qs", "cs": "cs",
-}
-
-
 def _cmd_evolve(opts: dict) -> int:
-    params = _xstate_of(opts)
-    model = _noise_of(opts)
-    rows = dynamics.trajectory(params, model, _time_grid(opts))
-    columns = {name: [getattr(r, attr) for r in rows] for name, attr in _TRAJECTORY_COLUMNS.items()}
-    _emit(columns, opts)
+    traj = dynamics.trajectory(_xstate_of(opts), _noise_of(opts), _time_grid(opts))
+    _emit(dict(zip(("t", "lambda", "concurrence", "laqc", "qs", "cs"), traj)), opts)
     return 0
 
 
 def _cmd_events(opts: dict) -> int:
     params = _xstate_of(opts)
     model = _noise_of(opts)
-    rows = dynamics.trajectory(params, model, _time_grid(opts))
-    events = dynamics.detect_events(rows, model, params, float(opts["revival_threshold"]))
+    events = dynamics.detect_events(params, model, _time_grid(opts), float(opts["revival_threshold"]))
     names = ("kind", "measure", "t", "value")
     columns = {name: [getattr(e, name) for e in events] for name in names}
     _emit(columns, opts)

@@ -11,6 +11,7 @@ nonzero envelope values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,20 +19,21 @@ from .families import FamilySpec, make_state
 from .measures import _branches, _middle_of_three, _u
 from .noise import NoiseModel, Rtn, lambda_of_t, lambda_zeros
 from .search import bisect, golden_max
-from .states import XStateParams, require_valid, xstate_to_bloch
+from .states import XStateParams, require_valid_bloch, xstate_to_bloch
 
 DEATH_TOL = 1e-9
 _PEAK_MEASURES = ("laqc", "qs", "concurrence")
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    t: float
-    lam: float
-    concurrence: float
-    laqc: float
-    qs: float
-    cs: float
+class Trajectory(NamedTuple):
+    """The envelope and all four measures on a time grid, one array each."""
+
+    t: np.ndarray
+    lam: np.ndarray
+    concurrence: np.ndarray
+    laqc: np.ndarray
+    qs: np.ndarray
+    cs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,19 +61,27 @@ class SweepSpec:
 
 
 class _StateMeasures:
-    """One X state's measures as functions of the envelope Lambda.
+    """The measures of one X state, or of a sequence of them, as functions of Lambda.
 
     The channel scales only t11 and t22, by Lambda^2, so g3 and the
-    concurrence thresholds are computed once per state.
+    concurrence thresholds are computed once per state.  Each state is
+    validated once, as measure_set validates it.  For a sequence of n
+    states the per-state constants are (n, 1) columns, so an envelope of
+    shape (T,) gives (n, T) measures.
     """
 
-    def __init__(self, state: XStateParams):
-        b = xstate_to_bloch(state)
-        self._t11, self._t22 = b.t11, b.t22
-        self._g3 = _branches(b)[2]
-        self._r, self._s = np.abs(state.r), np.abs(state.s)
-        self._root_bc = np.sqrt(max(state.b, 0.0) * max(state.c, 0.0))
-        self._root_ad = np.sqrt(max(state.a, 0.0) * max(state.d, 0.0))
+    def __init__(self, states: XStateParams | list[XStateParams]):
+        one = isinstance(states, XStateParams)
+        consts = []
+        for p in [states] if one else states:
+            b = xstate_to_bloch(p)
+            require_valid_bloch(b)
+            root_bc = np.sqrt(max(p.b, 0.0) * max(p.c, 0.0))
+            root_ad = np.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
+            consts.append((b.t11, b.t22, _branches(b)[2], np.abs(p.r), np.abs(p.s), root_bc, root_ad))
+        cols = np.array(consts).T
+        cols = cols[:, 0] if one else cols[:, :, None]
+        self._t11, self._t22, self._g3, self._r, self._s, self._root_bc, self._root_ad = cols
 
     def margin(self, lam: np.ndarray) -> np.ndarray:
         """The signed concurrence margin; the concurrence is its positive part."""
@@ -81,67 +91,50 @@ class _StateMeasures:
         return np.maximum(2.0 * (self._r * f - self._root_bc), 2.0 * (self._s * f - self._root_ad))
 
     def __call__(self, lam: np.ndarray) -> dict[str, np.ndarray]:
-        """All four measures and the margin along an envelope array."""
+        """All four measures along an envelope array."""
         f = np.asarray(lam, float) ** 2
         g1 = 0.5 * _u(f * self._t11)
         g2 = 0.5 * _u(f * self._t22)
-        g3 = np.full_like(g1, self._g3)
         margin = self._margin(f)
         return {
-            "margin": margin,
             "concurrence": np.maximum(margin, 0.0),
             "laqc": np.maximum(g1, g2),
-            "qs": _middle_of_three(g1, g2, g3),
-            "cs": np.maximum(np.maximum(g1, g2), g3),
+            "qs": _middle_of_three(g1, g2, self._g3),
+            "cs": np.maximum(np.maximum(g1, g2), self._g3),
         }
 
 
-def _measure_arrays(state: XStateParams, lam: np.ndarray) -> dict[str, np.ndarray]:
-    """All four measures (and the concurrence margin) along an envelope array."""
-    return _StateMeasures(state)(lam)
-
-
-def trajectory(state: XStateParams, noise: NoiseModel, tgrid) -> list[TrajectoryRow]:
-    """Sample envelope and all measures on a time grid."""
-    require_valid(state)
-    tgrid = np.asarray(tgrid, dtype=float)
-    lam = np.atleast_1d(lambda_of_t(noise, tgrid))
-    m = _measure_arrays(state, lam)
-    return [
-        TrajectoryRow(
-            t=float(tgrid[i]),
-            lam=float(lam[i]),
-            concurrence=float(m["concurrence"][i]),
-            laqc=float(m["laqc"][i]),
-            qs=float(m["qs"][i]),
-            cs=float(m["cs"][i]),
-        )
-        for i in range(tgrid.size)
-    ]
+def trajectory(state: XStateParams, noise: NoiseModel, tgrid) -> Trajectory:
+    """Sample the envelope and all measures on a time grid."""
+    measures = _StateMeasures(state)
+    t = np.array(tgrid, dtype=float)
+    lam = np.atleast_1d(lambda_of_t(noise, t))
+    return Trajectory(t, lam, **measures(lam))
 
 
 def detect_events(
-    rows: list[TrajectoryRow],
-    noise: NoiseModel,
     state: XStateParams,
+    noise: NoiseModel,
+    tgrid,
     threshold: float = 1e-4,
 ) -> list[EventRecord]:
-    """Sudden deaths, revival peaks and asymptotic decay on a trajectory.
+    """Sudden deaths, revival peaks and asymptotic decay over a time grid.
 
     Quantum-measure deaths are taken from the polished envelope zeros, each
     checked to be a sign change of the envelope just around it; concurrence
     boundaries come from bisection on its own signed margin.  Revival peaks
     are golden-section maxima between consecutive zero points and reported
     only above `threshold`.  All brackets of a kind are searched together
-    (`rqcx.search`), one measure evaluation per step.
+    (`rqcx.search`), one measure evaluation per step.  The time grid only
+    seeds the searches: its samples gate deaths and bracket the margin.
     """
-    if len(rows) < 3:
+    measures = _StateMeasures(state)
+    ts = np.asarray(tgrid, dtype=float)
+    if ts.size < 3:
         raise ValueError("event detection needs at least 3 trajectory rows")
-    require_valid(state)
-    t_end = rows[-1].t
+    t_end = float(ts[-1])
     zeros = lambda_zeros(noise, t_end)
     _check_sign_changes(noise, zeros)
-    measures = _StateMeasures(state)
 
     def at(t):
         return measures(np.atleast_1d(lambda_of_t(noise, t)))
@@ -149,7 +142,7 @@ def detect_events(
     def margin(t):
         return measures.margin(np.atleast_1d(lambda_of_t(noise, t)))
 
-    ts = np.array([row.t for row in rows])
+    sampled = at(ts)
     boundaries = _concurrence_boundaries(ts, margin, noise, zeros, t_end)
     deaths = np.array([tb for tb, is_death in boundaries if is_death])
     # every point value in one call: both ends, the envelope zeros, the
@@ -170,10 +163,9 @@ def detect_events(
     events: list[EventRecord] = []
     for j, name in enumerate(("laqc", "qs")):
         start, end, on_zero, on_mid, _ = np.split(values[name], parts)
-        sampled = np.array([getattr(row, name) for row in rows])
         # the largest value seen before each zero: a sample, the midpoint, or
         # the maximum of the segment between the previous zero and this one
-        pre = np.maximum(_row_peaks(ts, sampled, bounds[:-1], zeros), on_mid)
+        pre = np.maximum(_sampled_peaks(ts, sampled[name], bounds[:-1], zeros), on_mid)
         pre[1:] = np.maximum(pre[1:], closing[j])
         events += [
             EventRecord("sudden_death", name, float(tz), float(v))
@@ -183,8 +175,8 @@ def detect_events(
         if not zeros and start[0] > threshold and end[0] < start[0]:
             events.append(EventRecord("asymptotic", name, float(t_end), float(end[0])))
     start, end, _, _, on_death = np.split(values["concurrence"], parts)
-    sampled = np.array([row.concurrence for row in rows])
-    pre = np.maximum(_row_peaks(ts, sampled, np.maximum(0.0, deaths - 1.0), deaths), start[0])
+    sampled_max = _sampled_peaks(ts, sampled["concurrence"], np.maximum(0.0, deaths - 1.0), deaths)
+    pre = np.maximum(sampled_max, start[0])
     events += [
         EventRecord("sudden_death", "concurrence", float(tb), float(v))
         for tb, p, v in zip(deaths, pre, on_death)
@@ -216,7 +208,7 @@ def _check_sign_changes(noise: NoiseModel, zeros) -> None:
         raise RuntimeError(f"envelope zero at t={zeros[bad[0]]} is not a sign change of Lambda")
 
 
-def _row_peaks(ts, vals, lo, hi) -> np.ndarray:
+def _sampled_peaks(ts, vals, lo, hi) -> np.ndarray:
     """Largest sampled value on each [lo_k, hi_k] (edges widened by 1e-12); 0 where none falls."""
     out = np.zeros(len(lo))
     for k, (a, b) in enumerate(zip(lo, hi)):
@@ -319,10 +311,6 @@ def surface(spec: SweepSpec, measure_a: str, measure_b: str):
         raise ValueError(f"measures must be among {names}")
     params = np.asarray(spec.param_grid, dtype=float)
     tgrid = np.asarray(spec.time_grid, dtype=float)
-    lam = np.atleast_1d(lambda_of_t(spec.noise, tgrid))
-    values = np.empty((params.size, tgrid.size))
-    for i, p in enumerate(params):
-        state = make_state(FamilySpec(spec.family, float(p)))
-        m = _measure_arrays(state, lam)
-        values[i] = m[measure_a] - m[measure_b]
-    return params, tgrid, values
+    measures = _StateMeasures([make_state(FamilySpec(spec.family, float(p))) for p in params])
+    m = measures(np.atleast_1d(lambda_of_t(spec.noise, tgrid)))
+    return params, tgrid, m[measure_a] - m[measure_b]

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcx import cli
+from rqcx import cli, states
+from rqcx.families import FamilySpec, make_state
+from rqcx.measures import measure_set
+from rqcx.states import InvalidStateError, XStateParams
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +104,24 @@ class TestStateFiles:
         assert rows[0]["check"] == "valid" and rows[0]["ok"] == "0"
         assert any(r["check"] == "r_coherence_bound" for r in rows)
 
+    def test_tolerance_edge_state_gets_one_verdict(self, capsys, tmp_path):
+        # every weight is inside its 1e-12 tolerance, but t30 is about 1 + 4.4e-12
+        path = self.make_file(tmp_path, {"abcdrs": [0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0]})
+        state = ["--state", "file", "--state-file", path]
+        code, out, _ = run_cli(capsys, "validate", *state)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["check"], rows[0]["ok"]) == ("valid", "0")
+        assert ("coefficient_range", "0") in [(r["check"], r["ok"]) for r in rows]
+        errors = []
+        for command in ("measures", "evolve", "events"):
+            code, out, err = run_cli(capsys, command, *state)
+            assert code == 1 and out == ""
+            errors.append(err)
+        with pytest.raises(InvalidStateError) as exc:
+            measure_set(XStateParams(0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0.0, 0.0))
+        assert errors == [f"error: {exc.value}\n"] * 3
+
     def test_validate_accepts_good_state(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--state", "werner", "--param", "0.5")
         assert code == 0
@@ -124,13 +146,12 @@ class TestEvolveAndEvents:
         assert len(rows) == 50
         # bit-exact round trip of the emitted decimals
         from rqcx.dynamics import trajectory
-        from rqcx.families import FamilySpec, make_state
         from rqcx.noise import Rtn
 
         ref = trajectory(make_state(FamilySpec("werner", 0.8)), Rtn(4.0), np.linspace(0, 1, 50))
-        for row, r in zip(rows, ref):
-            assert float(row["lambda"]) == r.lam
-            assert float(row["laqc"]) == r.laqc
+        for row, lam, laqc in zip(rows, ref.lam, ref.laqc):
+            assert float(row["lambda"]) == lam
+            assert float(row["laqc"]) == laqc
 
     def test_events_first_death(self, capsys):
         code, out, _ = run_cli(
@@ -155,6 +176,23 @@ class TestEvolveAndEvents:
         n_low = sum(1 for r in parse_csv(out_low)[1] if r["kind"] == "revival_peak")
         n_high = sum(1 for r in parse_csv(out_high)[1] if r["kind"] == "revival_peak")
         assert n_low > n_high
+
+    @pytest.mark.parametrize("command", ["events", "evolve"])
+    def test_validates_a_state_as_measure_set_does(self, capsys, monkeypatch, command):
+        calls = collections.Counter()
+        for name in ("validate_xstate", "validate_bloch"):
+            def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(states, name, counted)
+        measure_set(make_state(FamilySpec("mems", 0.8)))
+        expected = dict(calls)
+        assert expected == {"validate_xstate": 2, "validate_bloch": 1}
+        calls.clear()
+        code, _, _ = run_cli(capsys, command, "--state", "mems", "--param", "0.8", "--steps", "60")
+        assert code == 0
+        assert dict(calls) == expected
 
 
 class TestSurfaceOracleCrossover:

@@ -31,6 +31,10 @@ CASES = {
         "evolve", "--state", "mnms", "--param", "0.5",
         "--noise", "moun", "--Gamma-over-gamma", "1", "--tmax", "3", "--steps", "40",
     ],
+    "evolve_markov": [
+        "evolve", "--state", "mems", "--param", "0.6",
+        "--noise", "markov", "--lambda-over-gamma", "0.5", "--tmax", "2", "--steps", "21",
+    ],
     "events_rtn": [
         "events", "--state", "werner", "--param", "1",
         "--noise", "rtn", "--a-over-gamma", "4", "--tmax", "3",
@@ -64,6 +68,11 @@ CASES = {
     "surface_mems": [
         "surface", "--state", "mems", "--param-grid", "0:1:7", "--time-grid", "0:2:11",
         "--noise", "moun", "--measure-a", "laqc", "--measure-b", "qs",
+    ],
+    # the cs column and a Markov surface
+    "surface_mnms_markov": [
+        "surface", "--state", "mnms", "--param-grid", "0:1:9", "--time-grid", "0:2:13",
+        "--noise", "markov", "--lambda-over-gamma", "1", "--measure-a", "cs", "--measure-b", "laqc",
     ],
     "oracle_mems": ["oracle", "--state", "mems", "--param", "0.8", "--grid", "8", "--refine", "2"],
     "crossover": ["crossover"],

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqcx import search
-from rqcx.dynamics import SweepSpec, _measure_arrays, _StateMeasures, detect_events, surface, trajectory
+from rqcx.dynamics import SweepSpec, _StateMeasures, detect_events, surface, trajectory
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.noise import Markov, Moun, Rtn, _polish_zero, lambda_of_t, lambda_zeros
@@ -21,52 +21,49 @@ def _grid(tmax=3.0, steps=600):
 class TestTrajectory:
     def test_first_row_matches_static_measures(self):
         st = make_state(FamilySpec("mems", 0.7))
-        row = trajectory(st, RTN4, _grid())[0]
+        traj = trajectory(st, RTN4, _grid())
         ms = measure_set(st)
-        assert row.t == 0.0 and row.lam == 1.0
-        assert row.concurrence == pytest.approx(ms.concurrence, abs=1e-15)
-        assert row.laqc == pytest.approx(ms.laqc, abs=1e-15)
-        assert row.qs == pytest.approx(ms.qs, abs=1e-15)
-        assert row.cs == pytest.approx(ms.cs, abs=1e-15)
+        assert traj.t[0] == 0.0 and traj.lam[0] == 1.0
+        assert traj.concurrence[0] == pytest.approx(ms.concurrence, abs=1e-15)
+        assert traj.laqc[0] == pytest.approx(ms.laqc, abs=1e-15)
+        assert traj.qs[0] == pytest.approx(ms.qs, abs=1e-15)
+        assert traj.cs[0] == pytest.approx(ms.cs, abs=1e-15)
 
     def test_laqc_vanishes_exactly_at_envelope_zero(self):
         st = make_state(FamilySpec("werner", 1.0))
         t1 = lambda_zeros(RTN4, 1.0)[0]
-        row = trajectory(st, RTN4, [0.0, t1, 1.0])[1]
-        assert row.laqc < 1e-25
-        assert row.qs < 1e-25
+        traj = trajectory(st, RTN4, [0.0, t1, 1.0])
+        assert traj.laqc[1] < 1e-25
+        assert traj.qs[1] < 1e-25
 
     def test_mnms_under_moun_decays_monotonically(self):
         st = make_state(FamilySpec("mnms", 0.5))
-        rows = trajectory(st, Moun(1.0), _grid())
-        vals = np.array([r.laqc for r in rows])
+        vals = trajectory(st, Moun(1.0), _grid()).laqc
         assert np.all(np.diff(vals) < 0.0)
 
     def test_rows_respect_measure_ordering(self):
         st = make_state(FamilySpec("mems", 0.4))
-        for row in trajectory(st, RTN4, _grid(steps=100)):
-            assert row.laqc >= row.qs - 1e-12
-            assert row.cs >= row.qs - 1e-12
+        traj = trajectory(st, RTN4, _grid(steps=100))
+        for laqc, qs, cs in zip(traj.laqc, traj.qs, traj.cs):
+            assert laqc >= qs - 1e-12
+            assert cs >= qs - 1e-12
 
 
 class TestEvents:
     def test_too_few_rows_rejected(self):
         st = make_state(FamilySpec("werner", 0.8))
-        rows = trajectory(st, RTN4, [0.0, 1.0])
         with pytest.raises(ValueError):
-            detect_events(rows, RTN4, st)
+            detect_events(st, RTN4, [0.0, 1.0])
 
     def test_moun_produces_no_sudden_death(self):
         st = make_state(FamilySpec("mnms", 0.7))
-        rows = trajectory(st, Moun(1.0), _grid())
-        events = detect_events(rows, Moun(1.0), st)
+        events = detect_events(st, Moun(1.0), _grid())
         assert not [e for e in events if e.kind == "sudden_death"]
         assert {e.kind for e in events} <= {"asymptotic"}
 
     def test_singlet_rtn_first_death_time(self):
         st = make_state(FamilySpec("werner", 1.0))
-        rows = trajectory(st, RTN4, _grid())
-        events = detect_events(rows, RTN4, st)
+        events = detect_events(st, RTN4, _grid())
         deaths = [e for e in events if e.kind == "sudden_death" and e.measure == "laqc"]
         assert deaths[0].t == pytest.approx(0.21369, abs=1e-5)
         assert deaths[0].value < 1e-9
@@ -79,8 +76,7 @@ class TestEvents:
 
     def test_werner_two_thirds_event_structure(self):
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
-        rows = trajectory(st, RTN4, _grid())
-        events = detect_events(rows, RTN4, st, threshold=1e-4)
+        events = detect_events(st, RTN4, _grid(), threshold=1e-4)
         conc_revivals = [
             e for e in events if e.kind == "revival_peak" and e.measure == "concurrence"
         ]
@@ -90,8 +86,7 @@ class TestEvents:
 
     def test_concurrence_death_is_not_an_envelope_zero(self):
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
-        rows = trajectory(st, RTN4, _grid())
-        events = detect_events(rows, RTN4, st)
+        events = detect_events(st, RTN4, _grid())
         conc_death = [
             e for e in events if e.kind == "sudden_death" and e.measure == "concurrence"
         ][0]
@@ -106,8 +101,7 @@ class TestEvents:
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
         times = {}
         for steps in (600, 1200):
-            rows = trajectory(st, RTN4, _grid(steps=steps))
-            events = detect_events(rows, RTN4, st)
+            events = detect_events(st, RTN4, _grid(steps=steps))
             times[steps] = [(e.kind, e.measure, e.t) for e in events]
         assert len(times[600]) == len(times[1200])
         for (k1, m1, t1), (k2, m2, t2) in zip(times[600], times[1200]):
@@ -116,13 +110,13 @@ class TestEvents:
 
     def test_revival_peaks_are_local_maxima_of_rows(self):
         st = make_state(FamilySpec("werner", 1.0))
-        rows = trajectory(st, RTN4, _grid())
-        events = detect_events(rows, RTN4, st)
-        ts = np.array([r.t for r in rows])
+        traj = trajectory(st, RTN4, _grid())
+        events = detect_events(st, RTN4, _grid())
+        ts = traj.t
         for e in events:
             if e.kind != "revival_peak":
                 continue
-            vals = np.array([getattr(r, e.measure) for r in rows])
+            vals = getattr(traj, e.measure)
             k = int(np.argmin(np.abs(ts - e.t)))
             window = vals[max(0, k - 40) : k + 40]
             assert e.value >= window.max() - 1e-6
@@ -170,14 +164,13 @@ class TestSurface:
 def test_event_records_from_file_state():
     # a hand-built X state behaves like its family twin
     st = XStateParams(0.25, 0.25, 0.25, 0.25, 0.2, -0.1)
-    rows = trajectory(st, RTN4, _grid(steps=300))
-    events = detect_events(rows, RTN4, st)
+    events = detect_events(st, RTN4, _grid(steps=300))
     kinds = {e.kind for e in events}
     assert "sudden_death" in kinds
 
 
 def test_nan_envelope_gives_nan_measures():
-    m = _measure_arrays(make_state(FamilySpec("werner", 0.8)), np.array([np.nan, 0.5]))
+    m = _StateMeasures(make_state(FamilySpec("werner", 0.8)))(np.array([np.nan, 0.5]))
     for name in ("concurrence", "laqc", "qs", "cs"):
         assert np.isnan(m[name][0])
         assert np.isfinite(m[name][1])
@@ -314,3 +307,33 @@ class TestLaneSearches:
         assert search.bisect(np.sin, [], [], 1e-9).size == 0
         t, v = search.golden_max(lambda t, lanes: np.sin(t), [], [], 1e-9)
         assert t.size == v.size == 0
+
+
+_MEASURES = ("concurrence", "laqc", "qs", "cs")
+_PARAMS = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 2.0 / 3.0, 1.0])), min_size=2, max_size=12, unique=True
+).map(sorted)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from(["werner", "mnms", "mems"]),
+    params=_PARAMS,
+    noise=_NOISES,
+    t0=st.floats(0.0, 1.0),
+    span=st.floats(0.05, 6.0),
+    steps=st.integers(2, 80),
+)
+def test_surface_rows_are_trajectory_differences_to_the_bit(family, params, noise, t0, span, steps):
+    """One broadcast over all parameters gives each parameter's own trajectory, bit for bit."""
+    tgrid = np.linspace(t0, t0 + span, steps)
+    spec = SweepSpec(family, np.array(params), noise, tgrid)
+    trajs = [trajectory(make_state(FamilySpec(family, p)), noise, tgrid) for p in params]
+    for a in _MEASURES:
+        for b in _MEASURES:
+            values = surface(spec, a, b)[2]
+            assert values.shape == (len(params), steps)
+            for row, traj in zip(values, trajs):
+                ref = getattr(traj, a) - getattr(traj, b)
+                # the int64 view compares value and sign of zero
+                assert np.array_equal(row.view(np.int64), ref.view(np.int64))
