@@ -35,25 +35,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_DEFAULTS = {
-    "state": None,
-    "param": None,
-    "state_file": None,
-    "noise": "rtn",
-    "a_over_gamma": 4.0,
-    "Gamma_over_gamma": 1.0,
-    "lambda_over_gamma": 1.0,
-    "tmax": 3.0,
-    "steps": 600,
-    "param_grid": "0:1:200",
-    "time_grid": "0:3:600",
-    "measure_a": "concurrence",
-    "measure_b": "qs",
-    "grid": 32,
-    "refine": 4,
-    "revival_threshold": 1e-4,
-    "out": None,
-    "format": "csv",
+_NUMBER = ("a number", (int, float))
+_INTEGER = ("an integer", (int,))
+_TEXT = ("a string", (str,))
+
+# every option: its default, and the JSON type a config file must give it
+# (null is accepted where the default is None)
+_OPTIONS = {
+    "state": (None, _TEXT),
+    "param": (None, _NUMBER),
+    "state_file": (None, _TEXT),
+    "noise": ("rtn", _TEXT),
+    "a_over_gamma": (4.0, _NUMBER),
+    "Gamma_over_gamma": (1.0, _NUMBER),
+    "lambda_over_gamma": (1.0, _NUMBER),
+    "tmax": (3.0, _NUMBER),
+    "steps": (600, _INTEGER),
+    "param_grid": ("0:1:200", _TEXT),
+    "time_grid": ("0:3:600", _TEXT),
+    "measure_a": ("concurrence", _TEXT),
+    "measure_b": ("qs", _TEXT),
+    "grid": (32, _INTEGER),
+    "refine": (4, _INTEGER),
+    "revival_threshold": (1e-4, _NUMBER),
+    "out": (None, _TEXT),
+    "format": ("csv", _TEXT),
 }
 
 
@@ -102,14 +108,19 @@ def build_parser() -> _Parser:
 
 def _merged(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    opts = dict(_DEFAULTS)
+    opts = {key: default for key, (default, _) in _OPTIONS.items()}
     if getattr(args, "config", None):
         cfg = stateio.load_options_file(args.config)
-        unknown = set(cfg) - set(_DEFAULTS)
+        unknown = set(cfg) - set(_OPTIONS)
         if unknown:
             raise InvalidStateError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in cfg.items():
+            default, (name, types) = _OPTIONS[key]
+            # an exact type test: a JSON true or false is not a number
+            if type(val) not in types and not (val is None and default is None):
+                raise InvalidStateError(f"config key {key!r} must be {name}, got {json.dumps(val)}")
         opts.update(cfg)
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
@@ -166,7 +177,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _time_grid(opts: dict) -> np.ndarray:
-    tmax, steps = float(opts["tmax"]), int(opts["steps"])
+    tmax, steps = float(opts["tmax"]), opts["steps"]
     if not (math.isfinite(tmax) and tmax > 0.0):
         raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
@@ -267,9 +278,9 @@ def _cmd_surface(opts: dict) -> int:
         raise InvalidStateError("surface needs --state werner|mnms|mems")
     spec = dynamics.SweepSpec(
         family=opts["state"],
-        param_grid=_parse_grid(str(opts["param_grid"])),
+        param_grid=_parse_grid(opts["param_grid"]),
         noise=_noise_of(opts),
-        time_grid=_parse_grid(str(opts["time_grid"])),
+        time_grid=_parse_grid(opts["time_grid"]),
     )
     params, tgrid, values = dynamics.surface(spec, opts["measure_a"], opts["measure_b"])
     columns = {
@@ -285,7 +296,7 @@ def _cmd_oracle(opts: dict) -> int:
     params = _xstate_of(opts)
     rho = xstate_to_matrix(params)
     ms = measures.measure_set(params)
-    grid, refine = int(opts["grid"]), int(opts["refine"])
+    grid, refine = opts["grid"], opts["refine"]
     pairs = (
         ("laqc", oracle.laqc_oracle(rho, grid, refine).value, ms.laqc),
         ("qs", oracle.qs_oracle(rho, grid, refine).value, ms.qs),

@@ -187,5 +187,5 @@ def measure_set(p: XStateParams) -> MeasureSet:
 # Array-valued internals used by the sweep engine; no per-call validation.
 
 def _middle_of_three(g1, g2, g3):
-    stacked = np.stack(np.broadcast_arrays(g1, g2, g3))
-    return np.sort(stacked, axis=0)[1]
+    """The middle of each broadcast triple, sorted along a contiguous last axis."""
+    return np.sort(np.stack(np.broadcast_arrays(g1, g2, g3), axis=-1), axis=-1)[..., 1]

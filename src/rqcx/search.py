@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_INVPHI = 0.5 * (np.sqrt(5.0) - 1.0)
-
 
 def bisect(f, lo, hi, tol: float) -> np.ndarray:
     """A root of f in every bracket [lo_i, hi_i], all brackets at once.
@@ -46,32 +44,3 @@ def bisect(f, lo, hi, tol: float) -> np.ndarray:
         hi[live[~same]] = mid[~same]
     return np.where(np.isnan(root), 0.5 * (lo + hi), root)
 
-
-def golden_max(f, lo, hi, tol: float):
-    """Golden-section maximum of every lane's function on [lo_i, hi_i].
-
-    f(t, lanes) returns, for each j, lane lanes[j]'s function at t[j].  A lane
-    narrows its bracket until it is no wider than tol.  Returns the arrays
-    (t, f(t)) with t the midpoint of each final bracket.
-    """
-    a = np.array(lo, dtype=float, ndmin=1)
-    b = np.array(hi, dtype=float, ndmin=1)
-    lanes = np.arange(a.size)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fcd = f(np.concatenate((c, d)), np.concatenate((lanes, lanes)))
-    fc, fd = fcd[: a.size].copy(), fcd[a.size :].copy()
-    live = lanes[b - a > tol]
-    while live.size:
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        # left lanes: b, d, fd = d, c, fc and a new c; right lanes mirror that
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
-        vals = f(np.concatenate((c[lt], d[rt])), np.concatenate((lt, rt)))
-        fc[lt], fd[rt] = vals[: lt.size], vals[lt.size :]
-        live = live[b[live] - a[live] > tol]
-    t = 0.5 * (a + b)
-    return t, f(t, lanes)

@@ -35,21 +35,24 @@ def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
     key = present[0]
     if key == "abcdrs":
         vals = doc[key]
-        if not isinstance(vals, list) or len(vals) != 6:
+        if not isinstance(vals, list) or len(vals) != 6 or not _numbers(vals):
             raise InvalidStateError("'abcdrs' must be an array of 6 reals")
         return XStateParams(*(float(v) for v in vals))
     if key == "bloch":
-        obj = doc[key]
-        try:
-            b = BlochX(*(float(obj[k]) for k in ("t30", "t03", "t11", "t22", "t33")))
-        except (KeyError, TypeError) as exc:
-            raise InvalidStateError(f"'bloch' must name t30, t03, t11, t22, t33: {exc}") from exc
-        return bloch_to_xstate(b)
-    mat = doc[key]
-    arr = np.asarray(mat, dtype=float)
-    if arr.shape != (4, 4, 2):
+        obj, names = doc[key], ("t30", "t03", "t11", "t22", "t33")
+        if not isinstance(obj, dict) or not _numbers([obj.get(k) for k in names]):
+            raise InvalidStateError(f"'bloch' must map each of {', '.join(names)} to a real")
+        return bloch_to_xstate(BlochX(*(float(obj[k]) for k in names)))
+    arr = np.array(doc[key], dtype=object)
+    if arr.shape != (4, 4, 2) or not _numbers(arr.ravel()):
         raise InvalidStateError("'matrix' must be a 4x4 array of [re, im] pairs")
+    arr = arr.astype(float)
     return arr[..., 0] + 1.0j * arr[..., 1]
+
+
+def _numbers(vals) -> bool:
+    """Whether every value is a JSON number; true and false are not."""
+    return all(type(v) in (int, float) for v in vals)
 
 
 def load_options_file(path: str | Path) -> dict:

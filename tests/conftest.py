@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rqcx.states import XStateParams
+
+# every property test replays the same examples and has no time limit; a
+# test's own @settings sets only its max_examples
+settings.register_profile("rqcx", derandomize=True, deadline=None, database=None)
+settings.load_profile("rqcx")
 
 
 def random_xstate(rng: np.random.Generator, rank_deficient: bool = False) -> XStateParams:

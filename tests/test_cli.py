@@ -322,6 +322,48 @@ class TestInputBoundary:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["events", *WERNER], {"revival_threshold": None}),
+            (["evolve", *WERNER], {"tmax": [1]}),
+            (["oracle", *WERNER], {"grid": 32.5}),
+            (["evolve", *WERNER], {"steps": True}),
+            (["events", *WERNER], {"a_over_gamma": "4"}),
+            (["measures"], {"state": "werner", "param": None}),
+            (["surface", "--state", "mnms"], {"param_grid": 5}),
+        ],
+        ids=["threshold-null", "tmax-list", "grid-float", "steps-bool", "rate-string", "param-null", "grid-number"],
+    )
+    def test_wrong_config_type_exits_one(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"abcdrs": [0.5, None, 0, 0.5, 0, 0]},
+            {"abcdrs": [0.5, "0", 0, 0.5, 0, 0]},
+            {"abcdrs": [0.5, False, 0, 0.5, 0, 0]},
+            {"bloch": {"t30": 0, "t03": 0, "t11": "-0.5", "t22": -0.5, "t33": -0.5}},
+            {"bloch": [0, 0, -0.5, -0.5, -0.5]},
+            {"matrix": [[[0.25, None]] * 4] * 4},
+            {"matrix": [[[0.25, 0]] * 4] * 3 + [[[0.25, 0]] * 3 + [["0.25", 0]]]},
+        ],
+        ids=["abcdrs-null", "abcdrs-string", "abcdrs-bool", "bloch-string", "bloch-list", "matrix-null", "matrix-string"],
+    )
+    def test_wrong_state_file_type_exits_one(self, capsys, tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "measures", "--state", "file", "--state-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_coarse_grid_events_match_fine_grid(self, capsys):
         argv = ["events", "--state", "werner", "--param", "0.6667", "--tmax", "3"]
         found = {}
@@ -417,7 +459,7 @@ def column_sets(draw):
 
 
 class TestEmitter:
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(column_sets())
     def test_matches_row_dict_emitter(self, columns):
         for fmt in ("csv", "json"):

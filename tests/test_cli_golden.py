@@ -3,8 +3,9 @@
 The files under tests/golden/ were written by the earlier row-dict emitter
 (``f"{v:.17g}"`` cells for CSV, ``json.dumps(rows, indent=2)`` for JSON), so
 these tests pin the output contract across changes to how rows are emitted.
-The ``events_moun`` and ``events_coarse*`` files were written by the scalar
-golden-section and bisection searches that the lane searches replaced, so they
+The ``events_rtn``, ``events_moun`` and ``events_coarse*`` files were written
+when events came to be placed by their closed-form conditions (revival peaks
+at k pi/omega, deaths on the envelope zeros and the margin's roots), so they
 also pin event times and values.  Each file is named ``<case>.<format>``.
 """
 

@@ -198,7 +198,7 @@ class TestGridStage:
 _unit = st.floats(0.0, 1.0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     weights=st.tuples(_unit, _unit, _unit, _unit).filter(lambda w: sum(w) > 1e-3),
     coherences=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
