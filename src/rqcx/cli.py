@@ -176,13 +176,13 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _time_grid(opts: dict) -> np.ndarray:
+def _window(opts: dict) -> tuple[float, int]:
     tmax, steps = float(opts["tmax"]), opts["steps"]
     if not (math.isfinite(tmax) and tmax > 0.0):
         raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
         raise InvalidStateError(f"--steps must be at least 2, got {steps}")
-    return np.linspace(0.0, tmax, steps)
+    return tmax, steps
 
 
 def _cells(column, as_json: bool) -> list[str]:
@@ -258,7 +258,7 @@ def _cmd_measures(opts: dict) -> int:
 
 
 def _cmd_evolve(opts: dict) -> int:
-    traj = dynamics.trajectory(_xstate_of(opts), _noise_of(opts), _time_grid(opts))
+    traj = dynamics.trajectory(_xstate_of(opts), _noise_of(opts), np.linspace(0.0, *_window(opts)))
     _emit(dict(zip(("t", "lambda", "concurrence", "laqc", "qs", "cs"), traj)), opts)
     return 0
 
@@ -266,7 +266,11 @@ def _cmd_evolve(opts: dict) -> int:
 def _cmd_events(opts: dict) -> int:
     params = _xstate_of(opts)
     model = _noise_of(opts)
-    events = dynamics.detect_events(params, model, _time_grid(opts), float(opts["revival_threshold"]))
+    tmax, steps = _window(opts)
+    # detect_events reads only the window end, which is exactly tmax in any
+    # linspace; three rows carry it, and fewer than three still fail there
+    tgrid = np.linspace(0.0, tmax, min(steps, 3))
+    events = dynamics.detect_events(params, model, tgrid, float(opts["revival_threshold"]))
     names = ("kind", "measure", "t", "value")
     columns = {name: [getattr(e, name) for e in events] for name in names}
     _emit(columns, opts)

@@ -36,8 +36,8 @@ from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
 # Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
-# grid-64 oracle call peaks at about 155 MB resident; the grid stage's memory
-# grows as grid**4, so 128 would need about 2 GB.
+# grid-64 oracle call peaks at about 96 MB resident, the CMI table and w
+# taking 32 MB each.  Both grow as grid**4, so 128 would need about 1.1 GB.
 GRID_MAX = 64
 _TWO_PI = 2.0 * np.pi
 
@@ -200,9 +200,11 @@ def optimize_cmi(rho: np.ndarray, mode: str, grid: int = 32, refine: int = 4) ->
     _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
-    sign = 1.0 if mode == "max" else -1.0
-    angles, value = _grid_stage(parts, grid, sign)[0]
-    angles, value = _refine_angles(parts, angles, _grid_steps(grid), refine, sign)
+    if mode == "max":
+        angles, value = _max_leaders(parts, grid, refine)[0]
+    else:
+        angles, value = _grid_stage(parts, grid, -1.0)[0]
+        angles, value = _refine_angles(parts, angles, _grid_steps(grid), refine, -1.0)
     return OptimizationResult(
         value=max(value, 0.0),
         setting=LocalMeasurement(*angles),
@@ -228,7 +230,9 @@ def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
     x = na @ ra
     y = na @ rb
     w = na @ tt @ na.T
-    table = sign * kernels.cmi_table(x, y, w)
+    table = kernels.cmi_table(x, y, w)
+    if sign != 1.0:
+        table *= sign
     flat = table.ravel()
     best = float(flat.max())
     idx = np.flatnonzero(flat >= best - _TIE_TOL)[:keep]
@@ -238,6 +242,31 @@ def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
         ia, ib = divmod(int(k), n)
         out.append((np.array([ta[ia], pa[ia], ta[ib], pa[ib]]), sign * float(flat[k])))
     return out
+
+
+# (key, leaders) of the last stage-1 search, one tuple so a reader never pairs
+# one call's key with another call's leaders
+_last_leaders: tuple | None = None
+
+
+def _max_leaders(parts, grid: int, refine: int):
+    """Stage 1 of the CMI maximum: the grid stage's first 8 tied leaders, each refined.
+
+    qs_oracle carries every leader forward; optimize_cmi(mode="max") takes
+    leader 0.  Both search the same state in turn, so the last result is
+    kept, keyed by the exact bytes of the Fano parts with grid and refine.
+    """
+    global _last_leaders
+    key = (b"".join(part.tobytes() for part in parts), grid, refine)
+    last = _last_leaders
+    if last is not None and last[0] == key:
+        return last[1]
+    steps = _grid_steps(grid)
+    leaders = tuple(
+        _refine_angles(parts, angles, steps, refine, 1.0) for angles, _ in _grid_stage(parts, grid, 1.0, keep=8)
+    )
+    _last_leaders = (key, leaders)
+    return leaders
 
 
 def _phase_directions(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -311,9 +340,7 @@ def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationR
     _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
-    leaders = _grid_stage(parts, grid, 1.0, keep=8)
-    steps = _grid_steps(grid)
-    refined = [_refine_angles(parts, ang, steps, refine, 1.0) for ang, _ in leaders]
+    refined = _max_leaders(parts, grid, refine)
     top = max(val for _, val in refined)
     best_value = -1.0
     best_setting = None

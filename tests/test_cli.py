@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcx import cli, states
+from rqcx import cli, dynamics, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.states import InvalidStateError, XStateParams
@@ -176,6 +176,33 @@ class TestEvolveAndEvents:
         n_low = sum(1 for r in parse_csv(out_low)[1] if r["kind"] == "revival_peak")
         n_high = sum(1 for r in parse_csv(out_high)[1] if r["kind"] == "revival_peak")
         assert n_low > n_high
+
+    def test_events_pass_only_the_window_end(self, capsys, monkeypatch):
+        args = ["events", "--state", "werner", "--param", "0.8", "--noise", "rtn", "--tmax", "2.7"]
+        _, expected, _ = run_cli(capsys, *args, "--steps", "600")
+        grids = []
+
+        def recorded(state, noise, tgrid, threshold, _fn=dynamics.detect_events):
+            grids.append(np.array(tgrid))
+            return _fn(state, noise, tgrid, threshold)
+
+        monkeypatch.setattr(dynamics, "detect_events", recorded)
+        code, out, _ = run_cli(capsys, *args, "--steps", "10000000")
+        assert code == 0
+        assert out == expected
+        assert len(grids) == 1
+        assert grids[0].size == 3
+        assert grids[0][-1] == 2.7
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [("1", "--steps must be at least 2"), ("2", "event detection needs at least 3 trajectory rows")],
+    )
+    def test_events_step_floor(self, capsys, steps, message):
+        code, out, err = run_cli(capsys, "events", "--state", "werner", "--param", "0.8", "--steps", steps)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("command", ["events", "evolve"])
     def test_validates_a_state_as_measure_set_does(self, capsys, monkeypatch, command):

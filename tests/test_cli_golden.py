@@ -6,7 +6,9 @@ these tests pin the output contract across changes to how rows are emitted.
 The ``events_rtn``, ``events_moun`` and ``events_coarse*`` files were written
 when events came to be placed by their closed-form conditions (revival peaks
 at k pi/omega, deaths on the envelope zeros and the margin's roots), so they
-also pin event times and values.  Each file is named ``<case>.<format>``.
+also pin event times and values.  The ``oracle_default*`` files were written
+before the oracle's two maximum searches came to share one grid stage and the
+CMI kernel came to run in blocks.  Each file is named ``<case>.<format>``.
 """
 
 from pathlib import Path
@@ -76,6 +78,12 @@ CASES = {
         "--noise", "markov", "--lambda-over-gamma", "1", "--measure-a", "cs", "--measure-b", "laqc",
     ],
     "oracle_mems": ["oracle", "--state", "mems", "--param", "0.8", "--grid", "8", "--refine", "2"],
+    # the default search resolution, on a family and on a random X state
+    "oracle_default": ["oracle", "--state", "mems", "--param", "0.4", "--grid", "32", "--refine", "4"],
+    "oracle_default_file": [
+        "oracle", "--state", "file", "--state-file", str(GOLDEN / "random_xstate.json"),
+        "--grid", "32", "--refine", "4",
+    ],
     "crossover": ["crossover"],
 }
 

@@ -64,3 +64,69 @@ def test_independent_table_is_zero():
     y = np.array([-0.4])
     val = kernels.cmi_flat(x, y, x * y)
     assert val[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def _xlog2x_ref(p):
+    return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+
+
+def _cmi_ref(x, y, w):
+    """The CMI formula as it was written before the in-place kernel: one array per term."""
+    def marginal(v):
+        return _xlog2x_ref(0.5 * (1.0 + v)) + _xlog2x_ref(0.5 * (1.0 - v))
+
+    joint = _xlog2x_ref(0.25 * (1.0 + x + y + w))
+    joint += _xlog2x_ref(0.25 * (1.0 + x - y - w))
+    joint += _xlog2x_ref(0.25 * (1.0 - x + y - w))
+    joint += _xlog2x_ref(0.25 * (1.0 - x - y + w))
+    return joint - marginal(x) - marginal(y)
+
+
+_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5, -2.5])
+
+
+def _with_specials(rng, values):
+    """Values in [-1.5, 1.5] (so some joint cells fall below 0), a tenth replaced by special values."""
+    out = values.copy()
+    hit = rng.random(out.shape) < 0.1
+    out[hit] = rng.choice(_SPECIALS, hit.sum())
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBlockedKernel:
+    """The blocked, in-place kernel performs the reference formula's float operations, bit for bit."""
+
+    @pytest.mark.parametrize("cols", [1, 47, 481])
+    @pytest.mark.parametrize("rows_from_block", [1, "block-1", "block", "block+1", 481])
+    def test_table_matches_reference_bits(self, rng, cols, rows_from_block):
+        block = kernels.BLOCK_ELEMENTS // cols
+        rows = {"block-1": block - 1, "block": block, "block+1": block + 1}.get(rows_from_block, rows_from_block)
+        x = _with_specials(rng, rng.uniform(-1.5, 1.5, rows))
+        y = _with_specials(rng, rng.uniform(-1.5, 1.5, cols))
+        w = _with_specials(rng, rng.uniform(-1.5, 1.5, (rows, cols)))
+        with np.errstate(all="ignore"):
+            got = kernels.cmi_table(x, y, w)
+            want = _cmi_ref(x[:, None], y[None, :], w)
+        assert got.shape == (rows, cols)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [1, 47, 481, 5000])
+    def test_flat_matches_reference_bits(self, rng, n):
+        x, y, w = (_with_specials(rng, rng.uniform(-1.5, 1.5, n)) for _ in range(3))
+        with np.errstate(all="ignore"):
+            got = kernels.cmi_flat(x, y, w)
+            want = _cmi_ref(x, y, w)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_every_special_combination(self):
+        s = _SPECIALS
+        x, y, w = (a.ravel() for a in np.meshgrid(s, s, s, indexing="ij"))
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(_bits(kernels.cmi_flat(x, y, w)), _bits(_cmi_ref(x, y, w)))
+            table = kernels.cmi_table(s, s, np.resize(s, (s.size, s.size)))
+            want = _cmi_ref(s[:, None], s[None, :], np.resize(s, (s.size, s.size)))
+        np.testing.assert_array_equal(_bits(table), _bits(want))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_xstate
-from rqcx import kernels
+from rqcx import kernels, oracle
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import cs, laqc, measure_set, qs, u_func
 from rqcx.oracle import (
@@ -13,6 +13,8 @@ from rqcx.oracle import (
     _fano_parts,
     _grid_directions,
     _grid_stage,
+    _grid_steps,
+    _refine_angles,
     basis_vectors,
     classical_mutual_info,
     complementary_basis,
@@ -259,6 +261,47 @@ class TestQsOracle:
         for _ in range(5):
             rho = xstate_to_matrix(random_xstate(rng))
             assert laqc_oracle(rho).value >= qs_oracle(rho).value - 2e-3
+
+
+class TestStageOneMemo:
+    """qs_oracle and optimize_cmi(mode="max") share one stage-1 search; the last one is kept."""
+
+    @staticmethod
+    def _fresh(monkeypatch, search):
+        monkeypatch.setattr(oracle, "_last_leaders", None)
+        return search()
+
+    def test_memo_matches_fresh_searches(self, monkeypatch, rng):
+        # generic states: their maxima lie off the grid, so refine and grid move the leaders
+        rhos = [random_density_matrix(rng), random_density_matrix(rng)]
+        # each run differs from the one before in one of state, refine and
+        # grid, so a key that missed any of them would read a stale entry
+        runs = [(0, 2, 16), (0, 4, 16), (1, 4, 16), (1, 2, 16), (0, 2, 16), (0, 2, 8), (1, 2, 8), (1, 4, 8)]
+        for i, refine, grid in runs:
+            rho = rhos[i]
+            qs_res = qs_oracle(rho, grid, refine)
+            cs_res = optimize_cmi(rho, "max", grid, refine)
+            assert qs_res == self._fresh(monkeypatch, lambda: qs_oracle(rho, grid, refine))
+            assert cs_res == self._fresh(monkeypatch, lambda: optimize_cmi(rho, "max", grid, refine))
+
+    def test_max_takes_the_first_leader(self, rng):
+        # the one-leader route optimize_cmi took before the search was shared
+        for rho in (xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
+            parts = _fano_parts(rho)
+            angles, _ = _grid_stage(parts, 16, 1.0)[0]
+            angles, value = _refine_angles(parts, angles, _grid_steps(16), 3, 1.0)
+            res = optimize_cmi(rho, "max", 16, 3)
+            assert np.float64(res.value).view(np.int64) == np.float64(max(value, 0.0)).view(np.int64)
+            np.testing.assert_array_equal(np.array(res.setting), angles)
+
+    def test_min_is_unaffected(self, monkeypatch, rng):
+        rho_a, rho_b = (xstate_to_matrix(random_xstate(rng)) for _ in range(2))
+        fresh = self._fresh(monkeypatch, lambda: optimize_cmi(rho_a, "min", 16, 3))
+        for other in (rho_a, rho_b):
+            optimize_cmi(other, "max", 16, 3)
+            kept = oracle._last_leaders
+            assert optimize_cmi(rho_a, "min", 16, 3) == fresh
+            assert oracle._last_leaders is kept
 
 
 def test_oracles_match_closed_forms_on_random_states(rng):
