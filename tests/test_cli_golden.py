@@ -8,7 +8,8 @@ when events came to be placed by their closed-form conditions (revival peaks
 at k pi/omega, deaths on the envelope zeros and the margin's roots), so they
 also pin event times and values.  The ``oracle_default*`` files were written
 before the oracle's two maximum searches came to share one grid stage and the
-CMI kernel came to run in blocks.  Each file is named ``<case>.<format>``.
+CMI kernel came to run in blocks, and ``oracle_werner`` (eight tied stage-1
+leaders) before the leaders came to be refined as one batch.  Each file is named ``<case>.<format>``.
 """
 
 from pathlib import Path
@@ -84,6 +85,8 @@ CASES = {
         "oracle", "--state", "file", "--state-file", str(GOLDEN / "random_xstate.json"),
         "--grid", "32", "--refine", "4",
     ],
+    # eight tied stage-1 leaders, each carried into the phase stage
+    "oracle_werner": ["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", "4"],
     "crossover": ["crossover"],
 }
 
