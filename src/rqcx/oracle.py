@@ -11,6 +11,14 @@ distinct measurement once, followed by local refinement rounds that halve
 the step, with ties resolved toward the lexicographically smallest angle
 tuple.
 
+The searches run on batches of L starts, one lane per start.  Every
+refinement round, and every phase-stage scan or round, evaluates the
+candidates of all lanes in one kernel call; each lane then takes its own
+first best candidate, and moves only if that strictly beats its current
+value.  So a lane's result is the one it would reach alone, to the bit,
+and an oracle call makes the same number of kernel calls however many
+tied leaders it carries.
+
 Complementary (mutually unbiased) bases come from the one-parameter complex
 Hadamard family applied to a base pair, which sweeps the full great circle
 orthogonal to the base direction as the phase runs over [0, 2pi).
@@ -70,11 +78,14 @@ class OptimizationResult:
     refinement_depth: int
 
 
-def basis_vectors(theta: float, phi: float) -> np.ndarray:
-    """Orthonormal basis (columns) along the Bloch direction (theta, phi)."""
+def basis_vectors(theta, phi) -> np.ndarray:
+    """Orthonormal basis (columns) along the Bloch direction (theta, phi).
+
+    Array angles of shape (L,) give a stack of L bases, shape (L, 2, 2).
+    """
     ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
     ph = np.exp(1.0j * phi)
-    return np.array([[ct, -st], [ph * st, ph * ct]], dtype=complex)
+    return np.moveaxis(np.array([[ct, -st], [ph * st, ph * ct]], dtype=complex), (0, 1), (-2, -1))
 
 
 def bloch_direction(vec: np.ndarray) -> np.ndarray:
@@ -165,21 +176,28 @@ _OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4
 
 
 def _refine_angles(parts, angles0, steps0, rounds: int, sign: float):
-    """Local neighborhood descent; step halves each round, ties keep scan order."""
-    angles = np.asarray(angles0, dtype=float)
+    """Local neighborhood descent of L starts (angles0 of shape (L, 4)) at once.
+
+    The step halves each round.  Each round evaluates every lane's 81
+    candidates in one kernel call; a lane moves to its first best candidate
+    only if that beats its current value, so ties keep scan order.
+    """
+    angles = np.array(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
-    best = sign * float(_cmi_at_angles(parts, angles)[0])
+    best = sign * _cmi_at_angles(parts, angles)
+    lanes = np.arange(angles.shape[0])
     for _ in range(rounds):
-        cand = angles[None, :] + _OFFSETS_4 * steps[None, :]
-        cand[:, 0] = np.clip(cand[:, 0], 0.0, np.pi)
-        cand[:, 2] = np.clip(cand[:, 2], 0.0, np.pi)
-        cand[:, 1] %= _TWO_PI
-        cand[:, 3] %= _TWO_PI
-        vals = sign * _cmi_at_angles(parts, cand)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            angles = cand[k]
+        cand = angles[:, None, :] + _OFFSETS_4 * steps
+        cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
+        cand[..., 2] = np.clip(cand[..., 2], 0.0, np.pi)
+        cand[..., 1] %= _TWO_PI
+        cand[..., 3] %= _TWO_PI
+        vals = sign * _cmi_at_angles(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
+        k = np.argmax(vals, axis=1)
+        top = vals[lanes, k]
+        up = top > best
+        best = np.where(up, top, best)
+        angles = np.where(up[:, None], cand[lanes, k], angles)
         steps = 0.5 * steps
     return angles, sign * best
 
@@ -201,13 +219,13 @@ def optimize_cmi(rho: np.ndarray, mode: str, grid: int = 32, refine: int = 4) ->
     require_density_matrix(rho)
     parts = _fano_parts(rho)
     if mode == "max":
-        angles, value = _max_leaders(parts, grid, refine)[0]
+        angles, values = _max_leaders(parts, grid, refine)
     else:
-        angles, value = _grid_stage(parts, grid, -1.0)[0]
-        angles, value = _refine_angles(parts, angles, _grid_steps(grid), refine, -1.0)
+        angles, _ = _grid_stage(parts, grid, -1.0)
+        angles, values = _refine_angles(parts, angles, _grid_steps(grid), refine, -1.0)
     return OptimizationResult(
-        value=max(value, 0.0),
-        setting=LocalMeasurement(*angles),
+        value=max(float(values[0]), 0.0),
+        setting=LocalMeasurement(*angles[0]),
         grid_resolution=grid,
         refinement_depth=refine,
     )
@@ -220,7 +238,8 @@ def _grid_steps(grid: int) -> np.ndarray:
 
 
 def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
-    """4-angle grid scan; returns up to `keep` tied leaders in scan order.
+    """4-angle grid scan; returns up to `keep` tied leaders in scan order,
+    as angles of shape (L, 4) and their values.
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
@@ -236,12 +255,8 @@ def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
     flat = table.ravel()
     best = float(flat.max())
     idx = np.flatnonzero(flat >= best - _TIE_TOL)[:keep]
-    n = na.shape[0]
-    out = []
-    for k in idx:
-        ia, ib = divmod(int(k), n)
-        out.append((np.array([ta[ia], pa[ia], ta[ib], pa[ib]]), sign * float(flat[k])))
-    return out
+    ia, ib = np.divmod(idx, na.shape[0])
+    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), sign * flat[idx]
 
 
 # (key, leaders) of the last stage-1 search, one tuple so a reader never pairs
@@ -250,68 +265,72 @@ _last_leaders: tuple | None = None
 
 
 def _max_leaders(parts, grid: int, refine: int):
-    """Stage 1 of the CMI maximum: the grid stage's first 8 tied leaders, each refined.
+    """Stage 1 of the CMI maximum: the grid stage's first 8 tied leaders, refined together.
 
-    qs_oracle carries every leader forward; optimize_cmi(mode="max") takes
-    leader 0.  Both search the same state in turn, so the last result is
-    kept, keyed by the exact bytes of the Fano parts with grid and refine.
+    Returns their angles, shape (L, 4), and values.  qs_oracle carries every
+    leader forward; optimize_cmi(mode="max") takes leader 0.  Both search the
+    same state in turn, so the last result is kept, keyed by the exact bytes
+    of the Fano parts with grid and refine.
     """
     global _last_leaders
     key = (b"".join(part.tobytes() for part in parts), grid, refine)
     last = _last_leaders
     if last is not None and last[0] == key:
         return last[1]
-    steps = _grid_steps(grid)
-    leaders = tuple(
-        _refine_angles(parts, angles, steps, refine, 1.0) for angles, _ in _grid_stage(parts, grid, 1.0, keep=8)
-    )
+    angles, _ = _grid_stage(parts, grid, 1.0, keep=8)
+    leaders = _refine_angles(parts, angles, _grid_steps(grid), refine, 1.0)
     _last_leaders = (key, leaders)
     return leaders
 
 
-def _phase_directions(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    e0 = basis[:, 0]
-    e1 = basis[:, 1]
-    v = (e0[None, :] + np.exp(1.0j * phases)[:, None] * e1[None, :]) / np.sqrt(2.0)
-    cross = np.conj(v[:, 0]) * v[:, 1]
-    return np.column_stack(
-        (2.0 * cross.real, 2.0 * cross.imag, np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2)
+def _phase_directions(bases: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Bloch directions, shape (L, n, 3), of the first complementary vector of
+    each of L bases (L, 2, 2) at that lane's n Hadamard phases (L, n)."""
+    e0 = bases[:, None, :, 0]
+    e1 = bases[:, None, :, 1]
+    v = (e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0)
+    cross = np.conj(v[..., 0]) * v[..., 1]
+    return np.stack(
+        (2.0 * cross.real, 2.0 * cross.imag, np.abs(v[..., 0]) ** 2 - np.abs(v[..., 1]) ** 2), axis=-1
     )
 
 
-def _phase_cmi(parts, basis_a, basis_b, phases_a, phases_b):
+def _phase_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """CMI of the paired directions da[l, i] and db[l, i], one kernel call for all lanes."""
     ra, rb, tt = parts
-    da = _phase_directions(basis_a, np.atleast_1d(phases_a))
-    db = _phase_directions(basis_b, np.atleast_1d(phases_b))
-    x = da @ ra
-    y = db @ rb
-    if da.shape[0] == db.shape[0] and da.shape[0] > 1:
-        w = np.einsum("ij,jk,ik->i", da, tt, db)
-        return kernels.cmi_flat(x, y, w)
-    return kernels.cmi_table(x, y, da @ tt @ db.T)
+    shape = da.shape[:-1]
+    da = da.reshape(-1, 3)
+    db = db.reshape(-1, 3)
+    w = np.einsum("ij,jk,ik->i", da, tt, db)
+    return kernels.cmi_flat(da @ ra, db @ rb, w).reshape(shape)
 
 
 _OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T
 
 
-def _phase_stage(parts, basis_a, basis_b, grid: int, refine: int):
-    """Maximize CMI over the two Hadamard phases of the complementary family."""
-    phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    table = _phase_cmi(parts, basis_a, basis_b, phases, phases)
-    k = int(np.argmax(table))
-    ia, ib = divmod(k, grid)
-    cur = np.array([phases[ia], phases[ib]])
-    best = float(table.ravel()[k])
+def _phase_stage(parts, bases_a: np.ndarray, bases_b: np.ndarray, grid: int, refine: int):
+    """Maximize CMI over the two Hadamard phases of the complementary family,
+    for L base pairs (L, 2, 2) at once; returns phases (L, 2) and values (L,)."""
+    phases = np.broadcast_to(np.linspace(0.0, _TWO_PI, grid, endpoint=False), (bases_a.shape[0], grid))
+    table = _phase_cmi(parts, _phase_directions(bases_a, phases), _phase_directions(bases_b, phases))
+    lanes = np.arange(table.shape[0])
+    k = np.argmax(table, axis=1)
+    cur = np.column_stack((np.zeros(k.size), phases[lanes, k]))
+    best = table[lanes, k]
     step = _TWO_PI / grid
     for _ in range(refine):
-        cand = (cur[None, :] + _OFFSETS_2 * step) % _TWO_PI
-        vals = _phase_cmi(parts, basis_a, basis_b, cand[:, 0], cand[:, 1])
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            cur = cand[j]
+        cand = (cur[:, None, :] + _OFFSETS_2 * step) % _TWO_PI
+        vals = _phase_cmi(
+            parts, _phase_directions(bases_a, cand[..., 0]), _phase_directions(bases_b, cand[..., 1])
+        )
+        j = np.argmax(vals, axis=1)
+        top = vals[lanes, j]
+        up = top > best
+        best = np.where(up, top, best)
+        cur = np.where(up[:, None], cand[lanes, j], cur)
         step *= 0.5
-    return cur, max(best, 0.0)
+    # max(best, 0.0) lane by lane
+    return cur, np.where(0.0 > best, 0.0, best)
 
 
 def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
@@ -324,10 +343,10 @@ def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> Optimizatio
     _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
-    eye = np.eye(2, dtype=complex)
-    (pa, pb), value = _phase_stage(parts, eye, eye, grid, refine)
-    setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), float(pa), float(pb))
-    return OptimizationResult(value, setting, grid, refine)
+    eye = np.eye(2, dtype=complex)[None]
+    phases, values = _phase_stage(parts, eye, eye, grid, refine)
+    setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), *map(float, phases[0]))
+    return OptimizationResult(float(values[0]), setting, grid, refine)
 
 
 def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
@@ -340,17 +359,12 @@ def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationR
     _check_search(grid, refine)
     require_density_matrix(rho)
     parts = _fano_parts(rho)
-    refined = _max_leaders(parts, grid, refine)
-    top = max(val for _, val in refined)
-    best_value = -1.0
-    best_setting = None
-    for angles, val in refined:
-        if val < top - _TIE_TOL:
-            continue
-        ba = basis_vectors(angles[0], angles[1])
-        bb = basis_vectors(angles[2], angles[3])
-        (pa, pb), value = _phase_stage(parts, ba, bb, grid, refine)
-        if value > best_value:
-            best_value = value
-            best_setting = ComplementarySetting(LocalMeasurement(*angles), float(pa), float(pb))
-    return OptimizationResult(best_value, best_setting, grid, refine)
+    angles, values = _max_leaders(parts, grid, refine)
+    angles = angles[values >= values.max() - _TIE_TOL]
+    bases_a = basis_vectors(angles[:, 0], angles[:, 1])
+    bases_b = basis_vectors(angles[:, 2], angles[:, 3])
+    phases, values = _phase_stage(parts, bases_a, bases_b, grid, refine)
+    # the first leader with the largest value
+    k = int(np.argmax(values))
+    setting = ComplementarySetting(LocalMeasurement(*angles[k]), *map(float, phases[k]))
+    return OptimizationResult(float(values[k]), setting, grid, refine)

@@ -191,10 +191,88 @@ class TestGridStage:
         rhos += [xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng)]
         for rho in rhos:
             parts = _fano_parts(rho)
-            angles, value = _grid_stage(parts, 32, sign)[0]
+            angles, values = _grid_stage(parts, 32, sign)
             full_angles, full_value = _full_sphere_leader(parts, 32, sign)
-            assert value == pytest.approx(full_value, abs=1e-12)
-            np.testing.assert_array_equal(angles, full_angles)
+            assert values[0] == pytest.approx(full_value, abs=1e-12)
+            np.testing.assert_array_equal(angles[0], full_angles)
+
+
+def _refine_ref(parts, angles0, steps0, rounds, sign):
+    """The one-start refinement loop that ran once per leader before the starts were batched."""
+    angles = np.asarray(angles0, dtype=float)
+    steps = np.asarray(steps0, dtype=float)
+    best = sign * float(oracle._cmi_at_angles(parts, angles)[0])
+    for _ in range(rounds):
+        cand = angles[None, :] + oracle._OFFSETS_4 * steps[None, :]
+        cand[:, 0] = np.clip(cand[:, 0], 0.0, np.pi)
+        cand[:, 2] = np.clip(cand[:, 2], 0.0, np.pi)
+        cand[:, 1] %= 2.0 * np.pi
+        cand[:, 3] %= 2.0 * np.pi
+        vals = sign * oracle._cmi_at_angles(parts, cand)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            angles = cand[k]
+        steps = 0.5 * steps
+    return angles, sign * best
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestBatchedSearch:
+    """Every lane of a batched refinement or phase stage is the search it would be alone."""
+
+    @staticmethod
+    def _starts(rng, parts, grid, sign, lanes):
+        # the grid stage's tied leaders, then random starts, two of them on the theta clips
+        angles, _ = _grid_stage(parts, grid, sign, keep=lanes)
+        extra = np.column_stack((
+            rng.uniform(0, np.pi, lanes), rng.uniform(0, 2 * np.pi, lanes),
+            rng.uniform(0, np.pi, lanes), rng.uniform(0, 2 * np.pi, lanes),
+        ))
+        extra[0, 0] = 0.0
+        extra[-1, 2] = np.pi
+        return np.concatenate((angles, extra))[:lanes]
+
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("lanes", [1, 2, 8])
+    def test_refinement_matches_one_start_loop(self, rng, lanes, sign, grid):
+        rhos = [xstate_to_matrix(make_state(FamilySpec("werner", 0.7))), xstate_to_matrix(random_xstate(rng)),
+                random_density_matrix(rng)]
+        for rho in rhos:
+            parts = _fano_parts(rho)
+            starts = self._starts(rng, parts, grid, sign, lanes)
+            for refine in range(7):
+                angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine, sign)
+                assert angles.shape == (lanes, 4) and values.shape == (lanes,)
+                for lane in range(lanes):
+                    ref_angles, ref_value = _refine_ref(parts, starts[lane], _grid_steps(grid), refine, sign)
+                    np.testing.assert_array_equal(_bits(angles[lane]), _bits(ref_angles))
+                    assert _bits(values[lane]) == _bits(ref_value)
+
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    def test_phase_stage_lanes_match_single_lanes(self, rng, grid):
+        rho = random_density_matrix(rng)
+        parts = _fano_parts(rho)
+        angles = self._starts(rng, parts, grid, 1.0, 8)
+        bases_a = basis_vectors(angles[:, 0], angles[:, 1])
+        bases_b = basis_vectors(angles[:, 2], angles[:, 3])
+        for refine in (0, 3):
+            phases, values = oracle._phase_stage(parts, bases_a, bases_b, grid, refine)
+            for lane in range(8):
+                one = oracle._phase_stage(parts, bases_a[lane : lane + 1], bases_b[lane : lane + 1], grid, refine)
+                np.testing.assert_array_equal(_bits(phases[lane]), _bits(one[0][0]))
+                assert _bits(values[lane]) == _bits(one[1][0])
+
+    def test_stacked_bases_match_single_bases(self, rng):
+        theta, phi = rng.uniform(0, np.pi, 8), rng.uniform(0, 2 * np.pi, 8)
+        stacked = basis_vectors(theta, phi)
+        assert stacked.shape == (8, 2, 2)
+        for k in range(8):
+            np.testing.assert_array_equal(stacked[k], basis_vectors(theta[k], phi[k]))
 
 
 _unit = st.floats(0.0, 1.0)
@@ -288,11 +366,11 @@ class TestStageOneMemo:
         # the one-leader route optimize_cmi took before the search was shared
         for rho in (xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
-            angles, _ = _grid_stage(parts, 16, 1.0)[0]
-            angles, value = _refine_angles(parts, angles, _grid_steps(16), 3, 1.0)
+            angles, _ = _grid_stage(parts, 16, 1.0)
+            angles, values = _refine_angles(parts, angles, _grid_steps(16), 3, 1.0)
             res = optimize_cmi(rho, "max", 16, 3)
-            assert np.float64(res.value).view(np.int64) == np.float64(max(value, 0.0)).view(np.int64)
-            np.testing.assert_array_equal(np.array(res.setting), angles)
+            assert np.float64(res.value).view(np.int64) == np.float64(max(values[0], 0.0)).view(np.int64)
+            np.testing.assert_array_equal(np.array(res.setting), angles[0])
 
     def test_min_is_unaffected(self, monkeypatch, rng):
         rho_a, rho_b = (xstate_to_matrix(random_xstate(rng)) for _ in range(2))
