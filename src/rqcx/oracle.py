@@ -285,7 +285,8 @@ def _max_leaders(parts, grid: int, refine: int):
 
 def _phase_directions(bases: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Bloch directions, shape (L, n, 3), of the first complementary vector of
-    each of L bases (L, 2, 2) at that lane's n Hadamard phases (L, n)."""
+    each of L bases (L, 2, 2) at that lane's n Hadamard phases (L, n), or at
+    n phases (n,) shared by every lane."""
     e0 = bases[:, None, :, 0]
     e1 = bases[:, None, :, 1]
     v = (e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0)
@@ -310,12 +311,19 @@ _OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshap
 
 def _phase_stage(parts, bases_a: np.ndarray, bases_b: np.ndarray, grid: int, refine: int):
     """Maximize CMI over the two Hadamard phases of the complementary family,
-    for L base pairs (L, 2, 2) at once; returns phases (L, 2) and values (L,)."""
-    phases = np.broadcast_to(np.linspace(0.0, _TWO_PI, grid, endpoint=False), (bases_a.shape[0], grid))
-    table = _phase_cmi(parts, _phase_directions(bases_a, phases), _phase_directions(bases_b, phases))
+    for L base pairs (L, 2, 2) at once; returns phases (L, 2) and values (L,).
+
+    Each lane scans the full grid x grid phase table, A-phase major: the
+    directions at the grid phases are computed once per lane and paired.
+    """
+    phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
+    ia, ib = np.divmod(np.arange(grid * grid), grid)
+    da = _phase_directions(bases_a, phases)[:, ia]
+    db = _phase_directions(bases_b, phases)[:, ib]
+    table = _phase_cmi(parts, da, db)
     lanes = np.arange(table.shape[0])
     k = np.argmax(table, axis=1)
-    cur = np.column_stack((np.zeros(k.size), phases[lanes, k]))
+    cur = np.column_stack((phases[ia[k]], phases[ib[k]]))
     best = table[lanes, k]
     step = _TWO_PI / grid
     for _ in range(refine):

@@ -9,7 +9,10 @@ at k pi/omega, deaths on the envelope zeros and the margin's roots), so they
 also pin event times and values.  The ``oracle_default*`` files were written
 before the oracle's two maximum searches came to share one grid stage and the
 CMI kernel came to run in blocks, and ``oracle_werner`` (eight tied stage-1
-leaders) before the leaders came to be refined as one batch.  Each file is named ``<case>.<format>``.
+leaders) before the leaders came to be refined as one batch.  The
+``oracle_mems`` files were rewritten when the phase stage came to scan its
+full phase table instead of the diagonal phase pairs; only the last digits
+of the qs row moved.  Each file is named ``<case>.<format>``.
 """
 
 from pathlib import Path

@@ -16,6 +16,7 @@ from rqcx.oracle import (
     _grid_steps,
     _refine_angles,
     basis_vectors,
+    bloch_direction,
     classical_mutual_info,
     complementary_basis,
     laqc_oracle,
@@ -296,6 +297,33 @@ def test_cmi_unchanged_by_flipping_a_direction(weights, coherences, angles):
     flip_b = LocalMeasurement(ta, pa, np.pi - tb, pb + np.pi)
     for m in (flip_a, flip_b):
         assert classical_mutual_info(post_measurement_probs(rho, m)) == pytest.approx(value, abs=1e-12)
+
+
+def _projector_cmi(rho, base, phase_a, phase_b):
+    """CMI at a complementary setting, from explicit projectors: no kernel, no Fano parts."""
+    angles = []
+    for theta, phi, phase in ((base.theta_a, base.phi_a, phase_a), (base.theta_b, base.phi_b, phase_b)):
+        x, y, z = bloch_direction(complementary_basis(basis_vectors(theta, phi), phase)[:, 0])
+        angles += [np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)]
+    return classical_mutual_info(post_measurement_probs(rho, LocalMeasurement(*angles)))
+
+
+_ginibre = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(lambda v: sum(x * x for x in v) > 1e-2)
+
+
+@settings(max_examples=100)
+@given(entries=_ginibre, grid=st.sampled_from([8, 12, 16]), refine=st.integers(0, 3))
+def test_phase_stage_value_is_the_cmi_at_its_setting(entries, grid, refine):
+    # generic (non-X) states, whose phase optima lie off the diagonal phase pairs
+    g = np.reshape(entries[:16], (4, 4)) + 1.0j * np.reshape(entries[16:], (4, 4))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    phases = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    for res in (qs_oracle(rho, grid, refine), laqc_oracle(rho, grid, refine)):
+        base, pa, pb = res.setting
+        assert abs(_projector_cmi(rho, base, pa, pb) - res.value) <= 1e-12
+        diagonal = max(_projector_cmi(rho, base, p, p) for p in phases)
+        assert res.value >= diagonal - 1e-12
 
 
 class TestLaqcOracle:
