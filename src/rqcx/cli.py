@@ -9,6 +9,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -333,10 +334,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser, built on the first call; each parse makes its own namespace."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

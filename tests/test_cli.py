@@ -291,6 +291,25 @@ class TestConfigAndErrors:
         assert code == 1
         assert "usage" in err
 
+    def test_failed_parse_leaves_the_shared_parser_usable(self, capsys, monkeypatch):
+        build, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        valid = ("events", "--state", "werner", "--param", "0.8", "--steps", "40")
+        code, want, err = run_cli(capsys, *valid)
+        assert (code, err) == (0, "")
+        # the failing call sets other options before --steps fails to parse
+        code, out, err = run_cli(capsys, "events", "--state", "mems", "--param", "0.3", "--tmax", "5", "--steps", "x")
+        assert (code, out) == (1, "")
+        assert "invalid int value" in err
+        assert run_cli(capsys, *valid) == (0, want, "")
+        assert len(builds) == 1
+
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 1
