@@ -163,13 +163,29 @@ def _angles_to_dirs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return na, nb
 
 
-def _cmi_at_angles(parts, angles: np.ndarray) -> np.ndarray:
+def _paired_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """CMI of the paired directions da[..., i, :] and db[..., i, :], in one kernel call."""
     ra, rb, tt = parts
-    na, nb = _angles_to_dirs(np.atleast_2d(angles))
-    x = na @ ra
-    y = nb @ rb
-    w = np.einsum("ij,jk,ik->i", na, tt, nb)
-    return kernels.cmi_flat(x, y, w)
+    shape = da.shape[:-1]
+    da = da.reshape(-1, 3)
+    db = db.reshape(-1, 3)
+    w = np.einsum("ij,jk,ik->i", da, tt, db)
+    return kernels.cmi_flat(da @ ra, db @ rb, w).reshape(shape)
+
+
+def _cmi_at_angles(parts, angles: np.ndarray) -> np.ndarray:
+    return _paired_cmi(parts, *_angles_to_dirs(np.atleast_2d(angles)))
+
+
+def _take_improvements(vals: np.ndarray, cand: np.ndarray, best: np.ndarray, cur: np.ndarray):
+    """One round's update of L lanes: each lane's first best candidate
+    (vals (L, n), cand (L, n, d)) replaces its current point (best (L,),
+    cur (L, d)) only where it strictly beats it, so ties keep scan order."""
+    lanes = np.arange(vals.shape[0])
+    k = np.argmax(vals, axis=1)
+    top = vals[lanes, k]
+    up = top > best
+    return np.where(up, top, best), np.where(up[:, None], cand[lanes, k], cur)
 
 
 _OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4, -1).T
@@ -178,14 +194,12 @@ _OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4
 def _refine_angles(parts, angles0, steps0, rounds: int, sign: float):
     """Local neighborhood descent of L starts (angles0 of shape (L, 4)) at once.
 
-    The step halves each round.  Each round evaluates every lane's 81
-    candidates in one kernel call; a lane moves to its first best candidate
-    only if that beats its current value, so ties keep scan order.
+    The step halves each round, and each round evaluates every lane's 81
+    candidates in one kernel call.
     """
     angles = np.array(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
     best = sign * _cmi_at_angles(parts, angles)
-    lanes = np.arange(angles.shape[0])
     for _ in range(rounds):
         cand = angles[:, None, :] + _OFFSETS_4 * steps
         cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
@@ -193,11 +207,7 @@ def _refine_angles(parts, angles0, steps0, rounds: int, sign: float):
         cand[..., 1] %= _TWO_PI
         cand[..., 3] %= _TWO_PI
         vals = sign * _cmi_at_angles(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
-        k = np.argmax(vals, axis=1)
-        top = vals[lanes, k]
-        up = top > best
-        best = np.where(up, top, best)
-        angles = np.where(up[:, None], cand[lanes, k], angles)
+        best, angles = _take_improvements(vals, cand, best, angles)
         steps = 0.5 * steps
     return angles, sign * best
 
@@ -296,16 +306,6 @@ def _phase_directions(bases: np.ndarray, phases: np.ndarray) -> np.ndarray:
     )
 
 
-def _phase_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """CMI of the paired directions da[l, i] and db[l, i], one kernel call for all lanes."""
-    ra, rb, tt = parts
-    shape = da.shape[:-1]
-    da = da.reshape(-1, 3)
-    db = db.reshape(-1, 3)
-    w = np.einsum("ij,jk,ik->i", da, tt, db)
-    return kernels.cmi_flat(da @ ra, db @ rb, w).reshape(shape)
-
-
 _OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T
 
 
@@ -320,22 +320,17 @@ def _phase_stage(parts, bases_a: np.ndarray, bases_b: np.ndarray, grid: int, ref
     ia, ib = np.divmod(np.arange(grid * grid), grid)
     da = _phase_directions(bases_a, phases)[:, ia]
     db = _phase_directions(bases_b, phases)[:, ib]
-    table = _phase_cmi(parts, da, db)
-    lanes = np.arange(table.shape[0])
+    table = _paired_cmi(parts, da, db)
     k = np.argmax(table, axis=1)
     cur = np.column_stack((phases[ia[k]], phases[ib[k]]))
-    best = table[lanes, k]
+    best = table[np.arange(k.size), k]
     step = _TWO_PI / grid
     for _ in range(refine):
         cand = (cur[:, None, :] + _OFFSETS_2 * step) % _TWO_PI
-        vals = _phase_cmi(
+        vals = _paired_cmi(
             parts, _phase_directions(bases_a, cand[..., 0]), _phase_directions(bases_b, cand[..., 1])
         )
-        j = np.argmax(vals, axis=1)
-        top = vals[lanes, j]
-        up = top > best
-        best = np.where(up, top, best)
-        cur = np.where(up[:, None], cand[lanes, j], cur)
+        best, cur = _take_improvements(vals, cand, best, cur)
         step *= 0.5
     # max(best, 0.0) lane by lane
     return cur, np.where(0.0 > best, 0.0, best)

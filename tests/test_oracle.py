@@ -363,6 +363,21 @@ class TestQsOracle:
     def test_maximally_mixed(self):
         assert qs_oracle(MIXED).value < 1e-9
 
+    @pytest.mark.parametrize("kind, x", [("werner", 0.3), ("werner", 0.7), ("mems", 0.8)])
+    def test_keeps_the_first_leader_with_the_largest_value(self, kind, x):
+        # eight tied stage-1 leaders, several of whose phase stages end on bit-equal values
+        rho = xstate_to_matrix(make_state(FamilySpec(kind, x)))
+        parts = _fano_parts(rho)
+        angles, values = oracle._max_leaders(parts, 16, 2)
+        best = None
+        for a in angles[values >= values.max() - 1e-9]:
+            bases = [basis_vectors(a[0], a[1])[None], basis_vectors(a[2], a[3])[None]]
+            phases, value = oracle._phase_stage(parts, *bases, 16, 2)
+            if best is None or value[0] > best[0]:
+                best = (value[0], LocalMeasurement(*a), *phases[0])
+        res = qs_oracle(rho, 16, 2)
+        assert (res.value, *res.setting) == best
+
     def test_dominated_by_laqc_on_random_states(self, rng):
         for _ in range(5):
             rho = xstate_to_matrix(random_xstate(rng))
