@@ -4,8 +4,8 @@ The dephasing channel scales only the coherence coefficients (by Lambda^2),
 so along a trajectory the diagonal-sector branch g3 is a constant while
 g1, g2 and the concurrence follow the envelope.  Sudden deaths of the
 quantum measures under RTN land exactly on the envelope zeros and revival
-peaks on its extrema k pi/omega; concurrence dies where its own signed
-margin crosses zero, which generally happens at nonzero envelope values.
+peaks on its extrema k pi/omega; concurrence dies where Lambda^2 falls through
+a level set by the state, which generally happens at nonzero envelope values.
 """
 
 from __future__ import annotations
@@ -82,11 +82,8 @@ class _StateMeasures:
         cols = cols[:, 0] if one else cols[:, :, None]
         self._t11, self._t22, self._g3, self._r, self._s, self._root_bc, self._root_ad = cols
 
-    def margin(self, lam: np.ndarray) -> np.ndarray:
-        """The signed concurrence margin; the concurrence is its positive part."""
-        return self._margin(np.asarray(lam, float) ** 2)
-
     def _margin(self, f: np.ndarray) -> np.ndarray:
+        """The signed concurrence margin at L^2 = f; the concurrence is its positive part."""
         return np.maximum(2.0 * (self._r * f - self._root_bc), 2.0 * (self._s * f - self._root_ad))
 
     def __call__(self, lam: np.ndarray) -> dict[str, np.ndarray]:
@@ -120,15 +117,18 @@ def detect_events(
     """Sudden deaths, revival peaks and asymptotic decay up to the end of a time grid.
 
     Every measure is a nondecreasing function of L^2, so each event has a
-    closed-form place.  laqc and qs die on the polished envelope zeros, each
-    checked to be a sign change of the envelope; a death is reported when
-    the measure exceeds `threshold` at the extremum before the zero (t = 0
+    closed-form place.  laqc and qs die on the envelope zeros, each checked
+    to be a sign change of the envelope; a death is reported when the
+    measure exceeds `threshold` at the extremum before the zero (t = 0
     before the first).  Revival peaks sit at the RTN extrema t = k pi/omega,
     k >= 1, and are reported where the measure exceeds `threshold`.
-    Concurrence boundaries are the roots of its signed margin (see
+    The concurrence dies where L^2 falls through its death level (see
     `_concurrence_deaths`).  Only the grid's last time is read; the grid must
-    still have at least 3 rows.
+    still have at least 3 rows, and `threshold` must be finite and
+    nonnegative.
     """
+    if not (np.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"revival threshold must be finite and nonnegative, got {threshold}")
     measures = _StateMeasures(state)
     ts = np.asarray(tgrid, dtype=float)
     if ts.size < 3:
@@ -137,11 +137,7 @@ def detect_events(
     zeros = lambda_zeros(noise, t_end)
     _check_sign_changes(noise, zeros)
     extrema = _envelope_extrema(noise, t_end)
-
-    def margin(t):
-        return measures.margin(np.atleast_1d(lambda_of_t(noise, t)))
-
-    deaths = _concurrence_deaths(margin, zeros, extrema, t_end)
+    deaths = _concurrence_deaths(measures, noise, zeros, extrema, t_end)
     # every point value in one call: both ends, the zeros, the extrema and
     # the concurrence deaths
     values = measures(np.atleast_1d(lambda_of_t(noise, np.concatenate(([0.0, t_end], zeros, extrema, deaths)))))
@@ -204,28 +200,34 @@ def _envelope_extrema(noise: NoiseModel, t_end: float) -> np.ndarray:
     return t[t < t_end]
 
 
-def _concurrence_deaths(margin, zeros, extrema, t_end) -> np.ndarray:
-    """Sorted times where the concurrence margin falls to zero.
+def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extrema, t_end) -> np.ndarray:
+    """Sorted times where L^2 falls through kappa, the concurrence's death level.
 
-    `margin` maps an array of times to the margin
-    max(2(|r|L^2 - sqrt(bc)), 2(|s|L^2 - sqrt(ad))), which never decreases
-    as L^2 grows, so it is monotone between consecutive critical points of
-    L^2: t = 0, the envelope zeros, the extrema and t_end.  Each piece whose
-    ends differ in sign (margin > 0 or not) holds one boundary, and all of
-    them are bisected together.  A touching zero, where the margin is within
-    1e-12 of zero on an envelope zero and above 1e-12 at 1e-3 either side,
-    is a death without a sign change; it is reported as it is and left out
-    of the pieces.
+    The margin max(2(|r|L^2 - sqrt(bc)), 2(|s|L^2 - sqrt(ad))) is positive
+    exactly when L^2 > kappa = min(sqrt(bc)/|r|, sqrt(ad)/|s|), the minimum
+    taken over the terms whose coherence exceeds its root (in a valid state
+    at most one does); each such quotient is below 1, and with no such term
+    the concurrence is 0 from the start and never dies.  With kappa = 0 the concurrence dies on each envelope zero.
+    Otherwise L^2 is monotone between its critical points t = 0, the zeros,
+    the extrema and t_end, so each piece that falls through kappa holds one
+    death, and all of them are bisected together on L^2 - kappa.
     """
-    zs = np.array(zeros, dtype=float)
-    near = np.concatenate((zs, np.maximum(0.0, zs - 1e-3), np.minimum(t_end, zs + 1e-3)))
-    on_zero, before, after = np.split(margin(near), 3)
-    touching = (np.abs(on_zero) < 1e-12) & (before > 1e-12) & (after > 1e-12)
-    t = np.sort(np.concatenate(([0.0], zs[~touching], extrema, [t_end])))
-    alive = margin(t) > 0.0
+    pairs = ((measures._r, measures._root_bc), (measures._s, measures._root_ad))
+    kappa = min([root / coh for coh, root in pairs if coh > root], default=None)
+    if kappa is None:
+        return np.empty(0)
+    if kappa == 0.0:
+        return np.array(zeros, dtype=float)
+
+    def excess(t):
+        return lambda_of_t(noise, t) ** 2 - kappa
+
+    t = np.sort(np.concatenate(([0.0], zeros, extrema, [t_end])))
+    alive = excess(t) > 0.0
+    # L^2 is 0 on a zero, however small the value computed there
+    alive[np.searchsorted(t, zeros)] = False
     k = np.flatnonzero(alive[:-1] & ~alive[1:])
-    roots = bisect(margin, t[k], t[k + 1], DEATH_TOL)
-    return np.sort(np.concatenate((roots, zs[touching])))
+    return bisect(excess, t[k], t[k + 1], DEATH_TOL)
 
 
 def surface(spec: SweepSpec, measure_a: str, measure_b: str):

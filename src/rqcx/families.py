@@ -65,8 +65,8 @@ def werner_concurrence_rtn(z: float, lam: float) -> float:
     """Concurrence of a dephased Werner state at envelope value Lambda."""
     if not 0.0 <= z <= 1.0:
         raise ValueError("Werner parameter must lie in [0, 1]")
-    if abs(lam) > 1.0 + 1e-12:
-        raise ValueError("|Lambda| must not exceed 1")
+    if not abs(lam) <= 1.0 + 1e-12:
+        raise ValueError(f"Lambda must be finite with |Lambda| <= 1, got {lam}")
     return max(0.0, 0.5 * ((1.0 + 2.0 * lam * lam) * z - 1.0))
 
 

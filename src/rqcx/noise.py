@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .search import bisect
 from .states import (
     SIGMA_Z,
     BlochX,
@@ -88,8 +87,8 @@ def noise_from_config(cfg: dict) -> NoiseModel:
 def lambda_of_t(model: NoiseModel, t):
     """Channel envelope at time t (gamma*t units); Lambda(0) = 1, |Lambda| <= 1."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("time must be nonnegative")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise ValueError("time must be finite and nonnegative")
     if isinstance(model, Rtn):
         w = model.omega
         val = np.exp(-arr) * (np.cos(w * arr) + np.sin(w * arr) / w)
@@ -138,7 +137,7 @@ def evolve_bloch(b: BlochX, lam: float) -> BlochX:
 
 
 def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
-    """All envelope zeros in (0, t_max], bisection-polished.
+    """All envelope zeros in (0, t_max], at their closed form.
 
     Only RTN crosses zero, at t_k = (k*pi - arctan(omega)) / omega; the
     monotone models return an empty list.
@@ -151,13 +150,4 @@ def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
     # one index past the estimated last zero; the t_k <= t_max test trims it
     k = np.arange(1.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 2.0)
     t_k = (k * np.pi - np.arctan(w)) / w
-    return _polish_zero(model, t_k[t_k <= t_max], 0.5 * np.pi / w).tolist()
-
-
-def _polish_zero(model: NoiseModel, t0: np.ndarray, half_gap: float) -> np.ndarray:
-    """Bisect Lambda within a quarter period either side of each estimate t0.
-
-    Every bracket lies in t > 0: the first zero is (pi - arctan(omega))/omega,
-    more than half_gap/2 = pi/(4 omega) from 0.
-    """
-    return bisect(lambda t: lambda_of_t(model, t), t0 - 0.5 * half_gap, t0 + 0.5 * half_gap, 1e-15)
+    return t_k[t_k <= t_max].tolist()

@@ -351,11 +351,15 @@ class TestInputBoundary:
             ["surface", "--state", "mnms", "--time-grid", "0:inf:3"],
             ["surface", "--state", "mnms", "--param-grid", "nan:1:3"],
             ["surface", "--state", "mnms", "--param-grid=-inf:1:3"],
+            ["events", *WERNER, "--revival-threshold", "nan"],
+            ["events", *WERNER, "--revival-threshold", "inf"],
+            ["events", *WERNER, "--revival-threshold", "-1"],
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
             "events-tmax-inf", "events-steps-two", "rtn-rate-inf", "markov-rate-inf",
             "grid-max-inf", "grid-min-nan", "grid-min-neg-inf",
+            "threshold-nan", "threshold-inf", "threshold-negative",
         ],
     )
     def test_bad_input_exits_one_quietly(self, capsys, argv):

@@ -6,7 +6,11 @@ these tests pin the output contract across changes to how rows are emitted.
 The ``events_rtn``, ``events_moun`` and ``events_coarse*`` files were written
 when events came to be placed by their closed-form conditions (revival peaks
 at k pi/omega, deaths on the envelope zeros and the margin's roots), so they
-also pin event times and values.  The ``oracle_default*`` files were written
+also pin event times and values.  The ``events_rtn`` and ``events_coarse*``
+files were rewritten later, when the envelope zeros came to be
+returned at their closed form, unpolished, and concurrence deaths came to be
+bisected on Lambda^2 minus the death level: rows and kinds stayed, times
+moved by at most 4.4e-16.  The ``oracle_default*`` files were written
 before the oracle's two maximum searches came to share one grid stage and the
 CMI kernel came to run in blocks, and ``oracle_werner`` (eight tied stage-1
 leaders) before the leaders came to be refined as one batch.  The

@@ -5,10 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqcx import search
-from rqcx.dynamics import SweepSpec, _StateMeasures, detect_events, surface, trajectory
+from rqcx.dynamics import (
+    DEATH_TOL,
+    SweepSpec,
+    _concurrence_deaths,
+    _envelope_extrema,
+    _StateMeasures,
+    detect_events,
+    surface,
+    trajectory,
+)
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
-from rqcx.noise import Markov, Moun, Rtn, _polish_zero, lambda_of_t, lambda_zeros
+from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.states import XStateParams
 
 RTN4 = Rtn(4.0)
@@ -16,6 +25,24 @@ RTN4 = Rtn(4.0)
 
 def _grid(tmax=3.0, steps=600):
     return np.linspace(0.0, tmax, steps)
+
+
+def _margin_along(state, noise):
+    """The signed concurrence margin of a state as a function of an array of times."""
+    measures = _StateMeasures(state)
+    return lambda t: measures._margin(np.atleast_1d(lambda_of_t(noise, t)) ** 2)
+
+
+def _kappa(p):
+    """min(sqrt(bc)/|r|, sqrt(ad)/|s|) over the terms whose coherence exceeds its root, or None."""
+    terms = ((abs(p.r), np.sqrt(max(p.b, 0.0) * max(p.c, 0.0))), (abs(p.s), np.sqrt(max(p.a, 0.0) * max(p.d, 0.0))))
+    quotients = [root / coh for coh, root in terms if coh > root]
+    return min(quotients) if quotients else None
+
+
+def _concurrence_death_times(state, noise, tmax):
+    events = detect_events(state, noise, _grid(tmax, 3), threshold=0.0)
+    return [e.t for e in events if e.kind == "sudden_death" and e.measure == "concurrence"]
 
 
 class TestTrajectory:
@@ -147,19 +174,16 @@ class TestClosedFormEvents:
     def test_events_sit_on_the_closed_form_points(self, state, noise, tmax):
         events = detect_events(state, noise, _grid(tmax, 3))
         zeros = lambda_zeros(noise, tmax)
-        measures = _StateMeasures(state)
-
-        def margin(t):
-            return measures.margin(np.atleast_1d(lambda_of_t(noise, t)))[0]
+        margin = _margin_along(state, noise)
 
         for e in events:
             if e.kind == "sudden_death" and e.measure != "concurrence":
                 assert e.t in zeros
             elif e.kind == "sudden_death" and e.t in zeros:
-                # a touching zero: the margin reaches zero without changing sign
-                assert abs(margin(e.t)) < 1e-12
+                # kappa = 0: the margin reaches zero without changing sign
+                assert abs(margin(e.t)[0]) < 1e-12
             elif e.kind == "sudden_death":
-                assert margin(e.t - 1e-8) > 0.0 >= margin(e.t + 1e-8)
+                assert margin(e.t - 1e-8)[0] > 0.0 >= margin(e.t + 1e-8)[0]
             elif e.kind == "revival_peak":
                 w = noise.omega
                 assert abs(e.t - round(e.t * w / np.pi) * np.pi / w) <= 1e-15
@@ -167,6 +191,74 @@ class TestClosedFormEvents:
                 hi = min([z for z in zeros if z > e.t] + [tmax])
                 sampled = getattr(trajectory(state, noise, np.linspace(lo, hi, 2001)), e.measure)
                 assert e.value >= sampled.max() - 1e-15
+
+
+class TestConcurrenceDeaths:
+    """The concurrence dies where Lambda^2 falls through kappa, and only there."""
+
+    # RTN first: its zeros and extrema give the most pieces
+    @settings(max_examples=300)
+    @given(state=_STATES, noise=st.one_of(st.floats(0.55, 12.0).map(Rtn), _NOISES), tmax=st.floats(0.5, 6.0))
+    def test_deaths_are_where_lambda_squared_falls_through_kappa(self, state, noise, tmax):
+        deaths = _concurrence_death_times(state, noise, tmax)
+        zeros = lambda_zeros(noise, tmax)
+        kappa = _kappa(state)
+        if kappa is None:
+            assert deaths == []
+            return
+        if kappa == 0.0:
+            assert deaths == zeros
+            return
+        assert deaths == sorted(deaths)
+        for t in deaths:
+            before, after = lambda_of_t(noise, np.array([max(t - DEATH_TOL, 0.0), t + DEATH_TOL])) ** 2
+            # Lambda^2 is 0 on a zero, so a zero just after t also ends the fall
+            assert before > kappa
+            assert after <= kappa or any(t < z <= t + DEATH_TOL for z in zeros)
+        # no fall is missed: each one a fine grid sees lies next to a death
+        ts = np.linspace(0.0, tmax, 20001)
+        alive = lambda_of_t(noise, ts) ** 2 > kappa
+        for i in np.flatnonzero(alive[:-1] & ~alive[1:]):
+            assert any(ts[i] - DEATH_TOL <= t <= ts[i + 1] + DEATH_TOL for t in deaths)
+
+    @settings(max_examples=300)
+    @given(state=_STATES, noise=st.one_of(st.floats(0.55, 12.0).map(Rtn), _NOISES), tmax=st.floats(0.5, 6.0))
+    def test_deaths_match_the_margin_bisection(self, state, noise, tmax):
+        zeros = lambda_zeros(noise, tmax)
+        extrema = _envelope_extrema(noise, tmax)
+        deaths = _concurrence_deaths(_StateMeasures(state), noise, zeros, extrema, tmax)
+        reference = _margin_deaths(_margin_along(state, noise), zeros, extrema, tmax)
+        if _kappa(state) == 0.0:
+            # the touching-zero rule of the margin bisection misses zeros where
+            # the margin stays under 1e-12 a step of 1e-3 away; each zero it
+            # does report is a death here too
+            assert set(reference.tolist()) <= set(deaths.tolist())
+        else:
+            assert deaths.size == reference.size
+            assert np.all(np.abs(deaths - reference) <= DEATH_TOL)
+
+    def test_subnormal_coherence_runs_without_warning(self):
+        # |s| = 1.1e-311 lies under sqrt(ad), so no quotient divides by it
+        state = make_state(FamilySpec("werner", 2.2e-311))
+        trajectory(state, RTN4, _grid())
+        assert not [e for e in detect_events(state, RTN4, _grid()) if e.measure == "concurrence"]
+
+    @pytest.mark.parametrize("a", [0.6, 1.0, 4.0])
+    def test_late_touching_zeros_are_deaths(self, a):
+        # bc = 0 gives kappa = 0: the concurrence 2|r|Lambda^2 dies on every
+        # zero, also where it stays under 1e-12 nearby
+        state = XStateParams(a=0.05, b=0.0, c=0.12, d=0.83, r=-3.3e-4, s=0.0)
+        assert _concurrence_death_times(state, Rtn(a), 6.0) == lambda_zeros(Rtn(a), 6.0)
+
+    @pytest.mark.parametrize("a", [0.6, 1.0, 4.0])
+    def test_kappa_below_the_computed_zero_value(self, a):
+        # kappa is about 2e-40, below Lambda^2 as computed on every zero
+        # (2e-36 and up), yet each zero still ends a fall through kappa
+        state = XStateParams(a=0.3, b=1e-80, c=0.3, d=0.4, r=0.3, s=0.0)
+        deaths = _concurrence_death_times(state, Rtn(a), 6.0)
+        zeros = lambda_zeros(Rtn(a), 6.0)
+        assert len(deaths) == len(zeros)
+        assert all(0.0 <= z - t <= DEATH_TOL for t, z in zip(deaths, zeros))
 
 
 class TestSurface:
@@ -224,7 +316,9 @@ def test_nan_envelope_gives_nan_measures():
 
 
 # The scalar searches the lane searches replaced, kept as the reference: one
-# function call per step, one bracket at a time.
+# function call per step, one bracket at a time.  Below them, the concurrence
+# deaths as they were found before kappa: margin roots, plus a touching-zero
+# rule for zeros where the margin reaches 0 without changing sign.
 
 def _bisect_root(f, lo, hi, tol=1e-9):
     f_lo = f(lo)
@@ -242,21 +336,17 @@ def _bisect_root(f, lo, hi, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-def _polish_zero_scalar(model, t0, half_gap):
-    lo, hi = t0 - 0.5 * half_gap, t0 + 0.5 * half_gap
-    f_lo = lambda_of_t(model, max(lo, 0.0))
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = lambda_of_t(model, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _margin_deaths(margin, zeros, extrema, t_end):
+    """The concurrence deaths as roots of the margin, with the touching-zero rule."""
+    zs = np.array(zeros, dtype=float)
+    near = np.concatenate((zs, np.maximum(0.0, zs - 1e-3), np.minimum(t_end, zs + 1e-3)))
+    on_zero, before, after = np.split(margin(near), 3)
+    touching = (np.abs(on_zero) < 1e-12) & (before > 1e-12) & (after > 1e-12)
+    t = np.sort(np.concatenate(([0.0], zs[~touching], extrema, [t_end])))
+    alive = margin(t) > 0.0
+    k = np.flatnonzero(alive[:-1] & ~alive[1:])
+    roots = search.bisect(margin, t[k], t[k + 1], DEATH_TOL)
+    return np.sort(np.concatenate((roots, zs[touching])))
 
 
 _BRACKETS = st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)), min_size=1, max_size=8)
@@ -272,28 +362,11 @@ class TestLaneSearches:
     @settings(max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1), noise=_NOISES, brackets=_BRACKETS)
     def test_bisect_matches_scalar(self, seed, noise, brackets):
-        measures = _StateMeasures(random_xstate(np.random.default_rng(seed)))
-
-        def margin(t):
-            return measures.margin(np.atleast_1d(lambda_of_t(noise, t)))
-
+        margin = _margin_along(random_xstate(np.random.default_rng(seed)), noise)
         lo, hi = np.array(_ordered(brackets)).T
         lanes = search.bisect(margin, lo, hi, 1e-9)
         for k in range(lo.size):
             assert lanes[k] == _bisect_root(lambda t: float(margin(t)[0]), float(lo[k]), float(hi[k]))
-
-    @settings(max_examples=60)
-    @given(a=st.floats(0.55, 12.0), tmax=st.floats(0.1, 10.0), shift=st.floats(-0.3, 0.3))
-    def test_polish_matches_scalar(self, a, tmax, shift):
-        model = Rtn(a)
-        w = model.omega
-        half_gap = 0.5 * np.pi / w
-        t0 = (np.arange(1.0, 1.0 + np.ceil(tmax * w / np.pi)) * np.pi - np.arctan(w)) / w
-        # off-centre estimates still bracket their zero; past t = 8 a float's
-        # spacing exceeds the 1e-15 tolerance and lanes stop after 200 halvings
-        t0 = t0 + shift * half_gap
-        lanes = _polish_zero(model, t0, half_gap)
-        assert lanes.tolist() == [_polish_zero_scalar(model, float(t), half_gap) for t in t0]
 
     def test_crossover_single_lane(self):
         from rqcx.families import crossover_z

@@ -84,6 +84,11 @@ class TestWernerUnderDephasing:
         for z in np.linspace(0.0, 1.0, 50):
             assert werner_concurrence_rtn(float(z), 0.0) == 0.0
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_nonfinite_envelope_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            werner_concurrence_rtn(0.8, lam)
+
     def test_direct_value(self):
         assert werner_concurrence_rtn(2.0 / 3.0, np.sqrt(0.5)) == pytest.approx(
             1.0 / 6.0, abs=1e-15

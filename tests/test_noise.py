@@ -59,6 +59,11 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             lambda_of_t(RTN4, -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan]])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            lambda_of_t(RTN4, t)
+
     def test_rtn_first_zero(self):
         w = RTN4.omega
         t1 = (np.pi - np.arctan(w)) / w
