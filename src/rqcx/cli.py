@@ -186,25 +186,41 @@ def _window(opts: dict) -> tuple[float, int]:
     return tmax, steps
 
 
-def _cells(column, as_json: bool) -> list[str]:
-    """One column (a float array, or a list) as text.
+def _cells(column, as_json: bool) -> tuple[str, list]:
+    """One column as its row-template field and its cells, in row order.
 
-    A float column formats each distinct value once: np.unique runs on the
-    int64 bit view, because on the floats it would merge -0.0 into 0.0, which
-    print differently.  JSON floats are what json.dumps writes: float.__repr__,
-    or NaN, Infinity and -Infinity.  Other cells go through str (CSV) or
-    json.dumps (JSON).
+    JSON floats are what json.dumps writes: float.__repr__, or NaN, Infinity
+    and -Infinity.  CSV floats are "%.17g".  Other cells go through str (CSV)
+    or json.dumps (JSON) and fill a "%s" field.
+
+    A float column with at most half as many distinct values as rows (the
+    param and t columns of a surface) formats each distinct value once and
+    gathers the text.  Distinct values are told apart on the int64 bit view,
+    because on the floats -0.0 and 0.0 would merge, which print differently.
+    Any other float column passes its floats to the row template itself:
+    "%.17g" in CSV, and "%s", which prints float.__repr__, in JSON, with only
+    the non-finite JSON cells as text.  Deduplicating such a column would
+    cost more than it saves.
     """
     if isinstance(column, list) and not all(isinstance(v, float) for v in column):
-        return list(map(json.dumps if as_json else str, column))
-    bits = np.ascontiguousarray(column, dtype=np.float64).ravel().view(np.int64)
+        return "%s", list(map(json.dumps if as_json else str, column))
+    floats = np.ascontiguousarray(column, dtype=np.float64).ravel()
+    bits = floats.view(np.int64)
+    ordered = np.sort(bits)
+    distinct = np.count_nonzero(ordered[1:] != ordered[:-1]) + 1
+    if 2 * distinct > bits.size:
+        cells = floats.tolist()
+        if as_json:
+            for i in np.flatnonzero(~np.isfinite(floats)):
+                cells[i] = json.dumps(cells[i])
+        return "%s" if as_json else "%.17g", cells
     uniq, inverse = np.unique(bits, return_inverse=True)
-    floats = uniq.view(np.float64)
-    text = list(map(float.__repr__ if as_json else "{:.17g}".format, floats.tolist()))
+    values = uniq.view(np.float64)
+    text = list(map(float.__repr__ if as_json else "{:.17g}".format, values.tolist()))
     if as_json:
-        for i in np.flatnonzero(~np.isfinite(floats)):
-            text[i] = json.dumps(float(floats[i]))
-    return np.array(text, dtype=object)[inverse.ravel()].tolist()
+        for i in np.flatnonzero(~np.isfinite(values)):
+            text[i] = json.dumps(float(values[i]))
+    return "%s", np.array(text, dtype=object)[inverse].tolist()
 
 
 def _emit(columns: dict, opts: dict) -> None:
@@ -212,20 +228,21 @@ def _emit(columns: dict, opts: dict) -> None:
 
     The bytes equal those of one dict per row written with f"{v:.17g}" cells
     (CSV) or json.dumps(rows, indent=2) (JSON).  Every row is filled into one
-    row template by a single %-format over the cells in row-major order.
+    row template, whose fields _cells chooses per column, by a single
+    %-format over the cells in row-major order.
     """
     as_json = opts["format"] == "json"
-    cells = [_cells(col, as_json) for col in columns.values()]
+    fields, cells = zip(*(_cells(col, as_json) for col in columns.values()))
     n, k = len(cells[0]), len(cells)
     flat = [None] * (n * k)
     for j, col in enumerate(cells):
         flat[j::k] = col
     if as_json:
         keys = (json.dumps(name).replace("%", "%%") for name in columns)
-        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        template = "  {\n" + ",\n".join(f"    {key}: {field}" for key, field in zip(keys, fields)) + "\n  }"
         text = "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n]\n" if n else "[]\n"
     else:
-        rows = "\n".join([",".join(["%s"] * k)] * n) % tuple(flat)
+        rows = "\n".join([",".join(fields)] * n) % tuple(flat)
         text = "# " + ",".join(columns) + "\n" + (rows + "\n" if n else "")
     if opts["out"]:
         with open(opts["out"], "w") as fh:
@@ -350,6 +367,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](opts)
     except (InvalidStateError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write(f"error: this {args.command} run does not fit in memory\n")
         return 1
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

@@ -186,6 +186,19 @@ def measure_set(p: XStateParams) -> MeasureSet:
 
 # Array-valued internals used by the sweep engine; no per-call validation.
 
+def _before(x, y):
+    """x strictly before y in np.sort's order, which puts NaN last."""
+    return (x < y) | (np.isnan(y) & ~np.isnan(x))
+
+
 def _middle_of_three(g1, g2, g3):
-    """The middle of each broadcast triple, sorted along a contiguous last axis."""
-    return np.sort(np.stack(np.broadcast_arrays(g1, g2, g3), axis=-1), axis=-1)[..., 1]
+    """The middle of each broadcast triple, to the bit as np.sort gives it.
+
+    A stable compare-exchange network under np.sort's order: order g1 and g2,
+    then place g3 against them.  Equal values keep their input order, so a
+    zero keeps the sign, and a NaN the bits, that a stable sort of
+    (g1, g2, g3) puts in the middle.
+    """
+    swap = _before(g2, g1)
+    lo, hi = np.where(swap, g2, g1), np.where(swap, g1, g2)
+    return np.where(_before(g3, lo), lo, np.where(_before(g3, hi), g3, hi))

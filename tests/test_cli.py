@@ -3,6 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from rqcx import cli, dynamics, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
+from rqcx.noise import Rtn
 from rqcx.states import InvalidStateError, XStateParams
 
 
@@ -268,6 +273,17 @@ class TestSurfaceOracleCrossover:
         _, rows = parse_csv(out)
         assert float(rows[0]["z_star"]) == pytest.approx(0.421499471, abs=1e-6)
 
+    def test_python_dash_m(self):
+        # an uninstalled checkout runs the command as python -m rqcx
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rqcx", "crossover"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = parse_csv(proc.stdout)
+        assert float(rows[0]["z_star"]) == pytest.approx(0.421499471, abs=1e-9)
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -309,6 +325,16 @@ class TestConfigAndErrors:
         assert "invalid int value" in err
         assert run_cli(capsys, *valid) == (0, want, "")
         assert len(builds) == 1
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        def surface(*args):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+        monkeypatch.setattr(dynamics, "surface", surface)
+        code, out, err = run_cli(capsys, "surface", "--state", "werner")
+        assert code == 1
+        assert out == ""
+        assert err == "error: this surface run does not fit in memory\n"
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
@@ -488,6 +514,10 @@ def emitted(columns, fmt):
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 0.1, 1e22, -1.5]
 
 
+# any float, the specials, and subnormals of either sign
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS) | st.floats(-2.2e-308, 2.2e-308)
+
+
 @st.composite
 def column_sets(draw):
     n = draw(st.integers(0, 12))
@@ -496,10 +526,13 @@ def column_sets(draw):
     for name in names:
         kind = draw(st.sampled_from(["float-array", "float-list", "str", "int"]))
         if kind.startswith("float"):
-            # a small pool drawn from, so columns repeat values
-            values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
-            pool = draw(st.lists(values, min_size=1, max_size=5))
-            col = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            if draw(st.booleans()):
+                # a small pool drawn from, so columns repeat values
+                pool = draw(st.lists(FLOATS, min_size=1, max_size=5))
+                col = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            else:
+                # mostly distinct values
+                col = draw(st.lists(FLOATS, min_size=n, max_size=n))
             columns[name] = np.array(col, dtype=float) if kind == "float-array" else col
         elif kind == "str":
             columns[name] = draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))
@@ -527,3 +560,29 @@ class TestEmitter:
     def test_zero_rows(self, fmt, expected):
         columns = {"a": np.empty(0), "b": []}
         assert emitted(columns, fmt) == expected == reference_bytes(columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("distinct, templated", [(6, False), (7, True)], ids=["half", "half-plus-one"])
+    def test_distinct_value_boundary(self, fmt, distinct, templated):
+        # 12 rows: at most 6 distinct values are formatted once each, 7 go
+        # into the row template as floats; 0.0 and -0.0 count as two values
+        pool = [0.0, -0.0, -math.inf, 5e-324, 0.1, 1e22, math.nan][:distinct]
+        col = np.array([pool[i % distinct] for i in range(12)])
+        assert type(cli._cells(col, fmt == "json")[1][0]) is (float if templated else str)
+        columns = {"x": col, "y": col[::-1].tolist(), "i": list(range(12))}
+        assert emitted(columns, fmt) == reference_bytes(columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_surface(self, capsys, fmt):
+        # the default 200x600 grid: param and t repeat their values, value has
+        # 119400 distinct ones
+        code, out, _ = run_cli(
+            capsys,
+            "surface", "--state", "mems", "--param-grid", "0:1:200", "--time-grid", "0:3:600",
+            "--noise", "rtn", "--a-over-gamma", "4", "--format", fmt,
+        )
+        assert code == 0
+        spec = dynamics.SweepSpec("mems", np.linspace(0, 1, 200), Rtn(4.0), np.linspace(0, 3, 600))
+        params, ts, values = dynamics.surface(spec, "concurrence", "qs")
+        columns = {"param": np.repeat(params, ts.size), "t": np.tile(ts, params.size), "value": values.ravel()}
+        assert out == reference_bytes(columns, fmt)
