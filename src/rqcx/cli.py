@@ -4,6 +4,11 @@ Subcommands: validate, measures, evolve, events, surface, oracle, crossover.
 Output is CSV (default, '#'-prefixed header, 17 significant digits) or JSON,
 to stdout or --out.  Exit codes: 0 success, 1 input error, 2 internal
 numeric failure.
+
+Every option is one row of _OPTIONS: its default, value type, allowed values,
+the subcommands that take it and its help text.  The row named a_b is the
+flag --a-b and the config-file key a_b, and a config value is checked against
+the same type and allowed values as the flag.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,91 +41,87 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_NUMBER = ("a number", (int, float))
-_INTEGER = ("an integer", (int,))
-_TEXT = ("a string", (str,))
+class _Option(NamedTuple):
+    default: object
+    type: type  # float, int or str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
-# every option: its default, and the JSON type a config file must give it
-# (null is accepted where the default is None)
+
+# noise kind -> its model and the option holding its rate
+_NOISE_KINDS = {
+    "rtn": (noise.Rtn, "a_over_gamma"),
+    "moun": (noise.Moun, "Gamma_over_gamma"),
+    "markov": (noise.Markov, "lambda_over_gamma"),
+}
+_MEASURES = ("concurrence", "laqc", "qs", "cs")
+
+_ALL = ("validate", "measures", "evolve", "events", "surface", "oracle", "crossover")
+_STATE = ("validate", "measures", "evolve", "events", "oracle")
+_NOISE = ("evolve", "events", "surface")
+_TIME = ("evolve", "events")
+
+# every option, in flag order
 _OPTIONS = {
-    "state": (None, _TEXT),
-    "param": (None, _NUMBER),
-    "state_file": (None, _TEXT),
-    "noise": ("rtn", _TEXT),
-    "a_over_gamma": (4.0, _NUMBER),
-    "Gamma_over_gamma": (1.0, _NUMBER),
-    "lambda_over_gamma": (1.0, _NUMBER),
-    "tmax": (3.0, _NUMBER),
-    "steps": (600, _INTEGER),
-    "param_grid": ("0:1:200", _TEXT),
-    "time_grid": ("0:3:600", _TEXT),
-    "measure_a": ("concurrence", _TEXT),
-    "measure_b": ("qs", _TEXT),
-    "grid": (32, _INTEGER),
-    "refine": (4, _INTEGER),
-    "revival_threshold": (1e-4, _NUMBER),
-    "out": (None, _TEXT),
-    "format": ("csv", _TEXT),
+    "out": _Option(None, str, _ALL, help="write output to this path instead of stdout"),
+    "format": _Option("csv", str, _ALL, ("csv", "json"), "output format (default csv)"),
+    "state": _Option(None, str, _STATE + ("surface",), families.FAMILY_KINDS + ("file",)),
+    "param": _Option(None, float, _STATE, help="family parameter in [0, 1]"),
+    "state_file": _Option(None, str, _STATE, help="state document (JSON)"),
+    "noise": _Option("rtn", str, _NOISE, tuple(_NOISE_KINDS)),
+    "a_over_gamma": _Option(4.0, float, _NOISE),
+    "Gamma_over_gamma": _Option(1.0, float, _NOISE),
+    "lambda_over_gamma": _Option(1.0, float, _NOISE),
+    "tmax": _Option(3.0, float, _TIME),
+    "steps": _Option(600, int, _TIME),
+    "revival_threshold": _Option(1e-4, float, ("events",)),
+    "param_grid": _Option("0:1:200", str, ("surface",), help="min:max:count"),
+    "time_grid": _Option("0:3:600", str, ("surface",), help="min:max:count"),
+    "measure_a": _Option("concurrence", str, ("surface",), _MEASURES),
+    "measure_b": _Option("qs", str, ("surface",), _MEASURES),
+    "grid": _Option(32, int, ("oracle",)),
+    "refine": _Option(4, int, ("oracle",)),
 }
 
-
-def _add_common(p: argparse.ArgumentParser, *groups: str) -> None:
-    p.add_argument("--config", help="JSON option file mirroring flags; flags override it")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    if "state" in groups:
-        p.add_argument("--state", choices=("werner", "mnms", "mems", "file"))
-        p.add_argument("--param", type=float, help="family parameter in [0, 1]")
-        p.add_argument("--state-file", dest="state_file", help="state document (JSON)")
-    if "noise" in groups:
-        p.add_argument("--noise", choices=("rtn", "moun", "markov"))
-        p.add_argument("--a-over-gamma", dest="a_over_gamma", type=float)
-        p.add_argument("--Gamma-over-gamma", dest="Gamma_over_gamma", type=float)
-        p.add_argument("--lambda-over-gamma", dest="lambda_over_gamma", type=float)
-    if "time" in groups:
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--steps", type=int)
+# the JSON type a config value needs for each flag type; null is accepted
+# where the default is None
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", (int,)), str: ("a string", (str,))}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rqcx", description="Correlation measures and dephasing dynamics of 2-qubit X states")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    _add_common(sub.add_parser("validate"), "state")
-    _add_common(sub.add_parser("measures"), "state")
-    _add_common(sub.add_parser("evolve"), "state", "noise", "time")
-    p_events = sub.add_parser("events")
-    _add_common(p_events, "state", "noise", "time")
-    p_events.add_argument("--revival-threshold", dest="revival_threshold", type=float)
-    p_surface = sub.add_parser("surface")
-    _add_common(p_surface, "noise")
-    p_surface.add_argument("--state", choices=("werner", "mnms", "mems"))
-    p_surface.add_argument("--param-grid", dest="param_grid", help="min:max:count")
-    p_surface.add_argument("--time-grid", dest="time_grid", help="min:max:count")
-    p_surface.add_argument("--measure-a", dest="measure_a", choices=("concurrence", "laqc", "qs", "cs"))
-    p_surface.add_argument("--measure-b", dest="measure_b", choices=("concurrence", "laqc", "qs", "cs"))
-    p_oracle = sub.add_parser("oracle")
-    _add_common(p_oracle, "state")
-    p_oracle.add_argument("--grid", type=int)
-    p_oracle.add_argument("--refine", type=int)
-    _add_common(sub.add_parser("crossover"))
+    for command in _ALL:
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="JSON option file mirroring flags; flags override it")
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                p.add_argument("--" + key.replace("_", "-"), type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
 def _merged(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    opts = {key: default for key, (default, _) in _OPTIONS.items()}
+    opts = {key: opt.default for key, opt in _OPTIONS.items()}
     if getattr(args, "config", None):
         cfg = stateio.load_options_file(args.config)
         unknown = set(cfg) - set(_OPTIONS)
         if unknown:
             raise InvalidStateError(f"unknown config keys: {sorted(unknown)}")
         for key, val in cfg.items():
-            default, (name, types) = _OPTIONS[key]
+            opt = _OPTIONS[key]
+            name, types = _JSON_TYPES[opt.type]
             # an exact type test: a JSON true or false is not a number
-            if type(val) not in types and not (val is None and default is None):
+            if type(val) not in types and not (val is None and opt.default is None):
                 raise InvalidStateError(f"config key {key!r} must be {name}, got {json.dumps(val)}")
-        opts.update(cfg)
+            if opt.choices and val is not None and val not in opt.choices:
+                allowed = ", ".join(opt.choices)
+                raise InvalidStateError(f"config key {key!r} must be one of {allowed}, got {json.dumps(val)}")
+            try:
+                opts[key] = val if val is None else opt.type(val)
+            except OverflowError:  # an integer past the float range
+                raise InvalidStateError(f"config key {key!r} is out of range") from None
     for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
@@ -131,10 +132,10 @@ def _merged(args: argparse.Namespace) -> dict:
 def _resolve_state(opts: dict):
     """Return (XStateParams or None, density matrix or None)."""
     kind = opts["state"]
-    if kind in ("werner", "mnms", "mems"):
+    if kind in families.FAMILY_KINDS:
         if opts["param"] is None:
             raise InvalidStateError(f"--param is required with --state {kind}")
-        spec = families.FamilySpec(kind, float(opts["param"]))
+        spec = families.FamilySpec(kind, opts["param"])
         return families.make_state(spec), None
     if kind == "file" or (kind is None and opts["state_file"]):
         if not opts["state_file"]:
@@ -154,14 +155,8 @@ def _xstate_of(opts: dict):
 
 
 def _noise_of(opts: dict) -> noise.NoiseModel:
-    return noise.noise_from_config(
-        {
-            "kind": opts["noise"],
-            "a_over_gamma": opts["a_over_gamma"],
-            "Gamma_over_gamma": opts["Gamma_over_gamma"],
-            "lambda_over_gamma": opts["lambda_over_gamma"],
-        }
-    )
+    model, rate = _NOISE_KINDS[opts["noise"]]
+    return model(opts[rate])
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -178,7 +173,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _window(opts: dict) -> tuple[float, int]:
-    tmax, steps = float(opts["tmax"]), opts["steps"]
+    tmax, steps = opts["tmax"], opts["steps"]
     if not (math.isfinite(tmax) and tmax > 0.0):
         raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
@@ -245,8 +240,11 @@ def _emit(columns: dict, opts: dict) -> None:
         rows = "\n".join([",".join(fields)] * n) % tuple(flat)
         text = "# " + ",".join(columns) + "\n" + (rows + "\n" if n else "")
     if opts["out"]:
-        with open(opts["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(opts["out"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidStateError(f"cannot write {opts['out']}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -271,7 +269,7 @@ def _cmd_validate(opts: dict) -> int:
 
 def _cmd_measures(opts: dict) -> int:
     ms = measures.measure_set(_xstate_of(opts))
-    _emit({name: [getattr(ms, name)] for name in ("concurrence", "laqc", "qs", "cs")}, opts)
+    _emit({name: [getattr(ms, name)] for name in _MEASURES}, opts)
     return 0
 
 
@@ -288,7 +286,7 @@ def _cmd_events(opts: dict) -> int:
     # detect_events reads only the window end, which is exactly tmax in any
     # linspace; three rows carry it, and fewer than three still fail there
     tgrid = np.linspace(0.0, tmax, min(steps, 3))
-    events = dynamics.detect_events(params, model, tgrid, float(opts["revival_threshold"]))
+    events = dynamics.detect_events(params, model, tgrid, opts["revival_threshold"])
     names = ("kind", "measure", "t", "value")
     columns = {name: [getattr(e, name) for e in events] for name in names}
     _emit(columns, opts)
@@ -296,7 +294,7 @@ def _cmd_events(opts: dict) -> int:
 
 
 def _cmd_surface(opts: dict) -> int:
-    if opts["state"] not in ("werner", "mnms", "mems"):
+    if opts["state"] not in families.FAMILY_KINDS:
         raise InvalidStateError("surface needs --state werner|mnms|mems")
     spec = dynamics.SweepSpec(
         family=opts["state"],
@@ -365,15 +363,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         opts = _merged(args)
         return _COMMANDS[args.command](opts)
-    except (InvalidStateError, ValueError) as exc:
+    # first: numpy's LinAlgError is a ValueError
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return 2
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError:
         sys.stderr.write(f"error: this {args.command} run does not fit in memory\n")
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

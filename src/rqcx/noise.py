@@ -72,18 +72,6 @@ class KrausPair(NamedTuple):
     k1: np.ndarray
 
 
-def noise_from_config(cfg: dict) -> NoiseModel:
-    """Build a model from {"kind": ..., "<rate>_over_gamma": ...}."""
-    kind = str(cfg.get("kind", "")).lower()
-    if kind == "rtn":
-        return Rtn(float(cfg.get("a_over_gamma", 4.0)))
-    if kind == "moun":
-        return Moun(float(cfg.get("Gamma_over_gamma", 1.0)))
-    if kind == "markov":
-        return Markov(float(cfg.get("lambda_over_gamma", 1.0)))
-    raise ValueError(f"unknown noise kind {cfg.get('kind')!r}")
-
-
 def lambda_of_t(model: NoiseModel, t):
     """Channel envelope at time t (gamma*t units); Lambda(0) = 1, |Lambda| <= 1."""
     arr = np.asarray(t, dtype=float)

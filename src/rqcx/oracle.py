@@ -152,15 +152,13 @@ def _grid_directions(grid: int):
     rows = thetas[1 : grid // 2] if grid % 2 == 0 else thetas[1:-1]
     t = np.concatenate(([0.0], np.repeat(rows, grid)))
     p = np.concatenate(([0.0], np.tile(phis, rows.size)))
-    st = np.sin(t)
-    return np.column_stack((st * np.cos(p), st * np.sin(p), np.cos(t))), t, p
+    return _direction(t, p), t, p
 
 
-def _angles_to_dirs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ta, pa, tb, pb = angles.T
-    na = np.column_stack((np.sin(ta) * np.cos(pa), np.sin(ta) * np.sin(pa), np.cos(ta)))
-    nb = np.column_stack((np.sin(tb) * np.cos(pb), np.sin(tb) * np.sin(pb), np.cos(tb)))
-    return na, nb
+def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta), one row per angle pair."""
+    st = np.sin(theta)
+    return np.column_stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)))
 
 
 def _paired_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -174,7 +172,8 @@ def _paired_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 def _cmi_at_angles(parts, angles: np.ndarray) -> np.ndarray:
-    return _paired_cmi(parts, *_angles_to_dirs(np.atleast_2d(angles)))
+    ta, pa, tb, pb = np.atleast_2d(angles).T
+    return _paired_cmi(parts, _direction(ta, pa), _direction(tb, pb))
 
 
 def _take_improvements(vals: np.ndarray, cand: np.ndarray, best: np.ndarray, cur: np.ndarray):

@@ -61,6 +61,7 @@ class ValidationReport:
 
 
 _VALID = ValidationReport(True, ())
+_NONFINITE = ValidationReport(False, (("finite_values", float("inf")),))
 
 
 class InvalidStateError(ValueError):
@@ -76,7 +77,7 @@ def validate_xstate(p: XStateParams, tol: float = STRUCT_TOL) -> ValidationRepor
     fields = (p.a, p.b, p.c, p.d, p.r, p.s)
     violations: list[tuple[str, float]] = []
     if not all(map(math.isfinite, fields)):
-        return ValidationReport(False, (("finite_values", float("inf")),))
+        return _NONFINITE
     neg = -min(p.a, p.b, p.c, p.d)
     if neg > tol:
         violations.append(("weight_nonnegative", neg))
@@ -102,7 +103,7 @@ def require_valid(p: XStateParams) -> None:
 def validate_bloch(b: BlochX, tol: float = STRUCT_TOL) -> ValidationReport:
     coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
     if not all(map(math.isfinite, coeffs)):
-        return ValidationReport(False, (("finite_values", float("inf")),))
+        return _NONFINITE
     violations = []
     over = max(map(abs, coeffs)) - 1.0
     if over > tol:
@@ -166,6 +167,9 @@ def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    # a NaN entry would pass every tolerance test below
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix entries must be finite", _NONFINITE)
     off_mask = np.ones((4, 4), dtype=bool)
     off_mask[np.arange(4), np.arange(4)] = False
     off_mask[0, 3] = off_mask[3, 0] = off_mask[1, 2] = off_mask[2, 1] = False
@@ -193,6 +197,8 @@ def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         return ValidationReport(False, (("shape", float("nan")),))
+    if not np.isfinite(rho).all():
+        return _NONFINITE
     violations = []
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > STRUCT_TOL:

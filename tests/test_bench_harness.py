@@ -1,0 +1,34 @@
+"""The benchmark harness still runs against this source tree.
+
+bench/run.py imports rqcx afresh and bench/tracing.py rebinds the module
+attributes it times, so a rename of a traced name breaks the benchmark.  The
+check runs in a child process: the fresh import drops rqcx from sys.modules,
+and the tracer's rebinding would leak into the other tests.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run, tracing
+
+rq = run.import_rqcx()
+tracing.install(rq)
+for i, argv in enumerate(run.PROBE):
+    code = rq.cli.main(argv + ["--out", f"{sys.argv[2]}/probe{i}.out"])
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+"""
+
+
+def test_probe_calls_run_under_the_tracer(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "bench"), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
+import argparse
 import collections
 import contextlib
+import errno
 import io
 import json
 import math
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from rqcx import cli, dynamics, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
-from rqcx.noise import Rtn
+from rqcx.noise import Markov, Moun, Rtn, lambda_of_t
 from rqcx.states import InvalidStateError, XStateParams
 
 
@@ -126,6 +128,21 @@ class TestStateFiles:
         with pytest.raises(InvalidStateError) as exc:
             measure_set(XStateParams(0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0.0, 0.0))
         assert errors == [f"error: {exc.value}\n"] * 3
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (0, 1)], ids=["diagonal", "x-coherence", "off-x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_matrix_document(self, capsys, tmp_path, entry, value):
+        mat = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]
+        mat[entry[0]][entry[1]][0] = value
+        state = ["--state", "file", "--state-file", self.make_file(tmp_path, {"matrix": mat})]
+        code, out, err = run_cli(capsys, "validate", *state)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [(r["check"], r["ok"]) for r in rows] == [("valid", "0"), ("finite_values", "0")]
+        for argv in (["measures"], ["oracle", "--grid", "8"]):
+            code, out, err = run_cli(capsys, *argv, *state)
+            assert (code, out) == (1, "")
+            assert err == "error: matrix entries must be finite\n"
 
     def test_validate_accepts_good_state(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--state", "werner", "--param", "0.5")
@@ -285,7 +302,112 @@ class TestSurfaceOracleCrossover:
         assert float(rows[0]["z_star"]) == pytest.approx(0.421499471, abs=1e-9)
 
 
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+# a value for every option, none of them its default
+OPTION_VALUES = {
+    "out": "out.txt",
+    "format": "json",
+    "state": "werner",
+    "param": 0.75,
+    "state_file": "state.json",
+    "noise": "markov",
+    "a_over_gamma": 2.5,
+    "Gamma_over_gamma": 2.0,
+    "lambda_over_gamma": 0.5,
+    "tmax": 1.5,
+    "steps": 7,
+    "revival_threshold": 0.05,
+    "param_grid": "0:1:3",
+    "time_grid": "0:1:4",
+    "measure_a": "laqc",
+    "measure_b": "cs",
+    "grid": 10,
+    "refine": 1,
+}
+# the other options of a small run of each subcommand
+RUN_BASE = {
+    "surface": {"state": "mnms", "param_grid": "0:1:2", "time_grid": "0:1:2"},
+    "oracle": {"state": "mnms", "param": 0.25, "grid": 8, "refine": 1},
+    "evolve": {"state": "mnms", "param": 0.25, "steps": 5},
+    "events": {"state": "mnms", "param": 0.25, "steps": 5},
+    "crossover": {},
+}
+# what an option needs to take effect
+OPTION_NEEDS = {
+    "Gamma_over_gamma": {"noise": "moun"},
+    "lambda_over_gamma": {"noise": "markov"},
+    "state_file": {"state": "file"},
+}
+TAKEN = [(command, key) for command in cli._COMMANDS for key, opt in cli._OPTIONS.items() if command in opt.commands]
+
+
 class TestConfigAndErrors:
+    @pytest.mark.parametrize("command, key", TAKEN, ids=[f"{c}-{k}" for c, k in TAKEN])
+    def test_flag_and_config_key_agree(self, capsys, tmp_path, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("state.json").write_text(json.dumps({"abcdrs": [0.4, 0.1, 0.2, 0.3, 0.3, 0.1]}))
+        base = RUN_BASE.get(command, {"state": "mnms", "param": 0.25})
+        opts = {**base, **OPTION_NEEDS.get(key, {}), key: OPTION_VALUES[key]}
+        others = [text for k, v in opts.items() if k != key for text in (flag(k), str(v))]
+        pathlib.Path("cfg.json").write_text(json.dumps({key: opts[key]}))
+        results = []
+        for given in ([flag(key), str(opts[key])], ["--config", "cfg.json"]):
+            pathlib.Path("out.txt").unlink(missing_ok=True)
+            code, out, err = run_cli(capsys, command, *others, *given)
+            written = pathlib.Path("out.txt").read_text() if key == "out" else None
+            results.append((code, out, err, written))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    def test_each_subcommand_takes_its_table_rows(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for command, parser in sub.choices.items():
+            flags = {text for action in parser._actions for text in action.option_strings} - {"-h", "--help"}
+            rows = {flag(key) for c, key in TAKEN if c == command}
+            assert flags == {"--config"} | rows
+
+    @pytest.mark.parametrize(
+        "model, rate, value",
+        [(Rtn, "a_over_gamma", 2.5), (Moun, "Gamma_over_gamma", 2.0), (Markov, "lambda_over_gamma", 0.5)],
+        ids=["rtn", "moun", "markov"],
+    )
+    def test_noise_kind_through_config(self, capsys, tmp_path, model, rate, value):
+        kind = model.__name__.lower()
+        argv = ["evolve", "--state", "werner", "--param", "0.8", "--steps", "9"]
+        cfg = tmp_path / "noise.json"
+        cfg.write_text(json.dumps({"noise": kind, rate: value}))
+        by_config = run_cli(capsys, *argv, "--config", str(cfg))
+        assert by_config == run_cli(capsys, *argv, "--noise", kind, flag(rate), str(value))
+        assert by_config[0] == 0
+        _, rows = parse_csv(by_config[1])
+        assert [float(r["lambda"]) for r in rows] == lambda_of_t(model(value), np.linspace(0.0, 3.0, 9)).tolist()
+
+    def test_surface_rejects_a_state_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"state": "file"}))
+        for given in (["--state", "file"], ["--config", str(cfg)]):
+            assert run_cli(capsys, "surface", *given) == (1, "", "error: surface needs --state werner|mnms|mems\n")
+
+    @pytest.mark.parametrize("target, reason", [("", errno.EISDIR), ("missing/out.csv", errno.ENOENT)],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_out_exits_one(self, capsys, tmp_path, target, reason):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "crossover", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+
+    def test_linalg_failure_exits_two(self, capsys, monkeypatch):
+        def surface(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(dynamics, "surface", surface)
+        code, out, err = run_cli(capsys, "surface", "--state", "werner")
+        assert (code, out, err) == (2, "", "numeric failure: Eigenvalues did not converge\n")
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": "werner", "param": 0.5, "format": "json"}))
@@ -408,8 +530,18 @@ class TestInputBoundary:
             (["events", *WERNER], {"a_over_gamma": "4"}),
             (["measures"], {"state": "werner", "param": None}),
             (["surface", "--state", "mnms"], {"param_grid": 5}),
+            (["measures", *WERNER], {"format": "xml"}),
+            (["evolve", *WERNER], {"noise": "RTN"}),
+            (["events", *WERNER], {"noise": "pink"}),
+            (["surface", "--state", "mnms"], {"measure_a": "Laqc"}),
+            (["measures"], {"state": "bogus"}),
+            (["evolve", *WERNER], {"tmax": 10**400}),
         ],
-        ids=["threshold-null", "tmax-list", "grid-float", "steps-bool", "rate-string", "param-null", "grid-number"],
+        ids=[
+            "threshold-null", "tmax-list", "grid-float", "steps-bool", "rate-string", "param-null", "grid-number",
+            "format-unknown", "noise-upper-case", "noise-unknown", "measure-upper-case", "state-unknown",
+            "tmax-past-float-range",
+        ],
     )
     def test_wrong_config_type_exits_one(self, capsys, tmp_path, argv, doc):
         path = tmp_path / "run.json"
@@ -418,6 +550,7 @@ class TestInputBoundary:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc",

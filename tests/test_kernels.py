@@ -7,7 +7,7 @@ from conftest import random_density_matrix
 from rqcx import kernels
 from rqcx.oracle import (
     LocalMeasurement,
-    _angles_to_dirs,
+    _direction,
     _fano_parts,
     classical_mutual_info,
     post_measurement_probs,
@@ -30,7 +30,7 @@ def test_kernels_match_brute_force_on_random_states(rng):
         rho = random_density_matrix(rng)
         ra, rb, tt = _fano_parts(rho)
         angles = _random_angles(rng, 24)
-        na, nb = _angles_to_dirs(angles)
+        na, nb = _direction(angles[:, 0], angles[:, 1]), _direction(angles[:, 2], angles[:, 3])
         x, y = na @ ra, nb @ rb
         expected = _brute_force(rho, angles)
         flat = kernels.cmi_flat(x, y, np.einsum("ij,jk,ik->i", na, tt, nb))

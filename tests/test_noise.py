@@ -11,7 +11,6 @@ from rqcx.noise import (
     kraus_pair,
     lambda_of_t,
     lambda_zeros,
-    noise_from_config,
 )
 from rqcx.states import (
     bloch_from_matrix,
@@ -41,13 +40,6 @@ class TestModels:
     def test_nonfinite_rates_rejected(self, model, rate):
         with pytest.raises(ValueError, match="finite"):
             model(rate)
-
-    def test_config_round_trip(self):
-        assert noise_from_config({"kind": "rtn", "a_over_gamma": 4.0}) == RTN4
-        assert noise_from_config({"kind": "moun", "Gamma_over_gamma": 2.0}) == Moun(2.0)
-        assert noise_from_config({"kind": "markov", "lambda_over_gamma": 0.5}) == Markov(0.5)
-        with pytest.raises(ValueError):
-            noise_from_config({"kind": "pink"})
 
 
 class TestEnvelope:

@@ -12,6 +12,7 @@ from rqcx.states import (
     fano_coefficients,
     is_classical,
     matrix_to_xstate,
+    require_density_matrix,
     validate_density_matrix,
     validate_xstate,
     xstate_to_bloch,
@@ -131,6 +132,18 @@ class TestMatrixForm:
     def test_non_x_matrix_rejected(self, rng):
         with pytest.raises(InvalidStateError):
             matrix_to_xstate(random_density_matrix(rng))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (0, 1)], ids=["diagonal", "x-coherence", "off-x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, entry, value):
+        rho = xstate_to_matrix(MIXED)
+        rho[entry] = value
+        report = validate_density_matrix(rho)
+        assert report.violations == (("finite_values", np.inf),)
+        for check in (require_density_matrix, matrix_to_xstate):
+            with pytest.raises(InvalidStateError) as err:
+                check(rho)
+            assert err.value.report == report
 
 
 class TestFano:
