@@ -104,7 +104,7 @@ def build_parser() -> _Parser:
 def _merged(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     opts = {key: opt.default for key, opt in _OPTIONS.items()}
-    if getattr(args, "config", None):
+    if args.config:
         cfg = stateio.load_options_file(args.config)
         unknown = set(cfg) - set(_OPTIONS)
         if unknown:
