@@ -1,11 +1,13 @@
 """Time-evolution sweeps, sudden-death/revival detection, difference surfaces.
 
+Every measure along an envelope comes from one engine, `measures._StateMeasures`,
+which gives measure_set's values at Lambda = 1 and clamps each measure at 0.
 The dephasing channel scales only the coherence coefficients (by Lambda^2),
-so along a trajectory the diagonal-sector branch g3 is a constant while
-g1, g2 and the concurrence follow the envelope.  Sudden deaths of the
-quantum measures under RTN land exactly on the envelope zeros and revival
-peaks on its extrema k pi/omega; concurrence dies where Lambda^2 falls through
-a level set by the state, which generally happens at nonzero envelope values.
+so g3 is constant along a trajectory while g1, g2 and the concurrence follow
+the envelope.  Sudden deaths of the quantum measures under RTN land exactly
+on the envelope zeros and revival peaks on its extrema k pi/omega;
+concurrence dies where Lambda^2 falls through its death level, generally at
+nonzero envelope values.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import FamilySpec, make_state
-from .measures import _branches, _middle_of_three, _u
+from .measures import _StateMeasures
 from .noise import NoiseModel, Rtn, lambda_of_t, lambda_zeros
 from .search import bisect
-from .states import XStateParams, require_valid_bloch, xstate_to_bloch
+from .states import XStateParams
 
 DEATH_TOL = 1e-9
 
@@ -57,47 +59,6 @@ class SweepSpec:
                 raise ValueError(f"{name} grid needs at least 2 points")
             if not grid[0] < grid[-1]:
                 raise ValueError(f"{name} grid must be increasing")
-
-
-class _StateMeasures:
-    """The measures of one X state, or of a sequence of them, as functions of Lambda.
-
-    The channel scales only t11 and t22, by Lambda^2, so g3 and the
-    concurrence thresholds are computed once per state.  Each state is
-    validated once, as measure_set validates it.  For a sequence of n
-    states the per-state constants are (n, 1) columns, so an envelope of
-    shape (T,) gives (n, T) measures.
-    """
-
-    def __init__(self, states: XStateParams | list[XStateParams]):
-        one = isinstance(states, XStateParams)
-        consts = []
-        for p in [states] if one else states:
-            b = xstate_to_bloch(p)
-            require_valid_bloch(b)
-            root_bc = np.sqrt(max(p.b, 0.0) * max(p.c, 0.0))
-            root_ad = np.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
-            consts.append((b.t11, b.t22, _branches(b)[2], np.abs(p.r), np.abs(p.s), root_bc, root_ad))
-        cols = np.array(consts).T
-        cols = cols[:, 0] if one else cols[:, :, None]
-        self._t11, self._t22, self._g3, self._r, self._s, self._root_bc, self._root_ad = cols
-
-    def _margin(self, f: np.ndarray) -> np.ndarray:
-        """The signed concurrence margin at L^2 = f; the concurrence is its positive part."""
-        return np.maximum(2.0 * (self._r * f - self._root_bc), 2.0 * (self._s * f - self._root_ad))
-
-    def __call__(self, lam: np.ndarray) -> dict[str, np.ndarray]:
-        """All four measures along an envelope array."""
-        f = np.asarray(lam, float) ** 2
-        g1 = 0.5 * _u(f * self._t11)
-        g2 = 0.5 * _u(f * self._t22)
-        margin = self._margin(f)
-        return {
-            "concurrence": np.maximum(margin, 0.0),
-            "laqc": np.maximum(g1, g2),
-            "qs": _middle_of_three(g1, g2, self._g3),
-            "cs": np.maximum(np.maximum(g1, g2), self._g3),
-        }
 
 
 def trajectory(state: XStateParams, noise: NoiseModel, tgrid) -> Trajectory:
@@ -203,17 +164,14 @@ def _envelope_extrema(noise: NoiseModel, t_end: float) -> np.ndarray:
 def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extrema, t_end) -> np.ndarray:
     """Sorted times where L^2 falls through kappa, the concurrence's death level.
 
-    The margin max(2(|r|L^2 - sqrt(bc)), 2(|s|L^2 - sqrt(ad))) is positive
-    exactly when L^2 > kappa = min(sqrt(bc)/|r|, sqrt(ad)/|s|), the minimum
-    taken over the terms whose coherence exceeds its root (in a valid state
-    at most one does); each such quotient is below 1, and with no such term
-    the concurrence is 0 from the start and never dies.  With kappa = 0 the concurrence dies on each envelope zero.
+    The concurrence is positive exactly while L^2 > kappa (see
+    `_StateMeasures.death_level`); with no kappa it is 0 from the start and
+    never dies, and with kappa = 0 it dies on each envelope zero.
     Otherwise L^2 is monotone between its critical points t = 0, the zeros,
     the extrema and t_end, so each piece that falls through kappa holds one
     death, and all of them are bisected together on L^2 - kappa.
     """
-    pairs = ((measures._r, measures._root_bc), (measures._s, measures._root_ad))
-    kappa = min([root / coh for coh, root in pairs if coh > root], default=None)
+    kappa = measures.death_level()
     if kappa is None:
         return np.empty(0)
     if kappa == 0.0:

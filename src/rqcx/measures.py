@@ -7,22 +7,24 @@ x, y, or z axes.  For X states these reduce to
     g1 = u(T11)/2,   g2 = u(T22)/2,
     g3 = sum_v (v/4) log2(v) - [u(T30) + u(T03)]/2   over v in {alpha..delta}
 
-with u(x) = (1+x) log2(1+x) + (1-x) log2(1-x).  The LAQC measure is
+with u(x) = (1+x) log2(1+x) + (1-x) log2(1-x), alpha..delta =
+1 +- T30 +- T03 +- T33, and each branch clamped at 0.  The LAQC measure is
 max(g1, g2): the quantum correlations recoverable in bases mutually
 unbiased to the computational basis, which g3 (a purely classical,
 diagonal-sector quantity) never feeds.  Wu's symmetric classical measure
 takes the best of all three branches and the quantum one the runner-up.
 
-One private kernel, _branches, evaluates g1, g2 and g3 together.
-measure_set, g_branch, laqc, qs and cs validate their input and index
-into it; the sweep engine takes g3 from it as well.
+Every closed form lives here, each evaluated one way.  `_branches` gives
+g1, g2 and g3 of one Bloch vector; measure_set, g_branch, laqc, qs and cs
+validate their input and index into it.  The sweep engine `_StateMeasures`
+takes the same float operations along an envelope, so at Lambda = 1 it
+gives measure_set's values to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,22 +33,11 @@ from .states import (
     SIGMA_Y,
     BlochX,
     XStateParams,
-    bloch_to_xstate,
     require_density_matrix,
     require_valid,
     require_valid_bloch,
     xstate_to_bloch,
 )
-
-_BRANCH_TOL = 1e-10  # slack for log arguments before declaring input unphysical
-
-
-class GBranchValues(NamedTuple):
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    branch: int
 
 
 @dataclass(frozen=True)
@@ -67,51 +58,30 @@ def u_func(x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise ValueError("u(x) requires |x| <= 1")
-    arr = np.clip(arr, -1.0, 1.0)
-    val = _u(arr)
+    val = _u(np.clip(arr, -1.0, 1.0))
     return float(val) if val.ndim == 0 else val
-
-
-def branch_values(i: int, b: BlochX) -> GBranchValues:
-    """alpha/beta/gamma/delta for branch i; their sum is exactly 4."""
-    if i not in (1, 2, 3):
-        raise ValueError("branch index must be 1, 2, or 3")
-    t_i0, t_0i, t_ii = (b.t30, b.t03, b.t33) if i == 3 else (0.0, 0.0, b.t11 if i == 1 else b.t22)
-    return GBranchValues(
-        1.0 + t_i0 + t_0i + t_ii,
-        1.0 + t_i0 - t_0i - t_ii,
-        1.0 - t_i0 + t_0i - t_ii,
-        1.0 - t_i0 - t_0i + t_ii,
-        i,
-    )
 
 
 def _branches(b: BlochX) -> tuple[float, float, float]:
     """(g1, g2, g3) of a Bloch vector the caller has validated.
 
-    The twelve branch log arguments (alpha..delta of each branch) and the
-    four u-terms of g3, 1 +- t03 and 1 +- t30, form one (4, 4) array that
-    goes through one _xlog2x and one row sum.  Each value equals the
-    branch evaluated on its own, to the bit: a row sum adds in the order of
-    a 4-element sum, u(0) = 0 drops out of g1 and g2, and the u-terms are
-    added in pairs, u(t03) + u(t30), as u itself adds them.
+    One _xlog2x call takes twelve log arguments: 1 +- t11, 1 +- t22,
+    alpha..delta, and 1 +- t03, 1 +- t30, clipped as u_func clips.  g1 and
+    g2 take the float operations of 0.5 * _u, as the sweep engine does.
+    require_valid_bloch keeps every log argument above -4e-12 (alpha..delta
+    are four times the reconstructed weights); one below 0 counts as 0.
     """
-    x03, x30 = min(max(b.t03, -1.0), 1.0), min(max(b.t30, -1.0), 1.0)
-    vals = [
-        *branch_values(1, b)[:4], *branch_values(2, b)[:4], *branch_values(3, b)[:4],
-        1.0 + x03, 1.0 - x03, 1.0 + x30, 1.0 - x30,
-    ]
-    if min(vals) < -_BRANCH_TOL:  # the u-terms are never negative
-        k = next(k for k in (0, 4, 8) if min(vals[k : k + 4]) < -_BRANCH_TOL)
-        low = min(vals[k : k + 4])
-        raise ValueError(f"branch {k // 4 + 1} has negative log argument {low:.3e}: unphysical input")
-    if max(abs(b.t03), abs(b.t30)) > 1.0 + 1e-12:
-        raise ValueError("u(x) requires |x| <= 1")
-    terms = _xlog2x(np.array(vals).reshape(4, 4))  # a log argument below 0 counts as 0
-    s1, s2, s3, _ = terms.sum(axis=1).tolist()
-    p03, m03, p30, m30 = terms[3].tolist()
-    g3 = 0.25 * s3 - 0.5 * ((p03 + m03) + (p30 + m30))
-    return max(0.25 * s1, 0.0), max(0.25 * s2, 0.0), max(g3, 0.0)
+    t30, t03, t33 = b.t30, b.t03, b.t33
+    x03, x30 = min(max(t03, -1.0), 1.0), min(max(t30, -1.0), 1.0)
+    p11, m11, p22, m22, alpha, beta, gamma, delta, p03, m03, p30, m30 = _xlog2x(
+        np.array([
+            1.0 + b.t11, 1.0 - b.t11, 1.0 + b.t22, 1.0 - b.t22,
+            1.0 + t30 + t03 + t33, 1.0 + t30 - t03 - t33, 1.0 - t30 + t03 - t33, 1.0 - t30 - t03 + t33,
+            1.0 + x03, 1.0 - x03, 1.0 + x30, 1.0 - x30,
+        ])
+    ).tolist()
+    g3 = 0.25 * (alpha + beta + gamma + delta) - 0.5 * ((p03 + m03) + (p30 + m30))
+    return max(0.5 * (p11 + m11), 0.0), max(0.5 * (p22 + m22), 0.0), max(g3, 0.0)
 
 
 def g_branch(i: int, b: BlochX) -> float:
@@ -150,10 +120,15 @@ def concurrence_x(p: XStateParams) -> float:
     return _concurrence(p)
 
 
+def _coherences(p: XStateParams) -> tuple[float, float, float, float]:
+    """(|r|, sqrt(bc), |s|, sqrt(ad)): the concurrence margin at L^2 = f is
+    max(2(|r| f - sqrt(bc)), 2(|s| f - sqrt(ad)))."""
+    return abs(p.r), math.sqrt(max(p.b, 0.0) * max(p.c, 0.0)), abs(p.s), math.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
+
+
 def _concurrence(p: XStateParams) -> float:
-    c1 = 2.0 * (abs(p.r) - math.sqrt(max(p.b, 0.0) * max(p.c, 0.0)))
-    c2 = 2.0 * (abs(p.s) - math.sqrt(max(p.a, 0.0) * max(p.d, 0.0)))
-    return float(max(0.0, c1, c2))
+    r, root_bc, s, root_ad = _coherences(p)
+    return float(max(0.0, 2.0 * (r - root_bc), 2.0 * (s - root_ad)))
 
 
 def concurrence_general(rho: np.ndarray) -> float:
@@ -184,7 +159,7 @@ def measure_set(p: XStateParams) -> MeasureSet:
     return MeasureSet(concurrence=_concurrence(p), laqc=max(g1, g2), qs=g[1], cs=g[2])
 
 
-# Array-valued internals used by the sweep engine; no per-call validation.
+# The sweep engine: array-valued, each state validated once.
 
 def _before(x, y):
     """x strictly before y in np.sort's order, which puts NaN last."""
@@ -202,3 +177,55 @@ def _middle_of_three(g1, g2, g3):
     swap = _before(g2, g1)
     lo, hi = np.where(swap, g2, g1), np.where(swap, g1, g2)
     return np.where(_before(g3, lo), lo, np.where(_before(g3, hi), g3, hi))
+
+
+class _StateMeasures:
+    """The measures of one X state, or of a sequence of them, as functions of Lambda.
+
+    The channel scales only t11 and t22, by Lambda^2, so g3 and the
+    concurrence's coherences and roots are computed, and each state
+    validated, once.  g1, g2 and the margin take the float operations of
+    `_branches` and `_concurrence`: at Lambda = 1 every measure equals
+    measure_set's to the bit.  For a sequence of n states the per-state
+    constants are (n, 1) columns, so an envelope of shape (T,) gives (n, T)
+    measures.
+    """
+
+    def __init__(self, states: XStateParams | list[XStateParams]):
+        one = isinstance(states, XStateParams)
+        consts = []
+        for p in [states] if one else states:
+            b = xstate_to_bloch(p)
+            require_valid_bloch(b)
+            consts.append((b.t11, b.t22, _branches(b)[2], *_coherences(p)))
+        cols = np.array(consts).T
+        cols = cols[:, 0] if one else cols[:, :, None]
+        self._t11, self._t22, self._g3, self._r, self._root_bc, self._s, self._root_ad = cols
+
+    def _margin(self, f: np.ndarray) -> np.ndarray:
+        """The signed concurrence margin at L^2 = f; the concurrence is its positive part."""
+        return np.maximum(2.0 * (self._r * f - self._root_bc), 2.0 * (self._s * f - self._root_ad))
+
+    def death_level(self) -> float | None:
+        """kappa: the concurrence of one state is positive exactly when L^2 > kappa.
+
+        The margin is positive exactly when L^2 > min(sqrt(bc)/|r|,
+        sqrt(ad)/|s|), the minimum taken over the terms whose coherence
+        exceeds its root (in a valid state at most one does); each such
+        quotient is below 1.  None when no term does: the concurrence is then
+        0 for every Lambda.
+        """
+        pairs = ((self._r, self._root_bc), (self._s, self._root_ad))
+        return min([float(root / coh) for coh, root in pairs if coh > root], default=None)
+
+    def __call__(self, lam: np.ndarray) -> dict[str, np.ndarray]:
+        """All four measures along an envelope array."""
+        f = np.asarray(lam, float) ** 2
+        g1 = np.maximum(0.5 * _u(f * self._t11), 0.0)
+        g2 = np.maximum(0.5 * _u(f * self._t22), 0.0)
+        return {
+            "concurrence": np.maximum(self._margin(f), 0.0),
+            "laqc": np.maximum(g1, g2),
+            "qs": _middle_of_three(g1, g2, self._g3),
+            "cs": np.maximum(np.maximum(g1, g2), self._g3),
+        }

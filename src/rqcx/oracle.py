@@ -89,10 +89,11 @@ def basis_vectors(theta, phi) -> np.ndarray:
 
 
 def bloch_direction(vec: np.ndarray) -> np.ndarray:
-    """Bloch vector <v|sigma|v> of a single-qubit state vector."""
-    v0, v1 = vec
+    """Bloch vector <v|sigma|v> of a single-qubit state vector; shape (..., 2) gives (..., 3)."""
+    vec = np.asarray(vec)
+    v0, v1 = vec[..., 0], vec[..., 1]
     cross = np.conj(v0) * v1
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(v0) ** 2 - abs(v1) ** 2])
+    return np.stack((2.0 * cross.real, 2.0 * cross.imag, np.abs(v0) ** 2 - np.abs(v1) ** 2), axis=-1)
 
 
 def complementary_basis(basis: np.ndarray, phase: float) -> np.ndarray:
@@ -298,11 +299,7 @@ def _phase_directions(bases: np.ndarray, phases: np.ndarray) -> np.ndarray:
     n phases (n,) shared by every lane."""
     e0 = bases[:, None, :, 0]
     e1 = bases[:, None, :, 1]
-    v = (e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0)
-    cross = np.conj(v[..., 0]) * v[..., 1]
-    return np.stack(
-        (2.0 * cross.real, 2.0 * cross.imag, np.abs(v[..., 0]) ** 2 - np.abs(v[..., 1]) ** 2), axis=-1
-    )
+    return bloch_direction((e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0))
 
 
 _OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T

@@ -162,14 +162,25 @@ def xstate_to_matrix(p: XStateParams) -> np.ndarray:
     return rho
 
 
+def _hermiticity_defect(rho: np.ndarray) -> float:
+    """The largest entry of |rho - rho^dagger|; a density matrix keeps it within STRUCT_TOL."""
+    return float(np.max(np.abs(rho - rho.conj().T)))
+
+
 def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
-    """Extract real-coherence X parameters; rejects matrices off the X shape."""
+    """Extract real-coherence X parameters; rejects non-Hermitian matrices and
+    matrices off the X shape."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
     # a NaN entry would pass every tolerance test below
     if not np.isfinite(rho).all():
         raise InvalidStateError("matrix entries must be finite", _NONFINITE)
+    herm = _hermiticity_defect(rho)
+    if herm > STRUCT_TOL:
+        raise InvalidStateError(
+            f"matrix is not Hermitian (deviation {herm:.3e})", ValidationReport(False, (("hermitian", herm),))
+        )
     off_mask = np.ones((4, 4), dtype=bool)
     off_mask[np.arange(4), np.arange(4)] = False
     off_mask[0, 3] = off_mask[3, 0] = off_mask[1, 2] = off_mask[2, 1] = False
@@ -200,7 +211,7 @@ def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
     if not np.isfinite(rho).all():
         return _NONFINITE
     violations = []
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    herm = _hermiticity_defect(rho)
     if herm > STRUCT_TOL:
         violations.append(("hermitian", herm))
     drift = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))

@@ -144,11 +144,62 @@ class TestStateFiles:
             assert (code, out) == (1, "")
             assert err == "error: matrix entries must be finite\n"
 
+    # rho[3, 0] is not rho[0, 3]* in the first, the diagonal is complex in the second
+    @pytest.mark.parametrize(
+        "entries, validate_csv",
+        [
+            ({(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.5}, "# check,ok,magnitude\nvalid,0,0\nhermitian,0,0.5\n"),
+            (
+                {(0, 0): 0.5 + 0.3j, (3, 3): 0.5 - 0.3j},
+                "# check,ok,magnitude\nvalid,0,0\nhermitian,0,0.59999999999999998\n",
+            ),
+        ],
+        ids=["one-sided-coherence", "complex-diagonal"],
+    )
+    def test_non_hermitian_matrix_document(self, capsys, tmp_path, entries, validate_csv):
+        mat = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+        for (i, j), value in entries.items():
+            mat[i][j] = [value.real, value.imag]
+        state = ["--state", "file", "--state-file", self.make_file(tmp_path, {"matrix": mat})]
+        assert run_cli(capsys, "validate", *state) == (0, validate_csv, "")
+        for argv in (["measures"], ["oracle", "--grid", "8"], ["evolve"]):
+            code, out, err = run_cli(capsys, *argv, *state)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: matrix is not Hermitian") and err.count("\n") == 1
+
     def test_validate_accepts_good_state(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--state", "werner", "--param", "0.5")
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0]["ok"] == "1" and len(rows) == 1
+
+
+_MEASURE_NAMES = ("concurrence", "laqc", "qs", "cs")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "state",
+    [
+        ["--state", "werner", "--param", "0.7"],
+        ["--state", "mems", "--param", "0.8"],
+        ["--state", "mnms", "--param", "0.5"],
+        ["--state", "file", "--state-file", str(pathlib.Path(__file__).parent / "golden" / "random_xstate.json")],
+    ],
+    ids=["werner", "mems", "mnms", "file"],
+)
+def test_measures_equal_the_first_evolve_row(capsys, state, fmt):
+    """The four cells of rqcx measures are the measure cells of the t = 0 row of rqcx evolve."""
+    cells = []
+    for command in ("measures", "evolve"):
+        code, out, _ = run_cli(capsys, command, *state, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            row = {k: json.dumps(v) for k, v in json.loads(out)[0].items()}
+        else:
+            row = parse_csv(out)[1][0]
+        cells.append([row[name] for name in _MEASURE_NAMES])
+    assert cells[0] == cells[1]
 
 
 class TestEvolveAndEvents:

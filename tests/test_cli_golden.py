@@ -16,7 +16,12 @@ CMI kernel came to run in blocks, and ``oracle_werner`` (eight tied stage-1
 leaders) before the leaders came to be refined as one batch.  The
 ``oracle_mems`` files were rewritten when the phase stage came to scan its
 full phase table instead of the diagonal phase pairs; only the last digits
-of the qs row moved.  Each file is named ``<case>.<format>``.
+of the qs row moved.  The ``oracle_werner`` files were rewritten when g1
+and g2 came to be computed as u(T)/2, by the float operations the sweep
+engine uses: the ``closed_form`` column went from 0.39015969528359951 to
+0.39015969528359956 on all three rows, ``abs_error`` followed, and the
+``oracle`` column stayed byte-identical.  Each file is named
+``<case>.<format>``.
 """
 
 from pathlib import Path

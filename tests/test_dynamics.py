@@ -10,17 +10,17 @@ from rqcx.dynamics import (
     SweepSpec,
     _concurrence_deaths,
     _envelope_extrema,
-    _StateMeasures,
     detect_events,
     surface,
     trajectory,
 )
 from rqcx.families import FamilySpec, make_state
-from rqcx.measures import measure_set
+from rqcx.measures import _StateMeasures, measure_set
 from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.states import XStateParams
 
 RTN4 = Rtn(4.0)
+_MEASURES = ("concurrence", "laqc", "qs", "cs")
 
 
 def _grid(tmax=3.0, steps=600):
@@ -157,6 +157,33 @@ _NOISES = st.one_of(
     st.floats(0.2, 5.0).map(Moun),
     st.floats(0.2, 5.0).map(Markov),
 )
+
+
+class TestNeverNegative:
+    """Every swept measure is clamped at 0, as measure_set clamps it."""
+
+    def test_werner_samples_around_the_first_rtn_zero(self):
+        # g1 and g2 of u(L^2 T)/2 round below 0 on about a quarter of these
+        z = lambda_zeros(RTN4, 1.0)[0]
+        traj = trajectory(make_state(FamilySpec("werner", 0.8)), RTN4, np.linspace(z - 1e-7, z + 1e-7, 200001))
+        for name in _MEASURES:
+            assert np.all(getattr(traj, name) >= 0.0), name
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank_deficient=st.booleans(),
+        noise=st.floats(0.55, 12.0).map(Rtn),
+        half_width=st.floats(1e-12, 1e-3),
+        steps=st.integers(3, 401),
+    )
+    def test_grids_straddling_each_zero(self, seed, rank_deficient, noise, half_width, steps):
+        state = random_xstate(np.random.default_rng(seed), rank_deficient)
+        zeros = lambda_zeros(noise, 6.0)
+        t = np.concatenate([np.linspace(z - half_width, z + half_width, steps) for z in zeros])
+        traj = trajectory(state, noise, t)
+        for name in _MEASURES:
+            assert np.all(getattr(traj, name) >= 0.0), name
 
 
 class TestClosedFormEvents:
@@ -377,7 +404,6 @@ class TestLaneSearches:
         assert search.bisect(np.sin, [], [], 1e-9).size == 0
 
 
-_MEASURES = ("concurrence", "laqc", "qs", "cs")
 _PARAMS = st.lists(
     st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 2.0 / 3.0, 1.0])), min_size=2, max_size=12, unique=True
 ).map(sorted)

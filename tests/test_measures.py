@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -7,13 +6,12 @@ from conftest import random_xstate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcx.dynamics import _StateMeasures
+from rqcx.dynamics import trajectory
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import (
     MeasureSet,
-    _branches,
     _middle_of_three,
-    branch_values,
+    _StateMeasures,
     concurrence_general,
     concurrence_x,
     cs,
@@ -23,6 +21,7 @@ from rqcx.measures import (
     qs,
     u_func,
 )
+from rqcx.noise import Markov, Moun, Rtn
 from rqcx.states import (
     BlochX,
     InvalidStateError,
@@ -62,13 +61,6 @@ class TestU:
 
 
 class TestBranches:
-    def test_branch_sum_is_four(self, rng):
-        for _ in range(300):
-            b = xstate_to_bloch(random_xstate(rng))
-            for i in (1, 2, 3):
-                v = branch_values(i, b)
-                assert v.alpha + v.beta + v.gamma + v.delta == pytest.approx(4.0, abs=1e-14)
-
     def test_werner_branches_all_equal(self):
         for z in (0.2, 0.5, 0.9):
             b = werner_bloch(z)
@@ -217,9 +209,10 @@ def test_measures_are_lipschitz_away_from_endpoints(rng):
             assert abs(f(shifted) - f(b)) <= 10.0 * 2 * eps
 
 
-# ---- the per-branch scalar path that the one-pass kernel replaced, kept as
-# reference code: each branch evaluated and validated on its own, numpy
-# validation of the state and of its Bloch vector.
+# ---- reference code: each branch evaluated and validated on its own, with
+# numpy validation of the state and of its Bloch vector.  g1 and g2 are
+# u(T11)/2 and u(T22)/2 as the paper writes them, clamped at 0; g3 is the
+# alpha..delta sum of the per-branch path the one-pass kernel replaced.
 
 _REF_TOL = 1e-12
 
@@ -296,8 +289,9 @@ def _ref_u_func(x):
 
 def _ref_g_branch(i, b):
     _ref_require_valid_bloch(b)
-    t_i0, t_0i = (b.t30, b.t03) if i == 3 else (0.0, 0.0)
-    t_ii = {1: b.t11, 2: b.t22, 3: b.t33}[i]
+    if i in (1, 2):
+        return max(0.5 * float(_ref_u(b.t11 if i == 1 else b.t22)), 0.0)
+    t_i0, t_0i, t_ii = b.t30, b.t03, b.t33
     arr = np.array(
         [
             1.0 + t_i0 + t_0i + t_ii,
@@ -396,8 +390,19 @@ def _outcome(fn, *args):
     return ("ok", _bits(np.atleast_1d(value)))
 
 
+_EXTREME_STATES = [
+    XStateParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
+    XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0),
+    XStateParams(0.5, 0.0, 0.0, 0.5, -0.5, 0.0),
+    XStateParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.5),
+    XStateParams(0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
+    XStateParams(1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 0.0),
+]
+
+
 class TestOnePassKernel:
-    """The one-pass kernel against the per-branch path it replaced."""
+    """The one-pass kernel against the reference branches."""
 
     @settings(max_examples=400)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS))
@@ -413,18 +418,7 @@ class TestOnePassKernel:
         g3 = _StateMeasures(p)._g3
         assert _bits([g3]) == _bits([_ref_g3_scalar(b.t30, b.t03, b.t33)])
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            XStateParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
-            XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0),
-            XStateParams(0.5, 0.0, 0.0, 0.5, -0.5, 0.0),
-            XStateParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.5),
-            XStateParams(0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
-            XStateParams(1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 0.0),
-        ],
-    )
+    @pytest.mark.parametrize("p", _EXTREME_STATES)
     def test_bit_identical_on_pure_and_extreme_states(self, p):
         assert _outcome(measure_set, p) == _outcome(_ref_measure_set, p)
         b = xstate_to_bloch(p)
@@ -432,19 +426,42 @@ class TestOnePassKernel:
             assert _outcome(new, b) == _outcome(ref, b)
         assert _bits([_StateMeasures(p)._g3]) == _bits([_ref_g3_scalar(b.t30, b.t03, b.t33)])
 
-    @pytest.mark.parametrize(
-        "b, message",
-        [
-            (BlochX(0.0, 0.0, 1.5, 0.0, 0.0), "branch 1 has negative log argument -5.000e-01"),
-            (BlochX(0.0, 0.0, 0.0, -1.2, 1.3), "branch 2 has negative log argument -2.000e-01"),
-            (BlochX(0.6, 0.6, 0.0, 0.0, 0.0), "branch 3 has negative log argument -2.000e-01"),
-            (BlochX(1.0 + 5e-12, 0.0, 0.0, 0.0, 0.0), "u(x) requires |x| <= 1"),
-        ],
-    )
-    def test_kernel_keeps_branch_and_domain_checks(self, b, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            _branches(b)
 
+
+_ANY_STATE = st.one_of(
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(_KINDS)).map(
+        lambda sk: _state(sk[1], np.random.default_rng(sk[0]))
+    ),
+    st.tuples(st.sampled_from(["werner", "mnms", "mems"]), st.floats(0.0, 1.0)).map(
+        lambda fp: make_state(FamilySpec(*fp))
+    ),
+    st.sampled_from(_EXTREME_STATES),
+)
+
+
+class TestOneEngine:
+    """measure_set and the sweep engine give the same bits at Lambda = 1."""
+
+    @settings(max_examples=400)
+    @given(
+        p=_ANY_STATE,
+        rates=st.tuples(st.floats(0.55, 12.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        tmax=st.floats(0.1, 6.0),
+        steps=st.integers(2, 50),
+    )
+    def test_measure_set_is_the_sweep_at_lambda_one(self, p, rates, tmax, steps):
+        names = ("concurrence", "laqc", "qs", "cs")
+        ms = measure_set(p)
+        want = np.array([getattr(ms, name) for name in names])
+        at_one = _StateMeasures(p)(np.array([1.0]))
+        rows = [np.array([at_one[name][0] for name in names])]
+        for noise in (Rtn(rates[0]), Moun(rates[1]), Markov(rates[2])):
+            traj = trajectory(p, noise, np.linspace(0.0, tmax, steps))
+            assert traj.lam[0] == 1.0
+            rows.append(np.array([getattr(traj, name)[0] for name in names]))
+        for got in rows:
+            # the int64 view compares value and sign of zero
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 _TOL = 1e-12
 _BELOW, _ABOVE = 0.9 * _TOL, 1.1 * _TOL

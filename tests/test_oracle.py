@@ -299,6 +299,15 @@ def test_cmi_unchanged_by_flipping_a_direction(weights, coherences, angles):
         assert classical_mutual_info(post_measurement_probs(rho, m)) == pytest.approx(value, abs=1e-12)
 
 
+def test_bloch_direction_of_a_stack(rng):
+    # each vector of a (..., 2) stack gets the Bloch vector it gets alone, to the bit
+    vecs = rng.normal(size=(4, 5, 2)) + 1.0j * rng.normal(size=(4, 5, 2))
+    got = bloch_direction(vecs)
+    assert got.shape == (4, 5, 3)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(got[idx].view(np.int64), bloch_direction(vecs[idx]).view(np.int64))
+
+
 def _projector_cmi(rho, base, phase_a, phase_b):
     """CMI at a complementary setting, from explicit projectors: no kernel, no Fano parts."""
     angles = []

@@ -133,6 +133,23 @@ class TestMatrixForm:
         with pytest.raises(InvalidStateError):
             matrix_to_xstate(random_density_matrix(rng))
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((3, 0), 0.0), ((3, 0), 0.25 + 1.1e-12), ((0, 0), 0.25 + 0.3j), ((1, 2), 0.1j)],
+        ids=["one-sided-r", "r-past-tol", "complex-diagonal", "imaginary-s"],
+    )
+    def test_non_hermitian_matrix_rejected(self, entry, value):
+        # matrix_to_xstate applies validate_density_matrix's Hermiticity test
+        rho = xstate_to_matrix(XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.0))
+        near = rho.copy()
+        rho[entry] = value
+        with pytest.raises(InvalidStateError, match="not Hermitian") as err:
+            matrix_to_xstate(rho)
+        assert err.value.report.violations == validate_density_matrix(rho).violations[:1]
+        # inside the tolerance the matrix is still accepted
+        near[entry] += 0.4e-12j
+        matrix_to_xstate(near)
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (0, 1)], ids=["diagonal", "x-coherence", "off-x"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_rejected(self, entry, value):
