@@ -181,41 +181,46 @@ def _window(opts: dict) -> tuple[float, int]:
     return tmax, steps
 
 
-def _cells(column, as_json: bool) -> tuple[str, list]:
-    """One column as its row-template field and its cells, in row order.
+def _float_cells(floats: np.ndarray, as_json: bool) -> tuple[str, list]:
+    """A float array's row-template field and cells; field % cell is a cell's text.
 
-    JSON floats are what json.dumps writes: float.__repr__, or NaN, Infinity
-    and -Infinity.  CSV floats are "%.17g".  Other cells go through str (CSV)
-    or json.dumps (JSON) and fill a "%s" field.
-
-    A float column with at most half as many distinct values as rows (the
-    param and t columns of a surface) formats each distinct value once and
-    gathers the text.  Distinct values are told apart on the int64 bit view,
-    because on the floats -0.0 and 0.0 would merge, which print differently.
-    Any other float column passes its floats to the row template itself:
-    "%.17g" in CSV, and "%s", which prints float.__repr__, in JSON, with only
-    the non-finite JSON cells as text.  Deduplicating such a column would
-    cost more than it saves.
+    "%.17g" in CSV.  "%s" in JSON, which prints float.__repr__, with the
+    non-finite cells already NaN, Infinity or -Infinity, as json.dumps writes.
     """
+    cells = floats.tolist()
+    if as_json:
+        for i in np.flatnonzero(~np.isfinite(floats)):
+            cells[i] = json.dumps(cells[i])
+    return "%s" if as_json else "%.17g", cells
+
+
+def _cells(column, as_json: bool) -> tuple[str, list]:
+    """One column as its row-template field and cells, in row order: floats as
+    _float_cells gives them, others as str (CSV) or json.dumps (JSON) in "%s"."""
     if isinstance(column, list) and not all(isinstance(v, float) for v in column):
         return "%s", list(map(json.dumps if as_json else str, column))
-    floats = np.ascontiguousarray(column, dtype=np.float64).ravel()
-    bits = floats.view(np.int64)
-    ordered = np.sort(bits)
-    distinct = np.count_nonzero(ordered[1:] != ordered[:-1]) + 1
-    if 2 * distinct > bits.size:
-        cells = floats.tolist()
-        if as_json:
-            for i in np.flatnonzero(~np.isfinite(floats)):
-                cells[i] = json.dumps(cells[i])
-        return "%s" if as_json else "%.17g", cells
-    uniq, inverse = np.unique(bits, return_inverse=True)
-    values = uniq.view(np.float64)
-    text = list(map(float.__repr__ if as_json else "{:.17g}".format, values.tolist()))
+    return _float_cells(np.ascontiguousarray(column, dtype=np.float64).ravel(), as_json)
+
+
+def _layout(names, fields: Sequence[str], as_json: bool) -> tuple[str, str, str, str]:
+    """(top, row template, row separator, bottom) of an output with at least one row."""
     if as_json:
-        for i in np.flatnonzero(~np.isfinite(values)):
-            text[i] = json.dumps(float(values[i]))
-    return "%s", np.array(text, dtype=object)[inverse].tolist()
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        row = "  {\n" + ",\n".join(f"    {key}: {field}" for key, field in zip(keys, fields)) + "\n  }"
+        return "[\n", row, ",\n", "\n]\n"
+    return "# " + ",".join(names) + "\n", ",".join(fields), "\n", "\n"
+
+
+def _write(pieces: Sequence[str], opts: dict) -> None:
+    """Write output text, already built in full, to --out or stdout."""
+    if opts["out"]:
+        try:
+            with open(opts["out"], "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise InvalidStateError(f"cannot write {opts['out']}: {exc.strerror}") from exc
+    else:
+        sys.stdout.writelines(pieces)
 
 
 def _emit(columns: dict, opts: dict) -> None:
@@ -232,28 +237,39 @@ def _emit(columns: dict, opts: dict) -> None:
     flat = [None] * (n * k)
     for j, col in enumerate(cells):
         flat[j::k] = col
-    if as_json:
-        keys = (json.dumps(name).replace("%", "%%") for name in columns)
-        template = "  {\n" + ",\n".join(f"    {key}: {field}" for key, field in zip(keys, fields)) + "\n  }"
-        text = "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n]\n" if n else "[]\n"
-    else:
-        rows = "\n".join([",".join(fields)] * n) % tuple(flat)
-        text = "# " + ",".join(columns) + "\n" + (rows + "\n" if n else "")
-    if opts["out"]:
-        try:
-            with open(opts["out"], "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidStateError(f"cannot write {opts['out']}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+    top, row, sep, bottom = _layout(columns, fields, as_json)
+    _write([top, sep.join([row] * n) % tuple(flat), bottom] if n else ["[]\n" if as_json else top], opts)
+
+
+def _emit_surface(params: np.ndarray, tgrid: np.ndarray, values: np.ndarray, opts: dict) -> None:
+    """Write a (P, T) value table, P and T >= 1, as _emit writes its expanded
+    param, t and value columns.  Each param and t is formatted once, and each
+    param's T rows are one %-format of its values into a template that holds
+    the param and t texts.  Every block is built before a byte is written."""
+    as_json = opts["format"] == "json"
+    field = _float_cells(values[:0], as_json)[0]
+    ptext, ttext = ([field % c for c in _float_cells(axis, as_json)[1]] for axis in (params, tgrid))
+    top, row, sep, bottom = _layout(("param", "t", "value"), ("\0", "\0", field), as_json)
+    lead, mid, end = row.split("\0")  # the row template around its param and t texts
+    rows = [mid + t + end for t in ttext]
+    pieces = []
+    for p, row_values in zip(ptext, values):
+        head = lead + p
+        pieces += sep, (head + (sep + head).join(rows)) % tuple(_float_cells(row_values, as_json)[1])
+    pieces[0] = top  # in place of the separator before the first block
+    _write(pieces + [bottom], opts)
 
 
 def _cmd_validate(opts: dict) -> int:
     params, matrix = _resolve_state(opts)
     if params is None:
         report = validate_density_matrix(matrix)
-    else:
+        if report.valid:  # an X-shaped, real-coherence matrix is checked as its parameters too
+            try:
+                params = matrix_to_xstate(matrix)
+            except InvalidStateError as exc:  # past a bound (with its report), or off the X class
+                report = exc.report or report
+    if params is not None:
         report = validate_xstate(params)
         if report.valid:  # a Bloch coefficient may still lie just past 1, as measure_set finds
             report = validate_bloch(xstate_to_bloch(params))
@@ -302,13 +318,7 @@ def _cmd_surface(opts: dict) -> int:
         noise=_noise_of(opts),
         time_grid=_parse_grid(opts["time_grid"]),
     )
-    params, tgrid, values = dynamics.surface(spec, opts["measure_a"], opts["measure_b"])
-    columns = {
-        "param": np.repeat(params, tgrid.size),
-        "t": np.tile(tgrid, params.size),
-        "value": values.ravel(),
-    }
-    _emit(columns, opts)
+    _emit_surface(*dynamics.surface(spec, opts["measure_a"], opts["measure_b"]), opts)
     return 0
 
 

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rqcx import cli, dynamics, states
@@ -166,6 +166,29 @@ class TestStateFiles:
             code, out, err = run_cli(capsys, *argv, *state)
             assert (code, out) == (1, "")
             assert err.startswith("error: matrix is not Hermitian") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "diagonal, coherence, check",
+        [
+            ((0.4, 0.1, 0.1, 0.4), 0.4 + 5e-11, "r_coherence_bound"),
+            ((0.5, 0.5000000000026, -0.9e-12, -0.9e-12), 0.0, "coefficient_range"),
+        ],
+        ids=["coherence-bound", "coefficient-range"],
+    )
+    def test_matrix_at_a_tolerance_edge_gets_one_verdict(self, capsys, tmp_path, diagonal, coherence, check):
+        rho = np.diag(np.array(diagonal, dtype=complex))
+        rho[0, 3] = rho[3, 0] = coherence
+        # inside the eigenvalue tolerance, outside the 1e-12 parameter bounds
+        assert states.validate_density_matrix(rho).valid
+        mat = [[[z.real, z.imag] for z in row] for row in rho.tolist()]
+        state = ["--state", "file", "--state-file", self.make_file(tmp_path, {"matrix": mat})]
+        code, out, _ = run_cli(capsys, "validate", *state)
+        _, rows = parse_csv(out)
+        assert code == 0 and (rows[0]["check"], rows[0]["ok"]) == ("valid", "0")
+        assert (check, "0") in [(r["check"], r["ok"]) for r in rows]
+        code, out, err = run_cli(capsys, "measures", *state)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unphysical") and check in err
 
     def test_validate_accepts_good_state(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--state", "werner", "--param", "0.5")
@@ -447,9 +470,11 @@ class TestConfigAndErrors:
                              ids=["directory", "missing-parent"])
     def test_unwritable_out_exits_one(self, capsys, tmp_path, target, reason):
         path = tmp_path / target
-        code, out, err = run_cli(capsys, "crossover", "--out", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+        surface = ["surface", "--state", "mems", "--param-grid", "0:1:3", "--time-grid", "0:1:4"]
+        for argv in (["crossover"], [*surface, "--format", "csv"], [*surface, "--format", "json"]):
+            code, out, err = run_cli(capsys, *argv, "--out", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
 
     def test_linalg_failure_exits_two(self, capsys, monkeypatch):
         def surface(*args):
@@ -508,6 +533,23 @@ class TestConfigAndErrors:
         assert code == 1
         assert out == ""
         assert err == "error: this surface run does not fit in memory\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_of_memory_while_formatting_writes_no_file(self, capsys, tmp_path, monkeypatch, fmt):
+        float_cells, calls = cli._float_cells, []
+
+        def failing(*args):
+            # the field, both axes and a few blocks succeed first
+            calls.append(1)
+            if len(calls) > 6:
+                raise MemoryError
+            return float_cells(*args)
+
+        monkeypatch.setattr(cli, "_float_cells", failing)
+        path = tmp_path / "surface.out"
+        code, out, err = run_cli(capsys, "surface", "--state", "werner", "--format", fmt, "--out", str(path))
+        assert (code, out, err) == (1, "", "error: this surface run does not fit in memory\n")
+        assert len(calls) == 7 and not path.exists()
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
@@ -746,13 +788,11 @@ class TestEmitter:
         assert emitted(columns, fmt) == expected == reference_bytes(columns, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("distinct, templated", [(6, False), (7, True)], ids=["half", "half-plus-one"])
-    def test_distinct_value_boundary(self, fmt, distinct, templated):
-        # 12 rows: at most 6 distinct values are formatted once each, 7 go
-        # into the row template as floats; 0.0 and -0.0 count as two values
+    @pytest.mark.parametrize("distinct", [6, 7], ids=["half", "half-plus-one"])
+    def test_distinct_value_boundary(self, fmt, distinct):
+        # 12 rows with 6 or 7 distinct values; 0.0 and -0.0 print differently
         pool = [0.0, -0.0, -math.inf, 5e-324, 0.1, 1e22, math.nan][:distinct]
         col = np.array([pool[i % distinct] for i in range(12)])
-        assert type(cli._cells(col, fmt == "json")[1][0]) is (float if templated else str)
         columns = {"x": col, "y": col[::-1].tolist(), "i": list(range(12))}
         assert emitted(columns, fmt) == reference_bytes(columns, fmt)
 
@@ -770,3 +810,30 @@ class TestEmitter:
         params, ts, values = dynamics.surface(spec, "concurrence", "qs")
         columns = {"param": np.repeat(params, ts.size), "t": np.tile(ts, params.size), "value": values.ravel()}
         assert out == reference_bytes(columns, fmt)
+
+
+@st.composite
+def surface_tables(draw):
+    """(params, ts, values) with 1 to 6 params and times, each from FLOATS."""
+    p, t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    params, ts, values = (np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) for n in (p, t, p * t))
+    return params, ts, values.reshape(p, t)
+
+
+class TestSurfaceEmitter:
+    @settings(max_examples=300)
+    @given(surface_tables())
+    # a single param row, and a single time column
+    @example((np.array([-0.0]), np.array([0.0, math.inf, 5e-324]), np.array([[math.nan, -0.0, -2.2e-308]])))
+    @example((np.array([math.nan, 1e22]), np.array([-math.inf]), np.array([[0.1], [math.inf]])))
+    def test_blocks_match_expanded_columns(self, table):
+        params, ts, values = table
+        columns = {"param": np.repeat(params, ts.size), "t": np.tile(ts, params.size), "value": values.ravel()}
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli._emit_surface(params, ts, values, {"format": fmt, "out": None})
+            text = buf.getvalue()
+            assert text == reference_bytes(columns, fmt)
+            if fmt == "json" and np.isnan(values).any():
+                assert '"value": NaN\n' in text
