@@ -2,17 +2,7 @@
 
 from .dynamics import EventRecord, SweepSpec, Trajectory, detect_events, surface, trajectory
 from .families import FamilySpec, crossover_z, family_concurrence_closed, family_laqc_closed, make_state, werner_concurrence_rtn
-from .measures import (
-    MeasureSet,
-    concurrence_general,
-    concurrence_x,
-    cs,
-    g_branch,
-    laqc,
-    measure_set,
-    qs,
-    u_func,
-)
+from .measures import MeasureSet, concurrence_general, measure_set, u_func
 from .noise import (
     KrausPair,
     Markov,
@@ -43,7 +33,6 @@ from .states import (
     XStateParams,
     bloch_to_xstate,
     fano_coefficients,
-    is_classical,
     validate_xstate,
     xstate_to_bloch,
     xstate_to_matrix,

@@ -267,8 +267,8 @@ def _cmd_validate(opts: dict) -> int:
         if report.valid:  # an X-shaped, real-coherence matrix is checked as its parameters too
             try:
                 params = matrix_to_xstate(matrix)
-            except InvalidStateError as exc:  # past a bound (with its report), or off the X class
-                report = exc.report or report
+            except InvalidStateError as exc:  # past a bound, off the X shape or complex
+                report = exc.report
     if params is not None:
         report = validate_xstate(params)
         if report.valid:  # a Bloch coefficient may still lie just past 1, as measure_set finds
@@ -330,7 +330,7 @@ def _cmd_oracle(opts: dict) -> int:
     pairs = (
         ("laqc", oracle.laqc_oracle(rho, grid, refine).value, ms.laqc),
         ("qs", oracle.qs_oracle(rho, grid, refine).value, ms.qs),
-        ("cs", oracle.optimize_cmi(rho, "max", grid, refine).value, ms.cs),
+        ("cs", oracle.optimize_cmi(rho, grid, refine).value, ms.cs),
     )
     names, found, exact = (list(col) for col in zip(*pairs))
     columns = {

@@ -136,13 +136,16 @@ def detect_events(
 def _check_sign_changes(noise: NoiseModel, zeros) -> None:
     """Each envelope zero must be a sign change of Lambda itself.
 
-    Lambda is evaluated 1e-7 left and right of the zero, so the check does
-    not depend on any time grid.
+    Lambda is evaluated h left and right of the zero, so the check depends on
+    no time grid.  h is 1e-7, or less: a probe stays within a quarter of the
+    gap to the nearest neighbouring zero, t = 0 counted as one.
     """
     if not zeros:
         return
-    h, zs = 1e-7, np.array(zeros)
-    lam = lambda_of_t(noise, np.concatenate((np.maximum(zs - h, 0.0), zs + h)))
+    zs = np.array(zeros)
+    gaps = np.diff(zs, prepend=0.0)
+    h = np.minimum(1e-7, 0.25 * np.minimum(gaps, np.append(gaps[1:], np.inf)))
+    lam = lambda_of_t(noise, np.concatenate((zs - h, zs + h)))
     bad = np.flatnonzero(lam[: zs.size] * lam[zs.size :] > 0)
     if bad.size:
         raise RuntimeError(f"envelope zero at t={zeros[bad[0]]} is not a sign change of Lambda")

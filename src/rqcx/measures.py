@@ -14,13 +14,12 @@ unbiased to the computational basis, which g3 (a purely classical,
 diagonal-sector quantity) never feeds.  Wu's symmetric classical measure
 takes the best of all three branches and the quantum one the runner-up.
 
-Every closed form lives here, each evaluated one way.  `_branches` gives
-g1, g2 and g3 of one Bloch vector; measure_set, g_branch, laqc, qs and cs
-validate their input and index into it.  The sweep engine `_StateMeasures`
-takes the same float operations along an envelope, so at Lambda = 1 it
-gives measure_set's values to the bit.
+Every closed form lives here, each evaluated one way, with two entry
+points.  `measure_set` validates one state and reads all four measures off
+`_branches` and `_concurrence`.  The sweep engine `_StateMeasures` takes the
+same float operations along an envelope, so at Lambda = 1 it gives
+measure_set's values to the bit.
 """
-
 from __future__ import annotations
 
 import math
@@ -34,7 +33,6 @@ from .states import (
     BlochX,
     XStateParams,
     require_density_matrix,
-    require_valid,
     require_valid_bloch,
     xstate_to_bloch,
 )
@@ -42,6 +40,10 @@ from .states import (
 
 @dataclass(frozen=True)
 class MeasureSet:
+    """Wootters' concurrence (1 on Bell states); laqc = max(g1, g2), the local
+    available quantum correlations; Wu's cs, the largest branch; and Wu's qs,
+    the middle branch with ties counted.  So qs <= laqc <= cs."""
+
     concurrence: float
     laqc: float
     qs: float
@@ -63,7 +65,7 @@ def u_func(x):
 
 
 def _branches(b: BlochX) -> tuple[float, float, float]:
-    """(g1, g2, g3) of a Bloch vector the caller has validated.
+    """(g1, g2, g3) of a validated Bloch vector; measure_set and _StateMeasures validate first.
 
     One _xlog2x call takes twelve log arguments: 1 +- t11, 1 +- t22,
     alpha..delta, and 1 +- t03, 1 +- t30, clipped as u_func clips.  g1 and
@@ -82,42 +84,6 @@ def _branches(b: BlochX) -> tuple[float, float, float]:
     ).tolist()
     g3 = 0.25 * (alpha + beta + gamma + delta) - 0.5 * ((p03 + m03) + (p30 + m30))
     return max(0.5 * (p11 + m11), 0.0), max(0.5 * (p22 + m22), 0.0), max(g3, 0.0)
-
-
-def g_branch(i: int, b: BlochX) -> float:
-    require_valid_bloch(b)
-    if i not in (1, 2, 3):
-        raise ValueError("branch index must be 1, 2, or 3")
-    return _branches(b)[(1, 2, 3).index(i)]
-
-
-def laqc(b: BlochX) -> float:
-    """Local available quantum correlations, max(g1, g2); zero for classical states."""
-    require_valid_bloch(b)
-    g1, g2, _ = _branches(b)
-    return max(g1, g2)
-
-
-def cs(b: BlochX) -> float:
-    """Symmetric classical correlations: the best branch of the three."""
-    require_valid_bloch(b)
-    return max(_branches(b))
-
-
-def qs(b: BlochX) -> float:
-    """Symmetric quantum correlations: second-largest branch, ties included.
-
-    With multiplicity counting, a tie at the top makes qs equal to cs; in
-    every case qs <= laqc.
-    """
-    require_valid_bloch(b)
-    return sorted(_branches(b), reverse=True)[1]
-
-
-def concurrence_x(p: XStateParams) -> float:
-    """Wootters concurrence of an X state, normalized to 1 on Bell states."""
-    require_valid(p)
-    return _concurrence(p)
 
 
 def _coherences(p: XStateParams) -> tuple[float, float, float, float]:

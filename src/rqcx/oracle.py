@@ -5,11 +5,13 @@ projective measurements, independently of the closed forms, so the two
 routes can be checked against each other.
 
 A local setting is a pair of Bloch directions (theta, phi per party); the
-outcome table is p_ij = Tr[(Pi_i x Pi_j) rho].  The searches are
-deterministic coarse-to-fine: a grid over the four angles that scans each
-distinct measurement once, followed by local refinement rounds that halve
-the step, with ties resolved toward the lexicographically smallest angle
-tuple.
+outcome table is p_ij = Tr[(Pi_i x Pi_j) rho].  Every search maximizes the
+classical mutual information: optimize_cmi over all local settings (Wu's
+cs), qs_oracle over the bases complementary to its maximizing settings, and
+laqc_oracle over those complementary to the computational basis.  Each is
+deterministic coarse-to-fine: a grid scan (the four angles, each distinct
+measurement once, or the two Hadamard phases), then local refinement rounds
+that halve the step, ties going to the lexicographically smallest angles.
 
 The searches run on batches of L starts, one lane per start.  Every
 refinement round, and every phase-stage scan or round, evaluates the
@@ -191,48 +193,42 @@ def _take_improvements(vals: np.ndarray, cand: np.ndarray, best: np.ndarray, cur
 _OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4, -1).T
 
 
-def _refine_angles(parts, angles0, steps0, rounds: int, sign: float):
-    """Local neighborhood descent of L starts (angles0 of shape (L, 4)) at once.
+def _refine_angles(parts, angles0, steps0, rounds: int):
+    """Local neighborhood ascent of L starts (angles0 of shape (L, 4)) at once.
 
     The step halves each round, and each round evaluates every lane's 81
     candidates in one kernel call.
     """
     angles = np.array(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
-    best = sign * _cmi_at_angles(parts, angles)
+    best = _cmi_at_angles(parts, angles)
     for _ in range(rounds):
         cand = angles[:, None, :] + _OFFSETS_4 * steps
         cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
         cand[..., 2] = np.clip(cand[..., 2], 0.0, np.pi)
         cand[..., 1] %= _TWO_PI
         cand[..., 3] %= _TWO_PI
-        vals = sign * _cmi_at_angles(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
+        vals = _cmi_at_angles(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
         best, angles = _take_improvements(vals, cand, best, angles)
         steps = 0.5 * steps
-    return angles, sign * best
+    return angles, best
 
 
-def _check_search(grid: int, refine: int) -> None:
+def _search_parts(rho: np.ndarray, grid: int, refine: int):
+    """The Fano parts of rho, once grid, refine and rho are checked: each search's one validation."""
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be at most {GRID_MAX} (the grid scan's memory grows as grid**4)")
     if refine < 0:
         raise ValueError("refine must be at least 0")
-
-
-def optimize_cmi(rho: np.ndarray, mode: str, grid: int = 32, refine: int = 4) -> OptimizationResult:
-    """Extremize classical mutual information over all local projective bases."""
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
-    _check_search(grid, refine)
     require_density_matrix(rho)
-    parts = _fano_parts(rho)
-    if mode == "max":
-        angles, values = _max_leaders(parts, grid, refine)
-    else:
-        angles, _ = _grid_stage(parts, grid, -1.0)
-        angles, values = _refine_angles(parts, angles, _grid_steps(grid), refine, -1.0)
+    return _fano_parts(rho)
+
+
+def optimize_cmi(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
+    """Maximize CMI over all local projective bases (Wu's cs), at the first leader of `_max_leaders`."""
+    angles, values = _max_leaders(_search_parts(rho, grid, refine), grid, refine)
     return OptimizationResult(
         value=max(float(values[0]), 0.0),
         setting=LocalMeasurement(*angles[0]),
@@ -247,8 +243,8 @@ def _grid_steps(grid: int) -> np.ndarray:
     return np.array([dt, dp, dt, dp])
 
 
-def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
-    """4-angle grid scan; returns up to `keep` tied leaders in scan order,
+def _grid_stage(parts, grid: int, keep: int = 1):
+    """4-angle grid scan for the CMI maximum; returns up to `keep` tied leaders in scan order,
     as angles of shape (L, 4) and their values.
 
     Each party scans the distinct directions of `_grid_directions`, so a
@@ -259,14 +255,11 @@ def _grid_stage(parts, grid: int, sign: float, keep: int = 1):
     x = na @ ra
     y = na @ rb
     w = na @ tt @ na.T
-    table = kernels.cmi_table(x, y, w)
-    if sign != 1.0:
-        table *= sign
-    flat = table.ravel()
+    flat = kernels.cmi_table(x, y, w).ravel()
     best = float(flat.max())
     idx = np.flatnonzero(flat >= best - _TIE_TOL)[:keep]
     ia, ib = np.divmod(idx, na.shape[0])
-    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), sign * flat[idx]
+    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), flat[idx]
 
 
 # (key, leaders) of the last stage-1 search, one tuple so a reader never pairs
@@ -278,7 +271,7 @@ def _max_leaders(parts, grid: int, refine: int):
     """Stage 1 of the CMI maximum: the grid stage's first 8 tied leaders, refined together.
 
     Returns their angles, shape (L, 4), and values.  qs_oracle carries every
-    leader forward; optimize_cmi(mode="max") takes leader 0.  Both search the
+    leader forward; optimize_cmi takes leader 0.  Both search the
     same state in turn, so the last result is kept, keyed by the exact bytes
     of the Fano parts with grid and refine.
     """
@@ -287,8 +280,8 @@ def _max_leaders(parts, grid: int, refine: int):
     last = _last_leaders
     if last is not None and last[0] == key:
         return last[1]
-    angles, _ = _grid_stage(parts, grid, 1.0, keep=8)
-    leaders = _refine_angles(parts, angles, _grid_steps(grid), refine, 1.0)
+    angles, _ = _grid_stage(parts, grid, keep=8)
+    leaders = _refine_angles(parts, angles, _grid_steps(grid), refine)
     _last_leaders = (key, leaders)
     return leaders
 
@@ -339,9 +332,7 @@ def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> Optimizatio
     the returned value is the phase-stage maximum over its complementary
     family, evaluated from explicit measurement statistics.
     """
-    _check_search(grid, refine)
-    require_density_matrix(rho)
-    parts = _fano_parts(rho)
+    parts = _search_parts(rho, grid, refine)
     eye = np.eye(2, dtype=complex)[None]
     phases, values = _phase_stage(parts, eye, eye, grid, refine)
     setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), *map(float, phases[0]))
@@ -355,9 +346,7 @@ def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationR
     carried forward); stage 2 maximizes over the Hadamard phases of the
     bases complementary to each leader and keeps the overall best.
     """
-    _check_search(grid, refine)
-    require_density_matrix(rho)
-    parts = _fano_parts(rho)
+    parts = _search_parts(rho, grid, refine)
     angles, values = _max_leaders(parts, grid, refine)
     angles = angles[values >= values.max() - _TIE_TOL]
     bases_a = basis_vectors(angles[:, 0], angles[:, 1])

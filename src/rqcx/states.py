@@ -62,6 +62,7 @@ class ValidationReport:
 
 _VALID = ValidationReport(True, ())
 _NONFINITE = ValidationReport(False, (("finite_values", float("inf")),))
+_BAD_SHAPE = ValidationReport(False, (("shape", float("nan")),))
 
 
 class InvalidStateError(ValueError):
@@ -169,10 +170,11 @@ def _hermiticity_defect(rho: np.ndarray) -> float:
 
 def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
     """Extract real-coherence X parameters; rejects non-Hermitian matrices and
-    matrices off the X shape."""
+    matrices off the X shape.  Every InvalidStateError it raises carries the
+    report of the check that failed."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
+        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}", _BAD_SHAPE)
     # a NaN entry would pass every tolerance test below
     if not np.isfinite(rho).all():
         raise InvalidStateError("matrix entries must be finite", _NONFINITE)
@@ -186,11 +188,14 @@ def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
     off_mask[0, 3] = off_mask[3, 0] = off_mask[1, 2] = off_mask[2, 1] = False
     stray = float(np.max(np.abs(rho[off_mask])))
     if stray > tol:
-        raise InvalidStateError(f"matrix is not X-shaped (stray entry {stray:.3e})")
-    imag = max(abs(rho[0, 3].imag), abs(rho[1, 2].imag))
+        raise InvalidStateError(
+            f"matrix is not X-shaped (stray entry {stray:.3e})", ValidationReport(False, (("x_shape", stray),))
+        )
+    imag = float(max(abs(rho[0, 3].imag), abs(rho[1, 2].imag)))
     if imag > tol:
         raise InvalidStateError(
-            f"complex coherences (imag {imag:.3e}) are outside the real-coherence class"
+            f"complex coherences (imag {imag:.3e}) are outside the real-coherence class",
+            ValidationReport(False, (("real_coherences", imag),)),
         )
     p = XStateParams(
         a=float(rho[0, 0].real),
@@ -207,7 +212,7 @@ def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
 def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
-        return ValidationReport(False, (("shape", float("nan")),))
+        return _BAD_SHAPE
     if not np.isfinite(rho).all():
         return _NONFINITE
     violations = []
@@ -246,7 +251,3 @@ def bloch_from_matrix(rho: np.ndarray) -> BlochX:
     t = fano_coefficients(rho)
     return BlochX(t30=t[3, 0], t03=t[0, 3], t11=t[1, 1], t22=t[2, 2], t33=t[3, 3])
 
-
-def is_classical(b: BlochX, tol: float = STRUCT_TOL) -> bool:
-    """True when both coherence coefficients vanish (state diagonal, classical)."""
-    return abs(b.t11) <= tol and abs(b.t22) <= tol

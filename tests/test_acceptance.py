@@ -18,7 +18,7 @@ from rqcx.families import (
     make_state,
     werner_concurrence_rtn,
 )
-from rqcx.measures import concurrence_general, concurrence_x, measure_set
+from rqcx.measures import concurrence_general, measure_set
 from rqcx.noise import Moun, Rtn, apply_common_bath, evolve_bloch, lambda_of_t, lambda_zeros
 from rqcx.oracle import (
     basis_vectors,
@@ -90,7 +90,7 @@ def test_criterion_4_concurrence_oracle_equivalence():
     worst = 0.0
     for k in range(1000):
         p = random_xstate(rng, rank_deficient=(k % 4 == 0))
-        worst = max(worst, abs(concurrence_general(xstate_to_matrix(p)) - concurrence_x(p)))
+        worst = max(worst, abs(concurrence_general(xstate_to_matrix(p)) - measure_set(p).concurrence))
     assert worst < 1e-10
     bells = (
         XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0),
@@ -99,7 +99,7 @@ def test_criterion_4_concurrence_oracle_equivalence():
         XStateParams(0.0, 0.5, 0.5, 0.0, 0.0, -0.5),
     )
     for bell in bells:
-        assert concurrence_x(bell) == pytest.approx(1.0, abs=1e-12)
+        assert measure_set(bell).concurrence == pytest.approx(1.0, abs=1e-12)
         assert concurrence_general(xstate_to_matrix(bell)) == pytest.approx(1.0, abs=1e-12)
     _report(4, f"closed form vs eigenvalue construction, max deviation {worst:.2e} < 1e-10")
 
@@ -120,7 +120,7 @@ def test_criterion_5_family_closed_forms():
         for lam in np.linspace(-1.0, 1.0, 41):
             from rqcx.states import bloch_to_xstate
 
-            direct = concurrence_x(bloch_to_xstate(evolve_bloch(b, float(lam))))
+            direct = measure_set(bloch_to_xstate(evolve_bloch(b, float(lam)))).concurrence
             worst_rtn = max(worst_rtn, abs(direct - werner_concurrence_rtn(float(z), float(lam))))
     assert worst_rtn < 1e-13
     _report(5, f"family grids max dev {worst:.2e}; Werner dephasing form dev {worst_rtn:.2e}")
@@ -135,7 +135,7 @@ def test_criterion_6_measurement_oracle_concordance():
             ms = measure_set(st)
             worst = max(worst, abs(laqc_oracle(rho, 32, 4).value - ms.laqc))
             worst = max(worst, abs(qs_oracle(rho, 32, 4).value - ms.qs))
-            worst = max(worst, abs(optimize_cmi(rho, "max", 32, 4).value - ms.cs))
+            worst = max(worst, abs(optimize_cmi(rho, 32, 4).value - ms.cs))
     assert worst < 2e-3
     rng = np.random.default_rng(6)
     for _ in range(5):

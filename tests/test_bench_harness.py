@@ -1,9 +1,12 @@
 """The benchmark harness still runs against this source tree.
 
 bench/run.py imports rqcx afresh and bench/tracing.py rebinds the module
-attributes it times, so a rename of a traced name breaks the benchmark.  The
-check runs in a child process: the fresh import drops rqcx from sys.modules,
-and the tracer's rebinding would leak into the other tests.
+attributes it times, so a rename of a traced name breaks the benchmark.  A
+CLI that stops calling a traced name breaks it quietly: that layer's figure
+reads 0.  So every traced key must be called under bench/run.PROBE, except
+dynamics.trajectory, which PROBE never reaches (it has no `evolve` call).
+The check runs in a child process: the fresh import drops rqcx from
+sys.modules, and the tracer's rebinding would leak into the other tests.
 """
 
 import pathlib
@@ -17,12 +20,25 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import run, tracing
 
+keys = []
+wrap = tracing.Tracer.wrap
+
+
+def recording_wrap(self, module, attr, key, *args, **kwargs):
+    keys.append(key)
+    return wrap(self, module, attr, key, *args, **kwargs)
+
+
+tracing.Tracer.wrap = recording_wrap
 rq = run.import_rqcx()
-tracing.install(rq)
+tracer = tracing.install(rq)
 for i, argv in enumerate(run.PROBE):
     code = rq.cli.main(argv + ["--out", f"{sys.argv[2]}/probe{i}.out"])
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
+uncalled = sorted({key for key in keys if tracer.calls[key] == 0} - {"dynamics.trajectory"})
+if uncalled:
+    raise SystemExit(f"traced keys with no call under PROBE: {uncalled}")
 """
 
 

@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from rqcx import cli, dynamics, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
-from rqcx.noise import Markov, Moun, Rtn, lambda_of_t
+from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.states import InvalidStateError, XStateParams
 
 
@@ -190,6 +191,29 @@ class TestStateFiles:
         assert (code, out) == (1, "")
         assert err.startswith("error: unphysical") and check in err
 
+    @pytest.mark.parametrize(
+        "entry, value, check",
+        [((0, 1), 0.1, "x_shape"), ((0, 3), 0.1 + 0.1j, "real_coherences")],
+        ids=["off-x", "complex-coherence"],
+    )
+    def test_matrix_off_the_x_class_gets_one_verdict(self, capsys, tmp_path, entry, value, check):
+        # a valid density matrix that the closed-form commands cannot take
+        rho = np.diag(np.array((0.25, 0.25, 0.25, 0.25), dtype=complex))
+        rho[entry] = value
+        rho[entry[::-1]] = np.conj(value)
+        assert states.validate_density_matrix(rho).valid
+        mat = [[[z.real, z.imag] for z in row] for row in rho.tolist()]
+        state = ["--state", "file", "--state-file", self.make_file(tmp_path, {"matrix": mat})]
+        code, out, _ = run_cli(capsys, "validate", *state)
+        assert code == 0
+        assert parse_csv(out)[1] == [
+            {"check": "valid", "ok": "0", "magnitude": "0"},
+            {"check": check, "ok": "0", "magnitude": f"{0.1:.17g}"},
+        ]
+        for command in ("measures", "oracle", "evolve", "events"):
+            code, out, err = run_cli(capsys, command, *state)
+            assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
     def test_validate_accepts_good_state(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--state", "werner", "--param", "0.5")
         assert code == 0
@@ -289,6 +313,17 @@ class TestEvolveAndEvents:
         assert len(grids) == 1
         assert grids[0].size == 3
         assert grids[0][-1] == 2.7
+
+    @pytest.mark.parametrize("a", ["1.6e7", "1e8"])
+    def test_events_at_zero_spacings_below_the_probe(self, capsys, a):
+        # pi/omega is 9.8e-8 at a/gamma 1.6e7 and 1.6e-8 at 1e8, below the 1e-7
+        # sign-change probe, which must stay between neighbouring zeros
+        code, out, err = run_cli(
+            capsys, "events", "--state", "werner", "--param", "0.9", "--a-over-gamma", a, "--tmax", "1e-6",
+        )
+        assert (code, err) == (0, "")
+        deaths = [float(r["t"]) for r in parse_csv(out)[1] if (r["kind"], r["measure"]) == ("sudden_death", "laqc")]
+        assert deaths == lambda_zeros(Rtn(float(a)), 1e-6)
 
     @pytest.mark.parametrize(
         "steps, message",
@@ -715,6 +750,23 @@ class TestInputBoundary:
                 assert coarse == pytest.approx(fine, abs=1e-9)
 
 
+def assert_same_text(got, want):
+    """got == want, compared by SHA-256 digest; a mismatch names the first differing byte.
+
+    A plain == on two 10 MB texts makes pytest build a diff of them, which takes minutes.
+    """
+    got, want = got.encode(), want.encode()
+    if hashlib.sha256(got).digest() == hashlib.sha256(want).digest():
+        return
+    k = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    lo = max(k - 40, 0)
+    pytest.fail(
+        f"outputs differ from byte {k} (lengths {len(got)} and {len(want)}):\n"
+        f"  got  {got[lo:k + 40]!r}\n  want {want[lo:k + 40]!r}",
+        pytrace=False,
+    )
+
+
 def reference_bytes(columns, fmt):
     """The row-dict emitter the column emitter replaced."""
     names = list(columns)
@@ -809,7 +861,7 @@ class TestEmitter:
         spec = dynamics.SweepSpec("mems", np.linspace(0, 1, 200), Rtn(4.0), np.linspace(0, 3, 600))
         params, ts, values = dynamics.surface(spec, "concurrence", "qs")
         columns = {"param": np.repeat(params, ts.size), "t": np.tile(ts, params.size), "value": values.ravel()}
-        assert out == reference_bytes(columns, fmt)
+        assert_same_text(out, reference_bytes(columns, fmt))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from rqcx.families import (
     mems_chi,
     werner_concurrence_rtn,
 )
-from rqcx.measures import concurrence_x, laqc, measure_set, u_func
+from rqcx.measures import measure_set, u_func
 from rqcx.noise import evolve_bloch
 from rqcx.states import (
     XStateParams,
@@ -52,14 +52,14 @@ class TestClosedForms:
         for kind in ("werner", "mnms", "mems"):
             for p in np.linspace(0.0, 1.0, 200):
                 spec = FamilySpec(kind, float(p))
-                got = laqc(xstate_to_bloch(make_state(spec)))
+                got = measure_set(make_state(spec)).laqc
                 assert abs(got - family_laqc_closed(spec)) < 1e-13
 
     def test_concurrence_against_generic_on_grids(self):
         for kind in ("werner", "mnms", "mems"):
             for p in np.linspace(0.0, 1.0, 200):
                 spec = FamilySpec(kind, float(p))
-                got = concurrence_x(make_state(spec))
+                got = measure_set(make_state(spec)).concurrence
                 assert abs(got - family_concurrence_closed(spec)) < 1e-13
 
     def test_spot_values(self):
@@ -100,7 +100,7 @@ class TestWernerUnderDephasing:
             for lam in np.linspace(-1.0, 1.0, 21):
                 evolved = bloch_to_xstate(evolve_bloch(b, float(lam)))
                 assert abs(
-                    concurrence_x(evolved) - werner_concurrence_rtn(float(z), float(lam))
+                    measure_set(evolved).concurrence - werner_concurrence_rtn(float(z), float(lam))
                 ) < 1e-13
 
 

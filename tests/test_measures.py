@@ -13,12 +13,7 @@ from rqcx.measures import (
     _middle_of_three,
     _StateMeasures,
     concurrence_general,
-    concurrence_x,
-    cs,
-    g_branch,
-    laqc,
     measure_set,
-    qs,
     u_func,
 )
 from rqcx.noise import Markov, Moun, Rtn
@@ -27,7 +22,6 @@ from rqcx.states import (
     InvalidStateError,
     XStateParams,
     bloch_to_xstate,
-    is_classical,
     xstate_to_bloch,
     xstate_to_matrix,
 )
@@ -35,8 +29,13 @@ from rqcx.states import (
 BELL_PHI_PLUS = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
 
-def werner_bloch(z):
-    return xstate_to_bloch(make_state(FamilySpec("werner", z)))
+def werner(z):
+    return measure_set(make_state(FamilySpec("werner", z)))
+
+
+def bloch_measures(b):
+    """The measures of a Bloch vector, by the route `rqcx measures` takes for a {"bloch": ...} document."""
+    return measure_set(bloch_to_xstate(b))
 
 
 class TestU:
@@ -62,24 +61,28 @@ class TestU:
 
 class TestBranches:
     def test_werner_branches_all_equal(self):
+        # laqc = max(g1, g2), qs the middle branch and cs the largest
         for z in (0.2, 0.5, 0.9):
-            b = werner_bloch(z)
+            p = make_state(FamilySpec("werner", z))
+            ms = measure_set(p)
             expect = 0.5 * u_func(z)
-            for i in (1, 2, 3):
-                assert g_branch(i, b) == pytest.approx(expect, abs=1e-14)
+            for value in (ms.laqc, ms.qs, ms.cs, _StateMeasures(p)._g3):
+                assert value == pytest.approx(expect, abs=1e-14)
 
     def test_maximally_mixed_branches_vanish(self):
-        b = BlochX(0.0, 0.0, 0.0, 0.0, 0.0)
-        assert all(g_branch(i, b) == 0.0 for i in (1, 2, 3))
+        # every branch is clamped at 0, so a zero cs bounds all three
+        ms = bloch_measures(BlochX(0.0, 0.0, 0.0, 0.0, 0.0))
+        assert ms.cs == ms.laqc == 0.0
 
     def test_mems_origin_g3(self):
-        # diagonal state diag(1/3, 1/3, 0, 1/3): a purely classical correlation
-        b = xstate_to_bloch(make_state(FamilySpec("mems", 0.0)))
+        # diagonal state diag(1/3, 1/3, 0, 1/3): a purely classical correlation,
+        # so g1 = g2 = 0 and cs is g3
+        ms = measure_set(make_state(FamilySpec("mems", 0.0)))
         expect = np.log2(4.0 / 3.0) - u_func(1.0 / 3.0)
-        assert g_branch(3, b) == pytest.approx(expect, abs=1e-13)
-        assert g_branch(3, b) == pytest.approx(0.25162916738782265, abs=1e-12)
-        assert g_branch(1, b) == 0.0
-        assert g_branch(2, b) == 0.0
+        assert ms.cs == pytest.approx(expect, abs=1e-13)
+        assert ms.cs == pytest.approx(0.25162916738782265, abs=1e-12)
+        assert ms.laqc == 0.0
+        assert ms.qs == 0.0
 
     def test_g3_equals_computational_basis_cmi(self, rng):
         # dual route: branch formula vs explicit measurement statistics
@@ -89,75 +92,74 @@ class TestBranches:
         for _ in range(50):
             p = random_xstate(rng)
             table = post_measurement_probs(xstate_to_matrix(p), m)
-            assert g_branch(3, xstate_to_bloch(p)) == pytest.approx(
+            assert _StateMeasures(p)._g3 == pytest.approx(
                 classical_mutual_info(table), abs=1e-12
             )
 
 
 class TestLaqc:
     def test_singlet_is_one(self):
-        assert laqc(werner_bloch(1.0)) == pytest.approx(1.0, abs=1e-14)
+        assert werner(1.0).laqc == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_states_vanish(self):
-        assert laqc(BlochX(0.3, -0.1, 0.0, 0.0, 0.2)) == 0.0
+        assert bloch_measures(BlochX(0.3, -0.1, 0.0, 0.0, 0.2)).laqc == 0.0
 
     def test_mnms_half(self):
-        b = xstate_to_bloch(make_state(FamilySpec("mnms", 0.5)))
-        assert laqc(b) == pytest.approx(0.18872187554086717, abs=1e-14)
+        ms = measure_set(make_state(FamilySpec("mnms", 0.5)))
+        assert ms.laqc == pytest.approx(0.18872187554086717, abs=1e-14)
 
     def test_zero_iff_classical(self, rng):
+        # a classical (diagonal) state has both coherence coefficients 0
         for _ in range(300):
             p = random_xstate(rng)
             b = xstate_to_bloch(p)
-            assert (laqc(b) < 1e-12) == is_classical(b, 1e-12)
+            assert (measure_set(p).laqc < 1e-12) == (abs(b.t11) <= 1e-12 and abs(b.t22) <= 1e-12)
 
 
 class TestWuMeasures:
     def test_werner_family_collapses(self):
         for z in (0.1, 0.5, 0.9):
-            b = werner_bloch(z)
+            ms = werner(z)
             expect = 0.5 * u_func(z)
-            assert cs(b) == pytest.approx(expect, abs=1e-14)
-            assert qs(b) == pytest.approx(expect, abs=1e-14)
-            assert laqc(b) == pytest.approx(expect, abs=1e-14)
+            assert ms.cs == pytest.approx(expect, abs=1e-14)
+            assert ms.qs == pytest.approx(expect, abs=1e-14)
+            assert ms.laqc == pytest.approx(expect, abs=1e-14)
 
     def test_mems_small_x(self):
-        b = xstate_to_bloch(make_state(FamilySpec("mems", 0.1)))
-        assert cs(b) == pytest.approx(g_branch(3, b), abs=1e-14)
-        assert qs(b) == pytest.approx(0.5 * u_func(0.1), abs=1e-14)
-        assert qs(b) == pytest.approx(0.007225546012191789, abs=1e-14)
+        p = make_state(FamilySpec("mems", 0.1))
+        ms = measure_set(p)
+        assert ms.cs == pytest.approx(_StateMeasures(p)._g3, abs=1e-14)
+        assert ms.qs == pytest.approx(0.5 * u_func(0.1), abs=1e-14)
+        assert ms.qs == pytest.approx(0.007225546012191789, abs=1e-14)
 
     def test_maximally_mixed(self):
-        b = BlochX(0.0, 0.0, 0.0, 0.0, 0.0)
-        assert cs(b) == qs(b) == 0.0
+        ms = bloch_measures(BlochX(0.0, 0.0, 0.0, 0.0, 0.0))
+        assert ms.cs == ms.qs == 0.0
 
     def test_laqc_dominates_qs_10k(self, rng):
         for _ in range(10_000):
-            b = xstate_to_bloch(random_xstate(rng))
-            assert laqc(b) >= qs(b) - 1e-12
+            ms = measure_set(random_xstate(rng))
+            assert ms.laqc >= ms.qs - 1e-12
 
     def test_coherence_sign_invariance(self, rng):
         for _ in range(200):
             p = random_xstate(rng)
             for flip_r, flip_s in ((-1, 1), (1, -1), (-1, -1)):
                 q = XStateParams(p.a, p.b, p.c, p.d, flip_r * p.r, flip_s * p.s)
-                for f in (laqc, cs, qs):
-                    assert f(xstate_to_bloch(p)) == pytest.approx(
-                        f(xstate_to_bloch(q)), abs=1e-12
-                    )
+                ms_p, ms_q = measure_set(p), measure_set(q)
+                for name in ("laqc", "cs", "qs"):
+                    assert getattr(ms_p, name) == pytest.approx(getattr(ms_q, name), abs=1e-12)
 
 
 class TestConcurrence:
     def test_werner_threshold(self):
-        assert concurrence_x(make_state(FamilySpec("werner", 1.0 / 3.0))) == 0.0
-        assert concurrence_x(make_state(FamilySpec("werner", 0.2))) == 0.0
+        assert werner(1.0 / 3.0).concurrence == 0.0
+        assert werner(0.2).concurrence == 0.0
         z = 0.8
-        assert concurrence_x(make_state(FamilySpec("werner", z))) == pytest.approx(
-            0.5 * (3 * z - 1), abs=1e-15
-        )
+        assert werner(z).concurrence == pytest.approx(0.5 * (3 * z - 1), abs=1e-15)
 
     def test_bell_state(self):
-        assert concurrence_x(BELL_PHI_PLUS) == pytest.approx(1.0, abs=1e-15)
+        assert measure_set(BELL_PHI_PLUS).concurrence == pytest.approx(1.0, abs=1e-15)
         assert concurrence_general(xstate_to_matrix(BELL_PHI_PLUS)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -166,7 +168,7 @@ class TestConcurrence:
         for kind in ("mnms", "mems"):
             for x in (0.1, 0.5, 0.8, 1.0):
                 p = make_state(FamilySpec(kind, x))
-                assert concurrence_x(p) == pytest.approx(x, abs=1e-14)
+                assert measure_set(p).concurrence == pytest.approx(x, abs=1e-14)
                 assert concurrence_general(xstate_to_matrix(p)) == pytest.approx(x, abs=1e-10)
 
     def test_maximally_mixed_vanishes(self):
@@ -176,21 +178,20 @@ class TestConcurrence:
         worst = 0.0
         for k in range(1000):
             p = random_xstate(rng, rank_deficient=(k % 5 == 0))
-            diff = abs(concurrence_general(xstate_to_matrix(p)) - concurrence_x(p))
+            diff = abs(concurrence_general(xstate_to_matrix(p)) - measure_set(p).concurrence)
             worst = max(worst, diff)
         assert worst < 1e-10
 
 
 def test_measure_set_consistency(rng):
+    # a state and its Bloch vector, read back through the Bloch route, give the same measures
     for _ in range(50):
         p = random_xstate(rng)
         ms = measure_set(p)
-        b = xstate_to_bloch(p)
-        assert ms.concurrence == concurrence_x(p)
-        assert ms.laqc == laqc(b)
-        assert ms.qs == qs(b)
-        assert ms.cs == cs(b)
-        assert ms.laqc >= ms.qs - 1e-15
+        via_bloch = bloch_measures(xstate_to_bloch(p))
+        for name in ("concurrence", "laqc", "qs", "cs"):
+            assert getattr(via_bloch, name) == pytest.approx(getattr(ms, name), abs=1e-14)
+        assert ms.cs >= ms.laqc >= ms.qs
 
 
 def test_measures_are_lipschitz_away_from_endpoints(rng):
@@ -202,17 +203,19 @@ def test_measures_are_lipschitz_away_from_endpoints(rng):
             continue
         shifted = BlochX(b.t30, b.t03, b.t11 + eps, b.t22 - eps, b.t33)
         try:
-            bloch_to_xstate(shifted)
+            moved = bloch_measures(shifted)
         except Exception:
             continue
-        for f in (laqc, cs, qs):
-            assert abs(f(shifted) - f(b)) <= 10.0 * 2 * eps
+        ms = measure_set(p)
+        for name in ("laqc", "cs", "qs"):
+            assert abs(getattr(moved, name) - getattr(ms, name)) <= 10.0 * 2 * eps
 
 
 # ---- reference code: each branch evaluated and validated on its own, with
 # numpy validation of the state and of its Bloch vector.  g1 and g2 are
 # u(T11)/2 and u(T22)/2 as the paper writes them, clamped at 0; g3 is the
 # alpha..delta sum of the per-branch path the one-pass kernel replaced.
+# `_ref_bloch_measures` is the reference of the Bloch route.
 
 _REF_TOL = 1e-12
 
@@ -237,6 +240,18 @@ def _ref_validate_xstate(p):
     return violations
 
 
+def _ref_raw_xstate(b):
+    """The X state with Bloch vector b, unchecked."""
+    return XStateParams(
+        a=0.25 * (1.0 + b.t30 + b.t03 + b.t33),
+        b=0.25 * (1.0 + b.t30 - b.t03 - b.t33),
+        c=0.25 * (1.0 - b.t30 + b.t03 - b.t33),
+        d=0.25 * (1.0 - b.t30 - b.t03 + b.t33),
+        r=0.25 * (b.t11 - b.t22),
+        s=0.25 * (b.t11 + b.t22),
+    )
+
+
 def _ref_validate_bloch(b):
     coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
     if not all(np.isfinite(coeffs)):
@@ -245,15 +260,7 @@ def _ref_validate_bloch(b):
     over = max(abs(t) for t in coeffs) - 1.0
     if over > _REF_TOL:
         violations.append(("coefficient_range", float(over)))
-    p = XStateParams(
-        a=0.25 * (1.0 + b.t30 + b.t03 + b.t33),
-        b=0.25 * (1.0 + b.t30 - b.t03 - b.t33),
-        c=0.25 * (1.0 - b.t30 + b.t03 - b.t33),
-        d=0.25 * (1.0 - b.t30 - b.t03 + b.t33),
-        r=0.25 * (b.t11 - b.t22),
-        s=0.25 * (b.t11 + b.t22),
-    )
-    return violations + _ref_validate_xstate(p)
+    return violations + _ref_validate_xstate(_ref_raw_xstate(b))
 
 
 def _ref_require_valid(p):
@@ -307,21 +314,6 @@ def _ref_g_branch(i, b):
     return max(g, 0.0)
 
 
-def _ref_laqc(b):
-    _ref_require_valid_bloch(b)
-    return max(_ref_g_branch(1, b), _ref_g_branch(2, b))
-
-
-def _ref_cs(b):
-    _ref_require_valid_bloch(b)
-    return max(_ref_g_branch(i, b) for i in (1, 2, 3))
-
-
-def _ref_qs(b):
-    _ref_require_valid_bloch(b)
-    return sorted((_ref_g_branch(1, b), _ref_g_branch(2, b), _ref_g_branch(3, b)), reverse=True)[1]
-
-
 def _ref_concurrence_x(p):
     _ref_require_valid(p)
     c1 = 2.0 * (abs(p.r) - np.sqrt(max(p.b, 0.0) * max(p.c, 0.0)))
@@ -341,6 +333,13 @@ def _ref_measure_set(p):
     g = sorted((_ref_g_branch(1, b), _ref_g_branch(2, b), _ref_g_branch(3, b)))
     laqc_value = max(_ref_g_branch(1, b), _ref_g_branch(2, b))
     return (_ref_concurrence_x(p), laqc_value, g[1], g[2])
+
+
+def _ref_bloch_measures(b):
+    """The Bloch route: reconstruct the state, validate it, and take its measure set."""
+    p = _ref_raw_xstate(b)
+    _ref_require_valid(p)
+    return _ref_measure_set(p)
 
 
 def _ref_g3_scalar(t30, t03, t33):
@@ -411,10 +410,7 @@ class TestOnePassKernel:
         b = xstate_to_bloch(p)
         ms = measure_set(p)
         assert _bits((ms.concurrence, ms.laqc, ms.qs, ms.cs)) == _bits(_ref_measure_set(p))
-        for i in (1, 2, 3):
-            assert _bits([g_branch(i, b)]) == _bits([_ref_g_branch(i, b)])
-        for new, ref in ((laqc, _ref_laqc), (qs, _ref_qs), (cs, _ref_cs)):
-            assert _bits([new(b)]) == _bits([ref(b)])
+        assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
         g3 = _StateMeasures(p)._g3
         assert _bits([g3]) == _bits([_ref_g3_scalar(b.t30, b.t03, b.t33)])
 
@@ -422,8 +418,7 @@ class TestOnePassKernel:
     def test_bit_identical_on_pure_and_extreme_states(self, p):
         assert _outcome(measure_set, p) == _outcome(_ref_measure_set, p)
         b = xstate_to_bloch(p)
-        for new, ref in ((laqc, _ref_laqc), (qs, _ref_qs), (cs, _ref_cs)):
-            assert _outcome(new, b) == _outcome(ref, b)
+        assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
         assert _bits([_StateMeasures(p)._g3]) == _bits([_ref_g3_scalar(b.t30, b.t03, b.t33)])
 
 
@@ -512,7 +507,7 @@ def _crossing_blochs():
 
 
 class TestAcceptReject:
-    """measure_set and the wrappers reject exactly what the earlier path rejected."""
+    """measure_set, on a state or through the Bloch route, rejects exactly what the reference path rejects."""
 
     @pytest.mark.parametrize("label, rejects, p", _crossing_states(), ids=lambda v: v if isinstance(v, str) else "")
     def test_states_across_each_tolerance(self, label, rejects, p):
@@ -525,15 +520,12 @@ class TestAcceptReject:
 
     @pytest.mark.parametrize("label, rejects, b", _crossing_blochs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_bloch_vectors_across_each_tolerance(self, label, rejects, b):
-        ref = {g_branch: _ref_g_branch, laqc: _ref_laqc, qs: _ref_qs, cs: _ref_cs}
-        for new, old in ref.items():
-            args = (1, b) if new is g_branch else (b,)
-            want = _outcome(old, *args)
-            assert (want[0] == "raises") == rejects, label
-            got = _outcome(new, *args)
-            assert got == want
-            if got[0] == "raises":
-                assert got[1] is InvalidStateError
+        want = _outcome(_ref_bloch_measures, b)
+        assert (want[0] == "raises") == rejects, label
+        got = _outcome(bloch_measures, b)
+        assert got == want
+        if rejects:
+            assert got[1] is InvalidStateError
 
     @settings(max_examples=300)
     @given(
@@ -550,8 +542,7 @@ class TestAcceptReject:
         q = XStateParams(*fields)
         assert _outcome(measure_set, q) == _outcome(_ref_measure_set, q)
         b = BlochX(q.a + q.b - q.c - q.d, q.a - q.b + q.c - q.d, 2.0 * (q.s + q.r), 2.0 * (q.s - q.r), q.a - q.b - q.c + q.d)
-        for new, old in ((laqc, _ref_laqc), (qs, _ref_qs), (cs, _ref_cs)):
-            assert _outcome(new, b) == _outcome(old, b)
+        assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
 
 
 class TestOrdering:
@@ -562,8 +553,6 @@ class TestOrdering:
         ms = measure_set(p)
         assert ms.cs >= ms.laqc >= ms.qs >= 0.0
         assert ms.concurrence >= 0.0
-        b = xstate_to_bloch(p)
-        assert cs(b) >= laqc(b) >= qs(b) >= 0.0
 
 
 def _ref_middle_of_three(g1, g2, g3):

@@ -168,11 +168,12 @@ class TestZeros:
 
 def test_evolve_bloch_examples():
     from rqcx.families import FamilySpec, make_state
-    from rqcx.measures import concurrence_x
-    from rqcx.states import bloch_to_xstate, is_classical
+    from rqcx.measures import measure_set
+    from rqcx.states import bloch_to_xstate
 
     b = xstate_to_bloch(make_state(FamilySpec("werner", 2.0 / 3.0)))
     assert evolve_bloch(b, 1.0) == b
-    assert is_classical(evolve_bloch(b, 0.0), 1e-15)
+    dephased = evolve_bloch(b, 0.0)
+    assert abs(dephased.t11) <= 1e-15 and abs(dephased.t22) <= 1e-15
     evolved = evolve_bloch(b, np.sqrt(0.5))
-    assert concurrence_x(bloch_to_xstate(evolved)) == pytest.approx(1.0 / 6.0, abs=1e-13)
+    assert measure_set(bloch_to_xstate(evolved)).concurrence == pytest.approx(1.0 / 6.0, abs=1e-13)

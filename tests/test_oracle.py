@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_density_matrix, random_xstate
 from rqcx import kernels, oracle
 from rqcx.families import FamilySpec, make_state
-from rqcx.measures import cs, laqc, measure_set, qs, u_func
+from rqcx.measures import measure_set, u_func
 from rqcx.oracle import (
     GRID_MAX,
     LocalMeasurement,
@@ -24,7 +24,7 @@ from rqcx.oracle import (
     post_measurement_probs,
     qs_oracle,
 )
-from rqcx.states import XStateParams, xstate_to_bloch, xstate_to_matrix
+from rqcx.states import XStateParams, xstate_to_matrix
 
 MIXED = np.eye(4) / 4.0
 BELL = xstate_to_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
@@ -106,48 +106,47 @@ class TestComplementaryBases:
 
 class TestOptimizeCmi:
     def test_maximally_mixed_max_is_zero(self):
-        assert optimize_cmi(MIXED, "max").value < 1e-9
+        assert optimize_cmi(MIXED).value < 1e-9
 
     def test_werner_max_matches_cs(self):
         st = make_state(FamilySpec("werner", 0.5))
-        res = optimize_cmi(xstate_to_matrix(st), "max")
-        assert res.value == pytest.approx(cs(xstate_to_bloch(st)), abs=1e-3)
+        res = optimize_cmi(xstate_to_matrix(st))
+        assert res.value == pytest.approx(measure_set(st).cs, abs=1e-3)
 
     def test_mems_origin_max(self):
         st = make_state(FamilySpec("mems", 0.0))
-        res = optimize_cmi(xstate_to_matrix(st), "max")
+        res = optimize_cmi(xstate_to_matrix(st))
         assert res.value == pytest.approx(0.25162916738782265, abs=1e-3)
 
     def test_bounds_sampled_settings(self, rng):
-        # the refined extrema bound samples up to the optimizer's own accuracy
+        # the refined maximum bounds samples up to the optimizer's own accuracy; CMI >= 0
         rho = xstate_to_matrix(random_xstate(rng))
-        lo = optimize_cmi(rho, "min").value
-        hi = optimize_cmi(rho, "max").value
+        hi = optimize_cmi(rho).value
         for _ in range(100):
             m = LocalMeasurement(
                 rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
                 rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
             )
             val = classical_mutual_info(post_measurement_probs(rho, m))
-            assert lo - 1e-9 <= val <= hi + 2e-3
+            assert 0.0 <= val <= hi + 2e-3
 
     def test_setting_reproduces_value(self):
         rho = xstate_to_matrix(make_state(FamilySpec("mems", 0.4)))
-        res = optimize_cmi(rho, "max")
+        res = optimize_cmi(rho)
         val = classical_mutual_info(post_measurement_probs(rho, res.setting))
         assert val == pytest.approx(res.value, abs=1e-10)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
-            optimize_cmi(MIXED, "max", grid=4)
+            optimize_cmi(MIXED, grid=4)
 
     def test_grid_ceiling(self):
         with pytest.raises(ValueError, match="at most"):
-            optimize_cmi(MIXED, "max", grid=GRID_MAX + 1)
+            optimize_cmi(MIXED, grid=GRID_MAX + 1)
 
     @pytest.mark.parametrize(
         "search",
-        [lambda rho, r: optimize_cmi(rho, "max", 8, r), lambda rho, r: laqc_oracle(rho, 8, r),
+        [lambda rho, r: optimize_cmi(rho, 8, r), lambda rho, r: laqc_oracle(rho, 8, r),
          lambda rho, r: qs_oracle(rho, 8, r)],
         ids=["optimize_cmi", "laqc_oracle", "qs_oracle"],
     )
@@ -158,13 +157,13 @@ class TestOptimizeCmi:
 
     def test_deterministic(self):
         rho = xstate_to_matrix(make_state(FamilySpec("mnms", 0.3)))
-        r1 = optimize_cmi(rho, "max")
-        r2 = optimize_cmi(rho, "max")
+        r1 = optimize_cmi(rho)
+        r2 = optimize_cmi(rho)
         assert r1 == r2
 
 
-def _full_sphere_leader(parts, grid, sign):
-    """First tied leader of the full grid x grid sphere scan, every direction repeated as it falls."""
+def _full_sphere_leader(parts, grid, sign=1.0):
+    """First tied leader of the full grid x grid sphere scan of sign * CMI, every direction repeated as it falls."""
     ra, rb, tt = parts
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -185,37 +184,36 @@ class TestGridStage:
         # |n_i . n_j| = 1 would mean equal or antipodal directions
         assert overlap.max() < 1.0 - 1e-6
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_matches_full_sphere_scan(self, rng, sign):
+    def test_matches_full_sphere_scan(self, rng):
         rhos = [xstate_to_matrix(make_state(FamilySpec(kind, x)))
                 for kind, x in (("werner", 0.5), ("mnms", 0.3), ("mems", 0.4))]
         rhos += [xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng)]
         for rho in rhos:
             parts = _fano_parts(rho)
-            angles, values = _grid_stage(parts, 32, sign)
-            full_angles, full_value = _full_sphere_leader(parts, 32, sign)
+            angles, values = _grid_stage(parts, 32)
+            full_angles, full_value = _full_sphere_leader(parts, 32)
             assert values[0] == pytest.approx(full_value, abs=1e-12)
             np.testing.assert_array_equal(angles[0], full_angles)
 
 
-def _refine_ref(parts, angles0, steps0, rounds, sign):
+def _refine_ref(parts, angles0, steps0, rounds):
     """The one-start refinement loop that ran once per leader before the starts were batched."""
     angles = np.asarray(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
-    best = sign * float(oracle._cmi_at_angles(parts, angles)[0])
+    best = float(oracle._cmi_at_angles(parts, angles)[0])
     for _ in range(rounds):
         cand = angles[None, :] + oracle._OFFSETS_4 * steps[None, :]
         cand[:, 0] = np.clip(cand[:, 0], 0.0, np.pi)
         cand[:, 2] = np.clip(cand[:, 2], 0.0, np.pi)
         cand[:, 1] %= 2.0 * np.pi
         cand[:, 3] %= 2.0 * np.pi
-        vals = sign * oracle._cmi_at_angles(parts, cand)
+        vals = oracle._cmi_at_angles(parts, cand)
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])
             angles = cand[k]
         steps = 0.5 * steps
-    return angles, sign * best
+    return angles, best
 
 
 def _bits(a):
@@ -227,8 +225,13 @@ class TestBatchedSearch:
 
     @staticmethod
     def _starts(rng, parts, grid, sign, lanes):
-        # the grid stage's tied leaders, then random starts, two of them on the theta clips
-        angles, _ = _grid_stage(parts, grid, sign, keep=lanes)
+        # sign 1: the grid stage's tied leaders; sign -1: the full sphere scan's
+        # first CMI minimum, far from every maximum.  Then random starts, two of
+        # them on the theta clips.
+        if sign > 0:
+            angles, _ = _grid_stage(parts, grid, keep=lanes)
+        else:
+            angles = _full_sphere_leader(parts, grid, sign)[0][None]
         extra = np.column_stack((
             rng.uniform(0, np.pi, lanes), rng.uniform(0, 2 * np.pi, lanes),
             rng.uniform(0, np.pi, lanes), rng.uniform(0, 2 * np.pi, lanes),
@@ -247,10 +250,10 @@ class TestBatchedSearch:
             parts = _fano_parts(rho)
             starts = self._starts(rng, parts, grid, sign, lanes)
             for refine in range(7):
-                angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine, sign)
+                angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
                 assert angles.shape == (lanes, 4) and values.shape == (lanes,)
                 for lane in range(lanes):
-                    ref_angles, ref_value = _refine_ref(parts, starts[lane], _grid_steps(grid), refine, sign)
+                    ref_angles, ref_value = _refine_ref(parts, starts[lane], _grid_steps(grid), refine)
                     np.testing.assert_array_equal(_bits(angles[lane]), _bits(ref_angles))
                     assert _bits(values[lane]) == _bits(ref_value)
 
@@ -362,7 +365,7 @@ class TestQsOracle:
     def test_werner_equals_cs_oracle(self):
         rho = xstate_to_matrix(make_state(FamilySpec("werner", 0.5)))
         assert qs_oracle(rho).value == pytest.approx(
-            optimize_cmi(rho, "max").value, abs=1e-6
+            optimize_cmi(rho).value, abs=1e-6
         )
 
     def test_mems_small_x(self):
@@ -394,7 +397,7 @@ class TestQsOracle:
 
 
 class TestStageOneMemo:
-    """qs_oracle and optimize_cmi(mode="max") share one stage-1 search; the last one is kept."""
+    """qs_oracle and optimize_cmi share one stage-1 search; the last one is kept."""
 
     @staticmethod
     def _fresh(monkeypatch, search):
@@ -410,28 +413,19 @@ class TestStageOneMemo:
         for i, refine, grid in runs:
             rho = rhos[i]
             qs_res = qs_oracle(rho, grid, refine)
-            cs_res = optimize_cmi(rho, "max", grid, refine)
+            cs_res = optimize_cmi(rho, grid, refine)
             assert qs_res == self._fresh(monkeypatch, lambda: qs_oracle(rho, grid, refine))
-            assert cs_res == self._fresh(monkeypatch, lambda: optimize_cmi(rho, "max", grid, refine))
+            assert cs_res == self._fresh(monkeypatch, lambda: optimize_cmi(rho, grid, refine))
 
     def test_max_takes_the_first_leader(self, rng):
         # the one-leader route optimize_cmi took before the search was shared
         for rho in (xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
-            angles, _ = _grid_stage(parts, 16, 1.0)
-            angles, values = _refine_angles(parts, angles, _grid_steps(16), 3, 1.0)
-            res = optimize_cmi(rho, "max", 16, 3)
+            angles, _ = _grid_stage(parts, 16)
+            angles, values = _refine_angles(parts, angles, _grid_steps(16), 3)
+            res = optimize_cmi(rho, 16, 3)
             assert np.float64(res.value).view(np.int64) == np.float64(max(values[0], 0.0)).view(np.int64)
             np.testing.assert_array_equal(np.array(res.setting), angles[0])
-
-    def test_min_is_unaffected(self, monkeypatch, rng):
-        rho_a, rho_b = (xstate_to_matrix(random_xstate(rng)) for _ in range(2))
-        fresh = self._fresh(monkeypatch, lambda: optimize_cmi(rho_a, "min", 16, 3))
-        for other in (rho_a, rho_b):
-            optimize_cmi(other, "max", 16, 3)
-            kept = oracle._last_leaders
-            assert optimize_cmi(rho_a, "min", 16, 3) == fresh
-            assert oracle._last_leaders is kept
 
 
 def test_oracles_match_closed_forms_on_random_states(rng):
@@ -441,4 +435,4 @@ def test_oracles_match_closed_forms_on_random_states(rng):
         ms = measure_set(st)
         assert laqc_oracle(rho).value == pytest.approx(ms.laqc, abs=2e-3)
         assert qs_oracle(rho).value == pytest.approx(ms.qs, abs=2e-3)
-        assert optimize_cmi(rho, "max").value == pytest.approx(ms.cs, abs=2e-3)
+        assert optimize_cmi(rho).value == pytest.approx(ms.cs, abs=2e-3)

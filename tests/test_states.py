@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_density_matrix, random_xstate
 from rqcx.families import FamilySpec, make_state
+from rqcx.measures import measure_set
 from rqcx.states import (
     BlochX,
     InvalidStateError,
@@ -10,7 +11,6 @@ from rqcx.states import (
     bloch_from_matrix,
     bloch_to_xstate,
     fano_coefficients,
-    is_classical,
     matrix_to_xstate,
     require_density_matrix,
     validate_density_matrix,
@@ -194,15 +194,23 @@ class TestFano:
 
 
 class TestIsClassical:
+    """A classical (diagonal) state has t11 = t22 = 0: its laqc and qs vanish, its cs need not."""
+
     def test_diagonal_correlated_state(self):
-        assert is_classical(BlochX(0.2, -0.2, 0.0, 0.0, 0.5), 1e-12)
+        ms = measure_set(bloch_to_xstate(BlochX(0.2, -0.2, 0.0, 0.0, 0.5)))
+        assert ms.laqc == ms.qs == ms.concurrence == 0.0
+        assert ms.cs > 0.1
 
     def test_werner_is_not_classical(self):
-        assert not is_classical(xstate_to_bloch(make_state(FamilySpec("werner", 0.5))), 1e-12)
+        b = xstate_to_bloch(make_state(FamilySpec("werner", 0.5)))
+        assert min(abs(b.t11), abs(b.t22)) > 0.1
+        assert measure_set(bloch_to_xstate(b)).laqc > 0.1
 
     def test_fully_dephased_state_is_classical(self, rng):
         from rqcx.noise import evolve_bloch
 
         for _ in range(20):
             b = xstate_to_bloch(random_xstate(rng))
-            assert is_classical(evolve_bloch(b, 0.0), 1e-12)
+            d = evolve_bloch(b, 0.0)
+            assert abs(d.t11) <= 1e-12 and abs(d.t22) <= 1e-12
+            assert measure_set(bloch_to_xstate(d)).laqc == 0.0
