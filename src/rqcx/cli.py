@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import NamedTuple, Sequence
 
@@ -221,6 +222,7 @@ def _write(pieces: Sequence[str], opts: dict) -> None:
             raise InvalidStateError(f"cannot write {opts['out']}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe then fails here, inside main
 
 
 def _emit(columns: dict, opts: dict) -> None:
@@ -298,11 +300,8 @@ def _cmd_evolve(opts: dict) -> int:
 def _cmd_events(opts: dict) -> int:
     params = _xstate_of(opts)
     model = _noise_of(opts)
-    tmax, steps = _window(opts)
-    # detect_events reads only the window end, which is exactly tmax in any
-    # linspace; three rows carry it, and fewer than three still fail there
-    tgrid = np.linspace(0.0, tmax, min(steps, 3))
-    events = dynamics.detect_events(params, model, tgrid, opts["revival_threshold"])
+    tmax, _ = _window(opts)  # the events depend only on the window end
+    events = dynamics.detect_events(params, model, tmax, opts["revival_threshold"])
     names = ("kind", "measure", "t", "value")
     columns = {name: [getattr(e, name) for e in events] for name in names}
     _emit(columns, opts)
@@ -382,6 +381,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except MemoryError:
         sys.stderr.write(f"error: this {args.command} run does not fit in memory\n")
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull so that the
+        # interpreter's flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

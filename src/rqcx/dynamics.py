@@ -4,10 +4,10 @@ Every measure along an envelope comes from one engine, `measures._StateMeasures`
 which gives measure_set's values at Lambda = 1 and clamps each measure at 0.
 The dephasing channel scales only the coherence coefficients (by Lambda^2),
 so g3 is constant along a trajectory while g1, g2 and the concurrence follow
-the envelope.  Sudden deaths of the quantum measures under RTN land exactly
-on the envelope zeros and revival peaks on its extrema k pi/omega;
-concurrence dies where Lambda^2 falls through its death level, generally at
-nonzero envelope values.
+the envelope.  Events come from the noise model's own zeros and extrema:
+sudden deaths of the quantum measures land exactly on the zeros and revival
+peaks on the extrema; concurrence dies where Lambda^2 falls through its death
+level, generally at nonzero envelope values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import FamilySpec, make_state
 from .measures import _StateMeasures
-from .noise import NoiseModel, Rtn, lambda_of_t, lambda_zeros
+from .noise import NoiseModel, lambda_of_t, lambda_zeros
 from .search import bisect
 from .states import XStateParams
 
@@ -69,35 +69,26 @@ def trajectory(state: XStateParams, noise: NoiseModel, tgrid) -> Trajectory:
     return Trajectory(t, lam, **measures(lam))
 
 
-def detect_events(
-    state: XStateParams,
-    noise: NoiseModel,
-    tgrid,
-    threshold: float = 1e-4,
-) -> list[EventRecord]:
-    """Sudden deaths, revival peaks and asymptotic decay up to the end of a time grid.
+def detect_events(state: XStateParams, noise: NoiseModel, t_end: float, threshold: float = 1e-4) -> list[EventRecord]:
+    """Sudden deaths, revival peaks and asymptotic decay in the window (0, t_end].
 
     Every measure is a nondecreasing function of L^2, so each event has a
     closed-form place.  laqc and qs die on the envelope zeros, each checked
     to be a sign change of the envelope; a death is reported when the
     measure exceeds `threshold` at the extremum before the zero (t = 0
-    before the first).  Revival peaks sit at the RTN extrema t = k pi/omega,
-    k >= 1, and are reported where the measure exceeds `threshold`.
-    The concurrence dies where L^2 falls through its death level (see
-    `_concurrence_deaths`).  Only the grid's last time is read; the grid must
-    still have at least 3 rows, and `threshold` must be finite and
+    before the first).  Revival peaks sit at the envelope extrema and are
+    reported where the measure exceeds `threshold`.  The concurrence dies
+    where L^2 falls through its death level (see `_concurrence_deaths`).
+    `t_end` must be finite and positive, and `threshold` finite and
     nonnegative.
     """
     if not (np.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"revival threshold must be finite and nonnegative, got {threshold}")
     measures = _StateMeasures(state)
-    ts = np.asarray(tgrid, dtype=float)
-    if ts.size < 3:
-        raise ValueError("event detection needs at least 3 trajectory rows")
-    t_end = float(ts[-1])
+    t_end = float(t_end)
     zeros = lambda_zeros(noise, t_end)
     _check_sign_changes(noise, zeros)
-    extrema = _envelope_extrema(noise, t_end)
+    extrema = noise.extrema(t_end)
     deaths = _concurrence_deaths(measures, noise, zeros, extrema, t_end)
     # every point value in one call: both ends, the zeros, the extrema and
     # the concurrence deaths
@@ -151,19 +142,6 @@ def _check_sign_changes(noise: NoiseModel, zeros) -> None:
         raise RuntimeError(f"envelope zero at t={zeros[bad[0]]} is not a sign change of Lambda")
 
 
-def _envelope_extrema(noise: NoiseModel, t_end: float) -> np.ndarray:
-    """The extrema t = k pi/omega, k >= 1, of an RTN envelope before t_end.
-
-    Lambda' = -exp(-t) (omega + 1/omega) sin(omega t) vanishes there.  MOUN
-    and Markov envelopes are monotone and have none.
-    """
-    if not isinstance(noise, Rtn):
-        return np.empty(0)
-    w = noise.omega
-    t = np.arange(1.0, np.floor(t_end * w / np.pi) + 1.0) * np.pi / w
-    return t[t < t_end]
-
-
 def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extrema, t_end) -> np.ndarray:
     """Sorted times where L^2 falls through kappa, the concurrence's death level.
 
@@ -172,7 +150,8 @@ def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extr
     never dies, and with kappa = 0 it dies on each envelope zero.
     Otherwise L^2 is monotone between its critical points t = 0, the zeros,
     the extrema and t_end, so each piece that falls through kappa holds one
-    death, and all of them are bisected together on L^2 - kappa.
+    death, and all of them are bisected together on L^2 - kappa, each to
+    DEATH_TOL or 1e-8 of its piece's length, whichever is smaller.
     """
     kappa = measures.death_level()
     if kappa is None:
@@ -188,7 +167,7 @@ def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extr
     # L^2 is 0 on a zero, however small the value computed there
     alive[np.searchsorted(t, zeros)] = False
     k = np.flatnonzero(alive[:-1] & ~alive[1:])
-    return bisect(excess, t[k], t[k + 1], DEATH_TOL)
+    return bisect(excess, t[k], t[k + 1], np.minimum(DEATH_TOL, 1e-8 * (t[k + 1] - t[k])))
 
 
 def surface(spec: SweepSpec, measure_a: str, measure_b: str):

@@ -1,10 +1,11 @@
 """Dephasing-channel models: decay envelopes, Kraus pairs, common-bath action.
 
 Time is dimensionless (gamma*t), and all rates are entered relative to the
-environment fluctuation rate gamma.  Random telegraph noise (RTN) gives an
-oscillatory-decaying envelope with zero crossings; the modified
-Ornstein-Uhlenbeck noise (MOUN) and the Markovian baseline decay
-monotonically and only reach zero asymptotically.
+environment fluctuation rate gamma.  Each model owns its closed forms:
+envelope(t), zeros(t_max) and extrema(t_end).  Random telegraph noise (RTN)
+oscillates as it decays; the modified Ornstein-Uhlenbeck noise (MOUN) and the
+Markovian baseline decay monotonically and share one definition: no zeros, no
+extrema.  `lambda_of_t` and `lambda_zeros` check their arguments and call the model.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import (
-    SIGMA_Z,
-    BlochX,
-    require_density_matrix,
-    require_valid_bloch,
-)
+from .states import SIGMA_Z, BlochX, require_density_matrix, require_valid_bloch
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,37 @@ class Rtn:
     def omega(self) -> float:
         return float(np.sqrt((2.0 * self.a_over_gamma) ** 2 - 1.0))
 
+    def envelope(self, t):
+        w = self.omega
+        return np.exp(-t) * (np.cos(w * t) + np.sin(w * t) / w)
+
+    def zeros(self, t_max: float) -> list[float]:
+        """The zeros t_k = (k pi - arctan omega)/omega, k >= 1, in (0, t_max]."""
+        w = self.omega
+        # one index past the estimated last zero; the t_k <= t_max test trims it
+        k = np.arange(1.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 2.0)
+        t_k = (k * np.pi - np.arctan(w)) / w
+        return t_k[t_k <= t_max].tolist()
+
+    def extrema(self, t_end: float) -> np.ndarray:
+        """The extrema t = k pi/omega, k >= 1, before t_end: Lambda' = -exp(-t) (omega + 1/omega) sin(omega t)."""
+        w = self.omega
+        t = np.arange(1.0, np.floor(t_end * w / np.pi) + 1.0) * np.pi / w
+        return t[t < t_end]
+
+
+class _Monotone:
+    """An envelope that decays monotonically: no zeros and no extrema."""
+
+    def zeros(self, t_max: float) -> list[float]:
+        return []
+
+    def extrema(self, t_end: float) -> np.ndarray:
+        return np.empty(0)
+
 
 @dataclass(frozen=True)
-class Moun:
+class Moun(_Monotone):
     """Modified Ornstein-Uhlenbeck noise."""
 
     Gamma_over_gamma: float
@@ -52,9 +76,12 @@ class Moun:
         if not (np.isfinite(self.Gamma_over_gamma) and self.Gamma_over_gamma > 0.0):
             raise ValueError("MOUN relaxation rate must be finite and positive")
 
+    def envelope(self, t):
+        return np.exp(-0.5 * self.Gamma_over_gamma * (t + np.expm1(-t)))
+
 
 @dataclass(frozen=True)
-class Markov:
+class Markov(_Monotone):
     """Markovian dephasing baseline with envelope exp(-lambda*t)."""
 
     lambda_over_gamma: float
@@ -62,6 +89,9 @@ class Markov:
     def __post_init__(self):
         if not (np.isfinite(self.lambda_over_gamma) and self.lambda_over_gamma > 0.0):
             raise ValueError("Markovian decay rate must be finite and positive")
+
+    def envelope(self, t):
+        return np.exp(-self.lambda_over_gamma * t)
 
 
 NoiseModel = Rtn | Moun | Markov
@@ -77,15 +107,7 @@ def lambda_of_t(model: NoiseModel, t):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise ValueError("time must be finite and nonnegative")
-    if isinstance(model, Rtn):
-        w = model.omega
-        val = np.exp(-arr) * (np.cos(w * arr) + np.sin(w * arr) / w)
-    elif isinstance(model, Moun):
-        val = np.exp(-0.5 * model.Gamma_over_gamma * (arr + np.expm1(-arr)))
-    elif isinstance(model, Markov):
-        val = np.exp(-model.lambda_over_gamma * arr)
-    else:
-        raise TypeError(f"unsupported noise model {model!r}")
+    val = model.envelope(arr)
     return float(val) if val.ndim == 0 else val
 
 
@@ -125,17 +147,7 @@ def evolve_bloch(b: BlochX, lam: float) -> BlochX:
 
 
 def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
-    """All envelope zeros in (0, t_max], at their closed form.
-
-    Only RTN crosses zero, at t_k = (k*pi - arctan(omega)) / omega; the
-    monotone models return an empty list.
-    """
+    """All envelope zeros in (0, t_max], at the model's closed form; only RTN has any."""
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    if not isinstance(model, Rtn):
-        return []
-    w = model.omega
-    # one index past the estimated last zero; the t_k <= t_max test trims it
-    k = np.arange(1.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 2.0)
-    t_k = (k * np.pi - np.arctan(w)) / w
-    return t_k[t_k <= t_max].tolist()
+    return model.zeros(t_max)

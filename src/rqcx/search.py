@@ -13,24 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def bisect(f, lo, hi, tol: float) -> np.ndarray:
+def bisect(f, lo, hi, tol) -> np.ndarray:
     """A root of f in every bracket [lo_i, hi_i], all brackets at once.
 
     f maps an array of points to an array of values.  A lane keeps the end
     whose sign (f > 0 or not) differs from the midpoint's and stops at a
     midpoint where f is exactly 0, which is then its root; otherwise its root
-    is the midpoint of its bracket once that is no wider than tol, or after
-    200 halvings.
+    is the midpoint of its bracket once that is no wider than its tol (one
+    for all lanes, or one per lane), or after 200 halvings.
     """
     lo = np.array(lo, dtype=float, ndmin=1)
     hi = np.array(hi, dtype=float, ndmin=1)
     if not lo.size:
         return lo
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
     f_lo = np.asarray(f(lo), dtype=float)
     root = np.full(lo.size, np.nan)
     live = np.arange(lo.size)
     for _ in range(200):
-        live = live[~(hi[live] - lo[live] <= tol)]
+        live = live[~(hi[live] - lo[live] <= tol[live])]
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])

@@ -164,7 +164,7 @@ def test_criterion_7_inequality_suite():
 def test_criterion_8_event_structure_at_figure_scale():
     tgrid = np.linspace(0.0, 3.0, 600)
     st = make_state(FamilySpec("werner", 2.0 / 3.0))
-    events = detect_events(st, RTN4, tgrid, threshold=1e-4)
+    events = detect_events(st, RTN4, 3.0, threshold=1e-4)
     conc_revivals = [e for e in events if e.kind == "revival_peak" and e.measure == "concurrence"]
     laqc_revivals = [e for e in events if e.kind == "revival_peak" and e.measure == "laqc"]
     assert len(conc_revivals) == 1
@@ -172,7 +172,7 @@ def test_criterion_8_event_structure_at_figure_scale():
     moun = Moun(1.0)
     for spec in (FamilySpec("werner", 1.0), FamilySpec("mnms", 0.7)):
         stm = make_state(spec)
-        ev = detect_events(stm, moun, tgrid, threshold=1e-4)
+        ev = detect_events(stm, moun, 3.0, threshold=1e-4)
         assert not [e for e in ev if e.kind == "sudden_death"]
         laqc_vals = trajectory(stm, moun, tgrid).laqc
         assert np.all(np.diff(laqc_vals) <= 1e-15)

@@ -300,19 +300,17 @@ class TestEvolveAndEvents:
     def test_events_pass_only_the_window_end(self, capsys, monkeypatch):
         args = ["events", "--state", "werner", "--param", "0.8", "--noise", "rtn", "--tmax", "2.7"]
         _, expected, _ = run_cli(capsys, *args, "--steps", "600")
-        grids = []
+        ends = []
 
-        def recorded(state, noise, tgrid, threshold, _fn=dynamics.detect_events):
-            grids.append(np.array(tgrid))
-            return _fn(state, noise, tgrid, threshold)
+        def recorded(state, noise, t_end, threshold, _fn=dynamics.detect_events):
+            ends.append(t_end)
+            return _fn(state, noise, t_end, threshold)
 
         monkeypatch.setattr(dynamics, "detect_events", recorded)
         code, out, _ = run_cli(capsys, *args, "--steps", "10000000")
         assert code == 0
         assert out == expected
-        assert len(grids) == 1
-        assert grids[0].size == 3
-        assert grids[0][-1] == 2.7
+        assert ends == [2.7]
 
     @pytest.mark.parametrize("a", ["1.6e7", "1e8"])
     def test_events_at_zero_spacings_below_the_probe(self, capsys, a):
@@ -325,15 +323,30 @@ class TestEvolveAndEvents:
         deaths = [float(r["t"]) for r in parse_csv(out)[1] if (r["kind"], r["measure"]) == ("sudden_death", "laqc")]
         assert deaths == lambda_zeros(Rtn(float(a)), 1e-6)
 
-    @pytest.mark.parametrize(
-        "steps, message",
-        [("1", "--steps must be at least 2"), ("2", "event detection needs at least 3 trajectory rows")],
-    )
+    @pytest.mark.parametrize("a", ["1e8", "1e9"])
+    def test_concurrence_deaths_at_fast_rates(self, capsys, a):
+        # pi/omega is 1.6e-8 at a/gamma 1e8 and 1.6e-9 at 1e9, near or below
+        # the 1e-9 bisection tolerance, which must shrink with the pieces
+        code, out, err = run_cli(
+            capsys, "events", "--state", "werner", "--param", "0.9", "--a-over-gamma", a, "--tmax", "1e-6",
+        )
+        assert (code, err) == (0, "")
+        rows = [r for r in parse_csv(out)[1] if (r["kind"], r["measure"]) == ("sudden_death", "concurrence")]
+        assert len(rows) > 10
+        assert max(float(r["value"]) for r in rows) <= 1e-8
+
+    @pytest.mark.parametrize("steps, message", [("1", "--steps must be at least 2")])
     def test_events_step_floor(self, capsys, steps, message):
         code, out, err = run_cli(capsys, "events", "--state", "werner", "--param", "0.8", "--steps", steps)
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_events_take_two_steps(self, capsys):
+        # --steps 2 passes the check evolve makes, and the events ignore it
+        args = ["events", "--state", "werner", "--param", "0.8"]
+        _, expected, _ = run_cli(capsys, *args, "--steps", "600")
+        assert run_cli(capsys, *args, "--steps", "2") == (0, expected, "")
 
     @pytest.mark.parametrize("command", ["events", "evolve"])
     def test_validates_a_state_as_measure_set_does(self, capsys, monkeypatch, command):
@@ -586,6 +599,18 @@ class TestConfigAndErrors:
         assert (code, out, err) == (1, "", "error: this surface run does not fit in memory\n")
         assert len(calls) == 7 and not path.exists()
 
+    def test_closed_stdout_pipe_exits_one(self):
+        # the reader takes one line and closes the pipe, as `rqcx surface | head -1` does
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "rqcx", "surface", "--state", "werner"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# param,t,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 1
@@ -621,7 +646,7 @@ class TestInputBoundary:
             ["evolve", *WERNER, "--steps", "0"],
             ["evolve", *WERNER, "--steps", "1"],
             ["events", *WERNER, "--tmax", "inf"],
-            ["events", *WERNER, "--steps", "2"],
+            ["events", *WERNER, "--steps", "1"],
             ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "inf"],
             ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "inf"],
             ["surface", "--state", "mnms", "--time-grid", "0:inf:3"],
@@ -633,7 +658,7 @@ class TestInputBoundary:
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
-            "events-tmax-inf", "events-steps-two", "rtn-rate-inf", "markov-rate-inf",
+            "events-tmax-inf", "events-steps-one", "rtn-rate-inf", "markov-rate-inf",
             "grid-max-inf", "grid-min-nan", "grid-min-neg-inf",
             "threshold-nan", "threshold-inf", "threshold-negative",
         ],

@@ -9,7 +9,6 @@ from rqcx.dynamics import (
     DEATH_TOL,
     SweepSpec,
     _concurrence_deaths,
-    _envelope_extrema,
     detect_events,
     surface,
     trajectory,
@@ -41,7 +40,7 @@ def _kappa(p):
 
 
 def _concurrence_death_times(state, noise, tmax):
-    events = detect_events(state, noise, _grid(tmax, 3), threshold=0.0)
+    events = detect_events(state, noise, tmax, threshold=0.0)
     return [e.t for e in events if e.kind == "sudden_death" and e.measure == "concurrence"]
 
 
@@ -77,20 +76,21 @@ class TestTrajectory:
 
 
 class TestEvents:
-    def test_too_few_rows_rejected(self):
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+    def test_window_end_must_be_finite_and_positive(self, t_end):
         st = make_state(FamilySpec("werner", 0.8))
-        with pytest.raises(ValueError):
-            detect_events(st, RTN4, [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            detect_events(st, RTN4, t_end)
 
     def test_moun_produces_no_sudden_death(self):
         st = make_state(FamilySpec("mnms", 0.7))
-        events = detect_events(st, Moun(1.0), _grid())
+        events = detect_events(st, Moun(1.0), 3.0)
         assert not [e for e in events if e.kind == "sudden_death"]
         assert {e.kind for e in events} <= {"asymptotic"}
 
     def test_singlet_rtn_first_death_time(self):
         st = make_state(FamilySpec("werner", 1.0))
-        events = detect_events(st, RTN4, _grid())
+        events = detect_events(st, RTN4, 3.0)
         deaths = [e for e in events if e.kind == "sudden_death" and e.measure == "laqc"]
         assert deaths[0].t == pytest.approx(0.21369, abs=1e-5)
         assert deaths[0].value < 1e-9
@@ -103,7 +103,7 @@ class TestEvents:
 
     def test_werner_two_thirds_event_structure(self):
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
-        events = detect_events(st, RTN4, _grid(), threshold=1e-4)
+        events = detect_events(st, RTN4, 3.0, threshold=1e-4)
         conc_revivals = [
             e for e in events if e.kind == "revival_peak" and e.measure == "concurrence"
         ]
@@ -113,7 +113,7 @@ class TestEvents:
 
     def test_concurrence_death_is_not_an_envelope_zero(self):
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
-        events = detect_events(st, RTN4, _grid())
+        events = detect_events(st, RTN4, 3.0)
         conc_death = [
             e for e in events if e.kind == "sudden_death" and e.measure == "concurrence"
         ][0]
@@ -125,16 +125,17 @@ class TestEvents:
         assert abs(lambda_of_t(RTN4, conc_death.t)) == pytest.approx(0.5, abs=1e-8)
 
     def test_grid_resolution_stability(self):
+        # a caller may pass the last time of any grid, or the window end as any real number
         st = make_state(FamilySpec("werner", 2.0 / 3.0))
-        events = detect_events(st, RTN4, _grid(steps=600))
+        events = detect_events(st, RTN4, 3.0)
         assert len(events) > 0
-        for steps in (3, 1200, 20000):
-            assert detect_events(st, RTN4, _grid(steps=steps)) == events
+        for t_end in (3, np.float64(3.0), *(_grid(steps=steps)[-1] for steps in (3, 1200, 20000))):
+            assert detect_events(st, RTN4, t_end) == events
 
     def test_revival_peaks_are_local_maxima_of_rows(self):
         st = make_state(FamilySpec("werner", 1.0))
         traj = trajectory(st, RTN4, _grid())
-        events = detect_events(st, RTN4, _grid())
+        events = detect_events(st, RTN4, 3.0)
         ts = traj.t
         for e in events:
             if e.kind != "revival_peak":
@@ -190,16 +191,28 @@ class TestClosedFormEvents:
     """Events sit where the closed-form conditions put them, whatever the time grid."""
 
     @settings(max_examples=150)
-    @given(state=_STATES, noise=_NOISES, tmax=st.floats(0.5, 6.0), steps=st.integers(3, 1000))
-    def test_events_depend_only_on_the_window_end(self, state, noise, tmax, steps):
-        events = detect_events(state, noise, np.linspace(0.0, tmax, steps))
-        assert detect_events(state, noise, np.linspace(0.0, tmax, 20000)) == events
+    @given(state=_STATES, noise=_NOISES, tmax=st.floats(0.5, 6.0), stretch=st.floats(1.0, 3.0))
+    def test_events_depend_only_on_the_window_end(self, state, noise, tmax, stretch):
+        """A longer window reports the same events up to tmax, so nothing past it moves them.
+
+        The concurrence deaths are bisected on pieces that the window end may
+        cut, so they agree to DEATH_TOL; every other event agrees to the bit.
+        """
+        events = [e for e in detect_events(state, noise, tmax) if e.kind != "asymptotic"]
+        longer = detect_events(state, noise, tmax * stretch)
+        longer = [e for e in longer if e.kind != "asymptotic" and e.t <= tmax]
+        assert [(e.kind, e.measure) for e in events] == [(e.kind, e.measure) for e in longer]
+        for e, f in zip(events, longer):
+            if (e.kind, e.measure) == ("sudden_death", "concurrence"):
+                assert abs(e.t - f.t) <= DEATH_TOL
+            else:
+                assert e == f
 
     # RTN first: its zeros and extrema carry most of what is checked
     @settings(max_examples=300)
     @given(state=_STATES, noise=st.one_of(st.floats(0.55, 12.0).map(Rtn), _NOISES), tmax=st.floats(0.5, 6.0))
     def test_events_sit_on_the_closed_form_points(self, state, noise, tmax):
-        events = detect_events(state, noise, _grid(tmax, 3))
+        events = detect_events(state, noise, tmax)
         zeros = lambda_zeros(noise, tmax)
         margin = _margin_along(state, noise)
 
@@ -252,7 +265,7 @@ class TestConcurrenceDeaths:
     @given(state=_STATES, noise=st.one_of(st.floats(0.55, 12.0).map(Rtn), _NOISES), tmax=st.floats(0.5, 6.0))
     def test_deaths_match_the_margin_bisection(self, state, noise, tmax):
         zeros = lambda_zeros(noise, tmax)
-        extrema = _envelope_extrema(noise, tmax)
+        extrema = noise.extrema(tmax)
         deaths = _concurrence_deaths(_StateMeasures(state), noise, zeros, extrema, tmax)
         reference = _margin_deaths(_margin_along(state, noise), zeros, extrema, tmax)
         if _kappa(state) == 0.0:
@@ -268,7 +281,7 @@ class TestConcurrenceDeaths:
         # |s| = 1.1e-311 lies under sqrt(ad), so no quotient divides by it
         state = make_state(FamilySpec("werner", 2.2e-311))
         trajectory(state, RTN4, _grid())
-        assert not [e for e in detect_events(state, RTN4, _grid()) if e.measure == "concurrence"]
+        assert not [e for e in detect_events(state, RTN4, 3.0) if e.measure == "concurrence"]
 
     @pytest.mark.parametrize("a", [0.6, 1.0, 4.0])
     def test_late_touching_zeros_are_deaths(self, a):
@@ -330,7 +343,7 @@ class TestSurface:
 def test_event_records_from_file_state():
     # a hand-built X state behaves like its family twin
     st = XStateParams(0.25, 0.25, 0.25, 0.25, 0.2, -0.1)
-    events = detect_events(st, RTN4, _grid(steps=300))
+    events = detect_events(st, RTN4, 3.0)
     kinds = {e.kind for e in events}
     assert "sudden_death" in kinds
 
@@ -394,6 +407,16 @@ class TestLaneSearches:
         lanes = search.bisect(margin, lo, hi, 1e-9)
         for k in range(lo.size):
             assert lanes[k] == _bisect_root(lambda t: float(margin(t)[0]), float(lo[k]), float(hi[k]))
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), noise=_NOISES, brackets=_BRACKETS, data=st.data())
+    def test_per_lane_tolerances(self, seed, noise, brackets, data):
+        margin = _margin_along(random_xstate(np.random.default_rng(seed)), noise)
+        lo, hi = np.array(_ordered(brackets)).T
+        tols = data.draw(st.lists(st.floats(1e-14, 1e-3), min_size=lo.size, max_size=lo.size))
+        lanes = search.bisect(margin, lo, hi, np.array(tols))
+        for k in range(lo.size):
+            assert lanes[k] == _bisect_root(lambda t: float(margin(t)[0]), float(lo[k]), float(hi[k]), tols[k])
 
     def test_crossover_single_lane(self):
         from rqcx.families import crossover_z

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_xstate
 from rqcx.noise import (
@@ -73,6 +75,35 @@ class TestEnvelope:
         assert np.max(np.abs(lambda_of_t(RTN4, grid))) <= 1.0 + 1e-12
         lam_moun = lambda_of_t(Moun(1.0), grid)
         assert np.all((lam_moun > 0.0) & (lam_moun <= 1.0))
+
+
+def _envelope_ref(model, t):
+    """Each envelope as lambda_of_t wrote it out before the models held their closed forms."""
+    if isinstance(model, Rtn):
+        w = model.omega
+        return np.exp(-t) * (np.cos(w * t) + np.sin(w * t) / w)
+    if isinstance(model, Moun):
+        return np.exp(-0.5 * model.Gamma_over_gamma * (t + np.expm1(-t)))
+    return np.exp(-model.lambda_over_gamma * t)
+
+
+_MODELS = st.one_of(
+    st.floats(0.5, 1e3, exclude_min=True).map(Rtn),
+    st.floats(1e-3, 1e3).map(Moun),
+    st.floats(1e-3, 1e3).map(Markov),
+)
+
+
+@settings(max_examples=300)
+@given(model=_MODELS, t=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40))
+def test_envelope_equals_the_reference_to_the_bit(model, t):
+    t = np.array(t)
+    # the int64 view compares value and sign of zero
+    assert np.array_equal(lambda_of_t(model, t).view(np.int64), _envelope_ref(model, t).view(np.int64))
+    # a scalar time takes the 0-d path and comes back as a float
+    scalar = lambda_of_t(model, t[0])
+    assert type(scalar) is float
+    assert np.float64(scalar).view(np.int64) == _envelope_ref(model, np.asarray(t[0])).view(np.int64)
 
 
 class TestKraus:
@@ -177,3 +208,34 @@ def test_evolve_bloch_examples():
     assert abs(dephased.t11) <= 1e-15 and abs(dephased.t22) <= 1e-15
     evolved = evolve_bloch(b, np.sqrt(0.5))
     assert measure_set(bloch_to_xstate(evolved)).concurrence == pytest.approx(1.0 / 6.0, abs=1e-13)
+
+
+class TestExtrema:
+    def test_moun_and_markov_have_none(self):
+        for model in (Moun(1.0), Markov(1.0)):
+            extrema = model.extrema(50.0)
+            assert isinstance(extrema, np.ndarray) and extrema.size == 0
+
+    def test_rtn_extrema_at_k_pi_over_omega(self):
+        w = RTN4.omega
+        extrema = RTN4.extrema(3.0)
+        assert extrema.tolist() == [k * np.pi / w for k in range(1, extrema.size + 1)]
+        assert extrema[-1] < 3.0 <= (extrema.size + 1) * np.pi / w
+        # Lambda' = -exp(-t) (omega + 1/omega) sin(omega t) changes sign at each
+        h = 1e-6
+        slope = np.diff(lambda_of_t(RTN4, np.stack([extrema - h, extrema, extrema + h])), axis=0)
+        assert np.all(slope[0] * slope[1] < 0.0)
+
+    def test_window_end_is_excluded(self):
+        w = RTN4.omega
+        assert RTN4.extrema(2.0 * np.pi / w).tolist() == [np.pi / w]
+        assert RTN4.extrema(np.pi / w).size == 0
+
+    def test_extrema_lie_between_the_zeros(self):
+        # zero k < extremum k < zero k + 1: each piece of Lambda between two
+        # neighbouring critical points is monotone
+        zeros = lambda_zeros(RTN4, 6.0)
+        extrema = RTN4.extrema(6.0)
+        assert extrema.size <= len(zeros) <= extrema.size + 1
+        for k, t in enumerate(extrema):
+            assert zeros[k] < t < (zeros + [np.inf])[k + 1]
