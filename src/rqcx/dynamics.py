@@ -4,10 +4,11 @@ Every measure along an envelope comes from one engine, `measures._StateMeasures`
 which gives measure_set's values at Lambda = 1 and clamps each measure at 0.
 The dephasing channel scales only the coherence coefficients (by Lambda^2),
 so g3 is constant along a trajectory while g1, g2 and the concurrence follow
-the envelope.  Events come from the noise model's own zeros and extrema:
-sudden deaths of the quantum measures land exactly on the zeros and revival
-peaks on the extrema; concurrence dies where Lambda^2 falls through its death
-level, generally at nonzero envelope values.
+the envelope.  Events come from the noise model's own closed forms: sudden
+deaths of the quantum measures land exactly on its zeros and revival peaks
+on its extrema; concurrence dies at the model's crossings of its death level
+kappa, where Lambda^2 falls through kappa, generally at nonzero envelope
+values.  No event is searched for here.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import numpy as np
 from .families import FamilySpec, make_state
 from .measures import _StateMeasures
 from .noise import NoiseModel, lambda_of_t, lambda_zeros
-from .search import bisect
 from .states import XStateParams
-
-DEATH_TOL = 1e-9
 
 
 class Trajectory(NamedTuple):
@@ -89,7 +87,7 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float, threshol
     zeros = lambda_zeros(noise, t_end)
     _check_sign_changes(noise, zeros)
     extrema = noise.extrema(t_end)
-    deaths = _concurrence_deaths(measures, noise, zeros, extrema, t_end)
+    deaths = _concurrence_deaths(measures, noise, zeros, t_end)
     # every point value in one call: both ends, the zeros, the extrema and
     # the concurrence deaths
     values = measures(np.atleast_1d(lambda_of_t(noise, np.concatenate(([0.0, t_end], zeros, extrema, deaths)))))
@@ -142,32 +140,20 @@ def _check_sign_changes(noise: NoiseModel, zeros) -> None:
         raise RuntimeError(f"envelope zero at t={zeros[bad[0]]} is not a sign change of Lambda")
 
 
-def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, extrema, t_end) -> np.ndarray:
+def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, t_end) -> np.ndarray:
     """Sorted times where L^2 falls through kappa, the concurrence's death level.
 
     The concurrence is positive exactly while L^2 > kappa (see
     `_StateMeasures.death_level`); with no kappa it is 0 from the start and
-    never dies, and with kappa = 0 it dies on each envelope zero.
-    Otherwise L^2 is monotone between its critical points t = 0, the zeros,
-    the extrema and t_end, so each piece that falls through kappa holds one
-    death, and all of them are bisected together on L^2 - kappa, each to
-    DEATH_TOL or 1e-8 of its piece's length, whichever is smaller.
+    never dies, with kappa = 0 it dies on each envelope zero, and otherwise
+    it dies at the noise model's own crossings of kappa.
     """
     kappa = measures.death_level()
     if kappa is None:
         return np.empty(0)
     if kappa == 0.0:
         return np.array(zeros, dtype=float)
-
-    def excess(t):
-        return lambda_of_t(noise, t) ** 2 - kappa
-
-    t = np.sort(np.concatenate(([0.0], zeros, extrema, [t_end])))
-    alive = excess(t) > 0.0
-    # L^2 is 0 on a zero, however small the value computed there
-    alive[np.searchsorted(t, zeros)] = False
-    k = np.flatnonzero(alive[:-1] & ~alive[1:])
-    return bisect(excess, t[k], t[k + 1], np.minimum(DEATH_TOL, 1e-8 * (t[k + 1] - t[k])))
+    return noise.crossings(kappa, t_end)
 
 
 def surface(spec: SweepSpec, measure_a: str, measure_b: str):

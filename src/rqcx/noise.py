@@ -2,10 +2,14 @@
 
 Time is dimensionless (gamma*t), and all rates are entered relative to the
 environment fluctuation rate gamma.  Each model owns its closed forms:
-envelope(t), zeros(t_max) and extrema(t_end).  Random telegraph noise (RTN)
-oscillates as it decays; the modified Ornstein-Uhlenbeck noise (MOUN) and the
-Markovian baseline decay monotonically and share one definition: no zeros, no
-extrema.  `lambda_of_t` and `lambda_zeros` check their arguments and call the model.
+envelope(t), zeros(t_max), extrema(t_end) and crossings(kappa, t_end), the
+times where Lambda^2 falls through a level kappa.  Random telegraph noise
+(RTN) oscillates as it decays; the modified Ornstein-Uhlenbeck noise (MOUN)
+and the Markovian baseline decay monotonically and share one definition: no
+zeros, no extrema.  Markov crosses a level in closed form; RTN and MOUN solve
+each crossing on a monotone piece of the envelope with a Newton lane
+(`search.newton`).  `lambda_of_t` and `lambda_zeros` check their arguments
+and call the model.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .search import newton
 from .states import SIGMA_Z, BlochX, require_density_matrix, require_valid_bloch
 
 
@@ -55,6 +60,32 @@ class Rtn:
         t = np.arange(1.0, np.floor(t_end * w / np.pi) + 1.0) * np.pi / w
         return t[t < t_end]
 
+    def crossings(self, kappa: float, t_end: float) -> np.ndarray:
+        """The times in (0, t_end] where Lambda^2 falls through kappa, 0 < kappa < 1.
+
+        |Lambda| falls from each extremum k pi/omega, k >= 0, to the next zero
+        and rises after it.  A piece holds one crossing when Lambda^2 exceeds
+        kappa at its start and, where t_end cuts it, is at most kappa at t_end.
+        Each crossing solves |Lambda| = sqrt(kappa) in one Newton lane, to
+        1e-10 of its piece's length.
+        """
+        w = self.omega
+        # |Lambda| <= sqrt(1 + omega^-2) e^-t: no crossing lies past t_stop
+        t_stop = min(t_end, 0.5 * np.log((1.0 + w**-2) / kappa))
+        k = np.arange(0.0, np.floor(t_stop * w / np.pi) + 1.0)
+        start = k * np.pi / w
+        end = ((k + 1.0) * np.pi - np.arctan(w)) / w
+        lam = self.envelope(np.append(start, t_end))
+        keep = (lam[:-1] ** 2 > kappa) & ((end <= t_end) | (lam[-1] ** 2 <= kappa))
+        root = np.sqrt(kappa)
+
+        def fall(t):
+            lam = self.envelope(t)
+            return np.abs(lam) - root, -np.sign(lam) * np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
+
+        lo, hi = start[keep], np.minimum(end[keep], t_end)
+        return newton(fall, lo, hi, 1e-10 * (hi - lo))
+
 
 class _Monotone:
     """An envelope that decays monotonically: no zeros and no extrema."""
@@ -79,6 +110,23 @@ class Moun(_Monotone):
     def envelope(self, t):
         return np.exp(-0.5 * self.Gamma_over_gamma * (t + np.expm1(-t)))
 
+    def crossings(self, kappa: float, t_end: float) -> np.ndarray:
+        """The time in (0, t_end], if any, where Lambda^2 falls through kappa, 0 < kappa < 1.
+
+        Lambda^2 = kappa where g(t) = t + e^-t - 1 equals c = ln(1/kappa)/Gamma.
+        As g(t)(2 + t) >= t^2, the root lies in [0, (c + sqrt(c^2 + 8c))/2],
+        and one Newton lane solves c - g = 0 from the top, to 1e-10 of that.
+        """
+        c = -np.log(kappa) / self.Gamma_over_gamma
+        hi = 0.5 * (c + np.sqrt(c * (c + 8.0)))
+
+        def fall(t):
+            slope = np.expm1(-t)
+            return c - t - slope, slope
+
+        t = newton(fall, 0.0, hi, 1e-10 * hi)
+        return t[t <= t_end]
+
 
 @dataclass(frozen=True)
 class Markov(_Monotone):
@@ -92,6 +140,11 @@ class Markov(_Monotone):
 
     def envelope(self, t):
         return np.exp(-self.lambda_over_gamma * t)
+
+    def crossings(self, kappa: float, t_end: float) -> np.ndarray:
+        """The time in (0, t_end], if any, where Lambda^2 falls through kappa: ln(1/kappa)/(2 lambda)."""
+        t = -np.log(kappa) / (2.0 * self.lambda_over_gamma)
+        return np.array([t] if t <= t_end else [])
 
 
 NoiseModel = Rtn | Moun | Markov

@@ -326,14 +326,14 @@ class TestEvolveAndEvents:
     @pytest.mark.parametrize("a", ["1e8", "1e9"])
     def test_concurrence_deaths_at_fast_rates(self, capsys, a):
         # pi/omega is 1.6e-8 at a/gamma 1e8 and 1.6e-9 at 1e9, near or below
-        # the 1e-9 bisection tolerance, which must shrink with the pieces
+        # the 1e-9 death tolerance: each death is solved to its piece's scale
         code, out, err = run_cli(
             capsys, "events", "--state", "werner", "--param", "0.9", "--a-over-gamma", a, "--tmax", "1e-6",
         )
         assert (code, err) == (0, "")
         rows = [r for r in parse_csv(out)[1] if (r["kind"], r["measure"]) == ("sudden_death", "concurrence")]
         assert len(rows) > 10
-        assert max(float(r["value"]) for r in rows) <= 1e-8
+        assert max(float(r["value"]) for r in rows) <= 1e-12
 
     @pytest.mark.parametrize("steps, message", [("1", "--steps must be at least 2")])
     def test_events_step_floor(self, capsys, steps, message):

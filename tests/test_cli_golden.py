@@ -10,7 +10,11 @@ also pin event times and values.  The ``events_rtn`` and ``events_coarse*``
 files were rewritten later, when the envelope zeros came to be
 returned at their closed form, unpolished, and concurrence deaths came to be
 bisected on Lambda^2 minus the death level: rows and kinds stayed, times
-moved by at most 4.4e-16.  The ``oracle_default*`` files were written
+moved by at most 4.4e-16.  The ``events_moun`` and ``events_coarse_werner``
+files were rewritten again when each noise model came to find its own
+crossings of the death level (Markov in closed form, RTN and MOUN by Newton
+lanes) in place of the bisection: only concurrence death rows moved, by at
+most 2.6e-10 in ``events_moun`` and 8.9e-10 in ``events_coarse_werner``.  The ``oracle_default*`` files were written
 before the oracle's two maximum searches came to share one grid stage and the
 CMI kernel came to run in blocks, and ``oracle_werner`` (eight tied stage-1
 leaders) before the leaders came to be refined as one batch.  The
@@ -67,8 +71,8 @@ CASES = {
         "--noise", "rtn", "--a-over-gamma", "4", "--steps", "40",
     ],
     # each concurrence crossing is alone in its sample interval, and some of
-    # those intervals also hold an envelope extremum: their sample brackets
-    # must be bisected as they are
+    # those intervals also hold an envelope extremum; the crossings come from
+    # the monotone pieces of the envelope, whatever the samples
     "events_coarse_werner": [
         "events", "--state", "werner", "--param", "0.8",
         "--noise", "rtn", "--a-over-gamma", "4", "--steps", "30",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rqcx import search
 from rqcx.dynamics import (
-    DEATH_TOL,
     SweepSpec,
     _concurrence_deaths,
     detect_events,
@@ -19,6 +18,9 @@ from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.states import XStateParams
 
 RTN4 = Rtn(4.0)
+# the accuracy every concurrence death is held to, and the tolerance of the
+# margin bisection below
+DEATH_TOL = 1e-9
 _MEASURES = ("concurrence", "laqc", "qs", "cs")
 
 
@@ -195,8 +197,9 @@ class TestClosedFormEvents:
     def test_events_depend_only_on_the_window_end(self, state, noise, tmax, stretch):
         """A longer window reports the same events up to tmax, so nothing past it moves them.
 
-        The concurrence deaths are bisected on pieces that the window end may
-        cut, so they agree to DEATH_TOL; every other event agrees to the bit.
+        A concurrence death's Newton lane starts at the end of its piece,
+        which the window end may cut, so the deaths agree to DEATH_TOL; every
+        other event agrees to the bit.
         """
         events = [e for e in detect_events(state, noise, tmax) if e.kind != "asymptotic"]
         longer = detect_events(state, noise, tmax * stretch)
@@ -266,13 +269,14 @@ class TestConcurrenceDeaths:
     def test_deaths_match_the_margin_bisection(self, state, noise, tmax):
         zeros = lambda_zeros(noise, tmax)
         extrema = noise.extrema(tmax)
-        deaths = _concurrence_deaths(_StateMeasures(state), noise, zeros, extrema, tmax)
+        deaths = _concurrence_deaths(_StateMeasures(state), noise, zeros, tmax)
         reference = _margin_deaths(_margin_along(state, noise), zeros, extrema, tmax)
         if _kappa(state) == 0.0:
-            # the touching-zero rule of the margin bisection misses zeros where
-            # the margin stays under 1e-12 a step of 1e-3 away; each zero it
-            # does report is a death here too
-            assert set(reference.tolist()) <= set(deaths.tolist())
+            # kappa = 0 puts every death on a zero, where the margin bisection
+            # is no reference: its touching-zero rule misses zeros where the
+            # margin stays under 1e-12 a step of 1e-3 away, and a subnormal
+            # coherence makes the margin underflow to 0 short of a zero
+            assert deaths.tolist() == zeros
         else:
             assert deaths.size == reference.size
             assert np.all(np.abs(deaths - reference) <= DEATH_TOL)
@@ -376,6 +380,44 @@ def _bisect_root(f, lo, hi, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
+def _newton_root(f, lo, hi, tol):
+    x = hi
+    for _ in range(100):
+        y, dy = (v[0] for v in f(np.array([x])))
+        if y > 0.0:
+            lo = x
+        else:
+            hi = x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = y / dy
+        step = x - delta
+        if abs(delta) <= tol or hi - lo <= tol:
+            return min(max(step, lo), hi)
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return x
+
+
+def _slope(noise, t):
+    """Lambda'(t) for each noise model."""
+    lam = lambda_of_t(noise, t)
+    if isinstance(noise, Rtn):
+        w = noise.omega
+        return -np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
+    if isinstance(noise, Moun):
+        return 0.5 * noise.Gamma_over_gamma * np.expm1(-t) * lam
+    return -noise.lambda_over_gamma * lam
+
+
+def _fall(noise, kappa):
+    """Lambda^2 - kappa along a noise model and its slope 2 Lambda Lambda', for arrays of times."""
+
+    def f(t):
+        lam = lambda_of_t(noise, t)
+        return lam**2 - kappa, 2.0 * lam * _slope(noise, t)
+
+    return f
+
+
 def _margin_deaths(margin, zeros, extrema, t_end):
     """The concurrence deaths as roots of the margin, with the touching-zero rule."""
     zs = np.array(zeros, dtype=float)
@@ -411,12 +453,16 @@ class TestLaneSearches:
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), noise=_NOISES, brackets=_BRACKETS, data=st.data())
     def test_per_lane_tolerances(self, seed, noise, brackets, data):
-        margin = _margin_along(random_xstate(np.random.default_rng(seed)), noise)
+        """Each Newton lane equals the scalar Newton loop with its own tol."""
+        state = random_xstate(np.random.default_rng(seed))
+        kappa = _kappa(state) or 0.5
+        fall = _fall(noise, kappa)
         lo, hi = np.array(_ordered(brackets)).T
         tols = data.draw(st.lists(st.floats(1e-14, 1e-3), min_size=lo.size, max_size=lo.size))
-        lanes = search.bisect(margin, lo, hi, np.array(tols))
+        lanes = search.newton(fall, lo, hi, np.array(tols))
         for k in range(lo.size):
-            assert lanes[k] == _bisect_root(lambda t: float(margin(t)[0]), float(lo[k]), float(hi[k]), tols[k])
+            scalar = _newton_root(fall, float(lo[k]), float(hi[k]), tols[k])
+            assert np.float64(lanes[k]).view(np.int64) == np.float64(scalar).view(np.int64)
 
     def test_crossover_single_lane(self):
         from rqcx.families import crossover_z
@@ -425,6 +471,7 @@ class TestLaneSearches:
 
     def test_empty_lanes(self):
         assert search.bisect(np.sin, [], [], 1e-9).size == 0
+        assert search.newton(lambda t: (np.sin(t), np.cos(t)), [], [], 1e-9).size == 0
 
 
 _PARAMS = st.lists(

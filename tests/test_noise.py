@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_xstate
+from test_dynamics import DEATH_TOL, _margin_deaths, _slope
 from rqcx.noise import (
     Markov,
     Moun,
@@ -239,3 +240,55 @@ class TestExtrema:
         assert extrema.size <= len(zeros) <= extrema.size + 1
         for k, t in enumerate(extrema):
             assert zeros[k] < t < (zeros + [np.inf])[k + 1]
+
+
+_RATED = st.one_of(
+    st.floats(0.5, 20.0, exclude_min=True).map(Rtn),
+    st.floats(0.1, 5.0).map(Moun),
+    st.floats(0.1, 5.0).map(Markov),
+)
+_LEVELS = st.floats(np.log(1e-12), np.log(1.0 - 1e-9)).map(np.exp).map(float)
+
+
+class TestCrossings:
+    """Each model's crossings of a level kappa are where Lambda^2 falls through it."""
+
+    @settings(max_examples=300)
+    @given(model=_RATED, kappa=_LEVELS, t_end=st.floats(0.5, 50.0))
+    def test_crossings_solve_lambda_squared_equals_kappa(self, model, kappa, t_end):
+        t = model.crossings(kappa, t_end)
+        assert isinstance(t, np.ndarray) and np.all(np.diff(t) > 0.0)
+        assert np.all((0.0 < t) & (t <= t_end))
+        lam = lambda_of_t(model, t)
+        # 1e-12 relative, plus how far Lambda^2 moves over 4 ulps of t: where
+        # it is steep beside a small kappa, no float t comes closer
+        slack = 4.0 * np.abs(2.0 * lam * _slope(model, t)) * np.spacing(t)
+        assert np.all(np.abs(lam**2 - kappa) <= 1e-12 * kappa + slack)
+        if isinstance(model, Markov):
+            closed = -np.log(kappa) / (2.0 * model.lambda_over_gamma)
+            assert t.tolist() == ([closed] if closed <= t_end else [])
+
+    @settings(max_examples=300)
+    @given(model=_RATED, kappa=_LEVELS, t_end=st.floats(0.5, 50.0))
+    def test_crossings_match_the_margin_bisection(self, model, kappa, t_end):
+        # Lambda^2/kappa - 1 has the sign of Lambda^2 - kappa and is -1 on a
+        # zero, so the touching-zero rule never applies
+        reference = _margin_deaths(
+            lambda t: lambda_of_t(model, t) ** 2 / kappa - 1.0,
+            lambda_zeros(model, t_end),
+            model.extrema(t_end),
+            t_end,
+        )
+        t = model.crossings(kappa, t_end)
+        assert t.size == reference.size
+        assert np.all(np.abs(t - reference) <= DEATH_TOL)
+
+    @pytest.mark.parametrize("a", [0.6, 4.0, 20.0])
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-4, 0.5])
+    def test_rtn_stops_at_the_envelope_bound(self, a, kappa):
+        # |Lambda| <= sqrt(1 + omega^-2) e^-t: no crossing lies past
+        # ln(sqrt(1 + omega^-2)/sqrt(kappa)), which is under 50 here
+        model = Rtn(a)
+        near = model.crossings(kappa, 50.0)
+        assert near.size
+        assert np.array_equal(model.crossings(kappa, 1e5), near)
