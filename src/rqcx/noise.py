@@ -46,42 +46,55 @@ class Rtn:
         w = self.omega
         return np.exp(-t) * (np.cos(w * t) + np.sin(w * t) / w)
 
+    def _extremum(self, k):
+        """The k-th extremum k pi/omega; k = 0 is t = 0."""
+        return k * np.pi / self.omega
+
+    def _zero(self, k):
+        """The zero after the k-th extremum, ((k + 1) pi - arctan omega)/omega."""
+        w = self.omega
+        return ((k + 1.0) * np.pi - np.arctan(w)) / w
+
+    def _slope(self, t):
+        """Lambda'(t) = -exp(-t) (omega + 1/omega) sin(omega t)."""
+        w = self.omega
+        return -np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
+
     def zeros(self, t_max: float) -> list[float]:
-        """The zeros t_k = (k pi - arctan omega)/omega, k >= 1, in (0, t_max]."""
+        """The zeros in (0, t_max], one after each extremum."""
         w = self.omega
         # one index past the estimated last zero; the t_k <= t_max test trims it
-        k = np.arange(1.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 2.0)
-        t_k = (k * np.pi - np.arctan(w)) / w
+        t_k = self._zero(np.arange(0.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 1.0))
         return t_k[t_k <= t_max].tolist()
 
     def extrema(self, t_end: float) -> np.ndarray:
-        """The extrema t = k pi/omega, k >= 1, before t_end: Lambda' = -exp(-t) (omega + 1/omega) sin(omega t)."""
-        w = self.omega
-        t = np.arange(1.0, np.floor(t_end * w / np.pi) + 1.0) * np.pi / w
+        """The extrema k pi/omega, k >= 1, before t_end, where sin(omega t) in Lambda' changes sign."""
+        t = self._extremum(np.arange(1.0, np.floor(t_end * self.omega / np.pi) + 1.0))
         return t[t < t_end]
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:
         """The times in (0, t_end] where Lambda^2 falls through kappa, 0 < kappa < 1.
 
-        |Lambda| falls from each extremum k pi/omega, k >= 0, to the next zero
-        and rises after it.  A piece holds one crossing when Lambda^2 exceeds
-        kappa at its start and, where t_end cuts it, is at most kappa at t_end.
-        Each crossing solves |Lambda| = sqrt(kappa) in one Newton lane, to
-        1e-10 of its piece's length.
+        |Lambda| falls from each extremum (t = 0 first) to the next zero and
+        rises after it.  A piece holds one crossing when Lambda^2 exceeds
+        kappa at its start and, where t_end cuts it, is at most kappa at
+        t_end.  Each crossing solves |Lambda| = sqrt(kappa) in one Newton
+        lane, to 1e-10 of its piece's length.  Where Lambda^2 as computed
+        stays above a tiny kappa up to the zero itself, the lane returns the
+        zero, which then ends the fall.
         """
-        w = self.omega
-        # |Lambda| <= sqrt(1 + omega^-2) e^-t: no crossing lies past t_stop
-        t_stop = min(t_end, 0.5 * np.log((1.0 + w**-2) / kappa))
-        k = np.arange(0.0, np.floor(t_stop * w / np.pi) + 1.0)
-        start = k * np.pi / w
-        end = ((k + 1.0) * np.pi - np.arctan(w)) / w
+        # |Lambda| = e^-t at each piece start, so no piece that starts past
+        # ln(1/kappa)/2 starts above the level
+        t_stop = min(t_end, -0.5 * np.log(kappa))
+        k = np.arange(0.0, np.floor(t_stop * self.omega / np.pi) + 1.0)
+        start, end = self._extremum(k), self._zero(k)
         lam = self.envelope(np.append(start, t_end))
         keep = (lam[:-1] ** 2 > kappa) & ((end <= t_end) | (lam[-1] ** 2 <= kappa))
         root = np.sqrt(kappa)
 
         def fall(t):
             lam = self.envelope(t)
-            return np.abs(lam) - root, -np.sign(lam) * np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
+            return np.abs(lam) - root, np.sign(lam) * self._slope(t)
 
         lo, hi = start[keep], np.minimum(end[keep], t_end)
         return newton(fall, lo, hi, 1e-10 * (hi - lo))

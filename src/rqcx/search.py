@@ -50,7 +50,8 @@ def newton(f, lo, hi, tol) -> np.ndarray:
     """A root of f in every bracket [lo_i, hi_i] by safeguarded Newton, all brackets at once.
 
     f maps an array of points to a pair of arrays, its values and its
-    slopes, and each lane needs f(lo) > 0 >= f(hi).  A lane starts at hi.
+    slopes, and each lane needs f(lo) > 0 >= f(hi), except that a lane with
+    f(hi) > 0 stops at once with root hi.  A lane starts at hi.
     Each point it evaluates replaces the end on its side of the root (lo
     where f > 0, hi otherwise), and the lane takes the Newton step from it.
     The lane stops once that raw step or its bracket is no longer than its

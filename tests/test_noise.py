@@ -286,8 +286,8 @@ class TestCrossings:
     @pytest.mark.parametrize("a", [0.6, 4.0, 20.0])
     @pytest.mark.parametrize("kappa", [1e-12, 1e-4, 0.5])
     def test_rtn_stops_at_the_envelope_bound(self, a, kappa):
-        # |Lambda| <= sqrt(1 + omega^-2) e^-t: no crossing lies past
-        # ln(sqrt(1 + omega^-2)/sqrt(kappa)), which is under 50 here
+        # |Lambda| = e^-t at each piece start: no crossing lies past
+        # ln(1/kappa)/2 plus one piece, which is under 50 here
         model = Rtn(a)
         near = model.crossings(kappa, 50.0)
         assert near.size
