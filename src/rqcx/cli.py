@@ -27,10 +27,8 @@ from . import dynamics, families, measures, noise, oracle, stateio
 from .states import (
     InvalidStateError,
     matrix_to_xstate,
-    validate_bloch,
     validate_density_matrix,
-    validate_xstate,
-    xstate_to_bloch,
+    xstate_report,
     xstate_to_matrix,
 )
 
@@ -271,10 +269,8 @@ def _cmd_validate(opts: dict) -> int:
                 params = matrix_to_xstate(matrix)
             except InvalidStateError as exc:  # past a bound, off the X shape or complex
                 report = exc.report
-    if params is not None:
-        report = validate_xstate(params)
-        if report.valid:  # a Bloch coefficient may still lie just past 1, as measure_set finds
-            report = validate_bloch(xstate_to_bloch(params))
+    if params is not None:  # a Bloch coefficient may still lie just past 1, as measure_set finds
+        report = xstate_report(params)
     names = [name for name, _ in report.violations]
     columns = {
         "check": ["valid", *names],

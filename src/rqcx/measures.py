@@ -15,27 +15,20 @@ diagonal-sector quantity) never feeds.  Wu's symmetric classical measure
 takes the best of all three branches and the quantum one the runner-up.
 
 Every closed form lives here, each evaluated one way, with two entry
-points.  `measure_set` validates one state and reads all four measures off
-`_branches` and `_concurrence`.  The sweep engine `_StateMeasures` takes the
-same float operations along an envelope, so at Lambda = 1 it gives
+points.  `measure_set` checks one state once, with `states.check_xstate`,
+and reads all four measures off `_branches` and the concurrence's roots.
+The sweep engine `_StateMeasures` checks each state the same way and takes
+the same float operations along an envelope, so at Lambda = 1 it gives
 measure_set's values to the bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _xlog2x
-from .states import (
-    SIGMA_Y,
-    BlochX,
-    XStateParams,
-    require_density_matrix,
-    require_valid_bloch,
-    xstate_to_bloch,
-)
+from .states import SIGMA_Y, XStateParams, check_xstate, require_density_matrix
 
 
 @dataclass(frozen=True)
@@ -64,37 +57,25 @@ def u_func(x):
     return float(val) if val.ndim == 0 else val
 
 
-def _branches(b: BlochX) -> tuple[float, float, float]:
-    """(g1, g2, g3) of a validated Bloch vector; measure_set and _StateMeasures validate first.
+def _branches(t30: float, t03: float, t11: float, t22: float, t33: float) -> tuple[float, float, float]:
+    """(g1, g2, g3) of the Fano coefficients of a state that check_xstate passed.
 
     One _xlog2x call takes twelve log arguments: 1 +- t11, 1 +- t22,
     alpha..delta, and 1 +- t03, 1 +- t30, clipped as u_func clips.  g1 and
     g2 take the float operations of 0.5 * _u, as the sweep engine does.
-    require_valid_bloch keeps every log argument above -4e-12 (alpha..delta
-    are four times the reconstructed weights); one below 0 counts as 0.
+    check_xstate keeps every log argument above -4e-12 (alpha..delta are four
+    times the weights its Bloch decision reconstructs); one below 0 counts as 0.
     """
-    t30, t03, t33 = b.t30, b.t03, b.t33
     x03, x30 = min(max(t03, -1.0), 1.0), min(max(t30, -1.0), 1.0)
     p11, m11, p22, m22, alpha, beta, gamma, delta, p03, m03, p30, m30 = _xlog2x(
         np.array([
-            1.0 + b.t11, 1.0 - b.t11, 1.0 + b.t22, 1.0 - b.t22,
+            1.0 + t11, 1.0 - t11, 1.0 + t22, 1.0 - t22,
             1.0 + t30 + t03 + t33, 1.0 + t30 - t03 - t33, 1.0 - t30 + t03 - t33, 1.0 - t30 - t03 + t33,
             1.0 + x03, 1.0 - x03, 1.0 + x30, 1.0 - x30,
         ])
     ).tolist()
     g3 = 0.25 * (alpha + beta + gamma + delta) - 0.5 * ((p03 + m03) + (p30 + m30))
     return max(0.5 * (p11 + m11), 0.0), max(0.5 * (p22 + m22), 0.0), max(g3, 0.0)
-
-
-def _coherences(p: XStateParams) -> tuple[float, float, float, float]:
-    """(|r|, sqrt(bc), |s|, sqrt(ad)): the concurrence margin at L^2 = f is
-    max(2(|r| f - sqrt(bc)), 2(|s| f - sqrt(ad)))."""
-    return abs(p.r), math.sqrt(max(p.b, 0.0) * max(p.c, 0.0)), abs(p.s), math.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
-
-
-def _concurrence(p: XStateParams) -> float:
-    r, root_bc, s, root_ad = _coherences(p)
-    return float(max(0.0, 2.0 * (r - root_bc), 2.0 * (s - root_ad)))
 
 
 def concurrence_general(rho: np.ndarray) -> float:
@@ -117,15 +98,19 @@ def concurrence_general(rho: np.ndarray) -> float:
 
 
 def measure_set(p: XStateParams) -> MeasureSet:
-    """All four measures of a single X state, validated once."""
-    b = xstate_to_bloch(p)
-    require_valid_bloch(b)
-    g1, g2, g3 = _branches(b)
+    """All four measures of a single X state, checked once by check_xstate.
+
+    The concurrence is max(0, 2(|r| - sqrt(bc)), 2(|s| - sqrt(ad))), with the
+    roots the check computes.
+    """
+    t30, t03, t11, t22, t33, root_ad, root_bc = check_xstate(p)
+    g1, g2, g3 = _branches(t30, t03, t11, t22, t33)
     g = sorted((g1, g2, g3))
-    return MeasureSet(concurrence=_concurrence(p), laqc=max(g1, g2), qs=g[1], cs=g[2])
+    concurrence = float(max(0.0, 2.0 * (abs(p.r) - root_bc), 2.0 * (abs(p.s) - root_ad)))
+    return MeasureSet(concurrence=concurrence, laqc=max(g1, g2), qs=g[1], cs=g[2])
 
 
-# The sweep engine: array-valued, each state validated once.
+# The sweep engine: array-valued, each state checked once.
 
 def _before(x, y):
     """x strictly before y in np.sort's order, which puts NaN last."""
@@ -149,10 +134,10 @@ class _StateMeasures:
     """The measures of one X state, or of a sequence of them, as functions of Lambda.
 
     The channel scales only t11 and t22, by Lambda^2, so g3 and the
-    concurrence's coherences and roots are computed, and each state
-    validated, once.  g1, g2 and the margin take the float operations of
-    `_branches` and `_concurrence`: at Lambda = 1 every measure equals
-    measure_set's to the bit.  For a sequence of n states the per-state
+    concurrence's coherences and roots are computed once, and each state is
+    checked once, by check_xstate as in measure_set.  g1, g2 and the margin
+    take the float operations of `_branches` and measure_set's concurrence:
+    at Lambda = 1 every measure equals measure_set's to the bit.  For a sequence of n states the per-state
     constants are (n, 1) columns, so an envelope of shape (T,) gives (n, T)
     measures.
     """
@@ -161,9 +146,9 @@ class _StateMeasures:
         one = isinstance(states, XStateParams)
         consts = []
         for p in [states] if one else states:
-            b = xstate_to_bloch(p)
-            require_valid_bloch(b)
-            consts.append((b.t11, b.t22, _branches(b)[2], *_coherences(p)))
+            t30, t03, t11, t22, t33, root_ad, root_bc = check_xstate(p)
+            g3 = _branches(t30, t03, t11, t22, t33)[2]
+            consts.append((t11, t22, g3, abs(p.r), root_bc, abs(p.s), root_ad))
         cols = np.array(consts).T
         cols = cols[:, 0] if one else cols[:, :, None]
         self._t11, self._t22, self._g3, self._r, self._root_bc, self._s, self._root_ad = cols

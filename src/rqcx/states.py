@@ -120,9 +120,7 @@ def require_valid_bloch(b: BlochX) -> None:
         raise InvalidStateError(f"unphysical Bloch coefficients: {report.violations}", report)
 
 
-def xstate_to_bloch(p: XStateParams) -> BlochX:
-    """Fano coefficients of an X state (linear bijection with the params)."""
-    require_valid(p)
+def _xstate_to_bloch_raw(p: XStateParams) -> BlochX:
     return BlochX(
         t30=p.a + p.b - p.c - p.d,
         t03=p.a - p.b + p.c - p.d,
@@ -130,6 +128,64 @@ def xstate_to_bloch(p: XStateParams) -> BlochX:
         t22=2.0 * (p.s - p.r),
         t33=p.a - p.b - p.c + p.d,
     )
+
+
+def xstate_to_bloch(p: XStateParams) -> BlochX:
+    """Fano coefficients of an X state (linear bijection with the params)."""
+    require_valid(p)
+    return _xstate_to_bloch_raw(p)
+
+
+def xstate_report(p: XStateParams) -> ValidationReport:
+    """p's violations under validate_xstate if it has any, else its Bloch vector's under validate_bloch."""
+    report = validate_xstate(p)
+    return validate_bloch(_xstate_to_bloch_raw(p)) if report.valid else report
+
+
+def _reject(p: XStateParams, what: str):
+    report = xstate_report(p)
+    raise InvalidStateError(f"unphysical {what}: {report.violations}", report)
+
+
+def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, float, float]:
+    """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc)) of a state that passes
+    validate_xstate and whose Bloch vector passes validate_bloch.
+
+    Both decisions take the float operations of those functions: on p, then
+    on the coefficient range and the weights and coherences the Bloch vector
+    reconstructs.  A NaN or inf field fails the trace test (a..d) or a
+    coherence bound (r, s), and a state that passes the first decision has
+    finite coefficients, so no finiteness test is needed.  A rejected state
+    raises the InvalidStateError, message and report (from xstate_report)
+    that require_valid_bloch(xstate_to_bloch(p)) raises.  A valid state
+    builds no dataclass and no report.
+    """
+    a, b, c, d, r, s = p.a, p.b, p.c, p.d, p.r, p.s
+    root_ad = math.sqrt(max(a, 0.0) * max(d, 0.0))
+    root_bc = math.sqrt(max(b, 0.0) * max(c, 0.0))
+    if not (
+        -min(a, b, c, d) <= STRUCT_TOL
+        and abs(a + b + c + d - 1.0) <= STRUCT_TOL
+        and abs(r) - root_ad <= STRUCT_TOL
+        and abs(s) - root_bc <= STRUCT_TOL
+    ):
+        _reject(p, "X state")
+    t30, t03, t33 = a + b - c - d, a - b + c - d, a - b - c + d
+    t11, t22 = 2.0 * (s + r), 2.0 * (s - r)
+    # the weights and coherences of _bloch_to_xstate_raw
+    wa = 0.25 * (1.0 + t30 + t03 + t33)
+    wb = 0.25 * (1.0 + t30 - t03 - t33)
+    wc = 0.25 * (1.0 - t30 + t03 - t33)
+    wd = 0.25 * (1.0 - t30 - t03 + t33)
+    if not (
+        max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0 <= STRUCT_TOL
+        and -min(wa, wb, wc, wd) <= STRUCT_TOL
+        and abs(wa + wb + wc + wd - 1.0) <= STRUCT_TOL
+        and abs(0.25 * (t11 - t22)) - math.sqrt(max(wa, 0.0) * max(wd, 0.0)) <= STRUCT_TOL
+        and abs(0.25 * (t11 + t22)) - math.sqrt(max(wb, 0.0) * max(wc, 0.0)) <= STRUCT_TOL
+    ):
+        _reject(p, "Bloch coefficients")
+    return t30, t03, t11, t22, t33, root_ad, root_bc
 
 
 def _bloch_to_xstate_raw(b: BlochX) -> XStateParams:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rqcx import cli, dynamics, states
+from rqcx import cli, dynamics, measures, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
@@ -220,6 +220,39 @@ class TestStateFiles:
         _, rows = parse_csv(out)
         assert rows[0]["ok"] == "1" and len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "abcdrs, counts",
+        [
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], {"validate_xstate": 1}),
+        ],
+        ids=["valid", "bloch-violation", "state-violation"],
+    )
+    def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, counts):
+        # the parameters are checked once and their Bloch vector once (which
+        # checks the state it reconstructs), and the rows are measure_set's report
+        calls = collections.Counter()
+        for name in ("validate_xstate", "validate_bloch"):
+            def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(states, name, counted)
+        path = self.make_file(tmp_path, {"abcdrs": abcdrs})
+        code, out, _ = run_cli(capsys, "validate", "--state", "file", "--state-file", path)
+        assert code == 0
+        assert dict(calls) == counts
+        _, rows = parse_csv(out)
+        try:
+            measure_set(XStateParams(*map(float, abcdrs)))
+            violations = ()
+        except InvalidStateError as exc:
+            violations = exc.report.violations
+        assert [(r["check"], r["ok"], float(r["magnitude"])) for r in rows[1:]] == [
+            (name, "0", magnitude) for name, magnitude in violations
+        ]
+
 
 _MEASURE_NAMES = ("concurrence", "laqc", "qs", "cs")
 
@@ -350,20 +383,40 @@ class TestEvolveAndEvents:
 
     @pytest.mark.parametrize("command", ["events", "evolve"])
     def test_validates_a_state_as_measure_set_does(self, capsys, monkeypatch, command):
+        # one check per state; a valid state reaches no report builder and
+        # builds no Bloch vector and no reconstructed state
         calls = collections.Counter()
-        for name in ("validate_xstate", "validate_bloch"):
-            def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
+        counted_names = (
+            (measures, "check_xstate"),
+            (states, "validate_xstate"),
+            (states, "validate_bloch"),
+            (states, "_xstate_to_bloch_raw"),
+            (states, "_bloch_to_xstate_raw"),
+        )
+        for module, name in counted_names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(states, name, counted)
+            monkeypatch.setattr(module, name, counted)
         measure_set(make_state(FamilySpec("mems", 0.8)))
         expected = dict(calls)
-        assert expected == {"validate_xstate": 2, "validate_bloch": 1}
+        assert expected == {"check_xstate": 1}
         calls.clear()
         code, _, _ = run_cli(capsys, command, "--state", "mems", "--param", "0.8", "--steps", "60")
         assert code == 0
         assert dict(calls) == expected
+        # the counters see the report builders: a rejected state calls them
+        calls.clear()
+        with pytest.raises(InvalidStateError):
+            measure_set(XStateParams(0.5, 0.5 + 2.6e-12, -0.9e-12, -0.9e-12, 0.0, 0.0))
+        assert dict(calls) == {
+            "check_xstate": 1,
+            "validate_xstate": 2,
+            "validate_bloch": 1,
+            "_xstate_to_bloch_raw": 1,
+            "_bloch_to_xstate_raw": 1,
+        }
 
 
 class TestSurfaceOracleCrossover:

@@ -22,6 +22,8 @@ from rqcx.states import (
     InvalidStateError,
     XStateParams,
     bloch_to_xstate,
+    check_xstate,
+    require_valid_bloch,
     xstate_to_bloch,
     xstate_to_matrix,
 )
@@ -389,6 +391,21 @@ def _outcome(fn, *args):
     return ("ok", _bits(np.atleast_1d(value)))
 
 
+def _ref_two_step_check(p):
+    """The check measure_set and _StateMeasures made before check_xstate: the
+    state (inside xstate_to_bloch), then its Bloch vector."""
+    require_valid_bloch(xstate_to_bloch(p))
+
+
+def _error(fn, *args):
+    """(message, violations) of the InvalidStateError fn raises, or None if it raises none."""
+    try:
+        fn(*args)
+    except InvalidStateError as exc:
+        return str(exc), exc.report.violations
+    return None
+
+
 _EXTREME_STATES = [
     XStateParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
@@ -458,6 +475,24 @@ class TestOneEngine:
             # the int64 view compares value and sign of zero
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=200)
+    @given(ps=st.lists(_ANY_STATE, min_size=1, max_size=8), lam=st.floats(-1.0, 1.0))
+    def test_the_list_form_is_measure_set_row_by_row(self, ps, lam):
+        # dynamics.surface builds the list form; at Lambda = 1 each row is
+        # measure_set's, and at any Lambda the one-state form's
+        names = ("concurrence", "laqc", "qs", "cs")
+        envelope = np.array([1.0, lam])
+        rows = _StateMeasures(ps)(envelope)
+        for i, p in enumerate(ps):
+            ms = measure_set(p)
+            want = np.array([getattr(ms, name) for name in names])
+            got = np.array([rows[name][i, 0] for name in names])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            one = _StateMeasures(p)(envelope)
+            for name in names:
+                assert np.array_equal(rows[name][i].view(np.int64), one[name].view(np.int64)), name
+
+
 _TOL = 1e-12
 _BELOW, _ABOVE = 0.9 * _TOL, 1.1 * _TOL
 
@@ -517,6 +552,19 @@ class TestAcceptReject:
         assert got == want
         if rejects:
             assert got[1] is InvalidStateError
+        # the same message and report as the two-step check, on every entry point
+        error = _error(_ref_two_step_check, p)
+        assert (error is not None) == rejects
+        for fn in (check_xstate, measure_set, _StateMeasures):
+            assert _error(fn, p) == error, fn.__name__
+
+    @pytest.mark.parametrize("label, rejects, p", [c for c in _crossing_states() if c[1]], ids=lambda v: v if isinstance(v, str) else "")
+    def test_a_list_with_one_invalid_state(self, label, rejects, p):
+        good = [make_state(FamilySpec("werner", 0.5)), BELL_PHI_PLUS]
+        want = _error(_ref_two_step_check, p)
+        assert want is not None
+        for at in range(len(good) + 1):
+            assert _error(_StateMeasures, good[:at] + [p] + good[at:]) == want
 
     @pytest.mark.parametrize("label, rejects, b", _crossing_blochs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_bloch_vectors_across_each_tolerance(self, label, rejects, b):
@@ -541,6 +589,7 @@ class TestAcceptReject:
         fields[field] += sign * scale * _TOL
         q = XStateParams(*fields)
         assert _outcome(measure_set, q) == _outcome(_ref_measure_set, q)
+        assert _error(measure_set, q) == _error(_ref_two_step_check, q)
         b = BlochX(q.a + q.b - q.c - q.d, q.a - q.b + q.c - q.d, 2.0 * (q.s + q.r), 2.0 * (q.s - q.r), q.a - q.b - q.c + q.d)
         assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
 
