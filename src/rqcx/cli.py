@@ -26,6 +26,7 @@ import numpy as np
 from . import dynamics, families, measures, noise, oracle, stateio
 from .states import (
     InvalidStateError,
+    matrix_params,
     matrix_to_xstate,
     validate_density_matrix,
     xstate_report,
@@ -266,8 +267,8 @@ def _cmd_validate(opts: dict) -> int:
         report = validate_density_matrix(matrix)
         if report.valid:  # an X-shaped, real-coherence matrix is checked as its parameters too
             try:
-                params = matrix_to_xstate(matrix)
-            except InvalidStateError as exc:  # past a bound, off the X shape or complex
+                params = matrix_params(matrix)
+            except InvalidStateError as exc:  # off the X shape or complex
                 report = exc.report
     if params is not None:  # a Bloch coefficient may still lie just past 1, as measure_set finds
         report = xstate_report(params)

@@ -9,11 +9,15 @@ only x or y: p_i0 + p_i1 = (1 + si*x)/2 and p_0j + p_1j = (1 + sj*y)/2.
 
 `_cmi` is the one CMI formula.  It writes into its `out` array through two
 scratch buffers, so no float temporary of the output's size is made per
-term.  `cmi_table` runs it on row blocks of at most `BLOCK_ELEMENTS`
-settings, which keep the output block and both buffers in cache; `cmi_flat`
-runs it once on whole arrays.  Both compute the marginal terms of x and y
-once per call, in one pass.  Blocking does not change a value: every setting
-goes through the same float operations in the same order.
+term.  Each joint term takes one unmasked log2 and then sets log2 p to 0
+where p <= 0, which gives the bits of `_xlog2x`'s masked form.  `cmi_table`
+runs it on row blocks of at most `BLOCK_ELEMENTS` settings, which keep the
+output block and both buffers in cache; `cmi_flat` runs it once on whole
+arrays.  Both compute the marginal terms of x and y once per call, in one
+pass.  Blocking does not change a value: every setting goes through the same
+float operations in the same order.  The oracle's grid stage calls
+`cmi_table` on one such row block at a time and reduces each block before
+the next, so it never holds a table-sized CMI array.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ def _cmi(x, y, w, mx, my, out: np.ndarray, p: np.ndarray, lg: np.ndarray) -> Non
 
     x, y, w and the marginal terms mx, my (see `_marginals`) broadcast to
     out's shape; p and lg are scratch buffers of that shape.  Each joint term
-    is ((1 +- x) +- y) +- w, times 0.25, and the four terms p*log2(p) are
-    summed left to right before mx, then my, are subtracted.
+    is ((1 +- x) +- y) +- w, times 0.25, and the four terms p*log2(p), with
+    log2(p) taken as 0 where p <= 0 (as in `_xlog2x`), are summed left to
+    right before mx, then my, are subtracted.
     """
     plus_x, minus_x = 1.0 + x, 1.0 - x
     terms = (
@@ -55,17 +60,21 @@ def _cmi(x, y, w, mx, my, out: np.ndarray, p: np.ndarray, lg: np.ndarray) -> Non
         (minus_x, np.add, np.subtract),
         (minus_x, np.subtract, np.add),
     )
-    for k, (base, y_op, w_op) in enumerate(terms):
-        y_op(base, y, out=p)
-        w_op(p, w, out=p)
-        p *= 0.25
-        lg.fill(0.0)
-        np.log2(p, out=lg, where=p > 0.0)
-        if k == 0:
-            np.multiply(p, lg, out=out)
-        else:
-            p *= lg
-            out += p
+    # log2 of p <= 0 is -inf or NaN, and those lg are set to 0 right after,
+    # so its divide and invalid flags mean nothing; one errstate per call
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (base, y_op, w_op) in enumerate(terms):
+            y_op(base, y, out=p)
+            w_op(p, w, out=p)
+            p *= 0.25
+            np.log2(p, out=lg)
+            # a NaN p keeps its NaN lg, and p*lg is NaN either way
+            lg[p <= 0.0] = 0.0
+            if k == 0:
+                np.multiply(p, lg, out=out)
+            else:
+                p *= lg
+                out += p
     out -= mx
     out -= my
 

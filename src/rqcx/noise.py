@@ -1,4 +1,4 @@
-"""Dephasing-channel models: decay envelopes, Kraus pairs, common-bath action.
+"""Dephasing-channel models: decay envelopes, Kraus pairs, two local channels.
 
 Time is dimensionless (gamma*t), and all rates are entered relative to the
 environment fluctuation rate gamma.  Each model owns its closed forms:
@@ -10,6 +10,11 @@ zeros, no extrema.  Markov crosses a level in closed form; RTN and MOUN solve
 each crossing on a monotone piece of the envelope with a Newton lane
 (`search.newton`).  `lambda_of_t` and `lambda_zeros` check their arguments
 and call the model.
+
+`apply_common_bath` is the product of two independent local dephasing
+channels with equal Lambda, one phase-flip channel per qubit, so both
+coherences r and s scale by Lambda^2; it is not one field shared by both
+qubits.
 """
 
 from __future__ import annotations
@@ -192,7 +197,9 @@ def kraus_pair(lam: float) -> KrausPair:
 
 
 def apply_common_bath(rho: np.ndarray, lam: float) -> np.ndarray:
-    """Both qubits coupled to the same bath: sum_ij (Ki x Kj) rho (Ki x Kj)^dag."""
+    """sum_ij (Ki x Kj) rho (Ki x Kj)^dag: the product of two independent local
+    dephasing channels with equal Lambda (each coherence scales by Lambda^2),
+    not one field shared by both qubits."""
     rho = np.asarray(rho, dtype=complex)
     require_density_matrix(rho)
     k0, k1 = kraus_pair(lam)

@@ -46,8 +46,9 @@ from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
 # Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
-# grid-64 oracle call peaks at about 96 MB resident, the CMI table and w
-# taking 32 MB each.  Both grow as grid**4, so 128 would need about 1.1 GB.
+# grid-64 oracle call peaks at about 62 MB resident, w taking 32 MB; the CMI
+# is reduced block by block, so no table of it is held.  w grows as grid**4,
+# so at 128 it alone would take about 0.5 GB.
 GRID_MAX = 64
 _TWO_PI = 2.0 * np.pi
 
@@ -249,17 +250,39 @@ def _grid_stage(parts, grid: int, keep: int = 1):
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
+    w is one matrix product (row slices of it can round differently); the
+    CMI is then evaluated and reduced one row block of at most
+    `kernels.BLOCK_ELEMENTS` settings at a time, so no table-sized array is
+    made.  Each block keeps its maximum and every setting within `_TIE_TOL`
+    of it: a tie of the overall maximum is within the tolerance of its own
+    block's maximum.  A block's list is not cut at `keep`, since a near tie
+    there may fall out of the window once a later block raises the maximum;
+    it drops only settings behind `keep` earlier ones at least as large,
+    which are never among the first `keep` ties.
     """
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
+    n = na.shape[0]
     x = na @ ra
     y = na @ rb
     w = na @ tt @ na.T
-    flat = kernels.cmi_table(x, y, w).ravel()
-    best = float(flat.max())
-    idx = np.flatnonzero(flat >= best - _TIE_TOL)[:keep]
-    ia, ib = np.divmod(idx, na.shape[0])
-    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), flat[idx]
+    rows = max(1, kernels.BLOCK_ELEMENTS // n)
+    tops, found, values = [], [], []
+    for r0 in range(0, n, rows):
+        block = kernels.cmi_table(x[r0 : r0 + rows], y, w[r0 : r0 + rows]).ravel()
+        top = block.max()
+        near = np.flatnonzero(block >= top - _TIE_TOL)
+        if near.size > keep:
+            vals = block[near]
+            near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
+        tops.append(top)
+        found.append(near + r0 * n)
+        values.append(block[near])
+    best = float(np.max(tops))
+    idx, vals = np.concatenate(found), np.concatenate(values)
+    lead = np.flatnonzero(vals >= best - _TIE_TOL)[:keep]
+    ia, ib = np.divmod(idx[lead], n)
+    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 
 # (key, leaders) of the last stage-1 search, one tuple so a reader never pairs

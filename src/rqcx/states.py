@@ -224,10 +224,11 @@ def _hermiticity_defect(rho: np.ndarray) -> float:
     return float(np.max(np.abs(rho - rho.conj().T)))
 
 
-def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
-    """Extract real-coherence X parameters; rejects non-Hermitian matrices and
-    matrices off the X shape.  Every InvalidStateError it raises carries the
-    report of the check that failed."""
+def matrix_params(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
+    """The real-coherence X parameters of rho, not yet checked (see
+    matrix_to_xstate); rejects non-Hermitian matrices, matrices off the X
+    shape and complex coherences.  Every InvalidStateError it raises carries
+    the report of the check that failed."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}", _BAD_SHAPE)
@@ -253,7 +254,7 @@ def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
             f"complex coherences (imag {imag:.3e}) are outside the real-coherence class",
             ValidationReport(False, (("real_coherences", imag),)),
         )
-    p = XStateParams(
+    return XStateParams(
         a=float(rho[0, 0].real),
         b=float(rho[1, 1].real),
         c=float(rho[2, 2].real),
@@ -261,6 +262,11 @@ def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
         r=float(rho[0, 3].real),
         s=float(rho[1, 2].real),
     )
+
+
+def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
+    """Extract real-coherence X parameters (`matrix_params`) and check them with require_valid."""
+    p = matrix_params(rho, tol)
     require_valid(p)
     return p
 

@@ -221,17 +221,19 @@ class TestStateFiles:
         assert rows[0]["ok"] == "1" and len(rows) == 1
 
     @pytest.mark.parametrize(
-        "abcdrs, counts",
+        "abcdrs, as_matrix, counts",
         [
-            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], {"validate_xstate": 2, "validate_bloch": 1}),
-            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], {"validate_xstate": 2, "validate_bloch": 1}),
-            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], {"validate_xstate": 1}),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], False, {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], False, {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], False, {"validate_xstate": 1}),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], True, {"validate_xstate": 2, "validate_bloch": 1}),
         ],
-        ids=["valid", "bloch-violation", "state-violation"],
+        ids=["valid", "bloch-violation", "state-violation", "valid-matrix"],
     )
-    def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, counts):
+    def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, as_matrix, counts):
         # the parameters are checked once and their Bloch vector once (which
-        # checks the state it reconstructs), and the rows are measure_set's report
+        # checks the state it reconstructs), and the rows are measure_set's
+        # report; an X-shaped matrix document is checked as its parameters
         calls = collections.Counter()
         for name in ("validate_xstate", "validate_bloch"):
             def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
@@ -239,7 +241,13 @@ class TestStateFiles:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(states, name, counted)
-        path = self.make_file(tmp_path, {"abcdrs": abcdrs})
+        if as_matrix:
+            a, b, c, d, r, s = abcdrs
+            rows = [[a, 0, 0, r], [0, b, s, 0], [0, s, c, 0], [r, 0, 0, d]]
+            doc = {"matrix": [[[v, 0.0] for v in row] for row in rows]}
+        else:
+            doc = {"abcdrs": abcdrs}
+        path = self.make_file(tmp_path, doc)
         code, out, _ = run_cli(capsys, "validate", "--state", "file", "--state-file", path)
         assert code == 0
         assert dict(calls) == counts

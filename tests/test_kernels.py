@@ -1,5 +1,7 @@
 """The CMI kernel against the brute-force measurement route."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,18 @@ class TestBlockedKernel:
             table = kernels.cmi_table(s, s, np.resize(s, (s.size, s.size)))
             want = _cmi_ref(s[:, None], s[None, :], np.resize(s, (s.size, s.size)))
         np.testing.assert_array_equal(_bits(table), _bits(want))
+
+    def test_zero_and_negative_cells_raise_no_warning(self):
+        # finite settings whose joint cells are exactly 0 (w = +-1 at x = y = 0)
+        # or just below 0 (rounding past a pure state); the unmasked log2 of
+        # those cells must not leak a RuntimeWarning
+        x = np.array([0.0, 0.0, 0.5, 0.5, -0.3])
+        y = np.array([0.0, 0.0, 0.5, -0.5, 0.3])
+        w = np.array([1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, -1.0 + 1e-15])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = kernels.cmi_flat(x, y, w)
+            table = kernels.cmi_table(x, y, np.resize(w, (x.size, y.size)))
+        np.testing.assert_array_equal(_bits(flat), _bits(_cmi_ref(x, y, w)))
+        np.testing.assert_array_equal(_bits(table), _bits(_cmi_ref(x[:, None], y[None, :], np.resize(w, (x.size, y.size)))))
+        assert flat[0] == 1.0 and flat[1] == 1.0

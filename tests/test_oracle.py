@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_xstate
@@ -175,6 +177,51 @@ def _full_sphere_leader(parts, grid, sign=1.0):
     return np.array([t[ia], p[ia], t[ib], p[ib]]), sign * float(flat[k])
 
 
+def _grid_stage_ref(parts, grid, keep=1):
+    """The grid stage as one full CMI table: its maximum, then the first `keep` settings within _TIE_TOL of it."""
+    ra, rb, tt = parts
+    na, ta, pa = _grid_directions(grid)
+    flat = kernels.cmi_table(na @ ra, na @ rb, na @ tt @ na.T).ravel()
+    best = float(flat.max())
+    idx = np.flatnonzero(flat >= best - oracle._TIE_TOL)[:keep]
+    ia, ib = np.divmod(idx, na.shape[0])
+    return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), flat[idx]
+
+
+_STAGE_KINDS = ("generic", "rank-deficient", "diagonal", "bell-boundary", "mixed", "bell")
+
+
+def _stage_state(kind, weights, signs):
+    """A density matrix of the given kind; weights and signs vary it where the kind allows."""
+    if kind == "mixed":  # every setting ties at CMI 0
+        return MIXED
+    if kind == "bell":
+        return BELL
+    w = np.array(weights)
+    if kind == "rank-deficient":
+        w[1] = 0.0
+    a, b, c, d = w / w.sum()
+    r, s = signs[0] * np.sqrt(a * d), signs[1] * np.sqrt(b * c)
+    if kind == "generic" or kind == "rank-deficient":  # coherences inside their bounds
+        r, s = 0.5 * r, 0.7 * s
+    elif kind == "diagonal":
+        r = s = 0.0
+    return xstate_to_matrix(XStateParams(a, b, c, d, r, s))
+
+
+def _rows_in_scan_order(table):
+    """A cmi_table stand-in serving the rows of `table` in turn, as many per call as it is given."""
+    row = 0
+
+    def cmi_table(x, y, w):
+        nonlocal row
+        out = table[row : row + len(x)].copy()
+        row = (row + len(x)) % len(table)
+        return out
+
+    return cmi_table
+
+
 class TestGridStage:
     def test_distinct_directions_at_grid_32(self):
         dirs, _, _ = _grid_directions(32)
@@ -194,6 +241,66 @@ class TestGridStage:
             full_angles, full_value = _full_sphere_leader(parts, 32)
             assert values[0] == pytest.approx(full_value, abs=1e-12)
             np.testing.assert_array_equal(angles[0], full_angles)
+
+    @pytest.mark.parametrize("block", [None, 64, 1000], ids=["block-default", "block-64", "block-1000"])
+    @pytest.mark.parametrize("grid", [8, 9, 16, 33])
+    @settings(max_examples=12)
+    @given(
+        kind=st.sampled_from(_STAGE_KINDS),
+        keep=st.sampled_from((1, 8)),
+        weights=st.tuples(*[st.floats(0.05, 1.0)] * 4),
+        signs=st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),
+    )
+    # every setting ties (mixed), or many do (bell): the leaders are the first 8
+    @example(kind="mixed", keep=8, weights=(1.0,) * 4, signs=(1.0, 1.0))
+    @example(kind="bell", keep=8, weights=(1.0,) * 4, signs=(1.0, 1.0))
+    def test_blocked_stage_matches_full_table(self, grid, block, kind, keep, weights, signs):
+        # small blocks put ties, and near ties, on both sides of block boundaries
+        parts = _fano_parts(_stage_state(kind, weights, signs))
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(kernels, "BLOCK_ELEMENTS", block)
+            angles, values = _grid_stage(parts, grid, keep)
+            ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
+        assert angles.shape == ref_angles.shape and angles.shape[0] >= 1
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("keep", [1, 2, 3])
+    def test_near_tie_before_a_true_tie(self, monkeypatch, keep):
+        # Block 0 (rows 0 and 1) holds a near tie at (0, 3): within _TIE_TOL of
+        # its block's maximum (0, 4), but not of the overall maximum (2, 0) in
+        # block 1.  (0, 4) and (1, 5) are true ties.  A block list cut at
+        # `keep` would hold the near tie and lose a true tie behind it.
+        n = _grid_directions(8)[0].shape[0]
+        table = np.zeros((n, n))
+        table[0, 3] = 1.0 - 1.05e-9
+        table[0, 4] = 1.0 - 0.1e-9
+        table[1, 5] = 1.0 - 0.7e-9
+        table[2, 0] = 1.0
+        table[3, 1] = 1.0 - 0.2e-9
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2 * n)
+        parts = _fano_parts(random_density_matrix(np.random.default_rng(3)))
+        monkeypatch.setattr(kernels, "cmi_table", _rows_in_scan_order(table))
+        angles, values = _grid_stage(parts, 8, keep)
+        ref_angles, ref_values = _grid_stage_ref(parts, 8, keep)
+        assert values.tolist() == [1.0 - 0.1e-9, 1.0 - 0.7e-9, 1.0][:keep]
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("kind", ["generic", "mixed"])
+    def test_grid_64_peak_is_about_w(self, kind):
+        # w (1985**2 doubles, 31.5 MB) is the one table-sized array; a full CMI
+        # table, or a candidate list holding every tie, would double the peak
+        parts = _fano_parts(_stage_state(kind, (0.4, 0.3, 0.2, 0.1), (1.0, -1.0)))
+        w_bytes = 1985**2 * 8
+        tracemalloc.start()
+        try:
+            _grid_stage(parts, 64, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * w_bytes
 
 
 def _refine_ref(parts, angles0, steps0, rounds):
