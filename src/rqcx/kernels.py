@@ -11,20 +11,22 @@ only x or y: p_i0 + p_i1 = (1 + si*x)/2 and p_0j + p_1j = (1 + sj*y)/2.
 scratch buffers, so no float temporary of the output's size is made per
 term.  Each joint term takes one unmasked log2 and then sets log2 p to 0
 where p <= 0, which gives the bits of `_xlog2x`'s masked form.  `cmi_table`
-runs it on row blocks of at most `BLOCK_ELEMENTS` settings, which keep the
-output block and both buffers in cache; `cmi_flat` runs it once on whole
-arrays.  Both compute the marginal terms of x and y once per call, in one
-pass.  Blocking does not change a value: every setting goes through the same
-float operations in the same order.  The oracle's grid stage calls
-`cmi_table` on one such row block at a time and reduces each block before
-the next, so it never holds a table-sized CMI array.
+evaluates L lanes of nA x nB tables, with one 2-d table as the one-lane
+case.  It runs `_cmi` on blocks of at most `BLOCK_ELEMENTS` settings (whole
+lanes where a lane fits, else row blocks of one lane), which keep the output
+block and both buffers in cache, and computes the marginal terms once per
+call, in one pass.  Blocking does not change a value: every setting goes
+through the same float operations in the same order.  Every oracle stage
+calls `cmi_table`: the grid stage one row block at a time, each refinement
+or phase round once for all its lanes.  No search calls `cmi_flat`, which
+runs `_cmi` once on paired 1-d arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Settings per row block of cmi_table: 32768 doubles, 256 KiB per buffer.
+# Settings per block of cmi_table: 32768 doubles, 256 KiB per buffer.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -80,17 +82,23 @@ def _cmi(x, y, w, mx, my, out: np.ndarray, p: np.ndarray, lg: np.ndarray) -> Non
 
 
 def cmi_table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """CMI (bits) for every (A-setting, B-setting) pair; w has shape (nA, nB)."""
+    """CMI (bits) of every (A, B) setting pair of each lane: x (L, nA), y (L, nB) and w (L, nA, nB), or one lane in 2-d."""
     x, y, w = (np.asarray(v, float) for v in (x, y, w))
+    w3 = w if w.ndim == 3 else w[None]
+    lanes, n_a, n_b = w3.shape
+    x, y = x.reshape(lanes, n_a, 1), y.reshape(lanes, 1, n_b)
     mx, my = _marginals(x, y)
-    out = np.empty(w.shape)
-    rows = max(1, BLOCK_ELEMENTS // max(1, w.shape[1]))
-    p, lg = np.empty((2, min(rows, w.shape[0]), w.shape[1]))
-    for r0 in range(0, w.shape[0], rows):
-        r1 = min(r0 + rows, w.shape[0])
-        n = r1 - r0
-        _cmi(x[r0:r1, None], y[None, :], w[r0:r1], mx[r0:r1, None], my[None, :], out[r0:r1], p[:n], lg[:n])
-    return out
+    out = np.empty(w3.shape)
+    rows = max(1, BLOCK_ELEMENTS // max(1, n_b))
+    step = max(1, rows // max(1, n_a))
+    rows = min(rows, max(1, n_a))
+    p, lg = np.empty((2, step, rows, n_b))
+    for l0 in range(0, lanes, step):
+        for r0 in range(0, n_a, rows):
+            b = (slice(l0, l0 + step), slice(r0, r0 + rows))
+            m, n = out[b].shape[:2]
+            _cmi(x[b], y[b[0]], w3[b], mx[b], my[b[0]], out[b], p[:m, :n], lg[:m, :n])
+    return out.reshape(w.shape)
 
 
 def cmi_flat(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -87,6 +87,13 @@ class Rtn:
         lane, to 1e-10 of its piece's length.  Where Lambda^2 as computed
         stays above a tiny kappa up to the zero itself, the lane returns the
         zero, which then ends the fall.
+
+        On the first piece |Lambda'| <= (1 + omega^2) t, so Lambda >= 1 -
+        (1 + omega^2) t^2/2 and the crossing lies past t0 = sqrt(2 (1 -
+        sqrt(kappa))/(1 + omega^2)).  Its lane starts from [t0, 2 t0] when
+        Lambda(2 t0) is already at most sqrt(kappa) inside the piece, else
+        from [t0, zero]: from the zero, with kappa near 1, Newton on the flat
+        top only halves its distance to the crossing each round.
         """
         # |Lambda| = e^-t at each piece start, so no piece that starts past
         # ln(1/kappa)/2 starts above the level
@@ -102,7 +109,14 @@ class Rtn:
             return np.abs(lam) - root, np.sign(lam) * self._slope(t)
 
         lo, hi = start[keep], np.minimum(end[keep], t_end)
-        return newton(fall, lo, hi, 1e-10 * (hi - lo))
+        tol = 1e-10 * (hi - lo)
+        if keep.size and keep[0]:
+            t0 = np.sqrt(2.0 * (1.0 - root) / (1.0 + self.omega**2))
+            lo[0] = min(t0, hi[0])
+            # t0 is 0 where sqrt(kappa) rounds to 1, and then so is Lambda(0) - sqrt(kappa)
+            if 0.0 < 2.0 * t0 < hi[0] and fall(np.array([2.0 * t0]))[0][0] <= 0.0:
+                hi[0] = 2.0 * t0
+        return newton(fall, lo, hi, tol)
 
 
 class _Monotone:

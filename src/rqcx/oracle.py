@@ -14,16 +14,20 @@ measurement once, or the two Hadamard phases), then local refinement rounds
 that halve the step, ties going to the lexicographically smallest angles.
 
 The searches run on batches of L starts, one lane per start.  Every
-refinement round, and every phase-stage scan or round, evaluates the
-candidates of all lanes in one kernel call; each lane then takes its own
-first best candidate, and moves only if that strictly beats its current
-value.  So a lane's result is the one it would reach alone, to the bit,
-and an oracle call makes the same number of kernel calls however many
-tied leaders it carries.
+refinement round, and every phase-stage scan or round, is one (L, nA, nB)
+table of the kernel: a lane's candidates are nA A-directions times nB
+B-directions, A-major.  Each lane then takes its own first best candidate,
+and moves only if that strictly beats its current value.  So a lane's
+result is the one it would reach alone, to the bit, and an oracle call
+makes the same number of kernel calls however many tied leaders it carries.
 
-Complementary (mutually unbiased) bases come from the one-parameter complex
-Hadamard family applied to a base pair, which sweeps the full great circle
-orthogonal to the base direction as the phase runs over [0, 2pi).
+Complementary (mutually unbiased) bases are the one-parameter complex
+Hadamard family applied to a base pair (`complementary_basis`).  As the
+phase a runs over [0, 2pi), the Bloch direction of the family's first
+vector, cos(a) e_theta + sin(a) e_phi for the base direction (theta, phi),
+sweeps the great circle orthogonal to it.  The searches work in that real
+frame; `basis_vectors`, `complementary_basis` and `bloch_direction` are the
+complex route, kept as the reference it is checked against.
 
 The LAQC search anchors its distinguished local basis at the computational
 basis.  For X states that basis is the one splitting the state into its
@@ -160,24 +164,15 @@ def _grid_directions(grid: int):
 
 
 def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta), one row per angle pair."""
+    """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta) along a new last axis."""
     st = np.sin(theta)
-    return np.column_stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)))
+    return np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
 
 
-def _paired_cmi(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """CMI of the paired directions da[..., i, :] and db[..., i, :], in one kernel call."""
+def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """CMI of every (A, B) direction pair of each lane: da (L, nA, 3), db (L, nB, 3) give (L, nA, nB)."""
     ra, rb, tt = parts
-    shape = da.shape[:-1]
-    da = da.reshape(-1, 3)
-    db = db.reshape(-1, 3)
-    w = np.einsum("ij,jk,ik->i", da, tt, db)
-    return kernels.cmi_flat(da @ ra, db @ rb, w).reshape(shape)
-
-
-def _cmi_at_angles(parts, angles: np.ndarray) -> np.ndarray:
-    ta, pa, tb, pb = np.atleast_2d(angles).T
-    return _paired_cmi(parts, _direction(ta, pa), _direction(tb, pb))
+    return kernels.cmi_table(da @ ra, db @ rb, (da @ tt) @ np.swapaxes(db, 1, 2))
 
 
 def _take_improvements(vals: np.ndarray, cand: np.ndarray, best: np.ndarray, cur: np.ndarray):
@@ -197,20 +192,23 @@ _OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4
 def _refine_angles(parts, angles0, steps0, rounds: int):
     """Local neighborhood ascent of L starts (angles0 of shape (L, 4)) at once.
 
-    The step halves each round, and each round evaluates every lane's 81
-    candidates in one kernel call.
+    The step halves each round.  A lane's 81 candidates, A-major, are its 9
+    A-directions times its 9 B-directions, so candidate 9a + b is entry
+    (a, b) of one (L, 9, 9) table per round.
     """
-    angles = np.array(angles0, dtype=float)
-    steps = np.asarray(steps0, dtype=float)
-    best = _cmi_at_angles(parts, angles)
+
+    def table(cand):
+        a, b = cand[:, ::9], cand[:, :9]
+        vals = _lane_table(parts, _direction(a[..., 0], a[..., 1]), _direction(b[..., 2], b[..., 3]))
+        return vals.reshape(cand.shape[:2])
+
+    angles, steps = np.array(angles0, dtype=float), np.asarray(steps0, dtype=float)
+    best = table(angles[:, None])[:, 0]
     for _ in range(rounds):
         cand = angles[:, None, :] + _OFFSETS_4 * steps
-        cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
-        cand[..., 2] = np.clip(cand[..., 2], 0.0, np.pi)
-        cand[..., 1] %= _TWO_PI
-        cand[..., 3] %= _TWO_PI
-        vals = _cmi_at_angles(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
-        best, angles = _take_improvements(vals, cand, best, angles)
+        cand[..., ::2] = np.clip(cand[..., ::2], 0.0, np.pi)
+        cand[..., 1::2] %= _TWO_PI
+        best, angles = _take_improvements(table(cand), cand, best, angles)
         steps = 0.5 * steps
     return angles, best
 
@@ -230,17 +228,11 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
 def optimize_cmi(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
     """Maximize CMI over all local projective bases (Wu's cs), at the first leader of `_max_leaders`."""
     angles, values = _max_leaders(_search_parts(rho, grid, refine), grid, refine)
-    return OptimizationResult(
-        value=max(float(values[0]), 0.0),
-        setting=LocalMeasurement(*angles[0]),
-        grid_resolution=grid,
-        refinement_depth=refine,
-    )
+    return OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
 
 
 def _grid_steps(grid: int) -> np.ndarray:
-    dt = np.pi / (grid - 1)
-    dp = _TWO_PI / grid
+    dt, dp = np.pi / (grid - 1), _TWO_PI / grid
     return np.array([dt, dp, dt, dp])
 
 
@@ -263,9 +255,7 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
-    x = na @ ra
-    y = na @ rb
-    w = na @ tt @ na.T
+    x, y, w = na @ ra, na @ rb, na @ tt @ na.T
     rows = max(1, kernels.BLOCK_ELEMENTS // n)
     tops, found, values = [], [], []
     for r0 in range(0, n, rows):
@@ -309,40 +299,44 @@ def _max_leaders(parts, grid: int, refine: int):
     return leaders
 
 
-def _phase_directions(bases: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Bloch directions, shape (L, n, 3), of the first complementary vector of
-    each of L bases (L, 2, 2) at that lane's n Hadamard phases (L, n), or at
-    n phases (n,) shared by every lane."""
-    e0 = bases[:, None, :, 0]
-    e1 = bases[:, None, :, 1]
-    return bloch_direction((e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0))
+def _frame(base: np.ndarray):
+    """e_theta and e_phi, shape (L, 1, 3) each, at the L Bloch directions (theta, phi) of base (L, 2)."""
+    theta, phi = base[:, 0, None, None], base[:, 1, None, None]
+    e_theta = np.concatenate((np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)), axis=-1)
+    return e_theta, np.concatenate((-np.sin(phi), np.cos(phi), np.zeros_like(phi)), axis=-1)
+
+
+def _complementary_directions(frame, phases: np.ndarray) -> np.ndarray:
+    """cos(a) e_theta + sin(a) e_phi in L frames, shape (L, n, 3), at phases a (L, n), or (n,) for every lane."""
+    return np.cos(phases)[..., None] * frame[0] + np.sin(phases)[..., None] * frame[1]
 
 
 _OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T
 
 
-def _phase_stage(parts, bases_a: np.ndarray, bases_b: np.ndarray, grid: int, refine: int):
+def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     """Maximize CMI over the two Hadamard phases of the complementary family,
-    for L base pairs (L, 2, 2) at once; returns phases (L, 2) and values (L,).
+    for L base settings (angles (L, 4)) at once; returns phases (L, 2) and values (L,).
 
-    Each lane scans the full grid x grid phase table, A-phase major: the
-    directions at the grid phases are computed once per lane and paired.
+    Each lane scans the full grid x grid phase table, A-phase major, as one
+    (L, grid, grid) table; each refinement round is one (L, 3, 3) table,
+    whose entry (a, b) is candidate 3a + b.
     """
+    frame_a, frame_b = _frame(base[:, :2]), _frame(base[:, 2:])
+
+    def table(phases_a, phases_b):
+        da, db = _complementary_directions(frame_a, phases_a), _complementary_directions(frame_b, phases_b)
+        return _lane_table(parts, da, db).reshape(len(base), -1)
+
     phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    ia, ib = np.divmod(np.arange(grid * grid), grid)
-    da = _phase_directions(bases_a, phases)[:, ia]
-    db = _phase_directions(bases_b, phases)[:, ib]
-    table = _paired_cmi(parts, da, db)
-    k = np.argmax(table, axis=1)
-    cur = np.column_stack((phases[ia[k]], phases[ib[k]]))
-    best = table[np.arange(k.size), k]
+    scan = table(phases, phases)
+    k = np.argmax(scan, axis=1)
+    cur = np.column_stack((phases[k // grid], phases[k % grid]))
+    best = scan[np.arange(k.size), k]
     step = _TWO_PI / grid
     for _ in range(refine):
         cand = (cur[:, None, :] + _OFFSETS_2 * step) % _TWO_PI
-        vals = _paired_cmi(
-            parts, _phase_directions(bases_a, cand[..., 0]), _phase_directions(bases_b, cand[..., 1])
-        )
-        best, cur = _take_improvements(vals, cand, best, cur)
+        best, cur = _take_improvements(table(cand[:, ::3, 0], cand[:, :3, 1]), cand, best, cur)
         step *= 0.5
     # max(best, 0.0) lane by lane
     return cur, np.where(0.0 > best, 0.0, best)
@@ -356,8 +350,7 @@ def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> Optimizatio
     family, evaluated from explicit measurement statistics.
     """
     parts = _search_parts(rho, grid, refine)
-    eye = np.eye(2, dtype=complex)[None]
-    phases, values = _phase_stage(parts, eye, eye, grid, refine)
+    phases, values = _phase_stage(parts, np.zeros((1, 4)), grid, refine)
     setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), *map(float, phases[0]))
     return OptimizationResult(float(values[0]), setting, grid, refine)
 
@@ -372,9 +365,7 @@ def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationR
     parts = _search_parts(rho, grid, refine)
     angles, values = _max_leaders(parts, grid, refine)
     angles = angles[values >= values.max() - _TIE_TOL]
-    bases_a = basis_vectors(angles[:, 0], angles[:, 1])
-    bases_b = basis_vectors(angles[:, 2], angles[:, 3])
-    phases, values = _phase_stage(parts, bases_a, bases_b, grid, refine)
+    phases, values = _phase_stage(parts, angles, grid, refine)
     # the first leader with the largest value
     k = int(np.argmax(values))
     setting = ComplementarySetting(LocalMeasurement(*angles[k]), *map(float, phases[k]))

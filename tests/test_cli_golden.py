@@ -24,7 +24,11 @@ of the qs row moved.  The ``oracle_werner`` files were rewritten when g1
 and g2 came to be computed as u(T)/2, by the float operations the sweep
 engine uses: the ``closed_form`` column went from 0.39015969528359951 to
 0.39015969528359956 on all three rows, ``abs_error`` followed, and the
-``oracle`` column stayed byte-identical.  Each file is named
+``oracle`` column stayed byte-identical.  The ``oracle_default_file``,
+``oracle_mems`` and ``oracle_werner`` files were rewritten when every oracle
+stage came to run on (lanes, nA, nB) tables, with real phase directions:
+``oracle`` values moved by at most 4.4e-16 (``abs_error`` followed), and
+``oracle_default`` stayed byte-identical.  Each file is named
 ``<case>.<format>``.
 """
 

@@ -99,6 +99,17 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _bits_nan_as_one(a):
+    """_bits, with every NaN as the one default NaN.
+
+    numpy's NaN + NaN keeps the sign of one operand or the other depending on
+    where the element falls in the loop (vector body or remainder), so a lane
+    evaluated in another block layout can carry a NaN of the other sign.
+    Every value that is not NaN, +-0.0 and +-inf included, keeps its bits.
+    """
+    return _bits(np.where(np.isnan(a), np.nan, a))
+
+
 class TestBlockedKernel:
     """The blocked, in-place kernel performs the reference formula's float operations, bit for bit."""
 
@@ -133,6 +144,46 @@ class TestBlockedKernel:
             want = _cmi_ref(s[:, None], s[None, :], np.resize(s, (s.size, s.size)))
         np.testing.assert_array_equal(_bits(table), _bits(want))
 
+    @pytest.mark.parametrize("lanes", [1, 3, 9])
+    @pytest.mark.parametrize("block", [None, 5, 40, 200], ids=["block-default", "block-5", "block-40", "block-200"])
+    def test_lane_table_matches_reference_bits(self, rng, monkeypatch, lanes, block):
+        # a (7, 9) lane is 63 settings: blocks of 5 and 40 split its rows, and
+        # blocks of 200 hold three whole lanes, the last block a partial one
+        if block is not None:
+            monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+        x = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 7)))
+        y = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 9)))
+        w = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 7, 9)))
+        with np.errstate(all="ignore"):
+            got = kernels.cmi_table(x, y, w)
+            for lane in range(lanes):
+                want = _cmi_ref(x[lane, :, None], y[lane, None, :], w[lane])
+                np.testing.assert_array_equal(_bits_nan_as_one(got[lane]), _bits_nan_as_one(want))
+        assert got.shape == (lanes, 7, 9)
+
+    @pytest.mark.parametrize("block", [None, 7, 100])
+    def test_every_special_in_every_lane(self, monkeypatch, block):
+        # every special value of x and y meets every special w, one lane per w
+        if block is not None:
+            monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+        s = _SPECIALS
+        x, y = np.tile(s, (s.size, 1)), np.tile(s[::-1], (s.size, 1))
+        w = np.broadcast_to(s[:, None, None], (s.size, s.size, s.size))
+        with np.errstate(all="ignore"):
+            got = kernels.cmi_table(x, y, w)
+            want = _cmi_ref(x[:, :, None], y[:, None, :], w)
+        np.testing.assert_array_equal(_bits_nan_as_one(got), _bits_nan_as_one(want))
+        assert np.isnan(got).any() and np.isfinite(got).any()
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((0,), (3,), (0, 3)), ((3,), (0,), (3, 0)), ((2, 0), (2, 3), (2, 0, 3)), ((0, 4), (0, 3), (0, 4, 3))],
+        ids=["no-rows", "no-columns", "empty-lanes", "no-lanes"],
+    )
+    def test_empty_tables(self, shapes):
+        x, y, w = (np.empty(shape) for shape in shapes)
+        assert kernels.cmi_table(x, y, w).shape == shapes[2]
+
     def test_zero_and_negative_cells_raise_no_warning(self):
         # finite settings whose joint cells are exactly 0 (w = +-1 at x = y = 0)
         # or just below 0 (rounding past a pure state); the unmasked log2 of
@@ -147,3 +198,23 @@ class TestBlockedKernel:
         np.testing.assert_array_equal(_bits(flat), _bits(_cmi_ref(x, y, w)))
         np.testing.assert_array_equal(_bits(table), _bits(_cmi_ref(x[:, None], y[None, :], np.resize(w, (x.size, y.size)))))
         assert flat[0] == 1.0 and flat[1] == 1.0
+
+
+def test_oracle_call_is_table_calls_only(monkeypatch, capsys):
+    # one `rqcx oracle` at grid 32, refine 4: 8 grid-stage row blocks, then
+    # one call for the leaders' start values and one per refinement round,
+    # and one full phase table plus one per round in each of the two phase
+    # stages; nothing goes through cmi_flat
+    from rqcx import cli, oracle
+
+    calls = {"cmi_table": 0, "cmi_flat": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    monkeypatch.setattr(oracle, "_last_leaders", None)
+    assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", "4"]) == 0
+    capsys.readouterr()
+    assert calls == {"cmi_table": 8 + 5 + 5 + 5, "cmi_flat": 0}

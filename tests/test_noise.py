@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_xstate
 from test_dynamics import DEATH_TOL, _margin_deaths, _slope
+from rqcx import noise, search
 from rqcx.noise import (
     Markov,
     Moun,
@@ -292,3 +293,73 @@ class TestCrossings:
         near = model.crossings(kappa, 50.0)
         assert near.size
         assert np.array_equal(model.crossings(kappa, 1e5), near)
+
+
+def _whole_piece_crossings(model, kappa, t_end):
+    """Rtn.crossings with every lane on its whole piece, the first one too; returns the roots and their tolerances."""
+    t_stop = min(t_end, -0.5 * np.log(kappa))
+    k = np.arange(0.0, np.floor(t_stop * model.omega / np.pi) + 1.0)
+    start, end = model._extremum(k), model._zero(k)
+    lam = model.envelope(np.append(start, t_end))
+    keep = (lam[:-1] ** 2 > kappa) & ((end <= t_end) | (lam[-1] ** 2 <= kappa))
+
+    def fall(t):
+        lam = model.envelope(t)
+        return np.abs(lam) - np.sqrt(kappa), np.sign(lam) * model._slope(t)
+
+    lo, hi = start[keep], np.minimum(end[keep], t_end)
+    return search.newton(fall, lo, hi, 1e-10 * (hi - lo)), 1e-10 * (hi - lo)
+
+
+class TestRtnFirstPiece:
+    """The first piece's lane starts from the quadratic bound 1 - (1 + omega^2) t^2/2 <= Lambda."""
+
+    @staticmethod
+    def _count_rounds(monkeypatch):
+        rounds = [0]
+
+        def counted(f, lo, hi, tol):
+            def g(t):
+                rounds[0] += 1
+                return f(t)
+
+            return search.newton(g, lo, hi, tol)
+
+        monkeypatch.setattr(noise, "newton", counted)
+        return rounds
+
+    @pytest.mark.parametrize("a", [0.6, 4.0, 10.0])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_few_rounds_near_kappa_one(self, monkeypatch, a, gap):
+        # from the first zero, Newton took up to 29 rounds at gap 1e-15
+        rounds = self._count_rounds(monkeypatch)
+        t = Rtn(a).crossings(1.0 - gap, 3.0)
+        assert t.size == 1 and 0.0 < t[0]
+        assert rounds[0] <= 10
+
+    @pytest.mark.parametrize("a", [0.6, 4.0, 10.0])
+    def test_level_whose_root_rounds_to_one(self, a):
+        # sqrt(kappa) is 1.0 for the largest kappa below 1, so t0 is 0; the
+        # lane then runs on the whole piece and still finds a time past 0
+        t = Rtn(a).crossings(float(np.nextafter(1.0, 0.0)), 3.0)
+        assert t.size == 1 and 0.0 < t[0] < 1e-7
+
+    @settings(max_examples=300)
+    @given(
+        a=st.floats(0.5, 20.0, exclude_min=True),
+        gap=st.floats(np.log(1e-9), np.log(0.7)).map(np.exp).map(float),
+        t_end=st.floats(0.05, 50.0),
+    )
+    def test_roots_match_the_whole_piece_lanes(self, a, gap, t_end):
+        # near kappa = 1 the crossing sits at rounding level, so below gap 1e-9
+        # only the round count is compared.  Above it, the roots agree within
+        # the lanes' tolerance plus how far t moves while Lambda (near 1)
+        # moves by 4 ulps: where a short cut piece makes the tolerance tiny,
+        # no float t is closer
+        model, kappa = Rtn(a), 1.0 - gap
+        t = model.crossings(kappa, t_end)
+        ref, tol = _whole_piece_crossings(model, kappa, t_end)
+        assert t.size == ref.size
+        assert np.all(np.abs(t - ref) <= tol + 4.0 * np.spacing(1.0) / np.abs(model._slope(ref)))
+        # every piece after the first is the same lane as before
+        np.testing.assert_array_equal(t[1:], ref[1:])

@@ -303,28 +303,129 @@ class TestGridStage:
         assert peak < 1.25 * w_bytes
 
 
+def _paired_cmi_ref(parts, da, db):
+    """CMI of the paired directions da[..., i, :] and db[..., i, :]: w from a three-operand einsum, then cmi_flat."""
+    ra, rb, tt = parts
+    shape = da.shape[:-1]
+    da, db = da.reshape(-1, 3), db.reshape(-1, 3)
+    w = np.einsum("ij,jk,ik->i", da, tt, db)
+    return kernels.cmi_flat(da @ ra, db @ rb, w).reshape(shape)
+
+
+def _cmi_at_angles_ref(parts, angles):
+    ta, pa, tb, pb = np.atleast_2d(angles).T
+    return _paired_cmi_ref(parts, oracle._direction(ta, pa), oracle._direction(tb, pb))
+
+
 def _refine_ref(parts, angles0, steps0, rounds):
-    """The one-start refinement loop that ran once per leader before the starts were batched."""
-    angles = np.asarray(angles0, dtype=float)
+    """The refinement before its rounds became (L, 9, 9) tables: 81 paired candidates per lane."""
+    angles = np.array(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
-    best = float(oracle._cmi_at_angles(parts, angles)[0])
+    best = _cmi_at_angles_ref(parts, angles)
     for _ in range(rounds):
-        cand = angles[None, :] + oracle._OFFSETS_4 * steps[None, :]
-        cand[:, 0] = np.clip(cand[:, 0], 0.0, np.pi)
-        cand[:, 2] = np.clip(cand[:, 2], 0.0, np.pi)
-        cand[:, 1] %= 2.0 * np.pi
-        cand[:, 3] %= 2.0 * np.pi
-        vals = oracle._cmi_at_angles(parts, cand)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            angles = cand[k]
+        cand = angles[:, None, :] + oracle._OFFSETS_4 * steps
+        cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
+        cand[..., 2] = np.clip(cand[..., 2], 0.0, np.pi)
+        cand[..., 1] %= 2.0 * np.pi
+        cand[..., 3] %= 2.0 * np.pi
+        vals = _cmi_at_angles_ref(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
+        best, angles = oracle._take_improvements(vals, cand, best, angles)
         steps = 0.5 * steps
     return angles, best
 
 
+def _complex_phase_directions(bases, phases):
+    """Bloch directions (L, n, 3) of the first complementary vector of each of L complex bases (L, 2, 2)."""
+    e0, e1 = bases[:, None, :, 0], bases[:, None, :, 1]
+    return bloch_direction((e0 + np.exp(1.0j * phases)[..., None] * e1) / np.sqrt(2.0))
+
+
+def _phase_stage_ref(parts, base, grid, refine):
+    """The phase stage before it took real directions and tables: complex Hadamard
+    directions, and every candidate pair through _paired_cmi_ref."""
+    bases_a = basis_vectors(base[:, 0], base[:, 1])
+    bases_b = basis_vectors(base[:, 2], base[:, 3])
+    phases = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    ia, ib = np.divmod(np.arange(grid * grid), grid)
+    table = _paired_cmi_ref(
+        parts, _complex_phase_directions(bases_a, phases)[:, ia], _complex_phase_directions(bases_b, phases)[:, ib]
+    )
+    k = np.argmax(table, axis=1)
+    cur = np.column_stack((phases[ia[k]], phases[ib[k]]))
+    best = table[np.arange(k.size), k]
+    step = 2.0 * np.pi / grid
+    for _ in range(refine):
+        cand = (cur[:, None, :] + oracle._OFFSETS_2 * step) % (2.0 * np.pi)
+        vals = _paired_cmi_ref(
+            parts, _complex_phase_directions(bases_a, cand[..., 0]), _complex_phase_directions(bases_b, cand[..., 1])
+        )
+        best, cur = oracle._take_improvements(vals, cand, best, cur)
+        step *= 0.5
+    return cur, np.where(0.0 > best, 0.0, best)
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestTableStages:
+    """The table stages against the paired stages they replaced: equal values up to rounding."""
+
+    @staticmethod
+    def _parts(kind, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng) if kind == "generic" else xstate_to_matrix(random_xstate(rng, kind == "x-rank"))
+        return _fano_parts(rho)
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(("generic", "x", "x-rank")),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.sampled_from((8, 9, 16, 32)),
+        refine=st.integers(0, 6),
+    )
+    def test_stages_match_the_paired_stages(self, kind, seed, grid, refine):
+        # the grid stage's tied leaders, as the oracle carries them forward;
+        # a lane may take another tied candidate, but not another value
+        parts = self._parts(kind, seed)
+        starts, _ = _grid_stage(parts, grid, keep=8)
+        angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
+        ref_angles, ref_values = _refine_ref(parts, starts, _grid_steps(grid), refine)
+        assert np.max(np.abs(values - ref_values)) <= 1e-14
+        for base in (angles, np.zeros((1, 4))):
+            phases, values = oracle._phase_stage(parts, base, grid, refine)
+            _, ref_values = _phase_stage_ref(parts, base, grid, refine)
+            assert phases.shape == (len(base), 2)
+            assert np.max(np.abs(values - ref_values)) <= 1e-14
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(("generic", "x", "x-rank")), seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 8))
+    def test_table_entries_match_the_paired_kernel(self, kind, seed, lanes):
+        # every (a, b) entry of a lane's table is the paired evaluation of da[a] and db[b]
+        parts = self._parts(kind, seed)
+        rng = np.random.default_rng(seed)
+        n_a, n_b = rng.integers(1, 12, 2)
+        da = oracle._direction(rng.uniform(0, np.pi, (lanes, n_a)), rng.uniform(0, 2 * np.pi, (lanes, n_a)))
+        db = oracle._direction(rng.uniform(0, np.pi, (lanes, n_b)), rng.uniform(0, 2 * np.pi, (lanes, n_b)))
+        table = oracle._lane_table(parts, da, db)
+        shape = (lanes, n_a, n_b, 3)
+        ref = _paired_cmi_ref(parts, np.broadcast_to(da[:, :, None], shape), np.broadcast_to(db[:, None], shape))
+        assert table.shape == (lanes, n_a, n_b)
+        assert np.max(np.abs(table - ref)) <= 2e-15
+
+    @settings(max_examples=200)
+    @given(
+        theta=st.one_of(st.floats(0.0, np.pi), st.sampled_from((0.0, np.pi, 0.5 * np.pi))),
+        phi=st.floats(0.0, 2 * np.pi),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_complementary_direction_is_the_hadamard_vector(self, theta, phi, phase):
+        # cos(a) e_theta + sin(a) e_phi is the Bloch vector of the complex
+        # Hadamard family's first column at phase a
+        got = oracle._complementary_directions(oracle._frame(np.array([[theta, phi]])), np.array([phase]))
+        want = bloch_direction(complementary_basis(basis_vectors(theta, phi), phase)[:, 0])
+        assert got.shape == (1, 1, 3)
+        assert np.max(np.abs(got[0, 0] - want)) <= 2e-15
 
 
 class TestBatchedSearch:
@@ -360,21 +461,19 @@ class TestBatchedSearch:
                 angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
                 assert angles.shape == (lanes, 4) and values.shape == (lanes,)
                 for lane in range(lanes):
-                    ref_angles, ref_value = _refine_ref(parts, starts[lane], _grid_steps(grid), refine)
-                    np.testing.assert_array_equal(_bits(angles[lane]), _bits(ref_angles))
-                    assert _bits(values[lane]) == _bits(ref_value)
+                    one = _refine_angles(parts, starts[lane : lane + 1], _grid_steps(grid), refine)
+                    np.testing.assert_array_equal(_bits(angles[lane]), _bits(one[0][0]))
+                    assert _bits(values[lane]) == _bits(one[1][0])
 
     @pytest.mark.parametrize("grid", [8, 16, 32])
     def test_phase_stage_lanes_match_single_lanes(self, rng, grid):
         rho = random_density_matrix(rng)
         parts = _fano_parts(rho)
         angles = self._starts(rng, parts, grid, 1.0, 8)
-        bases_a = basis_vectors(angles[:, 0], angles[:, 1])
-        bases_b = basis_vectors(angles[:, 2], angles[:, 3])
         for refine in (0, 3):
-            phases, values = oracle._phase_stage(parts, bases_a, bases_b, grid, refine)
+            phases, values = oracle._phase_stage(parts, angles, grid, refine)
             for lane in range(8):
-                one = oracle._phase_stage(parts, bases_a[lane : lane + 1], bases_b[lane : lane + 1], grid, refine)
+                one = oracle._phase_stage(parts, angles[lane : lane + 1], grid, refine)
                 np.testing.assert_array_equal(_bits(phases[lane]), _bits(one[0][0]))
                 assert _bits(values[lane]) == _bits(one[1][0])
 
@@ -490,8 +589,7 @@ class TestQsOracle:
         angles, values = oracle._max_leaders(parts, 16, 2)
         best = None
         for a in angles[values >= values.max() - 1e-9]:
-            bases = [basis_vectors(a[0], a[1])[None], basis_vectors(a[2], a[3])[None]]
-            phases, value = oracle._phase_stage(parts, *bases, 16, 2)
+            phases, value = oracle._phase_stage(parts, a[None], 16, 2)
             if best is None or value[0] > best[0]:
                 best = (value[0], LocalMeasurement(*a), *phases[0])
         res = qs_oracle(rho, 16, 2)
