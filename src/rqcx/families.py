@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measures import u_func
-from .search import bisect
+from .search import newton
 from .states import XStateParams
 
 FAMILY_KINDS = ("werner", "mnms", "mems")
@@ -70,13 +72,14 @@ def werner_concurrence_rtn(z: float, lam: float) -> float:
     return max(0.0, 0.5 * ((1.0 + 2.0 * lam * lam) * z - 1.0))
 
 
-def crossover_z(tol: float = 1e-12) -> float:
-    """Werner parameter where LAQC and concurrence coincide, by bisection.
+def crossover_z() -> float:
+    """Werner parameter where LAQC and concurrence coincide, by safeguarded Newton.
 
     The residual u(z)/2 - (3z - 1)/2 is positive just above the separability
-    threshold z = 1/3 and negative from the crossover until z = 1.
+    threshold z = 1/3 and negative from the crossover until z = 1; its slope
+    is log2((1 + z)/(1 - z))/2 - 3/2.
     """
     def residual(z):
-        return 0.5 * u_func(z) - 0.5 * (3.0 * z - 1.0)
+        return 0.5 * u_func(z) - 0.5 * (3.0 * z - 1.0), 0.5 * np.log2((1.0 + z) / (1.0 - z)) - 1.5
 
-    return float(bisect(residual, 0.34, 0.99, tol)[0])
+    return float(newton(residual, 0.34, 0.99, 1e-12)[0])

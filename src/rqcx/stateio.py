@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import BlochX, InvalidStateError, XStateParams, bloch_to_xstate
+from .states import BlochX, InvalidStateError, XStateParams, bloch_params
 
 _STATE_KEYS = ("abcdrs", "bloch", "matrix")
 
 
 def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
-    """Parse a state file; returns X parameters or a raw density matrix."""
+    """Parse a state file; returns X parameters or a raw density matrix, neither checked yet."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -42,7 +42,7 @@ def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
         obj, names = doc[key], ("t30", "t03", "t11", "t22", "t33")
         if not isinstance(obj, dict) or not _numbers([obj.get(k) for k in names]):
             raise InvalidStateError(f"'bloch' must map each of {', '.join(names)} to a real")
-        return bloch_to_xstate(BlochX(*(float(obj[k]) for k in names)))
+        return bloch_params(BlochX(*(float(obj[k]) for k in names)))
     arr = np.array(doc[key], dtype=object)
     if arr.shape != (4, 4, 2) or not _numbers(arr.ravel()):
         raise InvalidStateError("'matrix' must be a 4x4 array of [re, im] pairs")

@@ -6,6 +6,11 @@ real-coherence class {a, b, c, d, r, s} is used throughout: a..d are the
 diagonal weights, r couples |00>/|11> and s couples |01>/|10>.  In the Fano
 (Pauli tensor) decomposition such a state carries exactly five nonzero
 correlation coefficients, (T30, T03, T11, T22, T33), besides T00 = 1.
+
+_x_defects computes the four X inequalities (a..d >= 0, unit trace, |r| <=
+sqrt(ad), |s| <= sqrt(bc)) once; _holds decides and _report reports from those
+numbers.  A Bloch vector is checked as its coefficient range plus the state it
+reconstructs.  _to_bloch and _to_params are the only copies of the two maps.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 # roundoff accumulated by repeated channel application.
 STRUCT_TOL = 1e-12
 EIG_TOL = 1e-10
+X_SHAPE_TOL = 1e-10  # stray entries and imaginary coherences of a matrix read as an X state
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -73,140 +79,122 @@ class InvalidStateError(ValueError):
         self.report = report
 
 
-def validate_xstate(p: XStateParams, tol: float = STRUCT_TOL) -> ValidationReport:
+_X_CHECKS = ("weight_nonnegative", "unit_trace", "r_coherence_bound", "s_coherence_bound")
+
+
+def _x_defects(a: float, b: float, c: float, d: float, r: float, s: float) -> tuple[float, ...]:
+    """The magnitudes of the four X inequalities, in _X_CHECKS order, then
+    sqrt(ad) and sqrt(bc).  A NaN or inf field makes the trace magnitude
+    (a..d) or a coherence magnitude (r, s) NaN or inf."""
+    root_ad = math.sqrt(max(a, 0.0) * max(d, 0.0))
+    root_bc = math.sqrt(max(b, 0.0) * max(c, 0.0))
+    # coherence bounds keep the two 2x2 blocks positive semi-definite
+    return -min(a, b, c, d), abs(a + b + c + d - 1.0), abs(r) - root_ad, abs(s) - root_bc, root_ad, root_bc
+
+
+def _to_bloch(a: float, b: float, c: float, d: float, r: float, s: float) -> tuple[float, ...]:
+    """(t30, t03, t11, t22, t33) of the X state (a, b, c, d, r, s)."""
+    return a + b - c - d, a - b + c - d, 2.0 * (s + r), 2.0 * (s - r), a - b - c + d
+
+
+def _to_params(t30: float, t03: float, t11: float, t22: float, t33: float) -> tuple[float, ...]:
+    """(a, b, c, d, r, s) of the X state with Fano coefficients (t30, t03, t11, t22, t33)."""
+    return (0.25 * (1.0 + t30 + t03 + t33), 0.25 * (1.0 + t30 - t03 - t33), 0.25 * (1.0 - t30 + t03 - t33),
+            0.25 * (1.0 - t30 - t03 + t33), 0.25 * (t11 - t22), 0.25 * (t11 + t22))
+
+
+def _bloch_defects(t30: float, t03: float, t11: float, t22: float, t33: float):
+    """The state finite coefficients reconstruct, its _x_defects, and max|t| - 1 (coefficient_range)."""
+    a, b, c, d, r, s = params = _to_params(t30, t03, t11, t22, t33)
+    return params, _x_defects(a, b, c, d, r, s), max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0
+
+
+def _holds(defects: tuple[float, ...], over: float = -1.0) -> bool:
+    """Whether every X magnitude of _x_defects, and over, is at most STRUCT_TOL (NaN fails)."""
+    neg, drift, r_excess, s_excess, _, _ = defects
+    tol = STRUCT_TOL
+    return neg <= tol and drift <= tol and r_excess <= tol and s_excess <= tol and over <= tol
+
+
+def _report(fields: tuple[float, ...], defects: tuple[float, ...], over: float = -1.0) -> ValidationReport:
+    """A coefficient_range row if over exceeds STRUCT_TOL; then _NONFINITE's row if a field
+    is not finite, else one (name, magnitude) per X magnitude of _x_defects above STRUCT_TOL."""
+    rows = (("coefficient_range", float(over)),) if over > STRUCT_TOL else ()
+    if all(map(math.isfinite, fields)):
+        rows += tuple((name, float(m)) for name, m in zip(_X_CHECKS, defects) if m > STRUCT_TOL)
+    else:
+        rows += _NONFINITE.violations
+    return ValidationReport(False, rows) if rows else _VALID
+
+
+def _require(report: ValidationReport, what: str) -> None:
+    """Raise InvalidStateError("<what>: <violations>") if report is not valid."""
+    if not report.valid:
+        raise InvalidStateError(f"{what}: {report.violations}", report)
+
+
+def validate_xstate(p: XStateParams) -> ValidationReport:
     """Check hermiticity/positivity constraints; report every violation."""
     fields = (p.a, p.b, p.c, p.d, p.r, p.s)
-    violations: list[tuple[str, float]] = []
-    if not all(map(math.isfinite, fields)):
-        return _NONFINITE
-    neg = -min(p.a, p.b, p.c, p.d)
-    if neg > tol:
-        violations.append(("weight_nonnegative", neg))
-    drift = abs(p.a + p.b + p.c + p.d - 1.0)
-    if drift > tol:
-        violations.append(("unit_trace", drift))
-    # coherence bounds keep the two 2x2 blocks positive semi-definite
-    r_excess = abs(p.r) - math.sqrt(max(p.a, 0.0) * max(p.d, 0.0))
-    if r_excess > tol:
-        violations.append(("r_coherence_bound", float(r_excess)))
-    s_excess = abs(p.s) - math.sqrt(max(p.b, 0.0) * max(p.c, 0.0))
-    if s_excess > tol:
-        violations.append(("s_coherence_bound", float(s_excess)))
-    return ValidationReport(False, tuple(violations)) if violations else _VALID
+    return _report(fields, _x_defects(*fields))
 
 
 def require_valid(p: XStateParams) -> None:
-    report = validate_xstate(p)
-    if not report.valid:
-        raise InvalidStateError(f"unphysical X state: {report.violations}", report)
+    _require(validate_xstate(p), "unphysical X state")
 
 
-def validate_bloch(b: BlochX, tol: float = STRUCT_TOL) -> ValidationReport:
+def validate_bloch(b: BlochX) -> ValidationReport:
+    """The coefficient range, then validate_xstate's rows for the state b reconstructs."""
     coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
-    if not all(map(math.isfinite, coeffs)):
-        return _NONFINITE
-    violations = []
-    over = max(map(abs, coeffs)) - 1.0
-    if over > tol:
-        violations.append(("coefficient_range", float(over)))
-    inner = validate_xstate(_bloch_to_xstate_raw(b), tol)
-    violations.extend(inner.violations)
-    return ValidationReport(False, tuple(violations)) if violations else _VALID
+    return _report(*_bloch_defects(*coeffs)) if all(map(math.isfinite, coeffs)) else _NONFINITE
 
 
 def require_valid_bloch(b: BlochX) -> None:
-    report = validate_bloch(b)
-    if not report.valid:
-        raise InvalidStateError(f"unphysical Bloch coefficients: {report.violations}", report)
-
-
-def _xstate_to_bloch_raw(p: XStateParams) -> BlochX:
-    return BlochX(
-        t30=p.a + p.b - p.c - p.d,
-        t03=p.a - p.b + p.c - p.d,
-        t11=2.0 * (p.s + p.r),
-        t22=2.0 * (p.s - p.r),
-        t33=p.a - p.b - p.c + p.d,
-    )
+    _require(validate_bloch(b), "unphysical Bloch coefficients")
 
 
 def xstate_to_bloch(p: XStateParams) -> BlochX:
     """Fano coefficients of an X state (linear bijection with the params)."""
     require_valid(p)
-    return _xstate_to_bloch_raw(p)
+    return BlochX(*_to_bloch(p.a, p.b, p.c, p.d, p.r, p.s))
 
 
 def xstate_report(p: XStateParams) -> ValidationReport:
     """p's violations under validate_xstate if it has any, else its Bloch vector's under validate_bloch."""
     report = validate_xstate(p)
-    return validate_bloch(_xstate_to_bloch_raw(p)) if report.valid else report
-
-
-def _reject(p: XStateParams, what: str):
-    report = xstate_report(p)
-    raise InvalidStateError(f"unphysical {what}: {report.violations}", report)
+    return validate_bloch(BlochX(*_to_bloch(p.a, p.b, p.c, p.d, p.r, p.s))) if report.valid else report
 
 
 def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, float, float]:
     """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc)) of a state that passes
     validate_xstate and whose Bloch vector passes validate_bloch.
 
-    Both decisions take the float operations of those functions: on p, then
-    on the coefficient range and the weights and coherences the Bloch vector
-    reconstructs.  A NaN or inf field fails the trace test (a..d) or a
-    coherence bound (r, s), and a state that passes the first decision has
-    finite coefficients, so no finiteness test is needed.  A rejected state
-    raises the InvalidStateError, message and report (from xstate_report)
-    that require_valid_bloch(xstate_to_bloch(p)) raises.  A valid state
-    builds no dataclass and no report.
+    Each decision is computed once, as _x_defects of p and then _bloch_defects
+    of its coefficients, which are finite once p passes.  A rejected state
+    builds its report from those defects, so it raises the InvalidStateError,
+    message and report of require_valid_bloch(xstate_to_bloch(p)).  A valid
+    state builds no dataclass and no report.
     """
     a, b, c, d, r, s = p.a, p.b, p.c, p.d, p.r, p.s
-    root_ad = math.sqrt(max(a, 0.0) * max(d, 0.0))
-    root_bc = math.sqrt(max(b, 0.0) * max(c, 0.0))
-    if not (
-        -min(a, b, c, d) <= STRUCT_TOL
-        and abs(a + b + c + d - 1.0) <= STRUCT_TOL
-        and abs(r) - root_ad <= STRUCT_TOL
-        and abs(s) - root_bc <= STRUCT_TOL
-    ):
-        _reject(p, "X state")
-    t30, t03, t33 = a + b - c - d, a - b + c - d, a - b - c + d
-    t11, t22 = 2.0 * (s + r), 2.0 * (s - r)
-    # the weights and coherences of _bloch_to_xstate_raw
-    wa = 0.25 * (1.0 + t30 + t03 + t33)
-    wb = 0.25 * (1.0 + t30 - t03 - t33)
-    wc = 0.25 * (1.0 - t30 + t03 - t33)
-    wd = 0.25 * (1.0 - t30 - t03 + t33)
-    if not (
-        max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0 <= STRUCT_TOL
-        and -min(wa, wb, wc, wd) <= STRUCT_TOL
-        and abs(wa + wb + wc + wd - 1.0) <= STRUCT_TOL
-        and abs(0.25 * (t11 - t22)) - math.sqrt(max(wa, 0.0) * max(wd, 0.0)) <= STRUCT_TOL
-        and abs(0.25 * (t11 + t22)) - math.sqrt(max(wb, 0.0) * max(wc, 0.0)) <= STRUCT_TOL
-    ):
-        _reject(p, "Bloch coefficients")
-    return t30, t03, t11, t22, t33, root_ad, root_bc
+    defects = _x_defects(a, b, c, d, r, s)
+    if not _holds(defects):
+        _require(_report((a, b, c, d, r, s), defects), "unphysical X state")
+    t30, t03, t11, t22, t33 = _to_bloch(a, b, c, d, r, s)
+    params, inner, over = _bloch_defects(t30, t03, t11, t22, t33)
+    if not _holds(inner, over):
+        _require(_report(params, inner, over), "unphysical Bloch coefficients")
+    return t30, t03, t11, t22, t33, defects[4], defects[5]
 
 
-def _bloch_to_xstate_raw(b: BlochX) -> XStateParams:
-    return XStateParams(
-        a=0.25 * (1.0 + b.t30 + b.t03 + b.t33),
-        b=0.25 * (1.0 + b.t30 - b.t03 - b.t33),
-        c=0.25 * (1.0 - b.t30 + b.t03 - b.t33),
-        d=0.25 * (1.0 - b.t30 - b.t03 + b.t33),
-        r=0.25 * (b.t11 - b.t22),
-        s=0.25 * (b.t11 + b.t22),
-    )
+def bloch_params(b: BlochX) -> XStateParams:
+    """The X state with Fano coefficients b, not yet checked (see bloch_to_xstate)."""
+    return XStateParams(*_to_params(b.t30, b.t03, b.t11, b.t22, b.t33))
 
 
 def bloch_to_xstate(b: BlochX) -> XStateParams:
     """Exact inverse of :func:`xstate_to_bloch`; rejects unphysical input."""
-    p = _bloch_to_xstate_raw(b)
-    report = validate_xstate(p)
-    if not report.valid:
-        raise InvalidStateError(
-            f"Bloch coefficients reconstruct an unphysical state: {report.violations}", report
-        )
+    p = bloch_params(b)
+    _require(validate_xstate(p), "Bloch coefficients reconstruct an unphysical state")
     return p
 
 
@@ -224,7 +212,7 @@ def _hermiticity_defect(rho: np.ndarray) -> float:
     return float(np.max(np.abs(rho - rho.conj().T)))
 
 
-def matrix_params(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
+def matrix_params(rho: np.ndarray) -> XStateParams:
     """The real-coherence X parameters of rho, not yet checked (see
     matrix_to_xstate); rejects non-Hermitian matrices, matrices off the X
     shape and complex coherences.  Every InvalidStateError it raises carries
@@ -240,33 +228,24 @@ def matrix_params(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
         raise InvalidStateError(
             f"matrix is not Hermitian (deviation {herm:.3e})", ValidationReport(False, (("hermitian", herm),))
         )
-    off_mask = np.ones((4, 4), dtype=bool)
-    off_mask[np.arange(4), np.arange(4)] = False
-    off_mask[0, 3] = off_mask[3, 0] = off_mask[1, 2] = off_mask[2, 1] = False
+    off_mask = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diagonal and anti-diagonal
     stray = float(np.max(np.abs(rho[off_mask])))
-    if stray > tol:
+    if stray > X_SHAPE_TOL:
         raise InvalidStateError(
             f"matrix is not X-shaped (stray entry {stray:.3e})", ValidationReport(False, (("x_shape", stray),))
         )
     imag = float(max(abs(rho[0, 3].imag), abs(rho[1, 2].imag)))
-    if imag > tol:
+    if imag > X_SHAPE_TOL:
         raise InvalidStateError(
             f"complex coherences (imag {imag:.3e}) are outside the real-coherence class",
             ValidationReport(False, (("real_coherences", imag),)),
         )
-    return XStateParams(
-        a=float(rho[0, 0].real),
-        b=float(rho[1, 1].real),
-        c=float(rho[2, 2].real),
-        d=float(rho[3, 3].real),
-        r=float(rho[0, 3].real),
-        s=float(rho[1, 2].real),
-    )
+    return XStateParams(*(float(rho[i, j].real) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2))))
 
 
-def matrix_to_xstate(rho: np.ndarray, tol: float = 1e-10) -> XStateParams:
+def matrix_to_xstate(rho: np.ndarray) -> XStateParams:
     """Extract real-coherence X parameters (`matrix_params`) and check them with require_valid."""
-    p = matrix_params(rho, tol)
+    p = matrix_params(rho)
     require_valid(p)
     return p
 
@@ -292,14 +271,10 @@ def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
 
 
 def require_density_matrix(rho: np.ndarray) -> None:
-    report = validate_density_matrix(rho)
-    if not report.valid:
-        raise InvalidStateError(f"invalid density matrix: {report.violations}", report)
+    _require(validate_density_matrix(rho), "invalid density matrix")
 
 
-_PAULI_PAIRS = np.stack(
-    [np.kron(PAULI[mu], PAULI[nu]) for mu in range(4) for nu in range(4)]
-).reshape(4, 4, 4, 4)
+_PAULI_PAIRS = np.stack([np.kron(mu, nu) for mu in PAULI for nu in PAULI]).reshape(4, 4, 4, 4)
 
 
 def fano_coefficients(rho: np.ndarray) -> np.ndarray:

@@ -112,6 +112,23 @@ class TestStateFiles:
         assert rows[0]["check"] == "valid" and rows[0]["ok"] == "0"
         assert any(r["check"] == "r_coherence_bound" for r in rows)
 
+    def test_validate_reports_an_unphysical_bloch_document(self, capsys, tmp_path):
+        # t11 = 1.5 reconstructs r = s = 3/8 over weights of 1/4: validate
+        # reports it as it reports the same state given as abcdrs, and the
+        # other commands reject it at their own single check
+        doc = {"bloch": {"t30": 0, "t03": 0, "t11": 1.5, "t22": 0, "t33": 0}}
+        state = ["--state", "file", "--state-file", self.make_file(tmp_path, doc)]
+        code, out, err = run_cli(capsys, "validate", *state)
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1] == [
+            {"check": "valid", "ok": "0", "magnitude": "0"},
+            {"check": "r_coherence_bound", "ok": "0", "magnitude": "0.125"},
+            {"check": "s_coherence_bound", "ok": "0", "magnitude": "0.125"},
+        ]
+        code, out, err = run_cli(capsys, "measures", *state)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unphysical X state: ") and err.count("\n") == 1
+
     def test_tolerance_edge_state_gets_one_verdict(self, capsys, tmp_path):
         # every weight is inside its 1e-12 tolerance, but t30 is about 1 + 4.4e-12
         path = self.make_file(tmp_path, {"abcdrs": [0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0]})
@@ -223,17 +240,18 @@ class TestStateFiles:
     @pytest.mark.parametrize(
         "abcdrs, as_matrix, counts",
         [
-            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], False, {"validate_xstate": 2, "validate_bloch": 1}),
-            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], False, {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], False, {"validate_xstate": 1, "validate_bloch": 1}),
+            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], False, {"validate_xstate": 1, "validate_bloch": 1}),
             ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], False, {"validate_xstate": 1}),
-            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], True, {"validate_xstate": 2, "validate_bloch": 1}),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], True, {"validate_xstate": 1, "validate_bloch": 1}),
         ],
         ids=["valid", "bloch-violation", "state-violation", "valid-matrix"],
     )
     def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, as_matrix, counts):
-        # the parameters are checked once and their Bloch vector once (which
-        # checks the state it reconstructs), and the rows are measure_set's
-        # report; an X-shaped matrix document is checked as its parameters
+        # the parameters are checked once and their Bloch vector once (its
+        # reconstructed state within validate_bloch, not by a second
+        # validate_xstate), and the rows are measure_set's report; an
+        # X-shaped matrix document is checked as its parameters
         calls = collections.Counter()
         for name in ("validate_xstate", "validate_bloch"):
             def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
@@ -391,15 +409,13 @@ class TestEvolveAndEvents:
 
     @pytest.mark.parametrize("command", ["events", "evolve"])
     def test_validates_a_state_as_measure_set_does(self, capsys, monkeypatch, command):
-        # one check per state; a valid state reaches no report builder and
-        # builds no Bloch vector and no reconstructed state
+        # one check per state: the defects of the state and of the state its
+        # Bloch vector reconstructs, and no report for a valid state
         calls = collections.Counter()
         counted_names = (
             (measures, "check_xstate"),
-            (states, "validate_xstate"),
-            (states, "validate_bloch"),
-            (states, "_xstate_to_bloch_raw"),
-            (states, "_bloch_to_xstate_raw"),
+            (states, "_x_defects"),
+            (states, "_report"),
         )
         for module, name in counted_names:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -409,22 +425,17 @@ class TestEvolveAndEvents:
             monkeypatch.setattr(module, name, counted)
         measure_set(make_state(FamilySpec("mems", 0.8)))
         expected = dict(calls)
-        assert expected == {"check_xstate": 1}
+        assert expected == {"check_xstate": 1, "_x_defects": 2}
         calls.clear()
         code, _, _ = run_cli(capsys, command, "--state", "mems", "--param", "0.8", "--steps", "60")
         assert code == 0
         assert dict(calls) == expected
-        # the counters see the report builders: a rejected state calls them
+        # the counters see the report builder: a rejected state builds one
+        # report, from the defects already computed
         calls.clear()
         with pytest.raises(InvalidStateError):
             measure_set(XStateParams(0.5, 0.5 + 2.6e-12, -0.9e-12, -0.9e-12, 0.0, 0.0))
-        assert dict(calls) == {
-            "check_xstate": 1,
-            "validate_xstate": 2,
-            "validate_bloch": 1,
-            "_xstate_to_bloch_raw": 1,
-            "_bloch_to_xstate_raw": 1,
-        }
+        assert dict(calls) == {"check_xstate": 1, "_x_defects": 2, "_report": 1}
 
 
 class TestSurfaceOracleCrossover:

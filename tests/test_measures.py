@@ -20,10 +20,12 @@ from rqcx.noise import Markov, Moun, Rtn
 from rqcx.states import (
     BlochX,
     InvalidStateError,
+    ValidationReport,
     XStateParams,
     bloch_to_xstate,
     check_xstate,
-    require_valid_bloch,
+    validate_bloch,
+    validate_xstate,
     xstate_to_bloch,
     xstate_to_matrix,
 )
@@ -242,6 +244,17 @@ def _ref_validate_xstate(p):
     return violations
 
 
+def _ref_bloch(p):
+    """The Bloch vector of p, unchecked."""
+    return BlochX(
+        t30=p.a + p.b - p.c - p.d,
+        t03=p.a - p.b + p.c - p.d,
+        t11=2.0 * (p.s + p.r),
+        t22=2.0 * (p.s - p.r),
+        t33=p.a - p.b - p.c + p.d,
+    )
+
+
 def _ref_raw_xstate(b):
     """The X state with Bloch vector b, unchecked."""
     return XStateParams(
@@ -325,13 +338,7 @@ def _ref_concurrence_x(p):
 
 def _ref_measure_set(p):
     _ref_require_valid(p)
-    b = BlochX(
-        t30=p.a + p.b - p.c - p.d,
-        t03=p.a - p.b + p.c - p.d,
-        t11=2.0 * (p.s + p.r),
-        t22=2.0 * (p.s - p.r),
-        t33=p.a - p.b - p.c + p.d,
-    )
+    b = _ref_bloch(p)
     g = sorted((_ref_g_branch(1, b), _ref_g_branch(2, b), _ref_g_branch(3, b)))
     laqc_value = max(_ref_g_branch(1, b), _ref_g_branch(2, b))
     return (_ref_concurrence_x(p), laqc_value, g[1], g[2])
@@ -392,9 +399,19 @@ def _outcome(fn, *args):
 
 
 def _ref_two_step_check(p):
-    """The check measure_set and _StateMeasures made before check_xstate: the
-    state (inside xstate_to_bloch), then its Bloch vector."""
-    require_valid_bloch(xstate_to_bloch(p))
+    """The check measure_set and _StateMeasures made before check_xstate, by
+    the reference validators: the state, then its Bloch vector.  It raises the
+    message and report that require_valid_bloch(xstate_to_bloch(p)) raised."""
+    what, violations = "unphysical X state", _ref_validate_xstate(p)
+    if not violations:
+        what, violations = "unphysical Bloch coefficients", _ref_validate_bloch(_ref_bloch(p))
+    if violations:
+        raise InvalidStateError(f"{what}: {tuple(violations)}", ValidationReport(False, tuple(violations)))
+
+
+def _rows(violations):
+    """Each (name, magnitude) with the magnitude's type and exact bits."""
+    return [(name, type(m), float(m).hex()) for name, m in violations]
 
 
 def _error(fn, *args):
@@ -541,6 +558,28 @@ def _crossing_blochs():
     return cases
 
 
+def _nudged(p, field, shift):
+    fields = [p.a, p.b, p.c, p.d, p.r, p.s]
+    fields[field] += shift
+    return XStateParams(*fields)
+
+
+def _with_field(p, field, value):
+    fields = [p.a, p.b, p.c, p.d, p.r, p.s]
+    fields[field] = value
+    return XStateParams(*fields)
+
+
+# +-(0.5 to 2) tolerances
+_NUDGES = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+# valid states, states nudged across a tolerance and states with a NaN or inf field
+_REPORT_STATES = st.one_of(
+    _ANY_STATE,
+    st.builds(_nudged, _ANY_STATE, st.integers(0, 5), _NUDGES.map(lambda x: x * _TOL)),
+    st.builds(_with_field, _ANY_STATE, st.integers(0, 5), st.sampled_from((float("nan"), float("inf"), -float("inf")))),
+)
+
+
 class TestAcceptReject:
     """measure_set, on a state or through the Bloch route, rejects exactly what the reference path rejects."""
 
@@ -584,14 +623,23 @@ class TestAcceptReject:
         sign=st.sampled_from((-1.0, 1.0)),
     )
     def test_perturbed_states_match(self, seed, kind, field, scale, sign):
-        p = _state(kind, np.random.default_rng(seed))
-        fields = [p.a, p.b, p.c, p.d, p.r, p.s]
-        fields[field] += sign * scale * _TOL
-        q = XStateParams(*fields)
+        q = _nudged(_state(kind, np.random.default_rng(seed)), field, sign * scale * _TOL)
         assert _outcome(measure_set, q) == _outcome(_ref_measure_set, q)
         assert _error(measure_set, q) == _error(_ref_two_step_check, q)
-        b = BlochX(q.a + q.b - q.c - q.d, q.a - q.b + q.c - q.d, 2.0 * (q.s + q.r), 2.0 * (q.s - q.r), q.a - q.b - q.c + q.d)
+        b = _ref_bloch(q)
         assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
+
+    @settings(max_examples=500)
+    @given(p=_REPORT_STATES, k=st.integers(0, 4), nudge=_NUDGES)
+    def test_reports_match_the_reference(self, p, k, nudge):
+        """validate_xstate and validate_bloch give the reference's rows, to the bit."""
+        assert _rows(validate_xstate(p).violations) == _rows(_ref_validate_xstate(p))
+        b = _ref_bloch(p)
+        assert _rows(validate_bloch(b).violations) == _rows(_ref_validate_bloch(b))
+        coeffs = [b.t30, b.t03, b.t11, b.t22, b.t33]
+        coeffs[k] += nudge * _TOL
+        b = BlochX(*coeffs)
+        assert _rows(validate_bloch(b).violations) == _rows(_ref_validate_bloch(b))
 
 
 class TestOrdering:
