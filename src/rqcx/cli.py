@@ -27,7 +27,6 @@ from . import dynamics, families, measures, noise, oracle, stateio
 from .states import (
     InvalidStateError,
     matrix_params,
-    matrix_to_xstate,
     validate_density_matrix,
     xstate_report,
     xstate_to_matrix,
@@ -148,10 +147,10 @@ def _resolve_state(opts: dict):
 
 
 def _xstate_of(opts: dict):
+    """The state's X parameters, not yet checked: the closed forms of the
+    command check them, as measure_set does."""
     params, matrix = _resolve_state(opts)
-    if params is None:
-        params = matrix_to_xstate(matrix)
-    return params
+    return matrix_params(matrix) if params is None else params
 
 
 def _noise_of(opts: dict) -> noise.NoiseModel:

@@ -72,11 +72,11 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float, threshol
 
     Every measure is a nondecreasing function of L^2, so each event has a
     closed-form place.  laqc and qs die on the envelope zeros, each checked
-    to be a sign change of the envelope; a death is reported when the
-    measure exceeds `threshold` at the extremum before the zero (t = 0
-    before the first).  Revival peaks sit at the envelope extrema and are
-    reported where the measure exceeds `threshold`.  The concurrence dies
-    where L^2 falls through its death level (see `_concurrence_deaths`).
+    to be a sign change of the envelope, and the concurrence where L^2
+    falls through its death level (see `_concurrence_deaths`).  A death is
+    reported when the measure exceeds `threshold` at the last extremum
+    before it (t = 0 before the first).  Revival peaks sit at the envelope
+    extrema and are reported where the measure exceeds `threshold`.
     `t_end` must be finite and positive, and `threshold` finite and
     nonnegative.
     """
@@ -95,14 +95,9 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float, threshol
     events: list[EventRecord] = []
     for name in ("laqc", "qs", "concurrence"):
         start, end, on_zero, on_extremum, on_death = np.split(values[name], parts)
-        if name == "concurrence":
-            # the margin is largest at t = 0, so one gate holds for every death
-            dies, on_dead = deaths, on_death
-            gate = np.full(deaths.size, start[0])
-        else:
-            # extremum k - 1 precedes zero k, and t = 0 precedes the first
-            dies, on_dead = zeros, on_zero
-            gate = np.concatenate((start, on_extremum))[: len(zeros)]
+        dies, on_dead = (deaths, on_death) if name == "concurrence" else (zeros, on_zero)
+        # the value at the last extremum before each death, t = 0 first
+        gate = np.concatenate((start, on_extremum))[np.searchsorted(extrema, dies)]
         events += [
             EventRecord("sudden_death", name, float(t), float(v))
             for t, g, v in zip(dies, gate, on_dead)

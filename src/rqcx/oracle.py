@@ -54,6 +54,10 @@ _TIE_TOL = 1e-9
 # is reduced block by block, so no table of it is held.  w grows as grid**4,
 # so at 128 it alone would take about 0.5 GB.
 GRID_MAX = 64
+# Settings per grid-stage block: 32768 doubles, 256 KiB per kernel buffer.
+# The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
+# 8 * 64**2 settings, so every kernel call stays within one block.
+BLOCK_ELEMENTS = 1 << 15
 _TWO_PI = 2.0 * np.pi
 
 
@@ -244,7 +248,7 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     leader is the first of its ties in the scan order of the full grid.
     w is one matrix product (row slices of it can round differently); the
     CMI is then evaluated and reduced one row block of at most
-    `kernels.BLOCK_ELEMENTS` settings at a time, so no table-sized array is
+    `BLOCK_ELEMENTS` settings at a time, so no table-sized array is
     made.  Each block keeps its maximum and every setting within `_TIE_TOL`
     of it: a tie of the overall maximum is within the tolerance of its own
     block's maximum.  A block's list is not cut at `keep`, since a near tie
@@ -256,7 +260,7 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
     x, y, w = na @ ra, na @ rb, na @ tt @ na.T
-    rows = max(1, kernels.BLOCK_ELEMENTS // n)
+    rows = max(1, BLOCK_ELEMENTS // n)
     tops, found, values = [], [], []
     for r0 in range(0, n, rows):
         block = kernels.cmi_table(x[r0 : r0 + rows], y, w[r0 : r0 + rows]).ravel()

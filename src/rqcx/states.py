@@ -192,10 +192,9 @@ def bloch_params(b: BlochX) -> XStateParams:
 
 
 def bloch_to_xstate(b: BlochX) -> XStateParams:
-    """Exact inverse of :func:`xstate_to_bloch`; rejects unphysical input."""
-    p = bloch_params(b)
-    _require(validate_xstate(p), "Bloch coefficients reconstruct an unphysical state")
-    return p
+    """Exact inverse of :func:`xstate_to_bloch`; rejects what validate_bloch reports."""
+    require_valid_bloch(b)
+    return bloch_params(b)
 
 
 def xstate_to_matrix(p: XStateParams) -> np.ndarray:

@@ -73,6 +73,23 @@ class TestStateFiles:
         _, rows = parse_csv(out)
         assert float(rows[0]["concurrence"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("command", ["measures", "evolve", "events"])
+    def test_matrix_document_is_checked_once(self, capsys, monkeypatch, tmp_path, command):
+        # the matrix's X parameters go unchecked to the command, which checks
+        # them once, as measure_set does
+        calls = collections.Counter()
+        for module, name in ((states, "validate_xstate"), (measures, "check_xstate")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rows = [[0.4, 0, 0, 0.2], [0, 0.1, 0.05, 0], [0, 0.05, 0.2, 0], [0.2, 0, 0, 0.3]]
+        path = self.make_file(tmp_path, {"matrix": [[[v, 0.0] for v in row] for row in rows]})
+        code, _, err = run_cli(capsys, command, "--state", "file", "--state-file", path)
+        assert (code, err) == (0, "")
+        assert dict(calls) == {"check_xstate": 1}
+
     def test_bloch_document(self, capsys, tmp_path):
         doc = {"bloch": {"t30": 0.0, "t03": 0.0, "t11": -0.5, "t22": -0.5, "t33": -0.5}}
         code, out, _ = run_cli(
@@ -393,6 +410,16 @@ class TestEvolveAndEvents:
         rows = [r for r in parse_csv(out)[1] if (r["kind"], r["measure"]) == ("sudden_death", "concurrence")]
         assert len(rows) > 10
         assert max(float(r["value"]) for r in rows) <= 1e-12
+
+    @pytest.mark.parametrize("kind, param, lines", [("mems", "0.8", 46), ("mnms", "0.8", 46), ("werner", "0.9", 30)])
+    def test_events_do_not_depend_on_the_window_length(self, capsys, kind, param, lines):
+        # MEMS and MNMS at 0.8 have kappa = 0: their concurrence dies on every
+        # envelope zero, and a death is reported only where the concurrence
+        # at the extremum before it exceeds the threshold
+        outs = {run_cli(capsys, "events", "--state", kind, "--param", param, "--tmax", tmax) for tmax in ("10", "100", "1000")}
+        assert len(outs) == 1
+        code, out, err = outs.pop()
+        assert (code, err, out.count("\n")) == (0, "", lines)
 
     @pytest.mark.parametrize("steps, message", [("1", "--steps must be at least 2")])
     def test_events_step_floor(self, capsys, steps, message):

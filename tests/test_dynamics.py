@@ -235,6 +235,28 @@ class TestClosedFormEvents:
                 sampled = getattr(trajectory(state, noise, np.linspace(lo, hi, 2001)), e.measure)
                 assert e.value >= sampled.max() - 1e-15
 
+    # RTN first: only it revives
+    @settings(max_examples=300)
+    @given(
+        state=_STATES,
+        noise=st.one_of(st.floats(0.55, 12.0).map(Rtn), _NOISES),
+        tmax=st.floats(0.5, 6.0),
+        threshold=st.sampled_from((0.0, 1e-4, 1e-2)),
+    )
+    # kappa = 0: the concurrence dies on every zero, and past t = 4.6 its
+    # value at the extremum before falls under the threshold
+    @example(state=make_state(FamilySpec("mems", 0.8)), noise=RTN4, tmax=6.0, threshold=1e-4)
+    def test_each_death_is_the_first_or_follows_a_revival(self, state, noise, tmax, threshold):
+        events = detect_events(state, noise, tmax, threshold)
+        zeros = lambda_zeros(noise, tmax)
+        first = {"laqc": zeros[:1], "qs": zeros[:1]}
+        first["concurrence"] = _concurrence_deaths(_StateMeasures(state), noise, zeros, tmax)[:1].tolist()
+        for name, firsts in first.items():
+            mine = [e for e in events if e.measure == name]
+            for k, e in enumerate(mine):
+                if e.kind == "sudden_death":
+                    assert (k == 0 and [e.t] == firsts) or (k > 0 and mine[k - 1].kind == "revival_peak"), (name, e)
+
 
 class TestConcurrenceDeaths:
     """The concurrence dies where Lambda^2 falls through kappa, and only there."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
-from rqcx import kernels
+from rqcx import kernels, oracle
 from rqcx.oracle import (
     LocalMeasurement,
     _direction,
@@ -110,13 +110,32 @@ def _bits_nan_as_one(a):
     return _bits(np.where(np.isnan(a), np.nan, a))
 
 
+def _table_in_blocks(x, y, w, block):
+    """cmi_table of L lanes, one call, or cut by its caller into calls of at
+    most `block` settings: whole lanes where a lane fits, else row blocks of
+    one lane."""
+    if block is None:
+        return kernels.cmi_table(x, y, w)
+    lanes, n_a, n_b = w.shape
+    rows = min(n_a, max(1, block // n_b))
+    step = max(1, block // (rows * n_b))
+    out = np.empty(w.shape)
+    for l0 in range(0, lanes, step):
+        for r0 in range(0, n_a, rows):
+            b = (slice(l0, l0 + step), slice(r0, r0 + rows))
+            out[b] = kernels.cmi_table(x[b], y[b[0]], w[b])
+    return out
+
+
 class TestBlockedKernel:
-    """The blocked, in-place kernel performs the reference formula's float operations, bit for bit."""
+    """The in-place kernel performs the reference formula's float operations, bit for bit,
+    and a table its caller cuts into blocks keeps every setting's bits."""
 
     @pytest.mark.parametrize("cols", [1, 47, 481])
     @pytest.mark.parametrize("rows_from_block", [1, "block-1", "block", "block+1", 481])
     def test_table_matches_reference_bits(self, rng, cols, rows_from_block):
-        block = kernels.BLOCK_ELEMENTS // cols
+        # rows around the grid stage's row block of cols-wide rows
+        block = oracle.BLOCK_ELEMENTS // cols
         rows = {"block-1": block - 1, "block": block, "block+1": block + 1}.get(rows_from_block, rows_from_block)
         x = _with_specials(rng, rng.uniform(-1.5, 1.5, rows))
         y = _with_specials(rng, rng.uniform(-1.5, 1.5, cols))
@@ -146,31 +165,27 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("lanes", [1, 3, 9])
     @pytest.mark.parametrize("block", [None, 5, 40, 200], ids=["block-default", "block-5", "block-40", "block-200"])
-    def test_lane_table_matches_reference_bits(self, rng, monkeypatch, lanes, block):
+    def test_lane_table_matches_reference_bits(self, rng, lanes, block):
         # a (7, 9) lane is 63 settings: blocks of 5 and 40 split its rows, and
         # blocks of 200 hold three whole lanes, the last block a partial one
-        if block is not None:
-            monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
         x = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 7)))
         y = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 9)))
         w = _with_specials(rng, rng.uniform(-1.5, 1.5, (lanes, 7, 9)))
         with np.errstate(all="ignore"):
-            got = kernels.cmi_table(x, y, w)
+            got = _table_in_blocks(x, y, w, block)
             for lane in range(lanes):
                 want = _cmi_ref(x[lane, :, None], y[lane, None, :], w[lane])
                 np.testing.assert_array_equal(_bits_nan_as_one(got[lane]), _bits_nan_as_one(want))
         assert got.shape == (lanes, 7, 9)
 
     @pytest.mark.parametrize("block", [None, 7, 100])
-    def test_every_special_in_every_lane(self, monkeypatch, block):
+    def test_every_special_in_every_lane(self, block):
         # every special value of x and y meets every special w, one lane per w
-        if block is not None:
-            monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
         s = _SPECIALS
         x, y = np.tile(s, (s.size, 1)), np.tile(s[::-1], (s.size, 1))
         w = np.broadcast_to(s[:, None, None], (s.size, s.size, s.size))
         with np.errstate(all="ignore"):
-            got = kernels.cmi_table(x, y, w)
+            got = _table_in_blocks(x, y, w, block)
             want = _cmi_ref(x[:, :, None], y[:, None, :], w)
         np.testing.assert_array_equal(_bits_nan_as_one(got), _bits_nan_as_one(want))
         assert np.isnan(got).any() and np.isfinite(got).any()
@@ -181,7 +196,7 @@ class TestBlockedKernel:
         ids=["no-rows", "no-columns", "empty-lanes", "no-lanes"],
     )
     def test_empty_tables(self, shapes):
-        x, y, w = (np.empty(shape) for shape in shapes)
+        x, y, w = (np.zeros(shape) for shape in shapes)
         assert kernels.cmi_table(x, y, w).shape == shapes[2]
 
     def test_zero_and_negative_cells_raise_no_warning(self):
@@ -218,3 +233,27 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys):
     assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", "4"]) == 0
     capsys.readouterr()
     assert calls == {"cmi_table": 8 + 5 + 5 + 5, "cmi_flat": 0}
+
+
+@pytest.mark.parametrize("kind, param", [("werner", 0.0), ("mems", 0.8)])
+def test_oracle_calls_fit_one_block(monkeypatch, capsys, kind, param):
+    # the grid stage is the one caller that cuts a table into blocks; every
+    # other call (refinement, start values, phase scans and rounds) is one
+    # table of at most 8 * 64**2 settings, which Werner 0's 8 tied leaders
+    # reach in qs's phase scan at grid 64
+    from rqcx import cli
+
+    sizes = []
+
+    def recorded(x, y, w, _fn=kernels.cmi_table):
+        sizes.append(np.size(w))
+        return _fn(x, y, w)
+
+    monkeypatch.setattr(kernels, "cmi_table", recorded)
+    for grid in ("8", "33", "64"):
+        monkeypatch.setattr(oracle, "_last_leaders", None)
+        assert cli.main(["oracle", "--state", kind, "--param", str(param), "--grid", grid]) == 0
+    capsys.readouterr()
+    assert max(sizes) <= oracle.BLOCK_ELEMENTS
+    if kind == "werner":
+        assert max(sizes) == oracle.BLOCK_ELEMENTS == 8 * 64**2

@@ -259,7 +259,7 @@ class TestGridStage:
         parts = _fano_parts(_stage_state(kind, weights, signs))
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(kernels, "BLOCK_ELEMENTS", block)
+                mp.setattr(oracle, "BLOCK_ELEMENTS", block)
             angles, values = _grid_stage(parts, grid, keep)
             ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
         assert angles.shape == ref_angles.shape and angles.shape[0] >= 1
@@ -279,7 +279,7 @@ class TestGridStage:
         table[1, 5] = 1.0 - 0.7e-9
         table[2, 0] = 1.0
         table[3, 1] = 1.0 - 0.2e-9
-        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2 * n)
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * n)
         parts = _fano_parts(random_density_matrix(np.random.default_rng(3)))
         monkeypatch.setattr(kernels, "cmi_table", _rows_in_scan_order(table))
         angles, values = _grid_stage(parts, 8, keep)

@@ -13,6 +13,7 @@ from rqcx.states import (
     fano_coefficients,
     matrix_to_xstate,
     require_density_matrix,
+    validate_bloch,
     validate_density_matrix,
     validate_xstate,
     xstate_to_bloch,
@@ -90,6 +91,20 @@ class TestBlochConversion:
         # reconstructs a = d = 0 with r = 1/2: coherence without support
         with pytest.raises(InvalidStateError):
             bloch_to_xstate(BlochX(0.0, 0.0, 1.0, -1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "b",
+        [BlochX(1.0 + 1.1e-12, 0.0, 0.0, 0.0, 0.0), BlochX(0.0, 0.0, 1.0, -1.0, -1.0), BlochX(np.nan, 0, 0, 0, 0)],
+        ids=["coefficient-past-one", "coherence-without-support", "nan"],
+    )
+    def test_rejects_what_validate_bloch_reports(self, b):
+        # t30 = 1 + 1.1e-12 reconstructs c = d = -2.75e-13, inside the X
+        # tolerances, yet lies past the coefficient range
+        report = validate_bloch(b)
+        assert not report.valid
+        with pytest.raises(InvalidStateError) as err:
+            bloch_to_xstate(b)
+        assert err.value.report == report
 
 
 class TestMatrixForm:
