@@ -28,8 +28,8 @@ from .states import (
     InvalidStateError,
     matrix_params,
     validate_density_matrix,
+    xstate_matrix,
     xstate_report,
-    xstate_to_matrix,
 )
 
 
@@ -319,8 +319,9 @@ def _cmd_surface(opts: dict) -> int:
 
 def _cmd_oracle(opts: dict) -> int:
     params = _xstate_of(opts)
-    rho = xstate_to_matrix(params)
+    # measure_set checks the state; the matrix is then built unchecked
     ms = measures.measure_set(params)
+    rho = xstate_matrix(params)
     grid, refine = opts["grid"], opts["refine"]
     pairs = (
         ("laqc", oracle.laqc_oracle(rho, grid, refine).value, ms.laqc),

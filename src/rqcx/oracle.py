@@ -10,16 +10,14 @@ classical mutual information: optimize_cmi over all local settings (Wu's
 cs), qs_oracle over the bases complementary to its maximizing settings, and
 laqc_oracle over those complementary to the computational basis.  Each is
 deterministic coarse-to-fine: a grid scan (the four angles, each distinct
-measurement once, or the two Hadamard phases), then local refinement rounds
-that halve the step, ties going to the lexicographically smallest angles.
+measurement once, or the two Hadamard phases), then the rounds of the one
+ascent loop `_ascend`, whose step halves each round.
 
-The searches run on batches of L starts, one lane per start.  Every
-refinement round, and every phase-stage scan or round, is one (L, nA, nB)
-table of the kernel: a lane's candidates are nA A-directions times nB
-B-directions, A-major.  Each lane then takes its own first best candidate,
-and moves only if that strictly beats its current value.  So a lane's
-result is the one it would reach alone, to the bit, and an oracle call
-makes the same number of kernel calls however many tied leaders it carries.
+The searches run on batches of L starts, one lane per start.  Every scan and
+round is one (L, nA, nB) kernel table, A-major; in a round, each party's
+candidates come from its own point.  A lane takes its first best candidate
+and moves only on strict improvement, so its result is the one it would reach
+alone, to the bit, and the number of kernel calls does not grow with L.
 
 Complementary (mutually unbiased) bases are the one-parameter complex
 Hadamard family applied to a base pair (`complementary_basis`).  As the
@@ -54,6 +52,8 @@ _TIE_TOL = 1e-9
 # is reduced block by block, so no table of it is held.  w grows as grid**4,
 # so at 128 it alone would take about 0.5 GB.
 GRID_MAX = 64
+# Most rounds (a kernel call each per stage); the step is then at most 2.4e-20.
+REFINE_MAX = 64
 # Settings per grid-stage block: 32768 doubles, 256 KiB per kernel buffer.
 # The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
 # 8 * 64**2 settings, so every kernel call stays within one block.
@@ -179,42 +179,46 @@ def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return kernels.cmi_table(da @ ra, db @ rb, (da @ tt) @ np.swapaxes(db, 1, 2))
 
 
-def _take_improvements(vals: np.ndarray, cand: np.ndarray, best: np.ndarray, cur: np.ndarray):
-    """One round's update of L lanes: each lane's first best candidate
-    (vals (L, n), cand (L, n, d)) replaces its current point (best (L,),
-    cur (L, d)) only where it strictly beats it, so ties keep scan order."""
-    lanes = np.arange(vals.shape[0])
-    k = np.argmax(vals, axis=1)
-    top = vals[lanes, k]
-    up = top > best
-    return np.where(up, top, best), np.where(up[:, None], cand[lanes, k], cur)
+_OFFSETS = {d: np.array(np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij")).reshape(d, -1).T for d in (1, 2)}
 
 
-_OFFSETS_4 = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4, -1).T
+def _ascend(table, fold, cur_a, cur_b, best, steps, rounds: int):
+    """Neighborhood ascent of L lanes from points cur_a, cur_b (L, d) of values best (L,).
+
+    Each round, a party's 3**d candidates are its point plus its step times each offset
+    in {-1, 0, 1}**d, base-3 digit order, put in range by fold (in place); table gives their
+    (L, 3**d, 3**d) values.  A lane takes its first best entry, A-major, and moves only on
+    strict improvement; the steps halve.  Returns the joined points (L, 2d) and values."""
+    offsets, lanes = _OFFSETS[cur_a.shape[1]], np.arange(len(best))
+    move_a, move_b = offsets * steps[0], offsets * steps[1]
+    for _ in range(rounds):
+        cand_a, cand_b = fold(cur_a[:, None] + move_a), fold(cur_b[:, None] + move_b)
+        vals = table(cand_a, cand_b).reshape(len(best), -1)
+        k = np.argmax(vals, axis=1)
+        top = vals[lanes, k]
+        up = top > best
+        best = np.where(up, top, best)
+        cur_a = np.where(up[:, None], cand_a[lanes, k // len(offsets)], cur_a)
+        cur_b = np.where(up[:, None], cand_b[lanes, k % len(offsets)], cur_b)
+        move_a, move_b = 0.5 * move_a, 0.5 * move_b
+    return np.concatenate((cur_a, cur_b), axis=1), best
 
 
 def _refine_angles(parts, angles0, steps0, rounds: int):
-    """Local neighborhood ascent of L starts (angles0 of shape (L, 4)) at once.
+    """`_ascend` of L starts (angles0 of shape (L, 4)) with steps steps0 (4,) at once:
+    each party's 9 candidates are (theta, phi) moves, one (L, 9, 9) table per round."""
 
-    The step halves each round.  A lane's 81 candidates, A-major, are its 9
-    A-directions times its 9 B-directions, so candidate 9a + b is entry
-    (a, b) of one (L, 9, 9) table per round.
-    """
+    def table(a, b):
+        return _lane_table(parts, _direction(a[..., 0], a[..., 1]), _direction(b[..., 0], b[..., 1]))
 
-    def table(cand):
-        a, b = cand[:, ::9], cand[:, :9]
-        vals = _lane_table(parts, _direction(a[..., 0], a[..., 1]), _direction(b[..., 2], b[..., 3]))
-        return vals.reshape(cand.shape[:2])
+    def fold(cand):  # theta clipped to [0, pi], phi mod 2pi
+        np.clip(cand[..., 0], 0.0, np.pi, out=cand[..., 0])
+        np.remainder(cand[..., 1], _TWO_PI, out=cand[..., 1])
+        return cand
 
-    angles, steps = np.array(angles0, dtype=float), np.asarray(steps0, dtype=float)
-    best = table(angles[:, None])[:, 0]
-    for _ in range(rounds):
-        cand = angles[:, None, :] + _OFFSETS_4 * steps
-        cand[..., ::2] = np.clip(cand[..., ::2], 0.0, np.pi)
-        cand[..., 1::2] %= _TWO_PI
-        best, angles = _take_improvements(table(cand), cand, best, angles)
-        steps = 0.5 * steps
-    return angles, best
+    angles, steps = np.asarray(angles0, dtype=float), np.asarray(steps0, dtype=float)
+    best = table(angles[:, None, :2], angles[:, None, 2:])[:, 0, 0]
+    return _ascend(table, fold, angles[:, :2], angles[:, 2:], best, (steps[:2], steps[2:]), rounds)
 
 
 def _search_parts(rho: np.ndarray, grid: int, refine: int):
@@ -225,6 +229,8 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
         raise ValueError(f"grid must be at most {GRID_MAX} (the grid scan's memory grows as grid**4)")
     if refine < 0:
         raise ValueError("refine must be at least 0")
+    if refine > REFINE_MAX:
+        raise ValueError(f"refine must be at most {REFINE_MAX}")
     require_density_matrix(rho)
     return _fano_parts(rho)
 
@@ -315,33 +321,27 @@ def _complementary_directions(frame, phases: np.ndarray) -> np.ndarray:
     return np.cos(phases)[..., None] * frame[0] + np.sin(phases)[..., None] * frame[1]
 
 
-_OFFSETS_2 = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T
-
-
 def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     """Maximize CMI over the two Hadamard phases of the complementary family,
     for L base settings (angles (L, 4)) at once; returns phases (L, 2) and values (L,).
 
     Each lane scans the full grid x grid phase table, A-phase major, as one
-    (L, grid, grid) table; each refinement round is one (L, 3, 3) table,
-    whose entry (a, b) is candidate 3a + b.
+    (L, grid, grid) table, then ascends (`_ascend`) from its first maximum:
+    each round is one (L, 3, 3) table of the phases plus or minus the step.
     """
     frame_a, frame_b = _frame(base[:, :2]), _frame(base[:, 2:])
 
-    def table(phases_a, phases_b):
-        da, db = _complementary_directions(frame_a, phases_a), _complementary_directions(frame_b, phases_b)
-        return _lane_table(parts, da, db).reshape(len(base), -1)
+    def table(a, b):
+        # phases (L, n, 1), or (n, 1) for every lane
+        da, db = _complementary_directions(frame_a, a[..., 0]), _complementary_directions(frame_b, b[..., 0])
+        return _lane_table(parts, da, db)
 
-    phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    scan = table(phases, phases)
+    phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)[:, None]
+    scan = table(phases, phases).reshape(len(base), -1)
     k = np.argmax(scan, axis=1)
-    cur = np.column_stack((phases[k // grid], phases[k % grid]))
-    best = scan[np.arange(k.size), k]
-    step = _TWO_PI / grid
-    for _ in range(refine):
-        cand = (cur[:, None, :] + _OFFSETS_2 * step) % _TWO_PI
-        best, cur = _take_improvements(table(cand[:, ::3, 0], cand[:, :3, 1]), cand, best, cur)
-        step *= 0.5
+    best, steps = scan[np.arange(k.size), k], (_TWO_PI / grid,) * 2
+    fold = lambda cand: np.remainder(cand, _TWO_PI, out=cand)
+    cur, best = _ascend(table, fold, phases[k // grid], phases[k % grid], best, steps, refine)
     # max(best, 0.0) lane by lane
     return cur, np.where(0.0 > best, 0.0, best)
 

@@ -197,13 +197,19 @@ def bloch_to_xstate(b: BlochX) -> XStateParams:
     return bloch_params(b)
 
 
-def xstate_to_matrix(p: XStateParams) -> np.ndarray:
-    require_valid(p)
+def xstate_matrix(p: XStateParams) -> np.ndarray:
+    """The density matrix of p, not yet checked (see xstate_to_matrix)."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = p.a, p.b, p.c, p.d
     rho[0, 3] = rho[3, 0] = p.r
     rho[1, 2] = rho[2, 1] = p.s
     return rho
+
+
+def xstate_to_matrix(p: XStateParams) -> np.ndarray:
+    """`xstate_matrix` of p, once require_valid passes."""
+    require_valid(p)
+    return xstate_matrix(p)
 
 
 def _hermiticity_defect(rho: np.ndarray) -> float:

@@ -73,7 +73,7 @@ class TestStateFiles:
         _, rows = parse_csv(out)
         assert float(rows[0]["concurrence"]) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("command", ["measures", "evolve", "events"])
+    @pytest.mark.parametrize("command", ["measures", "evolve", "events", "oracle"])
     def test_matrix_document_is_checked_once(self, capsys, monkeypatch, tmp_path, command):
         # the matrix's X parameters go unchecked to the command, which checks
         # them once, as measure_set does
@@ -496,8 +496,9 @@ class TestSurfaceOracleCrossover:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--refine", "-1"], "refine must be at least 0"), (["--grid", "65"], "grid must be at most 64")],
-        ids=["refine", "grid"],
+        [(["--refine", "-1"], "refine must be at least 0"), (["--grid", "65"], "grid must be at most 64"),
+         (["--refine", "65"], "refine must be at most 64")],
+        ids=["refine", "grid", "refine-ceiling"],
     )
     def test_oracle_search_bounds_exit_one(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "oracle", "--state", "werner", "--param", "0.5", *flags)

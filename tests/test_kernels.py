@@ -215,11 +215,12 @@ class TestBlockedKernel:
         assert flat[0] == 1.0 and flat[1] == 1.0
 
 
-def test_oracle_call_is_table_calls_only(monkeypatch, capsys):
-    # one `rqcx oracle` at grid 32, refine 4: 8 grid-stage row blocks, then
-    # one call for the leaders' start values and one per refinement round,
-    # and one full phase table plus one per round in each of the two phase
-    # stages; nothing goes through cmi_flat
+@pytest.mark.parametrize("refine", [0, 4, 8])
+def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
+    # one `rqcx oracle` at grid 32: 8 grid-stage row blocks, then one call
+    # for the leaders' start values and one per refinement round, and one
+    # full phase table plus one per round in each of the two phase stages;
+    # nothing goes through cmi_flat
     from rqcx import cli, oracle
 
     calls = {"cmi_table": 0, "cmi_flat": 0}
@@ -230,9 +231,9 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys):
 
         monkeypatch.setattr(kernels, name, counted)
     monkeypatch.setattr(oracle, "_last_leaders", None)
-    assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", "4"]) == 0
+    assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", str(refine)]) == 0
     capsys.readouterr()
-    assert calls == {"cmi_table": 8 + 5 + 5 + 5, "cmi_flat": 0}
+    assert calls == {"cmi_table": 8 + 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("kind, param", [("werner", 0.0), ("mems", 0.8)])

@@ -11,6 +11,7 @@ from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set, u_func
 from rqcx.oracle import (
     GRID_MAX,
+    REFINE_MAX,
     LocalMeasurement,
     _fano_parts,
     _grid_directions,
@@ -156,6 +157,13 @@ class TestOptimizeCmi:
         with pytest.raises(ValueError, match="refine"):
             search(MIXED, -1)
         assert search(MIXED, 0).refinement_depth == 0
+
+    @pytest.mark.parametrize("search", [optimize_cmi, laqc_oracle, qs_oracle])
+    def test_refine_ceiling(self, search):
+        # each round costs a kernel call per stage, so refine is bounded as grid is
+        with pytest.raises(ValueError, match=f"refine must be at most {REFINE_MAX}"):
+            search(MIXED, 8, REFINE_MAX + 1)
+        assert search(MIXED, 8, REFINE_MAX).refinement_depth == REFINE_MAX
 
     def test_deterministic(self):
         rho = xstate_to_matrix(make_state(FamilySpec("mnms", 0.3)))
@@ -317,19 +325,35 @@ def _cmi_at_angles_ref(parts, angles):
     return _paired_cmi_ref(parts, oracle._direction(ta, pa), oracle._direction(tb, pb))
 
 
+# the joint candidate offsets {-1, 0, 1}**4 and **2, in the order of the base-3 digits
+_OFFSETS_4_REF = np.array(np.meshgrid(*([(-1, 0, 1)] * 4), indexing="ij")).reshape(4, -1).T
+_OFFSETS_2_REF = np.array(np.meshgrid((-1, 0, 1), (-1, 0, 1), indexing="ij")).reshape(2, -1).T
+
+
+def _take_improvements_ref(vals, cand, best, cur):
+    """One round's update of L lanes: each lane's first best candidate
+    (vals (L, n), cand (L, n, d)) replaces its current point (best (L,),
+    cur (L, d)) only where it strictly beats it, so ties keep scan order."""
+    lanes = np.arange(vals.shape[0])
+    k = np.argmax(vals, axis=1)
+    top = vals[lanes, k]
+    up = top > best
+    return np.where(up, top, best), np.where(up[:, None], cand[lanes, k], cur)
+
+
 def _refine_ref(parts, angles0, steps0, rounds):
     """The refinement before its rounds became (L, 9, 9) tables: 81 paired candidates per lane."""
     angles = np.array(angles0, dtype=float)
     steps = np.asarray(steps0, dtype=float)
     best = _cmi_at_angles_ref(parts, angles)
     for _ in range(rounds):
-        cand = angles[:, None, :] + oracle._OFFSETS_4 * steps
+        cand = angles[:, None, :] + _OFFSETS_4_REF * steps
         cand[..., 0] = np.clip(cand[..., 0], 0.0, np.pi)
         cand[..., 2] = np.clip(cand[..., 2], 0.0, np.pi)
         cand[..., 1] %= 2.0 * np.pi
         cand[..., 3] %= 2.0 * np.pi
         vals = _cmi_at_angles_ref(parts, cand.reshape(-1, 4)).reshape(cand.shape[:2])
-        best, angles = oracle._take_improvements(vals, cand, best, angles)
+        best, angles = _take_improvements_ref(vals, cand, best, angles)
         steps = 0.5 * steps
     return angles, best
 
@@ -355,11 +379,56 @@ def _phase_stage_ref(parts, base, grid, refine):
     best = table[np.arange(k.size), k]
     step = 2.0 * np.pi / grid
     for _ in range(refine):
-        cand = (cur[:, None, :] + oracle._OFFSETS_2 * step) % (2.0 * np.pi)
+        cand = (cur[:, None, :] + _OFFSETS_2_REF * step) % (2.0 * np.pi)
         vals = _paired_cmi_ref(
             parts, _complex_phase_directions(bases_a, cand[..., 0]), _complex_phase_directions(bases_b, cand[..., 1])
         )
-        best, cur = oracle._take_improvements(vals, cand, best, cur)
+        best, cur = _take_improvements_ref(vals, cand, best, cur)
+        step *= 0.5
+    return cur, np.where(0.0 > best, 0.0, best)
+
+
+def _refine_table_ref(parts, angles0, steps0, rounds):
+    """The table refinement before the one ascent loop: 81 joint candidates per
+    lane, candidate 9a + b being entry (a, b) of one (L, 9, 9) table."""
+
+    def table(cand):
+        a, b = cand[:, ::9], cand[:, :9]
+        vals = oracle._lane_table(
+            parts, oracle._direction(a[..., 0], a[..., 1]), oracle._direction(b[..., 2], b[..., 3])
+        )
+        return vals.reshape(cand.shape[:2])
+
+    angles, steps = np.array(angles0, dtype=float), np.asarray(steps0, dtype=float)
+    best = table(angles[:, None])[:, 0]
+    for _ in range(rounds):
+        cand = angles[:, None, :] + _OFFSETS_4_REF * steps
+        cand[..., ::2] = np.clip(cand[..., ::2], 0.0, np.pi)
+        cand[..., 1::2] %= 2.0 * np.pi
+        best, angles = _take_improvements_ref(table(cand), cand, best, angles)
+        steps = 0.5 * steps
+    return angles, best
+
+
+def _phase_table_ref(parts, base, grid, refine):
+    """The table phase stage before the one ascent loop: 9 joint candidates per
+    lane, candidate 3a + b being entry (a, b) of one (L, 3, 3) table."""
+    frame_a, frame_b = oracle._frame(base[:, :2]), oracle._frame(base[:, 2:])
+
+    def table(phases_a, phases_b):
+        da = oracle._complementary_directions(frame_a, phases_a)
+        db = oracle._complementary_directions(frame_b, phases_b)
+        return oracle._lane_table(parts, da, db).reshape(len(base), -1)
+
+    phases = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    scan = table(phases, phases)
+    k = np.argmax(scan, axis=1)
+    cur = np.column_stack((phases[k // grid], phases[k % grid]))
+    best = scan[np.arange(k.size), k]
+    step = 2.0 * np.pi / grid
+    for _ in range(refine):
+        cand = (cur[:, None, :] + _OFFSETS_2_REF * step) % (2.0 * np.pi)
+        best, cur = _take_improvements_ref(table(cand[:, ::3, 0], cand[:, :3, 1]), cand, best, cur)
         step *= 0.5
     return cur, np.where(0.0 > best, 0.0, best)
 
@@ -397,6 +466,34 @@ class TestTableStages:
             _, ref_values = _phase_stage_ref(parts, base, grid, refine)
             assert phases.shape == (len(base), 2)
             assert np.max(np.abs(values - ref_values)) <= 1e-14
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(("generic", "x", "x-rank")),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.sampled_from((8, 9, 16, 32)),
+        refine=st.integers(0, 6),
+    )
+    def test_ascent_matches_the_joint_candidate_stages(self, kind, seed, grid, refine):
+        # the one ascent loop against the stages it replaced, to the bit:
+        # the grid stage's leaders, then random starts on each theta clip
+        parts = self._parts(kind, seed)
+        rng = np.random.default_rng(seed)
+        leaders, _ = _grid_stage(parts, grid, keep=8)
+        clipped = np.column_stack((rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4),
+                                   rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4)))
+        clipped[[0, 1], 0] = 0.0, np.pi
+        clipped[[2, 3], 2] = np.pi, 0.0
+        starts = np.concatenate((leaders, clipped))
+        angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
+        ref_angles, ref_values = _refine_table_ref(parts, starts, _grid_steps(grid), refine)
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+        for base in (angles, np.zeros((1, 4))):
+            phases, values = oracle._phase_stage(parts, base, grid, refine)
+            ref_phases, ref_values = _phase_table_ref(parts, base, grid, refine)
+            np.testing.assert_array_equal(_bits(phases), _bits(ref_phases))
+            np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
     @settings(max_examples=60)
     @given(kind=st.sampled_from(("generic", "x", "x-rank")), seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 8))
@@ -542,6 +639,18 @@ def test_phase_stage_value_is_the_cmi_at_its_setting(entries, grid, refine):
         assert abs(_projector_cmi(rho, base, pa, pb) - res.value) <= 1e-12
         diagonal = max(_projector_cmi(rho, base, p, p) for p in phases)
         assert res.value >= diagonal - 1e-12
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(("generic", "x", "x-rank")), seed=st.integers(0, 2**32 - 1), grid=st.integers(8, 10))
+def test_later_rounds_never_lower_the_value(kind, seed, grid):
+    # the rounds of refine r + 1 extend those of refine r, and a lane moves
+    # only on strict improvement, so each search's value is nondecreasing in r
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng) if kind == "generic" else xstate_to_matrix(random_xstate(rng, kind == "x-rank"))
+    for search in (laqc_oracle, optimize_cmi):
+        values = [search(rho, grid, refine).value for refine in range(9)]
+        assert all(later >= value for value, later in zip(values, values[1:])), values
 
 
 class TestLaqcOracle:
