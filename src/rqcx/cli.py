@@ -129,28 +129,25 @@ def _merged(args: argparse.Namespace) -> dict:
 
 
 def _resolve_state(opts: dict):
-    """Return (XStateParams or None, density matrix or None)."""
+    """The state document: XStateParams, or the density matrix of a matrix document."""
     kind = opts["state"]
     if kind in families.FAMILY_KINDS:
         if opts["param"] is None:
             raise InvalidStateError(f"--param is required with --state {kind}")
         spec = families.FamilySpec(kind, opts["param"])
-        return families.make_state(spec), None
+        return families.make_state(spec)
     if kind == "file" or (kind is None and opts["state_file"]):
         if not opts["state_file"]:
             raise InvalidStateError("--state-file is required with --state file")
-        doc = stateio.load_state_document(opts["state_file"])
-        if isinstance(doc, np.ndarray):
-            return None, doc
-        return doc, None
+        return stateio.load_state_document(opts["state_file"])
     raise InvalidStateError("no state given: use --state werner|mnms|mems with --param, or --state file")
 
 
 def _xstate_of(opts: dict):
     """The state's X parameters, not yet checked: the closed forms of the
     command check them, as measure_set does."""
-    params, matrix = _resolve_state(opts)
-    return matrix_params(matrix) if params is None else params
+    doc = _resolve_state(opts)
+    return matrix_params(doc) if isinstance(doc, np.ndarray) else doc
 
 
 def _noise_of(opts: dict) -> noise.NoiseModel:
@@ -261,16 +258,16 @@ def _emit_surface(params: np.ndarray, tgrid: np.ndarray, values: np.ndarray, opt
 
 
 def _cmd_validate(opts: dict) -> int:
-    params, matrix = _resolve_state(opts)
-    if params is None:
-        report = validate_density_matrix(matrix)
+    doc = _resolve_state(opts)
+    if isinstance(doc, np.ndarray):
+        report = validate_density_matrix(doc)
         if report.valid:  # an X-shaped, real-coherence matrix is checked as its parameters too
             try:
-                params = matrix_params(matrix)
+                doc = matrix_params(doc)
             except InvalidStateError as exc:  # off the X shape or complex
                 report = exc.report
-    if params is not None:  # a Bloch coefficient may still lie just past 1, as measure_set finds
-        report = xstate_report(params)
+    if not isinstance(doc, np.ndarray):  # a Bloch coefficient may still lie just past 1, as measure_set finds
+        report = xstate_report(doc)
     names = [name for name, _ in report.violations]
     columns = {
         "check": ["valid", *names],

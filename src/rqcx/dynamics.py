@@ -91,51 +91,47 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float, threshol
     # every point value in one call: both ends, the zeros, the extrema and
     # the concurrence deaths
     values = measures(np.atleast_1d(lambda_of_t(noise, np.concatenate(([0.0, t_end], zeros, extrema, deaths)))))
-    parts = np.cumsum([1, 1, len(zeros), extrema.size])
+    parts = np.cumsum([1, 1, zeros.size, extrema.size])
     events: list[EventRecord] = []
     for name in ("laqc", "qs", "concurrence"):
         start, end, on_zero, on_extremum, on_death = np.split(values[name], parts)
         dies, on_dead = (deaths, on_death) if name == "concurrence" else (zeros, on_zero)
         # the value at the last extremum before each death, t = 0 first
         gate = np.concatenate((start, on_extremum))[np.searchsorted(extrema, dies)]
-        events += [
-            EventRecord("sudden_death", name, float(t), float(v))
-            for t, g, v in zip(dies, gate, on_dead)
-            if g > threshold
-        ]
-        if len(dies):
+        events += _records("sudden_death", name, dies, on_dead, gate > threshold)
+        if dies.size:
             # every extremum k >= 1 lies after the first zero, and the first
             # concurrence death is no later than that zero
-            events += [
-                EventRecord("revival_peak", name, float(t), float(v))
-                for t, v in zip(extrema, on_extremum)
-                if v > threshold
-            ]
+            events += _records("revival_peak", name, extrema, on_extremum, on_extremum > threshold)
         elif start[0] > threshold and end[0] < start[0]:
             events.append(EventRecord("asymptotic", name, t_end, float(end[0])))
     events.sort(key=lambda e: (e.t, e.measure, e.kind))
     return events
 
 
-def _check_sign_changes(noise: NoiseModel, zeros) -> None:
+def _records(kind: str, name: str, t: np.ndarray, value: np.ndarray, keep: np.ndarray) -> list[EventRecord]:
+    """One EventRecord per time that `keep` selects."""
+    return [EventRecord(kind, name, ti, vi) for ti, vi in zip(t[keep].tolist(), value[keep].tolist())]
+
+
+def _check_sign_changes(noise: NoiseModel, zeros: np.ndarray) -> None:
     """Each envelope zero must be a sign change of Lambda itself.
 
     Lambda is evaluated h left and right of the zero, so the check depends on
     no time grid.  h is 1e-7, or less: a probe stays within a quarter of the
     gap to the nearest neighbouring zero, t = 0 counted as one.
     """
-    if not zeros:
+    if not zeros.size:
         return
-    zs = np.array(zeros)
-    gaps = np.diff(zs, prepend=0.0)
+    gaps = np.diff(zeros, prepend=0.0)
     h = np.minimum(1e-7, 0.25 * np.minimum(gaps, np.append(gaps[1:], np.inf)))
-    lam = lambda_of_t(noise, np.concatenate((zs - h, zs + h)))
-    bad = np.flatnonzero(lam[: zs.size] * lam[zs.size :] > 0)
+    lam = lambda_of_t(noise, np.concatenate((zeros - h, zeros + h)))
+    bad = np.flatnonzero(lam[: zeros.size] * lam[zeros.size :] > 0)
     if bad.size:
         raise RuntimeError(f"envelope zero at t={zeros[bad[0]]} is not a sign change of Lambda")
 
 
-def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, t_end) -> np.ndarray:
+def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros: np.ndarray, t_end) -> np.ndarray:
     """Sorted times where L^2 falls through kappa, the concurrence's death level.
 
     The concurrence is positive exactly while L^2 > kappa (see
@@ -147,7 +143,7 @@ def _concurrence_deaths(measures: _StateMeasures, noise: NoiseModel, zeros, t_en
     if kappa is None:
         return np.empty(0)
     if kappa == 0.0:
-        return np.array(zeros, dtype=float)
+        return zeros
     return noise.crossings(kappa, t_end)
 
 

@@ -2,14 +2,15 @@
 
 Time is dimensionless (gamma*t), and all rates are entered relative to the
 environment fluctuation rate gamma.  Each model owns its closed forms:
-envelope(t), zeros(t_max), extrema(t_end) and crossings(kappa, t_end), the
-times where Lambda^2 falls through a level kappa.  Random telegraph noise
-(RTN) oscillates as it decays; the modified Ornstein-Uhlenbeck noise (MOUN)
-and the Markovian baseline decay monotonically and share one definition: no
-zeros, no extrema.  Markov crosses a level in closed form; RTN and MOUN solve
-each crossing on a monotone piece of the envelope with a Newton lane
-(`search.newton`).  `lambda_of_t` and `lambda_zeros` check their arguments
-and call the model.
+envelope(t) and the ladders zeros(t_max), extrema(t_end) and crossings(kappa,
+t_end), the times where Lambda^2 falls through a level kappa, each a float64
+array.  Random telegraph noise (RTN) oscillates as it decays; all three of its
+ladders come from one table of the pieces where |Lambda| falls.  The modified
+Ornstein-Uhlenbeck noise (MOUN) and the Markovian baseline decay monotonically
+and share one definition: no zeros, no extrema.  Markov crosses a level in
+closed form; RTN and MOUN solve each crossing on a monotone piece of the
+envelope with a Newton lane (`search.newton`).  `lambda_of_t` and
+`lambda_zeros` check their arguments and call the model.
 
 `apply_common_bath` is the product of two independent local dephasing
 channels with equal Lambda, one phase-flip channel per qubit, so both
@@ -28,6 +29,11 @@ from .search import newton
 from .states import SIGMA_Z, BlochX, require_density_matrix, require_valid_bloch
 
 
+def _require_rate(value: float, label: str) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{label} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class Rtn:
     """Random telegraph noise; needs the underdamped regime 2a/gamma > 1."""
@@ -35,13 +41,9 @@ class Rtn:
     a_over_gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a_over_gamma) and self.a_over_gamma > 0.0):
-            raise ValueError("RTN coupling strength must be finite and positive")
+        _require_rate(self.a_over_gamma, "RTN coupling strength")
         if not 2.0 * self.a_over_gamma > 1.0:
-            raise ValueError(
-                "RTN requires 2a/gamma > 1 (oscillatory regime); "
-                f"got a/gamma = {self.a_over_gamma}"
-            )
+            raise ValueError(f"RTN requires 2a/gamma > 1 (oscillatory regime); got a/gamma = {self.a_over_gamma}")
 
     @property
     def omega(self) -> float:
@@ -65,16 +67,23 @@ class Rtn:
         w = self.omega
         return -np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
 
-    def zeros(self, t_max: float) -> list[float]:
+    def _pieces(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The falling pieces of |Lambda| that start at or before t: the extrema k pi/omega
+        and the zeros after them, which hold every zero up to t.  k runs one past
+        floor(t omega/pi), which rounds low an ulp past an extremum, and is cut at t."""
+        k = np.arange(0.0, np.floor(t * self.omega / np.pi) + 2.0)
+        start = self._extremum(k)
+        n = np.searchsorted(start, t, side="right")
+        return start[:n], self._zero(k[:n])
+
+    def zeros(self, t_max: float) -> np.ndarray:
         """The zeros in (0, t_max], one after each extremum."""
-        w = self.omega
-        # one index past the estimated last zero; the t_k <= t_max test trims it
-        t_k = self._zero(np.arange(0.0, np.floor((t_max * w + np.arctan(w)) / np.pi) + 1.0))
-        return t_k[t_k <= t_max].tolist()
+        end = self._pieces(t_max)[1]
+        return end[end <= t_max]
 
     def extrema(self, t_end: float) -> np.ndarray:
         """The extrema k pi/omega, k >= 1, before t_end, where sin(omega t) in Lambda' changes sign."""
-        t = self._extremum(np.arange(1.0, np.floor(t_end * self.omega / np.pi) + 1.0))
+        t = self._pieces(t_end)[0][1:]
         return t[t < t_end]
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:
@@ -97,9 +106,7 @@ class Rtn:
         """
         # |Lambda| = e^-t at each piece start, so no piece that starts past
         # ln(1/kappa)/2 starts above the level
-        t_stop = min(t_end, -0.5 * np.log(kappa))
-        k = np.arange(0.0, np.floor(t_stop * self.omega / np.pi) + 1.0)
-        start, end = self._extremum(k), self._zero(k)
+        start, end = self._pieces(min(t_end, -0.5 * np.log(kappa)))
         lam = self.envelope(np.append(start, t_end))
         keep = (lam[:-1] ** 2 > kappa) & ((end <= t_end) | (lam[-1] ** 2 <= kappa))
         root = np.sqrt(kappa)
@@ -122,11 +129,10 @@ class Rtn:
 class _Monotone:
     """An envelope that decays monotonically: no zeros and no extrema."""
 
-    def zeros(self, t_max: float) -> list[float]:
-        return []
-
-    def extrema(self, t_end: float) -> np.ndarray:
+    def zeros(self, t: float) -> np.ndarray:
         return np.empty(0)
+
+    extrema = zeros
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,7 @@ class Moun(_Monotone):
     Gamma_over_gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.Gamma_over_gamma) and self.Gamma_over_gamma > 0.0):
-            raise ValueError("MOUN relaxation rate must be finite and positive")
+        _require_rate(self.Gamma_over_gamma, "MOUN relaxation rate")
 
     def envelope(self, t):
         return np.exp(-0.5 * self.Gamma_over_gamma * (t + np.expm1(-t)))
@@ -167,8 +172,7 @@ class Markov(_Monotone):
     lambda_over_gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_over_gamma) and self.lambda_over_gamma > 0.0):
-            raise ValueError("Markovian decay rate must be finite and positive")
+        _require_rate(self.lambda_over_gamma, "Markovian decay rate")
 
     def envelope(self, t):
         return np.exp(-self.lambda_over_gamma * t)
@@ -233,7 +237,7 @@ def evolve_bloch(b: BlochX, lam: float) -> BlochX:
     return BlochX(t30=b.t30, t03=b.t03, t11=f * b.t11, t22=f * b.t22, t33=b.t33)
 
 
-def lambda_zeros(model: NoiseModel, t_max: float) -> list[float]:
+def lambda_zeros(model: NoiseModel, t_max: float) -> np.ndarray:
     """All envelope zeros in (0, t_max], at the model's closed form; only RTN has any."""
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")

@@ -249,7 +249,7 @@ class TestClosedFormEvents:
     def test_each_death_is_the_first_or_follows_a_revival(self, state, noise, tmax, threshold):
         events = detect_events(state, noise, tmax, threshold)
         zeros = lambda_zeros(noise, tmax)
-        first = {"laqc": zeros[:1], "qs": zeros[:1]}
+        first = {"laqc": zeros[:1].tolist(), "qs": zeros[:1].tolist()}
         first["concurrence"] = _concurrence_deaths(_StateMeasures(state), noise, zeros, tmax)[:1].tolist()
         for name, firsts in first.items():
             mine = [e for e in events if e.measure == name]
@@ -272,7 +272,7 @@ class TestConcurrenceDeaths:
             assert deaths == []
             return
         if kappa == 0.0:
-            assert deaths == zeros
+            assert deaths == zeros.tolist()
             return
         assert deaths == sorted(deaths)
         for t in deaths:
@@ -321,7 +321,7 @@ class TestConcurrenceDeaths:
         # bc = 0 gives kappa = 0: the concurrence 2|r|Lambda^2 dies on every
         # zero, also where it stays under 1e-12 nearby
         state = XStateParams(a=0.05, b=0.0, c=0.12, d=0.83, r=-3.3e-4, s=0.0)
-        assert _concurrence_death_times(state, Rtn(a), 6.0) == lambda_zeros(Rtn(a), 6.0)
+        assert _concurrence_death_times(state, Rtn(a), 6.0) == lambda_zeros(Rtn(a), 6.0).tolist()
 
     @pytest.mark.parametrize("a", [0.6, 1.0, 4.0])
     def test_kappa_below_the_computed_zero_value(self, a):

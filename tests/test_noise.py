@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_xstate
@@ -170,8 +170,9 @@ class TestChannel:
 
 class TestZeros:
     def test_moun_and_markov_have_none(self):
-        assert lambda_zeros(Moun(1.0), 50.0) == []
-        assert lambda_zeros(Markov(1.0), 50.0) == []
+        for model in (Moun(1.0), Markov(1.0)):
+            zeros = lambda_zeros(model, 50.0)
+            assert isinstance(zeros, np.ndarray) and zeros.dtype == np.float64 and zeros.size == 0
 
     def test_rtn_zero_ladder(self):
         zeros = lambda_zeros(RTN4, 3.0)
@@ -184,7 +185,7 @@ class TestZeros:
             assert abs(lambda_of_t(RTN4, t)) < 1e-12
 
     def test_window_short_of_first_zero(self):
-        assert lambda_zeros(RTN4, 0.2) == []
+        assert lambda_zeros(RTN4, 0.2).tolist() == []
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
     def test_window_must_be_finite_and_positive(self, t_max):
@@ -193,7 +194,7 @@ class TestZeros:
 
     def test_sign_alternates_between_zeros(self):
         zeros = lambda_zeros(RTN4, 3.0)
-        edges = [0.0] + zeros
+        edges = np.concatenate(([0.0], zeros))
         mids = [(lo + hi) / 2.0 for lo, hi in zip(edges[:-1], edges[1:])]
         signs = [np.sign(lambda_of_t(RTN4, m)) for m in mids]
         assert signs == [(-1.0) ** k for k in range(len(mids))]
@@ -240,7 +241,7 @@ class TestExtrema:
         extrema = RTN4.extrema(6.0)
         assert extrema.size <= len(zeros) <= extrema.size + 1
         for k, t in enumerate(extrema):
-            assert zeros[k] < t < (zeros + [np.inf])[k + 1]
+            assert zeros[k] < t < np.append(zeros, np.inf)[k + 1]
 
 
 _RATED = st.one_of(
@@ -249,6 +250,31 @@ _RATED = st.one_of(
     st.floats(0.1, 5.0).map(Markov),
 )
 _LEVELS = st.floats(np.log(1e-12), np.log(1.0 - 1e-9)).map(np.exp).map(float)
+
+
+class TestLadders:
+    """A ladder does not depend on its window: a longer window, cut, gives the shorter one's ladder."""
+
+    @settings(max_examples=300)
+    @given(
+        a=st.floats(0.55, 1e3),
+        window=st.tuples(st.floats(0.0, 50.0, exclude_min=True), st.floats(0.0, 50.0, exclude_min=True)),
+    )
+    # t one ulp past the 165th extremum, where t omega/pi rounds to just under 165
+    @example(a=10.0, window=(25.950597938826014, 50.0))
+    def test_a_longer_window_cut_gives_the_same_ladder(self, a, window):
+        t, t_long = sorted(window)
+        assume(t < t_long)
+        model = Rtn(a)
+        zeros, extrema = model.zeros(t_long), model.extrema(t_long)
+        assert np.array_equal(zeros[zeros <= t].view(np.int64), model.zeros(t).view(np.int64))
+        assert np.array_equal(extrema[extrema < t].view(np.int64), model.extrema(t).view(np.int64))
+
+    @settings(max_examples=100)
+    @given(model=_RATED, t_end=st.floats(0.0, 50.0, exclude_min=True))
+    def test_ladders_are_float_arrays(self, model, t_end):
+        for ladder in (lambda_zeros(model, t_end), model.extrema(t_end)):
+            assert isinstance(ladder, np.ndarray) and ladder.dtype == np.float64 and ladder.ndim == 1
 
 
 class TestCrossings:
