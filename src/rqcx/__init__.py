@@ -2,40 +2,20 @@
 
 from .dynamics import EventRecord, SweepSpec, Trajectory, detect_events, surface, trajectory
 from .families import FamilySpec, crossover_z, family_concurrence_closed, family_laqc_closed, make_state, werner_concurrence_rtn
-from .measures import MeasureSet, concurrence_general, measure_set, u_func
-from .noise import (
-    KrausPair,
-    Markov,
-    Moun,
-    NoiseModel,
-    Rtn,
-    apply_common_bath,
-    evolve_bloch,
-    kraus_pair,
-    lambda_of_t,
-    lambda_zeros,
-)
-from .oracle import (
-    ComplementarySetting,
-    LocalMeasurement,
-    OptimizationResult,
-    classical_mutual_info,
-    complementary_basis,
-    laqc_oracle,
-    optimize_cmi,
-    post_measurement_probs,
-    qs_oracle,
-)
+from .measures import MeasureSet, measure_set, u_func
+from .noise import Markov, Moun, NoiseModel, Rtn, lambda_of_t, lambda_zeros
+from .oracle import ComplementarySetting, LocalMeasurement, OptimizationResult, laqc_oracle, optimize_cmi, qs_oracle
 from .states import (
     BlochX,
     InvalidStateError,
     ValidationReport,
     XStateParams,
-    bloch_to_xstate,
+    bloch_params,
+    check_xstate,
     fano_coefficients,
+    matrix_params,
     validate_xstate,
-    xstate_to_bloch,
-    xstate_to_matrix,
+    xstate_matrix,
 )
 
 __version__ = "0.1.0"

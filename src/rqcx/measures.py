@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _xlog2x
-from .states import SIGMA_Y, XStateParams, check_xstate, require_density_matrix
+from .states import XStateParams, check_xstate
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,6 @@ def _branches(t30: float, t03: float, t11: float, t22: float, t33: float) -> tup
     ).tolist()
     g3 = 0.25 * (alpha + beta + gamma + delta) - 0.5 * ((p03 + m03) + (p30 + m30))
     return max(0.5 * (p11 + m11), 0.0), max(0.5 * (p22 + m22), 0.0), max(g3, 0.0)
-
-
-def concurrence_general(rho: np.ndarray) -> float:
-    """Wootters concurrence from the spin-flip eigenvalue construction.
-
-    The decreasing eigenvalue roots of sqrt(rho) rho~ sqrt(rho) (equivalently
-    of rho * rho~) are the singular values of K = sqrt(rho) (sy x sy)
-    sqrt(rho)^T, computed here by SVD; that avoids square-rooting noisy
-    near-zero eigenvalues and keeps rank-deficient states accurate.  Serves
-    as the oracle for the X-state closed form.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    require_density_matrix(rho)
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    k = sq @ np.kron(SIGMA_Y, SIGMA_Y).real @ sq.T
-    s = np.linalg.svd(k, compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
 def measure_set(p: XStateParams) -> MeasureSet:

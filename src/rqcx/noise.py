@@ -1,4 +1,4 @@
-"""Dephasing-channel models: decay envelopes, Kraus pairs, two local channels.
+"""Dephasing-channel models: decay envelopes and their closed-form ladders.
 
 Time is dimensionless (gamma*t), and all rates are entered relative to the
 environment fluctuation rate gamma.  Each model owns its closed forms:
@@ -12,21 +12,20 @@ closed form; RTN and MOUN solve each crossing on a monotone piece of the
 envelope with a Newton lane (`search.newton`).  `lambda_of_t` and
 `lambda_zeros` check their arguments and call the model.
 
-`apply_common_bath` is the product of two independent local dephasing
-channels with equal Lambda, one phase-flip channel per qubit, so both
-coherences r and s scale by Lambda^2; it is not one field shared by both
-qubits.
+The channel is two independent local phase-flip channels with equal Lambda,
+one per qubit, not one field shared by both qubits: both coherences r and s
+scale by Lambda^2, and the diagonal is kept.  `measures._StateMeasures`
+applies it to the closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .search import newton
-from .states import SIGMA_Z, BlochX, require_density_matrix, require_valid_bloch
 
 
 def _require_rate(value: float, label: str) -> None:
@@ -45,7 +44,7 @@ class Rtn:
         if not 2.0 * self.a_over_gamma > 1.0:
             raise ValueError(f"RTN requires 2a/gamma > 1 (oscillatory regime); got a/gamma = {self.a_over_gamma}")
 
-    @property
+    @functools.cached_property
     def omega(self) -> float:
         return float(np.sqrt((2.0 * self.a_over_gamma) ** 2 - 1.0))
 
@@ -186,11 +185,6 @@ class Markov(_Monotone):
 NoiseModel = Rtn | Moun | Markov
 
 
-class KrausPair(NamedTuple):
-    k0: np.ndarray
-    k1: np.ndarray
-
-
 def lambda_of_t(model: NoiseModel, t):
     """Channel envelope at time t (gamma*t units); Lambda(0) = 1, |Lambda| <= 1."""
     arr = np.asarray(t, dtype=float)
@@ -198,43 +192,6 @@ def lambda_of_t(model: NoiseModel, t):
         raise ValueError("time must be finite and nonnegative")
     val = model.envelope(arr)
     return float(val) if val.ndim == 0 else val
-
-
-def _check_envelope(lam: float) -> float:
-    if not np.isfinite(lam) or abs(lam) > 1.0 + 1e-12:
-        raise ValueError(f"channel envelope must satisfy |Lambda| <= 1, got {lam}")
-    return float(np.clip(lam, -1.0, 1.0))
-
-
-def kraus_pair(lam: float) -> KrausPair:
-    """Phase-flip Kraus operators at envelope value Lambda."""
-    lam = _check_envelope(lam)
-    k0 = np.sqrt(0.5 * (1.0 + lam)) * np.eye(2, dtype=complex)
-    k1 = np.sqrt(0.5 * (1.0 - lam)) * SIGMA_Z
-    return KrausPair(k0, k1)
-
-
-def apply_common_bath(rho: np.ndarray, lam: float) -> np.ndarray:
-    """sum_ij (Ki x Kj) rho (Ki x Kj)^dag: the product of two independent local
-    dephasing channels with equal Lambda (each coherence scales by Lambda^2),
-    not one field shared by both qubits."""
-    rho = np.asarray(rho, dtype=complex)
-    require_density_matrix(rho)
-    k0, k1 = kraus_pair(lam)
-    out = np.zeros_like(rho)
-    for ka in (k0, k1):
-        for kb in (k0, k1):
-            op = np.kron(ka, kb)
-            out += op @ rho @ op.conj().T
-    return out
-
-
-def evolve_bloch(b: BlochX, lam: float) -> BlochX:
-    """Closed-form channel action: only the coherence coefficients scale, by Lambda^2."""
-    require_valid_bloch(b)
-    lam = _check_envelope(lam)
-    f = lam * lam
-    return BlochX(t30=b.t30, t03=b.t03, t11=f * b.t11, t22=f * b.t22, t33=b.t33)
 
 
 def lambda_zeros(model: NoiseModel, t_max: float) -> np.ndarray:

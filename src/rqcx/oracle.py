@@ -20,12 +20,13 @@ and moves only on strict improvement, so its result is the one it would reach
 alone, to the bit, and the number of kernel calls does not grow with L.
 
 Complementary (mutually unbiased) bases are the one-parameter complex
-Hadamard family applied to a base pair (`complementary_basis`).  As the
-phase a runs over [0, 2pi), the Bloch direction of the family's first
-vector, cos(a) e_theta + sin(a) e_phi for the base direction (theta, phi),
-sweeps the great circle orthogonal to it.  The searches work in that real
-frame; `basis_vectors`, `complementary_basis` and `bloch_direction` are the
-complex route, kept as the reference it is checked against.
+Hadamard family applied to a base pair.  As the phase a runs over [0, 2pi),
+the Bloch direction of the family's first vector, cos(a) e_theta + sin(a)
+e_phi for the base direction (theta, phi), sweeps the great circle
+orthogonal to it.  The searches work only in that real frame: a setting is
+a pair of real Bloch directions, and its CMI comes from the Fano parts of
+rho through `kernels.cmi_table`.  The complex route, explicit projectors on
+Hadamard bases, is the tests' reference (tests/reference.py).
 
 The LAQC search anchors its distinguished local basis at the computational
 basis.  For X states that basis is the one splitting the state into its
@@ -74,74 +75,12 @@ class ComplementarySetting(NamedTuple):
     phi_b: float  # Hadamard phase, party B
 
 
-class ProbabilityTable(NamedTuple):
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     value: float
     setting: LocalMeasurement | ComplementarySetting
     grid_resolution: int
     refinement_depth: int
-
-
-def basis_vectors(theta, phi) -> np.ndarray:
-    """Orthonormal basis (columns) along the Bloch direction (theta, phi).
-
-    Array angles of shape (L,) give a stack of L bases, shape (L, 2, 2).
-    """
-    ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    ph = np.exp(1.0j * phi)
-    return np.moveaxis(np.array([[ct, -st], [ph * st, ph * ct]], dtype=complex), (0, 1), (-2, -1))
-
-
-def bloch_direction(vec: np.ndarray) -> np.ndarray:
-    """Bloch vector <v|sigma|v> of a single-qubit state vector; shape (..., 2) gives (..., 3)."""
-    vec = np.asarray(vec)
-    v0, v1 = vec[..., 0], vec[..., 1]
-    cross = np.conj(v0) * v1
-    return np.stack((2.0 * cross.real, 2.0 * cross.imag, np.abs(v0) ** 2 - np.abs(v1) ** 2), axis=-1)
-
-
-def complementary_basis(basis: np.ndarray, phase: float) -> np.ndarray:
-    """Apply the phase-parametrized complex Hadamard to a basis column pair."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (2, 2) or np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > 1e-10:
-        raise ValueError("input basis must be a 2x2 orthonormal column pair")
-    ph = np.exp(1.0j * phase)
-    hadamard = np.array([[1.0, 1.0], [ph, -ph]], dtype=complex) / np.sqrt(2.0)
-    return basis @ hadamard
-
-
-def post_measurement_probs(rho: np.ndarray, m: LocalMeasurement) -> ProbabilityTable:
-    """Outcome probabilities of the local projective measurement m on rho."""
-    rho = np.asarray(rho, dtype=complex)
-    ba = basis_vectors(m.theta_a, m.phi_a)
-    bb = basis_vectors(m.theta_b, m.phi_b)
-    probs = []
-    for i in range(2):
-        proj_a = np.outer(ba[:, i], ba[:, i].conj())
-        for j in range(2):
-            proj_b = np.outer(bb[:, j], bb[:, j].conj())
-            probs.append(float(np.trace(np.kron(proj_a, proj_b) @ rho).real))
-    probs = [max(p, 0.0) for p in probs]
-    return ProbabilityTable(*probs)
-
-
-def classical_mutual_info(table) -> float:
-    """H(A) + H(B) - H(AB) in bits, with the 0*log(0) = 0 convention."""
-    p = np.asarray(table, dtype=float).reshape(2, 2)
-
-    def plogp(v):
-        v = v[v > 0.0]
-        return float(np.sum(v * np.log2(v)))
-
-    value = plogp(p.ravel()) - plogp(p.sum(axis=1)) - plogp(p.sum(axis=0))
-    return max(value, 0.0)
 
 
 def _fano_parts(rho: np.ndarray):

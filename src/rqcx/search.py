@@ -32,7 +32,8 @@ def newton(f, lo, hi, tol) -> np.ndarray:
     tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
     root = hi.copy()
     live, x = np.arange(lo.size), hi
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero, subnormal or NaN slope makes a non-finite step, which the bracket test replaces
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(100):
             if not live.size:
                 break

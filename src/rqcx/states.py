@@ -11,6 +11,13 @@ _x_defects computes the four X inequalities (a..d >= 0, unit trace, |r| <=
 sqrt(ad), |s| <= sqrt(bc)) once; _holds decides and _report reports from those
 numbers.  A Bloch vector is checked as its coefficient range plus the state it
 reconstructs.  _to_bloch and _to_params are the only copies of the two maps.
+
+Each conversion is written once, in one direction, and leaves the state
+unchecked: bloch_params (Bloch vector to state), xstate_matrix (state to
+matrix) and matrix_params (matrix to state; it rejects only a matrix that is
+not Hermitian, not X-shaped or has complex coherences).  check_xstate, which
+also returns the Bloch vector, and xstate_report, its report, are the only
+checks of an X state; each entry point runs one once.
 """
 
 from __future__ import annotations
@@ -139,24 +146,10 @@ def validate_xstate(p: XStateParams) -> ValidationReport:
     return _report(fields, _x_defects(*fields))
 
 
-def require_valid(p: XStateParams) -> None:
-    _require(validate_xstate(p), "unphysical X state")
-
-
 def validate_bloch(b: BlochX) -> ValidationReport:
     """The coefficient range, then validate_xstate's rows for the state b reconstructs."""
     coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
     return _report(*_bloch_defects(*coeffs)) if all(map(math.isfinite, coeffs)) else _NONFINITE
-
-
-def require_valid_bloch(b: BlochX) -> None:
-    _require(validate_bloch(b), "unphysical Bloch coefficients")
-
-
-def xstate_to_bloch(p: XStateParams) -> BlochX:
-    """Fano coefficients of an X state (linear bijection with the params)."""
-    require_valid(p)
-    return BlochX(*_to_bloch(p.a, p.b, p.c, p.d, p.r, p.s))
 
 
 def xstate_report(p: XStateParams) -> ValidationReport:
@@ -171,9 +164,11 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
 
     Each decision is computed once, as _x_defects of p and then _bloch_defects
     of its coefficients, which are finite once p passes.  A rejected state
-    builds its report from those defects, so it raises the InvalidStateError,
-    message and report of require_valid_bloch(xstate_to_bloch(p)).  A valid
-    state builds no dataclass and no report.
+    builds its report from those defects: InvalidStateError("unphysical X
+    state: <rows>") with validate_xstate's report if p fails, else
+    InvalidStateError("unphysical Bloch coefficients: <rows>") with
+    validate_bloch's report of its Bloch vector.  A valid state builds no
+    dataclass and no report.
     """
     a, b, c, d, r, s = p.a, p.b, p.c, p.d, p.r, p.s
     defects = _x_defects(a, b, c, d, r, s)
@@ -187,29 +182,17 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
 
 
 def bloch_params(b: BlochX) -> XStateParams:
-    """The X state with Fano coefficients b, not yet checked (see bloch_to_xstate)."""
+    """The X state with Fano coefficients b, not yet checked: check_xstate checks it."""
     return XStateParams(*_to_params(b.t30, b.t03, b.t11, b.t22, b.t33))
 
 
-def bloch_to_xstate(b: BlochX) -> XStateParams:
-    """Exact inverse of :func:`xstate_to_bloch`; rejects what validate_bloch reports."""
-    require_valid_bloch(b)
-    return bloch_params(b)
-
-
 def xstate_matrix(p: XStateParams) -> np.ndarray:
-    """The density matrix of p, not yet checked (see xstate_to_matrix)."""
+    """The density matrix of p, not yet checked: check_xstate checks p."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = p.a, p.b, p.c, p.d
     rho[0, 3] = rho[3, 0] = p.r
     rho[1, 2] = rho[2, 1] = p.s
     return rho
-
-
-def xstate_to_matrix(p: XStateParams) -> np.ndarray:
-    """`xstate_matrix` of p, once require_valid passes."""
-    require_valid(p)
-    return xstate_matrix(p)
 
 
 def _hermiticity_defect(rho: np.ndarray) -> float:
@@ -218,9 +201,9 @@ def _hermiticity_defect(rho: np.ndarray) -> float:
 
 
 def matrix_params(rho: np.ndarray) -> XStateParams:
-    """The real-coherence X parameters of rho, not yet checked (see
-    matrix_to_xstate); rejects non-Hermitian matrices, matrices off the X
-    shape and complex coherences.  Every InvalidStateError it raises carries
+    """The real-coherence X parameters of rho, not yet checked (check_xstate
+    checks them); rejects non-Hermitian matrices, matrices off the X shape
+    and complex coherences.  Every InvalidStateError it raises carries
     the report of the check that failed."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -246,13 +229,6 @@ def matrix_params(rho: np.ndarray) -> XStateParams:
             ValidationReport(False, (("real_coherences", imag),)),
         )
     return XStateParams(*(float(rho[i, j].real) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2))))
-
-
-def matrix_to_xstate(rho: np.ndarray) -> XStateParams:
-    """Extract real-coherence X parameters (`matrix_params`) and check them with require_valid."""
-    p = matrix_params(rho)
-    require_valid(p)
-    return p
 
 
 def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
@@ -286,10 +262,4 @@ def fano_coefficients(rho: np.ndarray) -> np.ndarray:
     """Full 4x4 table T[mu, nu] = Tr[(sigma_mu x sigma_nu) rho]."""
     rho = np.asarray(rho, dtype=complex)
     return np.einsum("mnij,ji->mn", _PAULI_PAIRS, rho).real.copy()
-
-
-def bloch_from_matrix(rho: np.ndarray) -> BlochX:
-    """The five X slots of the Fano table (the rest must vanish for X states)."""
-    t = fano_coefficients(rho)
-    return BlochX(t30=t[3, 0], t03=t[0, 3], t11=t[1, 1], t22=t[2, 2], t33=t[3, 3])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rqcx.states import XStateParams
+from rqcx.states import BlochX, XStateParams, check_xstate
 
 # every property test replays the same examples and has no time limit; a
 # test's own @settings sets only its max_examples
@@ -20,6 +20,11 @@ def random_xstate(rng: np.random.Generator, rank_deficient: bool = False) -> XSt
     r = float(rng.uniform(-1.0, 1.0)) * np.sqrt(a * d)
     s = float(rng.uniform(-1.0, 1.0)) * np.sqrt(b * c)
     return XStateParams(a, b, c, d, r, s)
+
+
+def bloch(p: XStateParams) -> BlochX:
+    """The Bloch vector of p, which check_xstate returns once p passes."""
+    return BlochX(*check_xstate(p)[:5])
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import random_xstate
+from reference import (
+    apply_common_bath,
+    basis_vectors,
+    bloch_from_matrix,
+    complementary_basis,
+    concurrence_general,
+    post_measurement_probs,
+)
 from rqcx.dynamics import SweepSpec, detect_events, surface, trajectory
 from rqcx.families import (
     FamilySpec,
@@ -18,24 +26,10 @@ from rqcx.families import (
     make_state,
     werner_concurrence_rtn,
 )
-from rqcx.measures import concurrence_general, measure_set
-from rqcx.noise import Moun, Rtn, apply_common_bath, evolve_bloch, lambda_of_t, lambda_zeros
-from rqcx.oracle import (
-    basis_vectors,
-    complementary_basis,
-    laqc_oracle,
-    optimize_cmi,
-    post_measurement_probs,
-    qs_oracle,
-    LocalMeasurement,
-)
-from rqcx.states import (
-    XStateParams,
-    bloch_from_matrix,
-    validate_density_matrix,
-    xstate_to_bloch,
-    xstate_to_matrix,
-)
+from rqcx.measures import _StateMeasures, measure_set
+from rqcx.noise import Moun, Rtn, lambda_of_t, lambda_zeros
+from rqcx.oracle import LocalMeasurement, laqc_oracle, optimize_cmi, qs_oracle
+from rqcx.states import XStateParams, check_xstate, matrix_params, validate_density_matrix, xstate_matrix
 
 RTN4 = Rtn(4.0)
 
@@ -65,24 +59,28 @@ def test_criterion_2_rtn_frequency_and_first_death():
 
 
 def test_criterion_3_channel_equivalence():
+    # the Kraus channel against the closed form the sweeps run: the Bloch
+    # vector (t11 and t22 scaled by Lambda^2) and all four measures
     rng = np.random.default_rng(3)
     lams = np.linspace(-1.0, 1.0, 10)
-    worst = 0.0
-    for _ in range(1000):
-        p = random_xstate(rng)
-        rho = xstate_to_matrix(p)
-        b = xstate_to_bloch(p)
+    names = ("concurrence", "laqc", "qs", "cs")
+    worst = worst_measure = 0.0
+    for k in range(1000):
+        p = random_xstate(rng, rank_deficient=(k % 3 == 0))
         lam = float(lams[rng.integers(0, 10)])
-        out = apply_common_bath(rho, lam)
+        out = apply_common_bath(xstate_matrix(p), lam)
         assert validate_density_matrix(out).valid
         got = bloch_from_matrix(out)
-        want = evolve_bloch(b, lam)
-        worst = max(
-            worst,
-            max(abs(getattr(got, f) - getattr(want, f)) for f in ("t30", "t03", "t11", "t22", "t33")),
-        )
+        t30, t03, t11, t22, t33 = check_xstate(p)[:5]
+        want = (t30, t03, lam * lam * t11, lam * lam * t22, t33)
+        worst = max(worst, max(abs(g - w) for g, w in zip((got.t30, got.t03, got.t11, got.t22, got.t33), want)))
+        kraus = measure_set(matrix_params(out))
+        closed = _StateMeasures(p)(np.array([lam]))
+        worst_measure = max(worst_measure, max(abs(getattr(kraus, name) - closed[name][0]) for name in names))
     assert worst < 1e-13
-    _report(3, f"Kraus channel vs closed form, max Bloch deviation {worst:.2e} < 1e-13")
+    assert worst_measure < 1e-13
+    _report(3, f"Kraus channel vs closed form, max Bloch deviation {worst:.2e} < 1e-13, "
+               f"max measure deviation {worst_measure:.2e} < 1e-13")
 
 
 def test_criterion_4_concurrence_oracle_equivalence():
@@ -90,7 +88,7 @@ def test_criterion_4_concurrence_oracle_equivalence():
     worst = 0.0
     for k in range(1000):
         p = random_xstate(rng, rank_deficient=(k % 4 == 0))
-        worst = max(worst, abs(concurrence_general(xstate_to_matrix(p)) - measure_set(p).concurrence))
+        worst = max(worst, abs(concurrence_general(xstate_matrix(p)) - measure_set(p).concurrence))
     assert worst < 1e-10
     bells = (
         XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0),
@@ -100,7 +98,7 @@ def test_criterion_4_concurrence_oracle_equivalence():
     )
     for bell in bells:
         assert measure_set(bell).concurrence == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_general(xstate_to_matrix(bell)) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_general(xstate_matrix(bell)) == pytest.approx(1.0, abs=1e-12)
     _report(4, f"closed form vs eigenvalue construction, max deviation {worst:.2e} < 1e-10")
 
 
@@ -115,13 +113,11 @@ def test_criterion_5_family_closed_forms():
             worst = max(worst, abs(ms.concurrence - family_concurrence_closed(spec)))
     assert worst < 1e-13
     worst_rtn = 0.0
+    lams = np.linspace(-1.0, 1.0, 41)
     for z in np.linspace(0.0, 1.0, 50):
-        b = xstate_to_bloch(make_state(FamilySpec("werner", float(z))))
-        for lam in np.linspace(-1.0, 1.0, 41):
-            from rqcx.states import bloch_to_xstate
-
-            direct = measure_set(bloch_to_xstate(evolve_bloch(b, float(lam)))).concurrence
-            worst_rtn = max(worst_rtn, abs(direct - werner_concurrence_rtn(float(z), float(lam))))
+        direct = _StateMeasures(make_state(FamilySpec("werner", float(z))))(lams)["concurrence"]
+        for lam, conc in zip(lams, direct):
+            worst_rtn = max(worst_rtn, abs(conc - werner_concurrence_rtn(float(z), float(lam))))
     assert worst_rtn < 1e-13
     _report(5, f"family grids max dev {worst:.2e}; Werner dephasing form dev {worst_rtn:.2e}")
 
@@ -131,7 +127,7 @@ def test_criterion_6_measurement_oracle_concordance():
     for kind in ("werner", "mnms", "mems"):
         for p in np.linspace(0.0, 1.0, 20):
             st = make_state(FamilySpec(kind, float(p)))
-            rho = xstate_to_matrix(st)
+            rho = xstate_matrix(st)
             ms = measure_set(st)
             worst = max(worst, abs(laqc_oracle(rho, 32, 4).value - ms.laqc))
             worst = max(worst, abs(qs_oracle(rho, 32, 4).value - ms.qs))
@@ -142,7 +138,7 @@ def test_criterion_6_measurement_oracle_concordance():
         w = rng.random(4)
         w /= w.sum()
         diag = XStateParams(*(float(v) for v in w), 0.0, 0.0)
-        assert laqc_oracle(xstate_to_matrix(diag)).value < 1e-6
+        assert laqc_oracle(xstate_matrix(diag)).value < 1e-6
     _report(6, f"oracle vs closed forms on 60 family samples, worst |dv| = {worst:.2e} < 2e-3")
 
 
@@ -192,7 +188,7 @@ def test_criterion_9_mub_and_probability_invariants():
             for j in range(2):
                 assert abs(np.vdot(base[:, i], comp[:, j])) ** 2 == pytest.approx(0.5, abs=1e-12)
     for _ in range(100):
-        rho = xstate_to_matrix(random_xstate(rng))
+        rho = xstate_matrix(random_xstate(rng))
         m = LocalMeasurement(
             rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
             rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),

@@ -418,7 +418,7 @@ def _newton_root(f, lo, hi, tol):
             lo = x
         else:
             hi = x
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             delta = y / dy
         step = x - delta
         if abs(delta) <= tol or hi - lo <= tol:
@@ -484,6 +484,14 @@ class TestLaneSearches:
         for k in range(lo.size):
             scalar = _newton_root(fall, float(lo[k]), float(hi[k]), tols[k])
             assert np.float64(lanes[k]).view(np.int64) == np.float64(scalar).view(np.int64)
+
+    def test_subnormal_bracket(self):
+        # the slope at a subnormal time is subnormal, so y/dy overflows; the
+        # lane closes at once and, like the scalar loop, raises no warning
+        fall = _fall(Rtn(1.0), 0.5)
+        lanes = search.newton(fall, [0.0], [2.225073858507e-311], 1e-14)
+        scalar = _newton_root(fall, 0.0, 2.225073858507e-311, 1e-14)
+        assert lanes.tolist() == [scalar] == [2.225073858507e-311]
 
     def test_crossover_single_lane(self):
         from rqcx.families import crossover_z

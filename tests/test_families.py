@@ -10,14 +10,8 @@ from rqcx.families import (
     mems_chi,
     werner_concurrence_rtn,
 )
-from rqcx.measures import measure_set, u_func
-from rqcx.noise import evolve_bloch
-from rqcx.states import (
-    XStateParams,
-    bloch_to_xstate,
-    validate_xstate,
-    xstate_to_bloch,
-)
+from rqcx.measures import _StateMeasures, measure_set, u_func
+from rqcx.states import XStateParams, validate_xstate
 
 
 class TestGenerators:
@@ -95,13 +89,11 @@ class TestWernerUnderDephasing:
         )
 
     def test_matches_evolved_state_on_grid(self):
+        lams = np.linspace(-1.0, 1.0, 21)
         for z in np.linspace(0.0, 1.0, 40):
-            b = xstate_to_bloch(make_state(FamilySpec("werner", float(z))))
-            for lam in np.linspace(-1.0, 1.0, 21):
-                evolved = bloch_to_xstate(evolve_bloch(b, float(lam)))
-                assert abs(
-                    measure_set(evolved).concurrence - werner_concurrence_rtn(float(z), float(lam))
-                ) < 1e-13
+            evolved = _StateMeasures(make_state(FamilySpec("werner", float(z))))(lams)["concurrence"]
+            for lam, conc in zip(lams, evolved):
+                assert abs(conc - werner_concurrence_rtn(float(z), float(lam))) < 1e-13
 
 
 class TestCrossover:

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
+from reference import classical_mutual_info, post_measurement_probs
 from rqcx import kernels, oracle
-from rqcx.oracle import (
-    LocalMeasurement,
-    _direction,
-    _fano_parts,
-    classical_mutual_info,
-    post_measurement_probs,
-)
+from rqcx.oracle import LocalMeasurement, _direction, _fano_parts
 
 
 def _random_angles(rng, n):

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_xstate
+from conftest import bloch, random_xstate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import classical_mutual_info, concurrence_general, post_measurement_probs
 
 from rqcx.dynamics import trajectory
 from rqcx.families import FamilySpec, make_state
@@ -12,7 +13,6 @@ from rqcx.measures import (
     MeasureSet,
     _middle_of_three,
     _StateMeasures,
-    concurrence_general,
     measure_set,
     u_func,
 )
@@ -22,12 +22,11 @@ from rqcx.states import (
     InvalidStateError,
     ValidationReport,
     XStateParams,
-    bloch_to_xstate,
+    bloch_params,
     check_xstate,
     validate_bloch,
     validate_xstate,
-    xstate_to_bloch,
-    xstate_to_matrix,
+    xstate_matrix,
 )
 
 BELL_PHI_PLUS = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -39,7 +38,7 @@ def werner(z):
 
 def bloch_measures(b):
     """The measures of a Bloch vector, by the route `rqcx measures` takes for a {"bloch": ...} document."""
-    return measure_set(bloch_to_xstate(b))
+    return measure_set(bloch_params(b))
 
 
 class TestU:
@@ -90,12 +89,12 @@ class TestBranches:
 
     def test_g3_equals_computational_basis_cmi(self, rng):
         # dual route: branch formula vs explicit measurement statistics
-        from rqcx.oracle import LocalMeasurement, classical_mutual_info, post_measurement_probs
+        from rqcx.oracle import LocalMeasurement
 
         m = LocalMeasurement(0.0, 0.0, 0.0, 0.0)
         for _ in range(50):
             p = random_xstate(rng)
-            table = post_measurement_probs(xstate_to_matrix(p), m)
+            table = post_measurement_probs(xstate_matrix(p), m)
             assert _StateMeasures(p)._g3 == pytest.approx(
                 classical_mutual_info(table), abs=1e-12
             )
@@ -116,7 +115,7 @@ class TestLaqc:
         # a classical (diagonal) state has both coherence coefficients 0
         for _ in range(300):
             p = random_xstate(rng)
-            b = xstate_to_bloch(p)
+            b = bloch(p)
             assert (measure_set(p).laqc < 1e-12) == (abs(b.t11) <= 1e-12 and abs(b.t22) <= 1e-12)
 
 
@@ -164,7 +163,7 @@ class TestConcurrence:
 
     def test_bell_state(self):
         assert measure_set(BELL_PHI_PLUS).concurrence == pytest.approx(1.0, abs=1e-15)
-        assert concurrence_general(xstate_to_matrix(BELL_PHI_PLUS)) == pytest.approx(
+        assert concurrence_general(xstate_matrix(BELL_PHI_PLUS)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -173,7 +172,7 @@ class TestConcurrence:
             for x in (0.1, 0.5, 0.8, 1.0):
                 p = make_state(FamilySpec(kind, x))
                 assert measure_set(p).concurrence == pytest.approx(x, abs=1e-14)
-                assert concurrence_general(xstate_to_matrix(p)) == pytest.approx(x, abs=1e-10)
+                assert concurrence_general(xstate_matrix(p)) == pytest.approx(x, abs=1e-10)
 
     def test_maximally_mixed_vanishes(self):
         assert concurrence_general(np.eye(4) / 4.0) == 0.0
@@ -182,7 +181,7 @@ class TestConcurrence:
         worst = 0.0
         for k in range(1000):
             p = random_xstate(rng, rank_deficient=(k % 5 == 0))
-            diff = abs(concurrence_general(xstate_to_matrix(p)) - measure_set(p).concurrence)
+            diff = abs(concurrence_general(xstate_matrix(p)) - measure_set(p).concurrence)
             worst = max(worst, diff)
         assert worst < 1e-10
 
@@ -192,7 +191,7 @@ def test_measure_set_consistency(rng):
     for _ in range(50):
         p = random_xstate(rng)
         ms = measure_set(p)
-        via_bloch = bloch_measures(xstate_to_bloch(p))
+        via_bloch = bloch_measures(bloch(p))
         for name in ("concurrence", "laqc", "qs", "cs"):
             assert getattr(via_bloch, name) == pytest.approx(getattr(ms, name), abs=1e-14)
         assert ms.cs >= ms.laqc >= ms.qs
@@ -202,7 +201,7 @@ def test_measures_are_lipschitz_away_from_endpoints(rng):
     eps = 1e-6
     for _ in range(100):
         p = random_xstate(rng)
-        b = xstate_to_bloch(p)
+        b = bloch(p)
         if max(abs(b.t11), abs(b.t22), abs(b.t33)) > 0.95:
             continue
         shifted = BlochX(b.t30, b.t03, b.t11 + eps, b.t22 - eps, b.t33)
@@ -400,8 +399,9 @@ def _outcome(fn, *args):
 
 def _ref_two_step_check(p):
     """The check measure_set and _StateMeasures made before check_xstate, by
-    the reference validators: the state, then its Bloch vector.  It raises the
-    message and report that require_valid_bloch(xstate_to_bloch(p)) raised."""
+    the reference validators: the state, then its Bloch vector.  It raises
+    "unphysical X state: <rows>" with the state's rows, or "unphysical Bloch
+    coefficients: <rows>" with its Bloch vector's."""
     what, violations = "unphysical X state", _ref_validate_xstate(p)
     if not violations:
         what, violations = "unphysical Bloch coefficients", _ref_validate_bloch(_ref_bloch(p))
@@ -441,7 +441,7 @@ class TestOnePassKernel:
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS))
     def test_bit_identical_to_per_branch_path(self, seed, kind):
         p = _state(kind, np.random.default_rng(seed))
-        b = xstate_to_bloch(p)
+        b = bloch(p)
         ms = measure_set(p)
         assert _bits((ms.concurrence, ms.laqc, ms.qs, ms.cs)) == _bits(_ref_measure_set(p))
         assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
@@ -451,7 +451,7 @@ class TestOnePassKernel:
     @pytest.mark.parametrize("p", _EXTREME_STATES)
     def test_bit_identical_on_pure_and_extreme_states(self, p):
         assert _outcome(measure_set, p) == _outcome(_ref_measure_set, p)
-        b = xstate_to_bloch(p)
+        b = bloch(p)
         assert _outcome(bloch_measures, b) == _outcome(_ref_bloch_measures, b)
         assert _bits([_StateMeasures(p)._g3]) == _bits([_ref_g3_scalar(b.t30, b.t03, b.t33)])
 

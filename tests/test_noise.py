@@ -4,24 +4,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_xstate
+from reference import apply_common_bath, bloch_from_matrix, kraus_pair
 from test_dynamics import DEATH_TOL, _margin_deaths, _slope
 from rqcx import noise, search
+from rqcx.measures import _StateMeasures
 from rqcx.noise import (
     Markov,
     Moun,
     Rtn,
-    apply_common_bath,
-    evolve_bloch,
-    kraus_pair,
     lambda_of_t,
     lambda_zeros,
 )
-from rqcx.states import (
-    bloch_from_matrix,
-    validate_density_matrix,
-    xstate_to_bloch,
-    xstate_to_matrix,
-)
+from rqcx.states import check_xstate, validate_density_matrix, xstate_matrix
 
 RTN4 = Rtn(4.0)
 
@@ -133,11 +127,11 @@ class TestKraus:
 
 class TestChannel:
     def test_identity_at_lambda_one(self, rng):
-        rho = xstate_to_matrix(random_xstate(rng))
+        rho = xstate_matrix(random_xstate(rng))
         np.testing.assert_allclose(apply_common_bath(rho, 1.0), rho, atol=1e-15)
 
     def test_full_dephasing_keeps_diagonal(self, rng):
-        rho = xstate_to_matrix(random_xstate(rng))
+        rho = xstate_matrix(random_xstate(rng))
         out = apply_common_bath(rho, 0.0)
         np.testing.assert_allclose(out, np.diag(np.diag(rho)), atol=1e-15)
 
@@ -149,18 +143,14 @@ class TestChannel:
         for _ in range(300):
             p = random_xstate(rng)
             lam = float(rng.uniform(-1.0, 1.0))
-            out = apply_common_bath(xstate_to_matrix(p), lam)
+            out = apply_common_bath(xstate_matrix(p), lam)
             assert validate_density_matrix(out).valid
             assert np.max(np.abs(out[off_mask])) < 1e-14
             got = bloch_from_matrix(out)
-            want = evolve_bloch(xstate_to_bloch(p), lam)
-            worst = max(
-                worst,
-                max(
-                    abs(getattr(got, f) - getattr(want, f))
-                    for f in ("t30", "t03", "t11", "t22", "t33")
-                ),
-            )
+            # the closed form keeps t30, t03 and t33 and scales t11 and t22 by Lambda^2
+            t30, t03, t11, t22, t33 = check_xstate(p)[:5]
+            want = (t30, t03, lam * lam * t11, lam * lam * t22, t33)
+            worst = max(worst, max(abs(g - w) for g, w in zip((got.t30, got.t03, got.t11, got.t22, got.t33), want)))
         assert worst < 1e-13
 
     def test_invalid_density_matrix_rejected(self):
@@ -200,17 +190,17 @@ class TestZeros:
         assert signs == [(-1.0) ** k for k in range(len(mids))]
 
 
-def test_evolve_bloch_examples():
+def test_channel_examples():
+    # the sweep engine's channel on Werner 2/3 at Lambda = 1, 0 and sqrt(1/2)
     from rqcx.families import FamilySpec, make_state
     from rqcx.measures import measure_set
-    from rqcx.states import bloch_to_xstate
 
-    b = xstate_to_bloch(make_state(FamilySpec("werner", 2.0 / 3.0)))
-    assert evolve_bloch(b, 1.0) == b
-    dephased = evolve_bloch(b, 0.0)
-    assert abs(dephased.t11) <= 1e-15 and abs(dephased.t22) <= 1e-15
-    evolved = evolve_bloch(b, np.sqrt(0.5))
-    assert measure_set(bloch_to_xstate(evolved)).concurrence == pytest.approx(1.0 / 6.0, abs=1e-13)
+    p = make_state(FamilySpec("werner", 2.0 / 3.0))
+    got = _StateMeasures(p)(np.array([1.0, 0.0, np.sqrt(0.5)]))
+    ms = measure_set(p)
+    assert [got[name][0] for name in ("concurrence", "laqc", "qs", "cs")] == [ms.concurrence, ms.laqc, ms.qs, ms.cs]
+    assert got["concurrence"][1] == got["laqc"][1] == got["qs"][1] == 0.0
+    assert got["concurrence"][2] == pytest.approx(1.0 / 6.0, abs=1e-13)
 
 
 class TestExtrema:

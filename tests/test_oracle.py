@@ -6,6 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_xstate
+from reference import (
+    basis_vectors,
+    bloch_direction,
+    classical_mutual_info,
+    complementary_basis,
+    post_measurement_probs,
+)
 from rqcx import kernels, oracle
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set, u_func
@@ -18,19 +25,14 @@ from rqcx.oracle import (
     _grid_stage,
     _grid_steps,
     _refine_angles,
-    basis_vectors,
-    bloch_direction,
-    classical_mutual_info,
-    complementary_basis,
     laqc_oracle,
     optimize_cmi,
-    post_measurement_probs,
     qs_oracle,
 )
-from rqcx.states import XStateParams, xstate_to_matrix
+from rqcx.states import XStateParams, xstate_matrix
 
 MIXED = np.eye(4) / 4.0
-BELL = xstate_to_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
+BELL = xstate_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
 Z_BASIS_BOTH = LocalMeasurement(0.0, 0.0, 0.0, 0.0)
 
 
@@ -49,7 +51,7 @@ class TestProbabilities:
         assert table.p10 == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_z_basis(self):
-        rho = xstate_to_matrix(make_state(FamilySpec("werner", 0.5)))
+        rho = xstate_matrix(make_state(FamilySpec("werner", 0.5)))
         table = post_measurement_probs(rho, Z_BASIS_BOTH)
         assert table.p01 == pytest.approx(0.375, abs=1e-12)
         assert table.p10 == pytest.approx(0.375, abs=1e-12)
@@ -113,17 +115,17 @@ class TestOptimizeCmi:
 
     def test_werner_max_matches_cs(self):
         st = make_state(FamilySpec("werner", 0.5))
-        res = optimize_cmi(xstate_to_matrix(st))
+        res = optimize_cmi(xstate_matrix(st))
         assert res.value == pytest.approx(measure_set(st).cs, abs=1e-3)
 
     def test_mems_origin_max(self):
         st = make_state(FamilySpec("mems", 0.0))
-        res = optimize_cmi(xstate_to_matrix(st))
+        res = optimize_cmi(xstate_matrix(st))
         assert res.value == pytest.approx(0.25162916738782265, abs=1e-3)
 
     def test_bounds_sampled_settings(self, rng):
         # the refined maximum bounds samples up to the optimizer's own accuracy; CMI >= 0
-        rho = xstate_to_matrix(random_xstate(rng))
+        rho = xstate_matrix(random_xstate(rng))
         hi = optimize_cmi(rho).value
         for _ in range(100):
             m = LocalMeasurement(
@@ -134,7 +136,7 @@ class TestOptimizeCmi:
             assert 0.0 <= val <= hi + 2e-3
 
     def test_setting_reproduces_value(self):
-        rho = xstate_to_matrix(make_state(FamilySpec("mems", 0.4)))
+        rho = xstate_matrix(make_state(FamilySpec("mems", 0.4)))
         res = optimize_cmi(rho)
         val = classical_mutual_info(post_measurement_probs(rho, res.setting))
         assert val == pytest.approx(res.value, abs=1e-10)
@@ -166,7 +168,7 @@ class TestOptimizeCmi:
         assert search(MIXED, 8, REFINE_MAX).refinement_depth == REFINE_MAX
 
     def test_deterministic(self):
-        rho = xstate_to_matrix(make_state(FamilySpec("mnms", 0.3)))
+        rho = xstate_matrix(make_state(FamilySpec("mnms", 0.3)))
         r1 = optimize_cmi(rho)
         r2 = optimize_cmi(rho)
         assert r1 == r2
@@ -214,7 +216,7 @@ def _stage_state(kind, weights, signs):
         r, s = 0.5 * r, 0.7 * s
     elif kind == "diagonal":
         r = s = 0.0
-    return xstate_to_matrix(XStateParams(a, b, c, d, r, s))
+    return xstate_matrix(XStateParams(a, b, c, d, r, s))
 
 
 def _rows_in_scan_order(table):
@@ -240,9 +242,9 @@ class TestGridStage:
         assert overlap.max() < 1.0 - 1e-6
 
     def test_matches_full_sphere_scan(self, rng):
-        rhos = [xstate_to_matrix(make_state(FamilySpec(kind, x)))
+        rhos = [xstate_matrix(make_state(FamilySpec(kind, x)))
                 for kind, x in (("werner", 0.5), ("mnms", 0.3), ("mems", 0.4))]
-        rhos += [xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng)]
+        rhos += [xstate_matrix(random_xstate(rng)), random_density_matrix(rng)]
         for rho in rhos:
             parts = _fano_parts(rho)
             angles, values = _grid_stage(parts, 32)
@@ -443,7 +445,7 @@ class TestTableStages:
     @staticmethod
     def _parts(kind, seed):
         rng = np.random.default_rng(seed)
-        rho = random_density_matrix(rng) if kind == "generic" else xstate_to_matrix(random_xstate(rng, kind == "x-rank"))
+        rho = random_density_matrix(rng) if kind == "generic" else xstate_matrix(random_xstate(rng, kind == "x-rank"))
         return _fano_parts(rho)
 
     @settings(max_examples=150)
@@ -549,7 +551,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("lanes", [1, 2, 8])
     def test_refinement_matches_one_start_loop(self, rng, lanes, sign, grid):
-        rhos = [xstate_to_matrix(make_state(FamilySpec("werner", 0.7))), xstate_to_matrix(random_xstate(rng)),
+        rhos = [xstate_matrix(make_state(FamilySpec("werner", 0.7))), xstate_matrix(random_xstate(rng)),
                 random_density_matrix(rng)]
         for rho in rhos:
             parts = _fano_parts(rho)
@@ -596,7 +598,7 @@ def test_cmi_unchanged_by_flipping_a_direction(weights, coherences, angles):
     # n -> -n is (theta, phi) -> (pi - theta, phi + pi); the grid scan keeps one of each pair
     a, b, c, d = (v / sum(weights) for v in weights)
     r, s = coherences[0] * np.sqrt(a * d), coherences[1] * np.sqrt(b * c)
-    rho = xstate_to_matrix(XStateParams(a, b, c, d, r, s))
+    rho = xstate_matrix(XStateParams(a, b, c, d, r, s))
     ta, pa, tb, pb = angles
     value = classical_mutual_info(post_measurement_probs(rho, LocalMeasurement(ta, pa, tb, pb)))
     flip_a = LocalMeasurement(np.pi - ta, pa + np.pi, tb, pb)
@@ -647,7 +649,7 @@ def test_later_rounds_never_lower_the_value(kind, seed, grid):
     # the rounds of refine r + 1 extend those of refine r, and a lane moves
     # only on strict improvement, so each search's value is nondecreasing in r
     rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng) if kind == "generic" else xstate_to_matrix(random_xstate(rng, kind == "x-rank"))
+    rho = random_density_matrix(rng) if kind == "generic" else xstate_matrix(random_xstate(rng, kind == "x-rank"))
     for search in (laqc_oracle, optimize_cmi):
         values = [search(rho, grid, refine).value for refine in range(9)]
         assert all(later >= value for value, later in zip(values, values[1:])), values
@@ -656,16 +658,16 @@ def test_later_rounds_never_lower_the_value(kind, seed, grid):
 class TestLaqcOracle:
     def test_werner(self):
         st = make_state(FamilySpec("werner", 0.5))
-        res = laqc_oracle(xstate_to_matrix(st))
+        res = laqc_oracle(xstate_matrix(st))
         assert res.value == pytest.approx(0.18872187554086717, abs=1e-3)
 
     def test_diagonal_state_yields_zero(self):
-        rho = xstate_to_matrix(XStateParams(0.4, 0.1, 0.2, 0.3, 0.0, 0.0))
+        rho = xstate_matrix(XStateParams(0.4, 0.1, 0.2, 0.3, 0.0, 0.0))
         assert laqc_oracle(rho).value < 1e-6
 
     def test_mems_large_x(self):
         st = make_state(FamilySpec("mems", 0.9))
-        res = laqc_oracle(xstate_to_matrix(st))
+        res = laqc_oracle(xstate_matrix(st))
         assert res.value == pytest.approx(0.5 * u_func(0.9), abs=1e-3)
 
     def test_mub_setting_returned(self):
@@ -678,13 +680,13 @@ class TestLaqcOracle:
 
 class TestQsOracle:
     def test_werner_equals_cs_oracle(self):
-        rho = xstate_to_matrix(make_state(FamilySpec("werner", 0.5)))
+        rho = xstate_matrix(make_state(FamilySpec("werner", 0.5)))
         assert qs_oracle(rho).value == pytest.approx(
             optimize_cmi(rho).value, abs=1e-6
         )
 
     def test_mems_small_x(self):
-        rho = xstate_to_matrix(make_state(FamilySpec("mems", 0.1)))
+        rho = xstate_matrix(make_state(FamilySpec("mems", 0.1)))
         assert qs_oracle(rho).value == pytest.approx(0.5 * u_func(0.1), abs=1e-3)
 
     def test_maximally_mixed(self):
@@ -693,7 +695,7 @@ class TestQsOracle:
     @pytest.mark.parametrize("kind, x", [("werner", 0.3), ("werner", 0.7), ("mems", 0.8)])
     def test_keeps_the_first_leader_with_the_largest_value(self, kind, x):
         # eight tied stage-1 leaders, several of whose phase stages end on bit-equal values
-        rho = xstate_to_matrix(make_state(FamilySpec(kind, x)))
+        rho = xstate_matrix(make_state(FamilySpec(kind, x)))
         parts = _fano_parts(rho)
         angles, values = oracle._max_leaders(parts, 16, 2)
         best = None
@@ -706,7 +708,7 @@ class TestQsOracle:
 
     def test_dominated_by_laqc_on_random_states(self, rng):
         for _ in range(5):
-            rho = xstate_to_matrix(random_xstate(rng))
+            rho = xstate_matrix(random_xstate(rng))
             assert laqc_oracle(rho).value >= qs_oracle(rho).value - 2e-3
 
 
@@ -733,7 +735,7 @@ class TestStageOneMemo:
 
     def test_max_takes_the_first_leader(self, rng):
         # the one-leader route optimize_cmi took before the search was shared
-        for rho in (xstate_to_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
+        for rho in (xstate_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
             angles, _ = _grid_stage(parts, 16)
             angles, values = _refine_angles(parts, angles, _grid_steps(16), 3)
@@ -745,7 +747,7 @@ class TestStageOneMemo:
 def test_oracles_match_closed_forms_on_random_states(rng):
     for _ in range(5):
         st = random_xstate(rng)
-        rho = xstate_to_matrix(st)
+        rho = xstate_matrix(st)
         ms = measure_set(st)
         assert laqc_oracle(rho).value == pytest.approx(ms.laqc, abs=2e-3)
         assert qs_oracle(rho).value == pytest.approx(ms.qs, abs=2e-3)

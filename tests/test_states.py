@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_xstate
+from conftest import bloch, random_density_matrix, random_xstate
+from reference import apply_common_bath, bloch_from_matrix
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.states import (
     BlochX,
     InvalidStateError,
     XStateParams,
-    bloch_from_matrix,
-    bloch_to_xstate,
+    bloch_params,
+    check_xstate,
     fano_coefficients,
-    matrix_to_xstate,
+    matrix_params,
     require_density_matrix,
     validate_bloch,
     validate_density_matrix,
     validate_xstate,
-    xstate_to_bloch,
-    xstate_to_matrix,
+    xstate_matrix,
+    xstate_report,
 )
 
 MIXED = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
@@ -49,12 +50,12 @@ class TestValidation:
 
 class TestBlochConversion:
     def test_maximally_mixed_maps_to_zero(self):
-        b = xstate_to_bloch(MIXED)
+        b = bloch(MIXED)
         assert b == BlochX(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_mnms_bloch_pattern(self):
         for x in (0.2, 0.5, 1.0):
-            b = xstate_to_bloch(make_state(FamilySpec("mnms", x)))
+            b = bloch(make_state(FamilySpec("mnms", x)))
             assert b.t30 == pytest.approx(0.0, abs=1e-15)
             assert b.t03 == pytest.approx(0.0, abs=1e-15)
             assert b.t11 == pytest.approx(x, abs=1e-15)
@@ -65,13 +66,13 @@ class TestBlochConversion:
         from rqcx.families import mems_chi
 
         for x in (0.0, 0.3, 2.0 / 3.0, 0.9):
-            b = xstate_to_bloch(make_state(FamilySpec("mems", x)))
+            b = bloch(make_state(FamilySpec("mems", x)))
             assert b.t30 == pytest.approx(1.0 - 2.0 * mems_chi(x), abs=1e-15)
             assert b.t03 == pytest.approx(-b.t30, abs=1e-15)
 
     def test_werner_canonical_bloch(self):
         z = 0.5
-        p = bloch_to_xstate(BlochX(0.0, 0.0, -z, -z, -z))
+        p = bloch_params(BlochX(0.0, 0.0, -z, -z, -z))
         w = make_state(FamilySpec("werner", z))
         for field in ("a", "b", "c", "d", "r", "s"):
             assert getattr(p, field) == pytest.approx(getattr(w, field), abs=1e-15)
@@ -80,7 +81,7 @@ class TestBlochConversion:
         worst = 0.0
         for _ in range(10_000):
             p = random_xstate(rng)
-            q = bloch_to_xstate(xstate_to_bloch(p))
+            q = bloch_params(bloch(p))
             worst = max(
                 worst,
                 max(abs(getattr(p, f) - getattr(q, f)) for f in ("a", "b", "c", "d", "r", "s")),
@@ -90,7 +91,7 @@ class TestBlochConversion:
     def test_unphysical_bloch_rejected(self):
         # reconstructs a = d = 0 with r = 1/2: coherence without support
         with pytest.raises(InvalidStateError):
-            bloch_to_xstate(BlochX(0.0, 0.0, 1.0, -1.0, -1.0))
+            check_xstate(bloch_params(BlochX(0.0, 0.0, 1.0, -1.0, -1.0)))
 
     @pytest.mark.parametrize(
         "b",
@@ -99,25 +100,27 @@ class TestBlochConversion:
     )
     def test_rejects_what_validate_bloch_reports(self, b):
         # t30 = 1 + 1.1e-12 reconstructs c = d = -2.75e-13, inside the X
-        # tolerances, yet lies past the coefficient range
-        report = validate_bloch(b)
-        assert not report.valid
+        # tolerances, yet lies past the coefficient range.  A Bloch document
+        # is read by bloch_params and checked once, by check_xstate.
+        assert not validate_bloch(b).valid
+        p = bloch_params(b)
         with pytest.raises(InvalidStateError) as err:
-            bloch_to_xstate(b)
-        assert err.value.report == report
+            check_xstate(p)
+        assert err.value.report == xstate_report(p)
+        assert [name for name, _ in err.value.report.violations] == [name for name, _ in validate_bloch(b).violations]
 
 
 class TestMatrixForm:
     def test_maximally_mixed_matrix(self):
-        np.testing.assert_allclose(xstate_to_matrix(MIXED), np.eye(4) / 4.0)
+        np.testing.assert_allclose(xstate_matrix(MIXED), np.eye(4) / 4.0)
 
     def test_bell_state_is_projector(self):
-        rho = xstate_to_matrix(BELL_PHI_PLUS)
+        rho = xstate_matrix(BELL_PHI_PLUS)
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
 
     def test_mems_literal_matrix(self):
         # chi = x/2 = 0.4 on the upper branch
-        rho = xstate_to_matrix(make_state(FamilySpec("mems", 0.8)))
+        rho = xstate_matrix(make_state(FamilySpec("mems", 0.8)))
         expected = 0.5 * np.array(
             [
                 [0.8, 0, 0, 0.8],
@@ -129,24 +132,25 @@ class TestMatrixForm:
         np.testing.assert_allclose(rho, expected, atol=1e-15)
 
     def test_invalid_input_rejected_with_report(self):
+        # xstate_matrix builds the matrix unchecked; check_xstate is the check
         with pytest.raises(InvalidStateError) as err:
-            xstate_to_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
+            check_xstate(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
         assert err.value.report is not None and not err.value.report.valid
 
     def test_matrix_invariants_hold_for_random_states(self, rng):
         for _ in range(1000):
-            rho = xstate_to_matrix(random_xstate(rng))
+            rho = xstate_matrix(random_xstate(rng))
             assert validate_density_matrix(rho).valid
 
     def test_matrix_round_trip(self, rng):
         for _ in range(100):
             p = random_xstate(rng)
-            q = matrix_to_xstate(xstate_to_matrix(p))
+            q = matrix_params(xstate_matrix(p))
             assert q == p
 
     def test_non_x_matrix_rejected(self, rng):
         with pytest.raises(InvalidStateError):
-            matrix_to_xstate(random_density_matrix(rng))
+            matrix_params(random_density_matrix(rng))
 
     @pytest.mark.parametrize(
         "entry, value",
@@ -154,25 +158,25 @@ class TestMatrixForm:
         ids=["one-sided-r", "r-past-tol", "complex-diagonal", "imaginary-s"],
     )
     def test_non_hermitian_matrix_rejected(self, entry, value):
-        # matrix_to_xstate applies validate_density_matrix's Hermiticity test
-        rho = xstate_to_matrix(XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.0))
+        # matrix_params applies validate_density_matrix's Hermiticity test
+        rho = xstate_matrix(XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.0))
         near = rho.copy()
         rho[entry] = value
         with pytest.raises(InvalidStateError, match="not Hermitian") as err:
-            matrix_to_xstate(rho)
+            matrix_params(rho)
         assert err.value.report.violations == validate_density_matrix(rho).violations[:1]
         # inside the tolerance the matrix is still accepted
         near[entry] += 0.4e-12j
-        matrix_to_xstate(near)
+        matrix_params(near)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (0, 1)], ids=["diagonal", "x-coherence", "off-x"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_rejected(self, entry, value):
-        rho = xstate_to_matrix(MIXED)
+        rho = xstate_matrix(MIXED)
         rho[entry] = value
         report = validate_density_matrix(rho)
         assert report.violations == (("finite_values", np.inf),)
-        for check in (require_density_matrix, matrix_to_xstate):
+        for check in (require_density_matrix, matrix_params):
             with pytest.raises(InvalidStateError) as err:
                 check(rho)
             assert err.value.report == report
@@ -186,25 +190,29 @@ class TestFano:
         np.testing.assert_allclose(table, expected, atol=1e-15)
 
     def test_bell_state_signature(self):
-        table = fano_coefficients(xstate_to_matrix(BELL_PHI_PLUS))
+        table = fano_coefficients(xstate_matrix(BELL_PHI_PLUS))
         assert table[1, 1] == pytest.approx(1.0, abs=1e-14)
         assert table[2, 2] == pytest.approx(-1.0, abs=1e-14)
         assert table[3, 3] == pytest.approx(1.0, abs=1e-14)
 
     def test_agrees_with_xstate_path(self, rng):
+        # check_xstate's linear map and the Fano table, each against the Pauli traces
         for _ in range(200):
             p = random_xstate(rng)
-            b = xstate_to_bloch(p)
-            m = bloch_from_matrix(xstate_to_matrix(p))
-            for field in ("t30", "t03", "t11", "t22", "t33"):
-                assert abs(getattr(b, field) - getattr(m, field)) < 1e-13
+            rho = xstate_matrix(p)
+            want = bloch_from_matrix(rho)
+            table = fano_coefficients(rho)
+            slots = BlochX(table[3, 0], table[0, 3], table[1, 1], table[2, 2], table[3, 3])
+            for b in (bloch(p), slots):
+                for field in ("t30", "t03", "t11", "t22", "t33"):
+                    assert abs(getattr(b, field) - getattr(want, field)) < 1e-13
 
     def test_only_x_slots_populated(self, rng):
         mask = np.zeros((4, 4), dtype=bool)
         for mu, nu in ((0, 0), (3, 0), (0, 3), (1, 1), (2, 2), (3, 3)):
             mask[mu, nu] = True
         for _ in range(50):
-            table = fano_coefficients(xstate_to_matrix(random_xstate(rng)))
+            table = fano_coefficients(xstate_matrix(random_xstate(rng)))
             assert np.max(np.abs(table[~mask])) < 1e-12
 
 
@@ -212,20 +220,19 @@ class TestIsClassical:
     """A classical (diagonal) state has t11 = t22 = 0: its laqc and qs vanish, its cs need not."""
 
     def test_diagonal_correlated_state(self):
-        ms = measure_set(bloch_to_xstate(BlochX(0.2, -0.2, 0.0, 0.0, 0.5)))
+        ms = measure_set(bloch_params(BlochX(0.2, -0.2, 0.0, 0.0, 0.5)))
         assert ms.laqc == ms.qs == ms.concurrence == 0.0
         assert ms.cs > 0.1
 
     def test_werner_is_not_classical(self):
-        b = xstate_to_bloch(make_state(FamilySpec("werner", 0.5)))
+        b = bloch(make_state(FamilySpec("werner", 0.5)))
         assert min(abs(b.t11), abs(b.t22)) > 0.1
-        assert measure_set(bloch_to_xstate(b)).laqc > 0.1
+        assert measure_set(bloch_params(b)).laqc > 0.1
 
     def test_fully_dephased_state_is_classical(self, rng):
-        from rqcx.noise import evolve_bloch
-
+        # the Kraus channel at Lambda = 0 keeps only the diagonal
         for _ in range(20):
-            b = xstate_to_bloch(random_xstate(rng))
-            d = evolve_bloch(b, 0.0)
+            out = apply_common_bath(xstate_matrix(random_xstate(rng)), 0.0)
+            d = bloch_from_matrix(out)
             assert abs(d.t11) <= 1e-12 and abs(d.t22) <= 1e-12
-            assert measure_set(bloch_to_xstate(d)).laqc == 0.0
+            assert measure_set(matrix_params(out)).laqc == 0.0
