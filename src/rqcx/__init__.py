@@ -1,8 +1,8 @@
 """Residual quantum correlations of 2-qubit X states under dephasing noise."""
 
 from .dynamics import EventRecord, SweepSpec, Trajectory, detect_events, surface, trajectory
-from .families import FamilySpec, crossover_z, family_concurrence_closed, family_laqc_closed, make_state, werner_concurrence_rtn
-from .measures import MeasureSet, measure_set, u_func
+from .families import FamilySpec, crossover_z, make_state
+from .measures import MeasureSet, measure_set
 from .noise import Markov, Moun, NoiseModel, Rtn, lambda_of_t, lambda_zeros
 from .oracle import ComplementarySetting, LocalMeasurement, OptimizationResult, laqc_oracle, optimize_cmi, qs_oracle
 from .states import (

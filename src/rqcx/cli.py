@@ -54,7 +54,6 @@ _NOISE_KINDS = {
     "moun": (noise.Moun, "Gamma_over_gamma"),
     "markov": (noise.Markov, "lambda_over_gamma"),
 }
-_MEASURES = ("concurrence", "laqc", "qs", "cs")
 
 _ALL = ("validate", "measures", "evolve", "events", "surface", "oracle", "crossover")
 _STATE = ("validate", "measures", "evolve", "events", "oracle")
@@ -77,8 +76,8 @@ _OPTIONS = {
     "revival_threshold": _Option(1e-4, float, ("events",)),
     "param_grid": _Option("0:1:200", str, ("surface",), help="min:max:count"),
     "time_grid": _Option("0:3:600", str, ("surface",), help="min:max:count"),
-    "measure_a": _Option("concurrence", str, ("surface",), _MEASURES),
-    "measure_b": _Option("qs", str, ("surface",), _MEASURES),
+    "measure_a": _Option("concurrence", str, ("surface",), measures.MEASURES),
+    "measure_b": _Option("qs", str, ("surface",), measures.MEASURES),
     "grid": _Option(32, int, ("oracle",)),
     "refine": _Option(4, int, ("oracle",)),
 }
@@ -163,9 +162,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
-    if count < 2 or not lo < hi:
-        raise InvalidStateError(f"grid needs count >= 2 and min < max, got {text!r}")
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, count)  # dynamics.SweepSpec checks the grid's shape
 
 
 def _window(opts: dict) -> tuple[float, int]:
@@ -280,13 +277,13 @@ def _cmd_validate(opts: dict) -> int:
 
 def _cmd_measures(opts: dict) -> int:
     ms = measures.measure_set(_xstate_of(opts))
-    _emit({name: [getattr(ms, name)] for name in _MEASURES}, opts)
+    _emit({name: [getattr(ms, name)] for name in measures.MEASURES}, opts)
     return 0
 
 
 def _cmd_evolve(opts: dict) -> int:
     traj = dynamics.trajectory(_xstate_of(opts), _noise_of(opts), np.linspace(0.0, *_window(opts)))
-    _emit(dict(zip(("t", "lambda", "concurrence", "laqc", "qs", "cs"), traj)), opts)
+    _emit(dict(zip(("t", "lambda", *measures.MEASURES), traj)), opts)
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import FamilySpec, make_state
-from .measures import _StateMeasures
+from .measures import MEASURES, _StateMeasures
 from .noise import NoiseModel, lambda_of_t, lambda_zeros
 from .states import XStateParams
 
@@ -153,9 +153,8 @@ def surface(spec: SweepSpec, measure_a: str, measure_b: str):
     Returns (param_grid, time_grid, values) with values[i, j] at
     (param_grid[i], time_grid[j]).
     """
-    names = ("concurrence", "laqc", "qs", "cs")
-    if measure_a not in names or measure_b not in names:
-        raise ValueError(f"measures must be among {names}")
+    if measure_a not in MEASURES or measure_b not in MEASURES:
+        raise ValueError(f"measures must be among {MEASURES}")
     params = np.asarray(spec.param_grid, dtype=float)
     tgrid = np.asarray(spec.time_grid, dtype=float)
     measures = _StateMeasures([make_state(FamilySpec(spec.family, float(p))) for p in params])

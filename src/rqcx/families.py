@@ -1,8 +1,12 @@
-"""Named 2-qubit X-state families and their closed-form reference measures.
+"""Named 2-qubit X-state families and the Werner crossover.
 
 Werner states mix the singlet with the identity; MNMS (maximally nonlocal
 mixed states) and MEMS (maximally entangled mixed states, with the kinked
-chi(x) weight) are the standard one-parameter benchmark families.
+chi(x) weight) are the standard one-parameter benchmark families.  LAQC is
+u(x)/2 on all three; the crossover is where Werner's LAQC meets its
+concurrence (3x - 1)/2.  The families' closed-form curves are the tests'
+independent references (tests/reference.py); the library computes every
+measure through `measures`, with the one u, `measures._u`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import u_func
+from .measures import _u
 from .search import newton
 from .states import XStateParams
 
@@ -52,26 +56,6 @@ def make_state(spec: FamilySpec) -> XStateParams:
     return XStateParams(a=chi, b=1.0 - 2.0 * chi, c=0.0, d=chi, r=0.5 * x, s=0.0)
 
 
-def family_laqc_closed(spec: FamilySpec) -> float:
-    """u(param)/2 for all three families."""
-    return 0.5 * u_func(spec.param)
-
-
-def family_concurrence_closed(spec: FamilySpec) -> float:
-    if spec.kind == "werner":
-        return max(0.0, 0.5 * (3.0 * spec.param - 1.0))
-    return spec.param
-
-
-def werner_concurrence_rtn(z: float, lam: float) -> float:
-    """Concurrence of a dephased Werner state at envelope value Lambda."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("Werner parameter must lie in [0, 1]")
-    if not abs(lam) <= 1.0 + 1e-12:
-        raise ValueError(f"Lambda must be finite with |Lambda| <= 1, got {lam}")
-    return max(0.0, 0.5 * ((1.0 + 2.0 * lam * lam) * z - 1.0))
-
-
 def crossover_z() -> float:
     """Werner parameter where LAQC and concurrence coincide, by safeguarded Newton.
 
@@ -80,6 +64,6 @@ def crossover_z() -> float:
     is log2((1 + z)/(1 - z))/2 - 3/2.
     """
     def residual(z):
-        return 0.5 * u_func(z) - 0.5 * (3.0 * z - 1.0), 0.5 * np.log2((1.0 + z) / (1.0 - z)) - 1.5
+        return 0.5 * _u(z) - 0.5 * (3.0 * z - 1.0), 0.5 * np.log2((1.0 + z) / (1.0 - z)) - 1.5
 
     return float(newton(residual, 0.34, 0.99, 1e-12)[0])

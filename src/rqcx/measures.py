@@ -30,6 +30,8 @@ import numpy as np
 from .kernels import _xlog2x
 from .states import XStateParams, check_xstate
 
+MEASURES = ("concurrence", "laqc", "qs", "cs")  # MeasureSet's fields, in order
+
 
 @dataclass(frozen=True)
 class MeasureSet:
@@ -44,25 +46,18 @@ class MeasureSet:
 
 
 def _u(x):
+    """u(x) = (1+x)log2(1+x) + (1-x)log2(1-x), with 0*log(0) = 0 at |x| = 1."""
     x = np.asarray(x, dtype=float)
     return _xlog2x(1.0 + x) + _xlog2x(1.0 - x)
-
-
-def u_func(x):
-    """u(x) = (1+x)log2(1+x) + (1-x)log2(1-x), with 0*log(0) = 0 at |x| = 1."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("u(x) requires |x| <= 1")
-    val = _u(np.clip(arr, -1.0, 1.0))
-    return float(val) if val.ndim == 0 else val
 
 
 def _branches(t30: float, t03: float, t11: float, t22: float, t33: float) -> tuple[float, float, float]:
     """(g1, g2, g3) of the Fano coefficients of a state that check_xstate passed.
 
     One _xlog2x call takes twelve log arguments: 1 +- t11, 1 +- t22,
-    alpha..delta, and 1 +- t03, 1 +- t30, clipped as u_func clips.  g1 and
-    g2 take the float operations of 0.5 * _u, as the sweep engine does.
+    alpha..delta, and 1 +- t03, 1 +- t30, with t03 and t30 clipped to
+    [-1, 1].  g1 and g2 take the float operations of 0.5 * _u, as the sweep
+    engine does.
     check_xstate keeps every log argument above -4e-12 (alpha..delta are four
     times the weights its Bloch decision reconstructs); one below 0 counts as 0.
     """

@@ -34,12 +34,6 @@ STRUCT_TOL = 1e-12
 EIG_TOL = 1e-10
 X_SHAPE_TOL = 1e-10  # stray entries and imaginary coherences of a matrix read as an X state
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
 
 @dataclass(frozen=True)
 class XStateParams:
@@ -66,16 +60,16 @@ class BlochX:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     violations: tuple[tuple[str, float], ...]
 
-    def __post_init__(self):
-        assert self.valid == (len(self.violations) == 0)
+    @property
+    def valid(self) -> bool:
+        """True when the report holds no violation."""
+        return not self.violations
 
 
-_VALID = ValidationReport(True, ())
-_NONFINITE = ValidationReport(False, (("finite_values", float("inf")),))
-_BAD_SHAPE = ValidationReport(False, (("shape", float("nan")),))
+_NONFINITE = ValidationReport((("finite_values", float("inf")),))
+_BAD_SHAPE = ValidationReport((("shape", float("nan")),))
 
 
 class InvalidStateError(ValueError):
@@ -131,7 +125,7 @@ def _report(fields: tuple[float, ...], defects: tuple[float, ...], over: float =
         rows += tuple((name, float(m)) for name, m in zip(_X_CHECKS, defects) if m > STRUCT_TOL)
     else:
         rows += _NONFINITE.violations
-    return ValidationReport(False, rows) if rows else _VALID
+    return ValidationReport(rows)
 
 
 def _require(report: ValidationReport, what: str) -> None:
@@ -214,19 +208,19 @@ def matrix_params(rho: np.ndarray) -> XStateParams:
     herm = _hermiticity_defect(rho)
     if herm > STRUCT_TOL:
         raise InvalidStateError(
-            f"matrix is not Hermitian (deviation {herm:.3e})", ValidationReport(False, (("hermitian", herm),))
+            f"matrix is not Hermitian (deviation {herm:.3e})", ValidationReport((("hermitian", herm),))
         )
     off_mask = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diagonal and anti-diagonal
     stray = float(np.max(np.abs(rho[off_mask])))
     if stray > X_SHAPE_TOL:
         raise InvalidStateError(
-            f"matrix is not X-shaped (stray entry {stray:.3e})", ValidationReport(False, (("x_shape", stray),))
+            f"matrix is not X-shaped (stray entry {stray:.3e})", ValidationReport((("x_shape", stray),))
         )
     imag = float(max(abs(rho[0, 3].imag), abs(rho[1, 2].imag)))
     if imag > X_SHAPE_TOL:
         raise InvalidStateError(
             f"complex coherences (imag {imag:.3e}) are outside the real-coherence class",
-            ValidationReport(False, (("real_coherences", imag),)),
+            ValidationReport((("real_coherences", imag),)),
         )
     return XStateParams(*(float(rho[i, j].real) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2))))
 
@@ -248,14 +242,16 @@ def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
         lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
         if lo < -EIG_TOL:
             violations.append(("positive_semidefinite", -lo))
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def require_density_matrix(rho: np.ndarray) -> None:
     _require(validate_density_matrix(rho), "invalid density matrix")
 
 
-_PAULI_PAIRS = np.stack([np.kron(mu, nu) for mu in PAULI for nu in PAULI]).reshape(4, 4, 4, 4)
+_PAULI = tuple(np.array(m, dtype=complex)  # sigma_0 (identity), x, y, z
+               for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+_PAULI_PAIRS = np.stack([np.kron(mu, nu) for mu in _PAULI for nu in _PAULI]).reshape(4, 4, 4, 4)
 
 
 def fano_coefficients(rho: np.ndarray) -> np.ndarray:

@@ -3,13 +3,15 @@
 Each one computes its quantity a second way, from explicit operators:
 complex measurement bases and projectors, the complex Hadamard family, the
 spin-flip construction of the concurrence, the phase-flip Kraus channel and
-Pauli traces.  From rqcx each imports only data types (XStateParams, BlochX,
-LocalMeasurement), so no reference reuses the code it checks
-(test_reference.py enforces this).
+Pauli traces.  The families' closed-form curves and u itself are written
+out in plain `math` floats.  From rqcx each imports only data types
+(XStateParams, BlochX, LocalMeasurement), so no reference reuses the code
+it checks (test_reference.py enforces this).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -162,3 +164,26 @@ def bloch_from_matrix(rho: np.ndarray) -> BlochX:
         return float(np.trace(np.kron(_SIGMA[mu], _SIGMA[nu]) @ rho).real)
 
     return BlochX(t30=t(3, 0), t03=t(0, 3), t11=t(1, 1), t22=t(2, 2), t33=t(3, 3))
+
+
+# ---- the families' closed-form curves, in plain floats
+
+
+def u(x: float) -> float:
+    """(1+x) log2(1+x) + (1-x) log2(1-x) for |x| <= 1, with 0 log2 0 = 0."""
+    return sum(v * math.log2(v) for v in (1.0 + x, 1.0 - x) if v > 0.0)
+
+
+def family_laqc(x: float) -> float:
+    """LAQC of the Werner, MNMS and MEMS states at parameter x: u(x)/2 for all three."""
+    return 0.5 * u(x)
+
+
+def family_concurrence(kind: str, x: float) -> float:
+    """Concurrence of a family state: (3x - 1)/2 above 1/3 for Werner, x for MNMS and MEMS."""
+    return max(0.0, 0.5 * (3.0 * x - 1.0)) if kind == "werner" else x
+
+
+def werner_concurrence_dephased(z: float, lam: float) -> float:
+    """Concurrence of the Werner state z after local dephasing with envelope Lambda on each qubit."""
+    return max(0.0, 0.5 * ((1.0 + 2.0 * lam * lam) * z - 1.0))

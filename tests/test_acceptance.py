@@ -15,17 +15,13 @@ from reference import (
     bloch_from_matrix,
     complementary_basis,
     concurrence_general,
+    family_concurrence,
+    family_laqc,
     post_measurement_probs,
+    werner_concurrence_dephased,
 )
 from rqcx.dynamics import SweepSpec, detect_events, surface, trajectory
-from rqcx.families import (
-    FamilySpec,
-    crossover_z,
-    family_concurrence_closed,
-    family_laqc_closed,
-    make_state,
-    werner_concurrence_rtn,
-)
+from rqcx.families import FamilySpec, crossover_z, make_state
 from rqcx.measures import _StateMeasures, measure_set
 from rqcx.noise import Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.oracle import LocalMeasurement, laqc_oracle, optimize_cmi, qs_oracle
@@ -109,15 +105,15 @@ def test_criterion_5_family_closed_forms():
             spec = FamilySpec(kind, float(p))
             st = make_state(spec)
             ms = measure_set(st)
-            worst = max(worst, abs(ms.laqc - family_laqc_closed(spec)))
-            worst = max(worst, abs(ms.concurrence - family_concurrence_closed(spec)))
+            worst = max(worst, abs(ms.laqc - family_laqc(float(p))))
+            worst = max(worst, abs(ms.concurrence - family_concurrence(kind, float(p))))
     assert worst < 1e-13
     worst_rtn = 0.0
     lams = np.linspace(-1.0, 1.0, 41)
     for z in np.linspace(0.0, 1.0, 50):
         direct = _StateMeasures(make_state(FamilySpec("werner", float(z))))(lams)["concurrence"]
         for lam, conc in zip(lams, direct):
-            worst_rtn = max(worst_rtn, abs(conc - werner_concurrence_rtn(float(z), float(lam))))
+            worst_rtn = max(worst_rtn, abs(conc - werner_concurrence_dephased(float(z), float(lam))))
     assert worst_rtn < 1e-13
     _report(5, f"family grids max dev {worst:.2e}; Werner dephasing form dev {worst_rtn:.2e}")
 

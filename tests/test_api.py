@@ -1,0 +1,33 @@
+"""The public names of the rqcx package, pinned so that any API change is a deliberate edit here."""
+
+import importlib
+import pkgutil
+import types
+
+import rqcx
+
+PUBLIC = [
+    "BlochX", "ComplementarySetting", "EventRecord", "FamilySpec", "InvalidStateError", "LocalMeasurement", "Markov",
+    "MeasureSet", "Moun", "NoiseModel", "OptimizationResult", "Rtn", "SweepSpec", "Trajectory", "ValidationReport",
+    "XStateParams", "bloch_params", "check_xstate", "crossover_z", "detect_events", "fano_coefficients",
+    "lambda_of_t", "lambda_zeros", "laqc_oracle", "make_state", "matrix_params", "measure_set", "optimize_cmi",
+    "qs_oracle", "surface", "trajectory", "validate_xstate", "xstate_matrix",
+]
+
+# names the library no longer defines: u is measures._u, the family curves are
+# test references (tests/reference.py), and the Pauli matrices are private
+REMOVED = {"u_func", "family_laqc_closed", "family_concurrence_closed", "werner_concurrence_rtn",
+           "SIGMA_0", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI"}
+
+
+def test_public_names_are_pinned():
+    # submodules are attributes too once imported, so they are left out
+    names = sorted(n for n, v in vars(rqcx).items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC
+
+
+def test_removed_names_are_defined_nowhere():
+    modules = [importlib.import_module(f"rqcx.{m.name}") for m in pkgutil.iter_modules(rqcx.__path__)]
+    assert len(modules) >= 10
+    for module in [rqcx, *modules]:
+        assert not REMOVED & set(vars(module)), module.__name__

@@ -755,12 +755,16 @@ class TestInputBoundary:
             ["events", *WERNER, "--revival-threshold", "nan"],
             ["events", *WERNER, "--revival-threshold", "inf"],
             ["events", *WERNER, "--revival-threshold", "-1"],
+            *(["surface", "--state", "mnms", f"{flag}={grid}"]
+              for flag in ("--param-grid", "--time-grid") for grid in ("0:1:1", "1:0:3", "0:1:0", "0:1:-2")),
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
             "events-tmax-inf", "events-steps-one", "rtn-rate-inf", "markov-rate-inf",
             "grid-max-inf", "grid-min-nan", "grid-min-neg-inf",
             "threshold-nan", "threshold-inf", "threshold-negative",
+            *(f"{axis}-grid-{case}" for axis in ("param", "time")
+              for case in ("one-point", "decreasing", "no-points", "negative-count")),
         ],
     )
     def test_bad_input_exits_one_quietly(self, capsys, argv):
@@ -772,6 +776,14 @@ class TestInputBoundary:
         assert err.startswith("error:")
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("axis", ["param", "time"])
+    def test_grid_shape_error_names_the_grid(self, capsys, axis):
+        # the shape is checked once, by dynamics.SweepSpec
+        for grid, problem in (("0:1:1", "needs at least 2 points"), ("0:1:0", "needs at least 2 points"),
+                              ("1:0:3", "must be increasing")):
+            code, _, err = run_cli(capsys, "surface", "--state", "mnms", f"--{axis}-grid={grid}")
+            assert (code, err) == (1, f"error: {axis} grid {problem}\n")
 
     @pytest.mark.parametrize(
         "argv, doc",

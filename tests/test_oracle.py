@@ -11,11 +11,12 @@ from reference import (
     bloch_direction,
     classical_mutual_info,
     complementary_basis,
+    family_laqc,
     post_measurement_probs,
 )
 from rqcx import kernels, oracle
 from rqcx.families import FamilySpec, make_state
-from rqcx.measures import measure_set, u_func
+from rqcx.measures import measure_set
 from rqcx.oracle import (
     GRID_MAX,
     REFINE_MAX,
@@ -81,7 +82,7 @@ class TestClassicalMutualInfo:
         got = classical_mutual_info([0.125, 0.375, 0.375, 0.125])
         h = -0.25 * np.log2(0.25) - 0.75 * np.log2(0.75)
         assert got == pytest.approx(1.0 - h, abs=1e-14)
-        assert got == pytest.approx(0.5 * u_func(0.5), abs=1e-14)
+        assert got == pytest.approx(family_laqc(0.5), abs=1e-14)
 
 
 class TestComplementaryBases:
@@ -668,7 +669,7 @@ class TestLaqcOracle:
     def test_mems_large_x(self):
         st = make_state(FamilySpec("mems", 0.9))
         res = laqc_oracle(xstate_matrix(st))
-        assert res.value == pytest.approx(0.5 * u_func(0.9), abs=1e-3)
+        assert res.value == pytest.approx(family_laqc(0.9), abs=1e-3)
 
     def test_mub_setting_returned(self):
         from rqcx.oracle import ComplementarySetting
@@ -687,7 +688,7 @@ class TestQsOracle:
 
     def test_mems_small_x(self):
         rho = xstate_matrix(make_state(FamilySpec("mems", 0.1)))
-        assert qs_oracle(rho).value == pytest.approx(0.5 * u_func(0.1), abs=1e-3)
+        assert qs_oracle(rho).value == pytest.approx(family_laqc(0.1), abs=1e-3)
 
     def test_maximally_mixed(self):
         assert qs_oracle(MIXED).value < 1e-9
