@@ -14,8 +14,8 @@ from .states import (
     check_xstate,
     fano_coefficients,
     matrix_params,
-    validate_xstate,
     xstate_matrix,
+    xstate_report,
 )
 
 __version__ = "0.1.0"

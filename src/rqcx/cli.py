@@ -73,13 +73,13 @@ _OPTIONS = {
     "lambda_over_gamma": _Option(1.0, float, _NOISE),
     "tmax": _Option(3.0, float, _TIME),
     "steps": _Option(600, int, _TIME),
-    "revival_threshold": _Option(1e-4, float, ("events",)),
+    "revival_threshold": _Option(dynamics.THRESHOLD, float, ("events",)),
     "param_grid": _Option("0:1:200", str, ("surface",), help="min:max:count"),
     "time_grid": _Option("0:3:600", str, ("surface",), help="min:max:count"),
     "measure_a": _Option("concurrence", str, ("surface",), measures.MEASURES),
     "measure_b": _Option("qs", str, ("surface",), measures.MEASURES),
-    "grid": _Option(32, int, ("oracle",)),
-    "refine": _Option(4, int, ("oracle",)),
+    "grid": _Option(oracle.GRID, int, ("oracle",)),
+    "refine": _Option(oracle.REFINE, int, ("oracle",)),
 }
 
 # the JSON type a config value needs for each flag type; null is accepted
@@ -162,7 +162,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
-    return np.linspace(lo, hi, count)  # dynamics.SweepSpec checks the grid's shape
+    return np.linspace(lo, hi, max(count, 0))  # dynamics.SweepSpec checks the grid's shape
 
 
 def _window(opts: dict) -> tuple[float, int]:

@@ -19,7 +19,8 @@ points.  `measure_set` checks one state once, with `states.check_xstate`,
 and reads all four measures off `_branches` and the concurrence's roots.
 The sweep engine `_StateMeasures` checks each state the same way and takes
 the same float operations along an envelope, so at Lambda = 1 it gives
-measure_set's values to the bit.
+measure_set's values to the bit.  Its branches are then finite and at least
++0.0, so min and max alone give qs (`_middle_of_three`).
 """
 from __future__ import annotations
 
@@ -88,22 +89,11 @@ def measure_set(p: XStateParams) -> MeasureSet:
 
 # The sweep engine: array-valued, each state checked once.
 
-def _before(x, y):
-    """x strictly before y in np.sort's order, which puts NaN last."""
-    return (x < y) | (np.isnan(y) & ~np.isnan(x))
-
-
 def _middle_of_three(g1, g2, g3):
-    """The middle of each broadcast triple, to the bit as np.sort gives it.
-
-    A stable compare-exchange network under np.sort's order: order g1 and g2,
-    then place g3 against them.  Equal values keep their input order, so a
-    zero keeps the sign, and a NaN the bits, that a stable sort of
-    (g1, g2, g3) puts in the middle.
-    """
-    swap = _before(g2, g1)
-    lo, hi = np.where(swap, g2, g1), np.where(swap, g1, g2)
-    return np.where(_before(g3, lo), lo, np.where(_before(g3, hi), g3, hi))
+    """The middle of each broadcast triple of branches, np.sort's middle to the
+    bit: every branch is finite and at least +0.0 (`_u` never gives -0.0, g1
+    and g2 are clamped at 0, and g3 is never computed as -0.0)."""
+    return np.maximum(np.minimum(g1, g2), np.minimum(np.maximum(g1, g2), g3))
 
 
 class _StateMeasures:

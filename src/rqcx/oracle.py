@@ -48,6 +48,7 @@ from . import kernels
 from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
+GRID, REFINE = 32, 4  # the default grid resolution and refinement rounds of every search
 # Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
 # grid-64 oracle call peaks at about 62 MB resident, w taking 32 MB; the CMI
 # is reduced block by block, so no table of it is held.  w grows as grid**4,
@@ -174,7 +175,7 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
     return _fano_parts(rho)
 
 
-def optimize_cmi(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
+def optimize_cmi(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
     """Maximize CMI over all local projective bases (Wu's cs), at the first leader of `_max_leaders`."""
     angles, values = _max_leaders(_search_parts(rho, grid, refine), grid, refine)
     return OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
@@ -285,7 +286,7 @@ def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     return cur, np.where(0.0 > best, 0.0, best)
 
 
-def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
+def laqc_oracle(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
     """Measurement-based LAQC of an X-shaped density matrix.
 
     The distinguished basis is the computational one (see module docstring);
@@ -298,7 +299,7 @@ def laqc_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> Optimizatio
     return OptimizationResult(float(values[0]), setting, grid, refine)
 
 
-def qs_oracle(rho: np.ndarray, grid: int = 32, refine: int = 4) -> OptimizationResult:
+def qs_oracle(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
     """Two-stage search for the symmetric quantum-correlation measure.
 
     Stage 1 maximizes CMI over all local bases (several tied leaders are all

@@ -16,8 +16,9 @@ Each conversion is written once, in one direction, and leaves the state
 unchecked: bloch_params (Bloch vector to state), xstate_matrix (state to
 matrix) and matrix_params (matrix to state; it rejects only a matrix that is
 not Hermitian, not X-shaped or has complex coherences).  check_xstate, which
-also returns the Bloch vector, and xstate_report, its report, are the only
-checks of an X state; each entry point runs one once.
+also returns the Bloch vector, is the one decision of X-state validity, and
+xstate_report is its report: that of the InvalidStateError it raises, or an
+empty one.  Each entry point runs one of the two once.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ def _to_params(t30: float, t03: float, t11: float, t22: float, t33: float) -> tu
             0.25 * (1.0 - t30 - t03 + t33), 0.25 * (t11 - t22), 0.25 * (t11 + t22))
 
 
-def _bloch_defects(t30: float, t03: float, t11: float, t22: float, t33: float):
-    """The state finite coefficients reconstruct, its _x_defects, and max|t| - 1 (coefficient_range)."""
-    a, b, c, d, r, s = params = _to_params(t30, t03, t11, t22, t33)
-    return params, _x_defects(a, b, c, d, r, s), max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0
-
-
 def _holds(defects: tuple[float, ...], over: float = -1.0) -> bool:
     """Whether every X magnitude of _x_defects, and over, is at most STRUCT_TOL (NaN fails)."""
     neg, drift, r_excess, s_excess, _, _ = defects
@@ -134,45 +129,34 @@ def _require(report: ValidationReport, what: str) -> None:
         raise InvalidStateError(f"{what}: {report.violations}", report)
 
 
-def validate_xstate(p: XStateParams) -> ValidationReport:
-    """Check hermiticity/positivity constraints; report every violation."""
-    fields = (p.a, p.b, p.c, p.d, p.r, p.s)
-    return _report(fields, _x_defects(*fields))
-
-
-def validate_bloch(b: BlochX) -> ValidationReport:
-    """The coefficient range, then validate_xstate's rows for the state b reconstructs."""
-    coeffs = (b.t30, b.t03, b.t11, b.t22, b.t33)
-    return _report(*_bloch_defects(*coeffs)) if all(map(math.isfinite, coeffs)) else _NONFINITE
-
-
-def xstate_report(p: XStateParams) -> ValidationReport:
-    """p's violations under validate_xstate if it has any, else its Bloch vector's under validate_bloch."""
-    report = validate_xstate(p)
-    return validate_bloch(BlochX(*_to_bloch(p.a, p.b, p.c, p.d, p.r, p.s))) if report.valid else report
-
-
 def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, float, float]:
-    """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc)) of a state that passes
-    validate_xstate and whose Bloch vector passes validate_bloch.
+    """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc)) of p, the one decision of X-state validity.
 
-    Each decision is computed once, as _x_defects of p and then _bloch_defects
-    of its coefficients, which are finite once p passes.  A rejected state
-    builds its report from those defects: InvalidStateError("unphysical X
-    state: <rows>") with validate_xstate's report if p fails, else
-    InvalidStateError("unphysical Bloch coefficients: <rows>") with
-    validate_bloch's report of its Bloch vector.  A valid state builds no
-    dataclass and no report.
+    p's _x_defects must hold, then the Bloch step: its Bloch vector's
+    coefficient range and the _x_defects of the state that vector
+    reconstructs.  A rejected state raises InvalidStateError("unphysical X
+    state: <rows>"), or "unphysical Bloch coefficients: <rows>", with the
+    report of those defects; a valid state builds no dataclass and no report.
     """
     a, b, c, d, r, s = p.a, p.b, p.c, p.d, p.r, p.s
     defects = _x_defects(a, b, c, d, r, s)
     if not _holds(defects):
         _require(_report((a, b, c, d, r, s), defects), "unphysical X state")
     t30, t03, t11, t22, t33 = _to_bloch(a, b, c, d, r, s)
-    params, inner, over = _bloch_defects(t30, t03, t11, t22, t33)
+    params = _to_params(t30, t03, t11, t22, t33)
+    inner, over = _x_defects(*params), max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0
     if not _holds(inner, over):
         _require(_report(params, inner, over), "unphysical Bloch coefficients")
     return t30, t03, t11, t22, t33, defects[4], defects[5]
+
+
+def xstate_report(p: XStateParams) -> ValidationReport:
+    """check_xstate's report of p: its InvalidStateError's, or an empty report when p is valid."""
+    try:
+        check_xstate(p)
+    except InvalidStateError as exc:
+        return exc.report
+    return ValidationReport(())
 
 
 def bloch_params(b: BlochX) -> XStateParams:

@@ -76,14 +76,14 @@ class TestStateFiles:
     @pytest.mark.parametrize("command", ["measures", "evolve", "events", "oracle"])
     def test_matrix_document_is_checked_once(self, capsys, monkeypatch, tmp_path, command):
         # the matrix's X parameters go unchecked to the command, which checks
-        # them once, as measure_set does
+        # them once, as measure_set does; both bindings of check_xstate count
         calls = collections.Counter()
-        for module, name in ((states, "validate_xstate"), (measures, "check_xstate")):
-            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
+        for module in (states, measures):
+            def counted(*args, _fn=module.check_xstate, **kwargs):
+                calls["check_xstate"] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, "check_xstate", counted)
         rows = [[0.4, 0, 0, 0.2], [0, 0.1, 0.05, 0], [0, 0.05, 0.2, 0], [0.2, 0, 0, 0.3]]
         path = self.make_file(tmp_path, {"matrix": [[[v, 0.0] for v in row] for row in rows]})
         code, _, err = run_cli(capsys, command, "--state", "file", "--state-file", path)
@@ -255,27 +255,27 @@ class TestStateFiles:
         assert rows[0]["ok"] == "1" and len(rows) == 1
 
     @pytest.mark.parametrize(
-        "abcdrs, as_matrix, counts",
+        "abcdrs, as_matrix",
         [
-            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], False, {"validate_xstate": 1, "validate_bloch": 1}),
-            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], False, {"validate_xstate": 1, "validate_bloch": 1}),
-            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], False, {"validate_xstate": 1}),
-            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], True, {"validate_xstate": 1, "validate_bloch": 1}),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], False),
+            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0], False),
+            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], False),
+            ([0.25, 0.25, 0.25, 0.25, 0.1, 0.1], True),
         ],
         ids=["valid", "bloch-violation", "state-violation", "valid-matrix"],
     )
-    def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, as_matrix, counts):
-        # the parameters are checked once and their Bloch vector once (its
-        # reconstructed state within validate_bloch, not by a second
-        # validate_xstate), and the rows are measure_set's report; an
-        # X-shaped matrix document is checked as its parameters
+    def test_validate_builds_one_report(self, capsys, monkeypatch, tmp_path, abcdrs, as_matrix):
+        # the parameters are checked once, by check_xstate (both bindings
+        # count), whose report xstate_report returns, and the rows are
+        # measure_set's report; an X-shaped matrix document is checked as
+        # its parameters
         calls = collections.Counter()
-        for name in ("validate_xstate", "validate_bloch"):
-            def counted(*args, _fn=getattr(states, name), _name=name, **kwargs):
-                calls[_name] += 1
+        for module in (states, measures):
+            def counted(*args, _fn=module.check_xstate, **kwargs):
+                calls["check_xstate"] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(states, name, counted)
+            monkeypatch.setattr(module, "check_xstate", counted)
         if as_matrix:
             a, b, c, d, r, s = abcdrs
             rows = [[a, 0, 0, r], [0, b, s, 0], [0, s, c, 0], [r, 0, 0, d]]
@@ -285,7 +285,7 @@ class TestStateFiles:
         path = self.make_file(tmp_path, doc)
         code, out, _ = run_cli(capsys, "validate", "--state", "file", "--state-file", path)
         assert code == 0
-        assert dict(calls) == counts
+        assert dict(calls) == {"check_xstate": 1}
         _, rows = parse_csv(out)
         try:
             measure_set(XStateParams(*map(float, abcdrs)))
@@ -781,7 +781,7 @@ class TestInputBoundary:
     def test_grid_shape_error_names_the_grid(self, capsys, axis):
         # the shape is checked once, by dynamics.SweepSpec
         for grid, problem in (("0:1:1", "needs at least 2 points"), ("0:1:0", "needs at least 2 points"),
-                              ("1:0:3", "must be increasing")):
+                              ("0:1:-2", "needs at least 2 points"), ("1:0:3", "must be increasing")):
             code, _, err = run_cli(capsys, "surface", "--state", "mnms", f"--{axis}-grid={grid}")
             assert (code, err) == (1, f"error: {axis} grid {problem}\n")
 

@@ -5,7 +5,7 @@ from reference import family_concurrence, family_laqc, u, werner_concurrence_dep
 
 from rqcx.families import FamilySpec, crossover_z, make_state, mems_chi
 from rqcx.measures import _StateMeasures, measure_set
-from rqcx.states import XStateParams, validate_xstate
+from rqcx.states import XStateParams, xstate_report
 
 
 class TestGenerators:
@@ -32,7 +32,7 @@ class TestGenerators:
     def test_every_generated_state_is_valid(self):
         for kind in ("werner", "mnms", "mems"):
             for p in np.linspace(0.0, 1.0, 200):
-                assert validate_xstate(make_state(FamilySpec(kind, float(p)))).valid
+                assert xstate_report(make_state(FamilySpec(kind, float(p)))).valid
 
 
 class TestClosedForms:

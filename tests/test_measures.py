@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from conftest import bloch, random_xstate
@@ -24,9 +22,8 @@ from rqcx.states import (
     XStateParams,
     bloch_params,
     check_xstate,
-    validate_bloch,
-    validate_xstate,
     xstate_matrix,
+    xstate_report,
 )
 
 BELL_PHI_PLUS = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -524,7 +521,7 @@ _BELOW, _ABOVE = 0.9 * _TOL, 1.1 * _TOL
 
 def _crossing_states():
     """(label, whether the earlier path rejects it, state): each pair sits
-    just inside and just outside one tolerance of validate_xstate."""
+    just inside and just outside one tolerance of check_xstate's X step."""
     cases = []
     for label, rejects, x in (("inside", False, _BELOW), ("outside", True, _ABOVE)):
         cases += [
@@ -640,14 +637,15 @@ class TestAcceptReject:
     @settings(max_examples=500)
     @given(p=_REPORT_STATES, k=st.integers(0, 4), nudge=_NUDGES)
     def test_reports_match_the_reference(self, p, k, nudge):
-        """validate_xstate and validate_bloch give the reference's rows, to the bit."""
-        assert _rows(validate_xstate(p).violations) == _rows(_ref_validate_xstate(p))
+        """xstate_report gives the reference's two-step rows, to the bit, on a
+        state and on its Bloch vector nudged across a tolerance, read through
+        bloch_params as a Bloch document is (as Python floats)."""
         b = _ref_bloch(p)
-        assert _rows(validate_bloch(b).violations) == _rows(_ref_validate_bloch(b))
         coeffs = [b.t30, b.t03, b.t11, b.t22, b.t33]
         coeffs[k] += nudge * _TOL
-        b = BlochX(*coeffs)
-        assert _rows(validate_bloch(b).violations) == _rows(_ref_validate_bloch(b))
+        for q in (p, bloch_params(BlochX(*map(float, coeffs)))):
+            want = _ref_validate_xstate(q) or _ref_validate_bloch(_ref_bloch(q))
+            assert _rows(xstate_report(q).violations) == _rows(want)
 
 
 class TestOrdering:
@@ -666,23 +664,30 @@ def _ref_middle_of_three(g1, g2, g3):
 
 
 class TestMiddleOfThree:
-    """The middle of three equals the earlier form to the bit, sign of zero and NaN included."""
+    """The middle of three equals the earlier form to the bit on branch values:
+    finite, nonnegative and never -0.0, which the engine gives (see the last test)."""
 
-    SPECIAL = (0.0, -0.0, np.nan, 1e-300, 0.25, 0.5, 1.0, np.inf)
-
-    def test_every_special_triple(self):
-        g1, g2, g3 = np.array(list(itertools.product(self.SPECIAL, repeat=3))).T
-        want = _ref_middle_of_three(g1, g2, g3)
-        assert np.array_equal(_middle_of_three(g1, g2, g3).view(np.int64), want.view(np.int64))
+    SPECIAL = (0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 2.0)
 
     @pytest.mark.parametrize("shape", [(7,), (5, 9)])
     def test_random_broadcasts(self, rng, shape):
-        # g3 is one value per state: a scalar, or an (n, 1) column
-        pool = np.array(self.SPECIAL + (-0.25,))
+        # g3 is one value per state: a scalar, or an (n, 1) column; the pool
+        # makes ties
+        pool = np.array(self.SPECIAL)
         g1 = np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), rng.random(shape))
         g2 = np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), rng.random(shape))
-        for g3 in (0.5, -0.0, np.nan, rng.choice(pool, shape[:-1] + (1,))):
+        for g3 in (0.5, 0.0, rng.choice(pool, shape[:-1] + (1,)), rng.random(shape[:-1] + (1,))):
             want = _ref_middle_of_three(g1, g2, g3)
             got = _middle_of_three(g1, g2, g3)
             assert got.shape == want.shape == shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300)
+    @given(ps=st.lists(_ANY_STATE, min_size=1, max_size=4), lams=st.lists(st.floats(-1.0, 1.0), max_size=16))
+    def test_the_engine_gives_no_nan_or_negative_zero(self, ps, lams):
+        lam = np.array([1.0, -1.0, 0.0, -0.0, 1e-300, -5e-324, *lams])
+        for m in (_StateMeasures(ps)(lam), _StateMeasures(ps[0])(lam)):
+            for name, values in m.items():
+                assert not np.isnan(values).any(), name
+                if name != "concurrence":
+                    assert not (np.signbit(values) & (values == 0.0)).any(), name

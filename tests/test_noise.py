@@ -20,6 +20,14 @@ from rqcx.states import check_xstate, validate_density_matrix, xstate_matrix
 RTN4 = Rtn(4.0)
 
 
+@st.composite
+def _rtn_windows(draw):
+    """(Rtn(a), t_max): a/gamma log-uniform in [0.51, 1e9], t_max up to 700
+    and up to about 2000 zeros (omega t_max / pi)."""
+    model = Rtn(float(np.exp(draw(st.floats(np.log(0.51), np.log(1e9))))))
+    return model, draw(st.floats(1e-3, 1.0)) * min(700.0, 2000.0 * np.pi / model.omega)
+
+
 class TestModels:
     def test_rtn_omega(self):
         assert RTN4.omega == pytest.approx(3.0 * np.sqrt(7.0), abs=1e-12)
@@ -188,6 +196,25 @@ class TestZeros:
         mids = [(lo + hi) / 2.0 for lo, hi in zip(edges[:-1], edges[1:])]
         signs = [np.sign(lambda_of_t(RTN4, m)) for m in mids]
         assert signs == [(-1.0) ** k for k in range(len(mids))]
+
+    @settings(max_examples=200)
+    @given(case=_rtn_windows())
+    @example(case=(Rtn(1.6e7), 1e-6))
+    def test_every_zero_is_a_sign_change(self, case):
+        # each closed-form zero is simple (Lambda' != 0 there), so Lambda
+        # changes sign across it: at the midpoints between consecutive
+        # zeros, t = 0 the first edge, the signs alternate from +1, and so
+        # do they a quarter of the shortest gap before and after each zero
+        model, t_max = case
+        zeros = lambda_zeros(model, t_max)
+        assert zeros.size <= 2100
+        edges = np.concatenate(([0.0], zeros))
+        alternating = (-1.0) ** np.arange(zeros.size)
+        assert np.array_equal(np.sign(lambda_of_t(model, 0.5 * (edges[:-1] + edges[1:]))), alternating)
+        if zeros.size:
+            h = 0.25 * np.diff(edges).min()
+            assert np.array_equal(np.sign(lambda_of_t(model, zeros - h)), alternating)
+            assert np.array_equal(np.sign(lambda_of_t(model, zeros + h)), -alternating)
 
 
 def test_channel_examples():

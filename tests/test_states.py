@@ -14,9 +14,7 @@ from rqcx.states import (
     fano_coefficients,
     matrix_params,
     require_density_matrix,
-    validate_bloch,
     validate_density_matrix,
-    validate_xstate,
     xstate_matrix,
     xstate_report,
 )
@@ -27,10 +25,10 @@ BELL_PHI_PLUS = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
 class TestValidation:
     def test_maximally_mixed_is_valid(self):
-        assert validate_xstate(MIXED).valid
+        assert xstate_report(MIXED).valid
 
     def test_coherence_bound_violation_reported(self):
-        report = validate_xstate(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
+        report = xstate_report(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
         assert not report.valid
         names = [name for name, _ in report.violations]
         assert "r_coherence_bound" in names
@@ -38,14 +36,14 @@ class TestValidation:
         assert mag == pytest.approx(0.1, abs=1e-12)
 
     def test_werner_half_is_valid(self):
-        assert validate_xstate(make_state(FamilySpec("werner", 0.5))).valid
+        assert xstate_report(make_state(FamilySpec("werner", 0.5))).valid
 
     def test_trace_violation_reported(self):
-        report = validate_xstate(XStateParams(0.5, 0.5, 0.5, 0.5, 0.0, 0.0))
+        report = xstate_report(XStateParams(0.5, 0.5, 0.5, 0.5, 0.0, 0.0))
         assert ("unit_trace", 1.0) in [(n, pytest.approx(m)) for n, m in report.violations]
 
     def test_nan_rejected(self):
-        assert not validate_xstate(XStateParams(float("nan"), 0.5, 0.25, 0.25, 0, 0)).valid
+        assert not xstate_report(XStateParams(float("nan"), 0.5, 0.25, 0.25, 0, 0)).valid
 
 
 class TestBlochConversion:
@@ -94,20 +92,24 @@ class TestBlochConversion:
             check_xstate(bloch_params(BlochX(0.0, 0.0, 1.0, -1.0, -1.0)))
 
     @pytest.mark.parametrize(
-        "b",
-        [BlochX(1.0 + 1.1e-12, 0.0, 0.0, 0.0, 0.0), BlochX(0.0, 0.0, 1.0, -1.0, -1.0), BlochX(np.nan, 0, 0, 0, 0)],
+        "b, rows",
+        [
+            (BlochX(1.0 + 1.1e-12, 0.0, 0.0, 0.0, 0.0), [("coefficient_range", (1.0 + 1.1e-12) - 1.0)]),
+            (BlochX(0.0, 0.0, 1.0, -1.0, -1.0), [("r_coherence_bound", 0.5)]),
+            (BlochX(np.nan, 0, 0, 0, 0), [("finite_values", np.inf)]),
+        ],
         ids=["coefficient-past-one", "coherence-without-support", "nan"],
     )
-    def test_rejects_what_validate_bloch_reports(self, b):
+    def test_rejects_what_validate_bloch_reports(self, b, rows):
         # t30 = 1 + 1.1e-12 reconstructs c = d = -2.75e-13, inside the X
         # tolerances, yet lies past the coefficient range.  A Bloch document
-        # is read by bloch_params and checked once, by check_xstate.
-        assert not validate_bloch(b).valid
+        # is read by bloch_params and checked once, by check_xstate, whose
+        # report xstate_report returns.
         p = bloch_params(b)
         with pytest.raises(InvalidStateError) as err:
             check_xstate(p)
+        assert err.value.report.violations == tuple((name, pytest.approx(m, rel=1e-3)) for name, m in rows)
         assert err.value.report == xstate_report(p)
-        assert [name for name, _ in err.value.report.violations] == [name for name, _ in validate_bloch(b).violations]
 
 
 class TestMatrixForm:
