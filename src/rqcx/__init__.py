@@ -4,7 +4,7 @@ from .dynamics import EventRecord, SweepSpec, Trajectory, detect_events, surface
 from .families import FamilySpec, crossover_z, make_state
 from .measures import MeasureSet, measure_set
 from .noise import Markov, Moun, NoiseModel, Rtn, lambda_of_t, lambda_zeros
-from .oracle import ComplementarySetting, LocalMeasurement, OptimizationResult, laqc_oracle, optimize_cmi, qs_oracle
+from .oracle import ComplementarySetting, LocalMeasurement, OptimizationResult, OracleSet, oracle_set
 from .states import (
     BlochX,
     InvalidStateError,

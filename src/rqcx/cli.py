@@ -313,23 +313,13 @@ def _cmd_surface(opts: dict) -> int:
 
 def _cmd_oracle(opts: dict) -> int:
     params = _xstate_of(opts)
-    # measure_set checks the state; the matrix is then built unchecked
+    # measure_set checks the state and oracle_set the matrix built from it
     ms = measures.measure_set(params)
-    rho = xstate_matrix(params)
-    grid, refine = opts["grid"], opts["refine"]
-    pairs = (
-        ("laqc", oracle.laqc_oracle(rho, grid, refine).value, ms.laqc),
-        ("qs", oracle.qs_oracle(rho, grid, refine).value, ms.qs),
-        ("cs", oracle.optimize_cmi(rho, grid, refine).value, ms.cs),
-    )
-    names, found, exact = (list(col) for col in zip(*pairs))
-    columns = {
-        "measure": names,
-        "oracle": found,
-        "closed_form": exact,
-        "abs_error": [abs(o - c) for o, c in zip(found, exact)],
-    }
-    _emit(columns, opts)
+    res = oracle.oracle_set(xstate_matrix(params), opts["grid"], opts["refine"])
+    names = ["laqc", "qs", "cs"]
+    found, exact = [getattr(res, n).value for n in names], [getattr(ms, n) for n in names]
+    abs_error = [abs(o - c) for o, c in zip(found, exact)]
+    _emit({"measure": names, "oracle": found, "closed_form": exact, "abs_error": abs_error}, opts)
     return 0
 
 

@@ -6,10 +6,12 @@ routes can be checked against each other.
 
 A local setting is a pair of Bloch directions (theta, phi per party); the
 outcome table is p_ij = Tr[(Pi_i x Pi_j) rho].  Every search maximizes the
-classical mutual information: optimize_cmi over all local settings (Wu's
-cs), qs_oracle over the bases complementary to its maximizing settings, and
-laqc_oracle over those complementary to the computational basis.  Each is
-deterministic coarse-to-fine: a grid scan (the four angles, each distinct
+classical mutual information.  oracle_set, the one entry point, checks rho,
+grid and refine once and runs three stages on the Fano parts of rho:
+optimize_cmi over all local settings (stage 1, whose first leader is Wu's
+cs), laqc_oracle over the bases complementary to the computational basis,
+and qs_oracle over those complementary to stage 1's leaders (stage 2).  Each
+is deterministic coarse-to-fine: a grid scan (the four angles, each distinct
 measurement once, or the two Hadamard phases), then the rounds of the one
 ascent loop `_ascend`, whose step halves each round.
 
@@ -48,7 +50,7 @@ from . import kernels
 from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
-GRID, REFINE = 32, 4  # the default grid resolution and refinement rounds of every search
+GRID, REFINE = 32, 4  # oracle_set's default grid resolution and refinement rounds
 # Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
 # grid-64 oracle call peaks at about 62 MB resident, w taking 32 MB; the CMI
 # is reduced block by block, so no table of it is held.  w grows as grid**4,
@@ -84,9 +86,18 @@ class OptimizationResult:
     refinement_depth: int
 
 
+@dataclass(frozen=True)
+class OracleSet:
+    """The oracle's laqc, qs and cs of one state, each with its maximizing setting."""
+
+    laqc: OptimizationResult
+    qs: OptimizationResult
+    cs: OptimizationResult
+
+
 def _fano_parts(rho: np.ndarray):
     t = fano_coefficients(rho)
-    return t[1:, 0].copy(), t[0, 1:].copy(), t[1:, 1:].copy()
+    return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
 def _grid_directions(grid: int):
@@ -162,7 +173,7 @@ def _refine_angles(parts, angles0, steps0, rounds: int):
 
 
 def _search_parts(rho: np.ndarray, grid: int, refine: int):
-    """The Fano parts of rho, once grid, refine and rho are checked: each search's one validation."""
+    """The Fano parts of rho, once grid, refine and rho are checked: oracle_set's one validation."""
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if grid > GRID_MAX:
@@ -173,12 +184,6 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
         raise ValueError(f"refine must be at most {REFINE_MAX}")
     require_density_matrix(rho)
     return _fano_parts(rho)
-
-
-def optimize_cmi(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
-    """Maximize CMI over all local projective bases (Wu's cs), at the first leader of `_max_leaders`."""
-    angles, values = _max_leaders(_search_parts(rho, grid, refine), grid, refine)
-    return OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
 
 
 def _grid_steps(grid: int) -> np.ndarray:
@@ -225,28 +230,11 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 
-# (key, leaders) of the last stage-1 search, one tuple so a reader never pairs
-# one call's key with another call's leaders
-_last_leaders: tuple | None = None
-
-
-def _max_leaders(parts, grid: int, refine: int):
-    """Stage 1 of the CMI maximum: the grid stage's first 8 tied leaders, refined together.
-
-    Returns their angles, shape (L, 4), and values.  qs_oracle carries every
-    leader forward; optimize_cmi takes leader 0.  Both search the
-    same state in turn, so the last result is kept, keyed by the exact bytes
-    of the Fano parts with grid and refine.
-    """
-    global _last_leaders
-    key = (b"".join(part.tobytes() for part in parts), grid, refine)
-    last = _last_leaders
-    if last is not None and last[0] == key:
-        return last[1]
+def optimize_cmi(parts, grid: int, refine: int):
+    """Stage 1, the CMI maximum over all local projective bases: the angles (L, 4) and values
+    of the grid stage's first 8 tied leaders, refined together.  Wu's cs is leader 0's value."""
     angles, _ = _grid_stage(parts, grid, keep=8)
-    leaders = _refine_angles(parts, angles, _grid_steps(grid), refine)
-    _last_leaders = (key, leaders)
-    return leaders
+    return _refine_angles(parts, angles, _grid_steps(grid), refine)
 
 
 def _frame(base: np.ndarray):
@@ -286,31 +274,40 @@ def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     return cur, np.where(0.0 > best, 0.0, best)
 
 
-def laqc_oracle(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
-    """Measurement-based LAQC of an X-shaped density matrix.
+def laqc_oracle(parts, grid: int, refine: int) -> OptimizationResult:
+    """Measurement-based LAQC of the state with Fano parts `parts`.
 
     The distinguished basis is the computational one (see module docstring);
     the returned value is the phase-stage maximum over its complementary
     family, evaluated from explicit measurement statistics.
     """
-    parts = _search_parts(rho, grid, refine)
     phases, values = _phase_stage(parts, np.zeros((1, 4)), grid, refine)
     setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), *map(float, phases[0]))
     return OptimizationResult(float(values[0]), setting, grid, refine)
 
 
-def qs_oracle(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OptimizationResult:
-    """Two-stage search for the symmetric quantum-correlation measure.
+def qs_oracle(parts, leaders, grid: int, refine: int) -> OptimizationResult:
+    """Stage 2 of the symmetric quantum-correlation measure.
 
-    Stage 1 maximizes CMI over all local bases (several tied leaders are all
-    carried forward); stage 2 maximizes over the Hadamard phases of the
-    bases complementary to each leader and keeps the overall best.
+    leaders, the angles and values of optimize_cmi (stage 1), are all carried
+    forward if tied; stage 2 maximizes over the Hadamard phases of the bases
+    complementary to each leader and keeps the overall best.
     """
-    parts = _search_parts(rho, grid, refine)
-    angles, values = _max_leaders(parts, grid, refine)
+    angles, values = leaders
     angles = angles[values >= values.max() - _TIE_TOL]
     phases, values = _phase_stage(parts, angles, grid, refine)
     # the first leader with the largest value
     k = int(np.argmax(values))
     setting = ComplementarySetting(LocalMeasurement(*angles[k]), *map(float, phases[k]))
     return OptimizationResult(float(values[k]), setting, grid, refine)
+
+
+def oracle_set(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OracleSet:
+    """The oracle's laqc, qs and cs of density matrix rho, with rho, grid and refine checked once.
+
+    Stage 1 runs once: cs is its leader 0, clamped at 0, and qs_oracle starts from its leaders.
+    The stages are called by their module names, so a timing wrapper set on the module sees each."""
+    parts = _search_parts(rho, grid, refine)
+    angles, values = leaders = optimize_cmi(parts, grid, refine)
+    cs = OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
+    return OracleSet(laqc_oracle(parts, grid, refine), qs_oracle(parts, leaders, grid, refine), cs)

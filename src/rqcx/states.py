@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Tolerances: structural equalities (trace, hermiticity, coherence bounds)
-# are enforced at 1e-12; eigenvalue positivity gets 1e-10 of slack to absorb
-# roundoff accumulated by repeated channel application.
+# are enforced at 1e-12; eigenvalue positivity gets 1e-10 of slack for the
+# roundoff of a density matrix read from a file or built by a caller.
 STRUCT_TOL = 1e-12
 EIG_TOL = 1e-10
 X_SHAPE_TOL = 1e-10  # stray entries and imaginary coherences of a matrix read as an X state
@@ -138,7 +138,7 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
     state: <rows>"), or "unphysical Bloch coefficients: <rows>", with the
     report of those defects; a valid state builds no dataclass and no report.
     """
-    a, b, c, d, r, s = p.a, p.b, p.c, p.d, p.r, p.s
+    a, b, c, d, r, s = float(p.a), float(p.b), float(p.c), float(p.d), float(p.r), float(p.s)
     defects = _x_defects(a, b, c, d, r, s)
     if not _holds(defects):
         _require(_report((a, b, c, d, r, s), defects), "unphysical X state")
@@ -161,7 +161,7 @@ def xstate_report(p: XStateParams) -> ValidationReport:
 
 def bloch_params(b: BlochX) -> XStateParams:
     """The X state with Fano coefficients b, not yet checked: check_xstate checks it."""
-    return XStateParams(*_to_params(b.t30, b.t03, b.t11, b.t22, b.t33))
+    return XStateParams(*_to_params(float(b.t30), float(b.t03), float(b.t11), float(b.t22), float(b.t33)))
 
 
 def xstate_matrix(p: XStateParams) -> np.ndarray:

@@ -24,7 +24,7 @@ from rqcx.dynamics import SweepSpec, detect_events, surface, trajectory
 from rqcx.families import FamilySpec, crossover_z, make_state
 from rqcx.measures import _StateMeasures, measure_set
 from rqcx.noise import Moun, Rtn, lambda_of_t, lambda_zeros
-from rqcx.oracle import LocalMeasurement, laqc_oracle, optimize_cmi, qs_oracle
+from rqcx.oracle import LocalMeasurement, oracle_set
 from rqcx.states import XStateParams, check_xstate, matrix_params, validate_density_matrix, xstate_matrix
 
 RTN4 = Rtn(4.0)
@@ -125,16 +125,16 @@ def test_criterion_6_measurement_oracle_concordance():
             st = make_state(FamilySpec(kind, float(p)))
             rho = xstate_matrix(st)
             ms = measure_set(st)
-            worst = max(worst, abs(laqc_oracle(rho, 32, 4).value - ms.laqc))
-            worst = max(worst, abs(qs_oracle(rho, 32, 4).value - ms.qs))
-            worst = max(worst, abs(optimize_cmi(rho, 32, 4).value - ms.cs))
+            found = oracle_set(rho, 32, 4)
+            for measure in ("laqc", "qs", "cs"):
+                worst = max(worst, abs(getattr(found, measure).value - getattr(ms, measure)))
     assert worst < 2e-3
     rng = np.random.default_rng(6)
     for _ in range(5):
         w = rng.random(4)
         w /= w.sum()
         diag = XStateParams(*(float(v) for v in w), 0.0, 0.0)
-        assert laqc_oracle(xstate_matrix(diag)).value < 1e-6
+        assert oracle_set(xstate_matrix(diag)).laqc.value < 1e-6
     _report(6, f"oracle vs closed forms on 60 family samples, worst |dv| = {worst:.2e} < 2e-3")
 
 

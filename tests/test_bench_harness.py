@@ -8,6 +8,11 @@ dynamics.trajectory, which PROBE never reaches (it has no `evolve` call).
 The check runs in a child process: the fresh import drops rqcx from
 sys.modules, and the tracer's rebinding would leak into the other tests.
 
+The traced oracle.self_ms is the time in the three oracle stages less the
+kernel time, so it holds only if no stage span opens inside another and
+every kernel call runs inside exactly one stage span.  The child checks both
+under PROBE's oracle call.
+
 Every CLI flag the workloads pass must still parse, so a flag cannot be
 removed while the benchmark still sends it.
 """
@@ -40,6 +45,34 @@ def recording_wrap(self, module, attr, key, *args, **kwargs):
 tracing.Tracer.wrap = recording_wrap
 rq = run.import_rqcx()
 tracer = tracing.install(rq)
+
+stages, nested, outside = [], [], []
+
+
+def stage_span(fn, name):
+    def span(*args, **kwargs):
+        if stages:
+            nested.append((stages[-1], name))
+        stages.append(name)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            stages.pop()
+    return span
+
+
+def kernel_call(fn, name):
+    def call(*args, **kwargs):
+        if len(stages) != 1:
+            outside.append((name, list(stages)))
+        return fn(*args, **kwargs)
+    return call
+
+
+for name in ("optimize_cmi", "laqc_oracle", "qs_oracle"):
+    setattr(rq.oracle, name, stage_span(getattr(rq.oracle, name), name))
+for name in ("cmi_table", "cmi_flat"):
+    setattr(rq.kernels, name, kernel_call(getattr(rq.kernels, name), name))
 for i, argv in enumerate(run.PROBE):
     code = rq.cli.main(argv + ["--out", f"{sys.argv[2]}/probe{i}.out"])
     if code != 0:
@@ -47,6 +80,12 @@ for i, argv in enumerate(run.PROBE):
 uncalled = sorted({key for key in keys if tracer.calls[key] == 0} - {"dynamics.trajectory"})
 if uncalled:
     raise SystemExit(f"traced keys with no call under PROBE: {uncalled}")
+if nested:
+    raise SystemExit(f"oracle stage spans opened inside another: {nested[:5]}")
+if outside:
+    raise SystemExit(f"kernel calls outside exactly one oracle stage span: {outside[:5]}")
+if tracer.calls["kernels"] == 0:
+    raise SystemExit("no kernel call under PROBE")
 """
 
 

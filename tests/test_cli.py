@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rqcx import cli, dynamics, measures, states
+from rqcx import cli, dynamics, measures, oracle, states
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
@@ -493,6 +493,21 @@ class TestSurfaceOracleCrossover:
         by_measure = {r["measure"]: r for r in rows}
         assert set(by_measure) == {"laqc", "qs", "cs"}
         assert float(by_measure["laqc"]["abs_error"]) < 2e-3
+
+    def test_oracle_checks_the_matrix_once(self, capsys, monkeypatch):
+        # one oracle_set call serves all three measures: the matrix is checked
+        # once and its Fano table computed once; every binding counts
+        calls = collections.Counter()
+        for module, name in ((states, "validate_density_matrix"), (cli, "validate_density_matrix"),
+                             (states, "fano_coefficients"), (oracle, "fano_coefficients")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, err = run_cli(capsys, "oracle", "--state", "mems", "--param", "0.4", "--grid", "32", "--refine", "4")
+        assert (code, err) == (0, "")
+        assert dict(calls) == {"validate_density_matrix": 1, "fano_coefficients": 1}
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -215,8 +215,8 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
     # one `rqcx oracle` at grid 32: 8 grid-stage row blocks, then one call
     # for the leaders' start values and one per refinement round, and one
     # full phase table plus one per round in each of the two phase stages;
-    # nothing goes through cmi_flat
-    from rqcx import cli, oracle
+    # stage 1 runs once, and nothing goes through cmi_flat
+    from rqcx import cli
 
     calls = {"cmi_table": 0, "cmi_flat": 0}
     for name in calls:
@@ -225,7 +225,6 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
             return _fn(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    monkeypatch.setattr(oracle, "_last_leaders", None)
     assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", str(refine)]) == 0
     capsys.readouterr()
     assert calls == {"cmi_table": 8 + 3 * (1 + refine), "cmi_flat": 0}
@@ -247,7 +246,6 @@ def test_oracle_calls_fit_one_block(monkeypatch, capsys, kind, param):
 
     monkeypatch.setattr(kernels, "cmi_table", recorded)
     for grid in ("8", "33", "64"):
-        monkeypatch.setattr(oracle, "_last_leaders", None)
         assert cli.main(["oracle", "--state", kind, "--param", str(param), "--grid", grid]) == 0
     capsys.readouterr()
     assert max(sizes) <= oracle.BLOCK_ELEMENTS

@@ -18,23 +18,30 @@ from rqcx import kernels, oracle
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.oracle import (
+    GRID,
     GRID_MAX,
+    REFINE,
     REFINE_MAX,
+    ComplementarySetting,
     LocalMeasurement,
     _fano_parts,
     _grid_directions,
     _grid_stage,
     _grid_steps,
     _refine_angles,
-    laqc_oracle,
-    optimize_cmi,
-    qs_oracle,
+    _search_parts,
+    oracle_set,
 )
 from rqcx.states import XStateParams, xstate_matrix
 
 MIXED = np.eye(4) / 4.0
 BELL = xstate_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
 Z_BASIS_BOTH = LocalMeasurement(0.0, 0.0, 0.0, 0.0)
+
+
+def _laqc(rho, grid=GRID, refine=REFINE):
+    """The laqc stage alone, on the checked Fano parts of rho."""
+    return oracle.laqc_oracle(_search_parts(rho, grid, refine), grid, refine)
 
 
 class TestProbabilities:
@@ -112,22 +119,22 @@ class TestComplementaryBases:
 
 class TestOptimizeCmi:
     def test_maximally_mixed_max_is_zero(self):
-        assert optimize_cmi(MIXED).value < 1e-9
+        assert oracle_set(MIXED).cs.value < 1e-9
 
     def test_werner_max_matches_cs(self):
         st = make_state(FamilySpec("werner", 0.5))
-        res = optimize_cmi(xstate_matrix(st))
+        res = oracle_set(xstate_matrix(st)).cs
         assert res.value == pytest.approx(measure_set(st).cs, abs=1e-3)
 
     def test_mems_origin_max(self):
         st = make_state(FamilySpec("mems", 0.0))
-        res = optimize_cmi(xstate_matrix(st))
+        res = oracle_set(xstate_matrix(st)).cs
         assert res.value == pytest.approx(0.25162916738782265, abs=1e-3)
 
     def test_bounds_sampled_settings(self, rng):
         # the refined maximum bounds samples up to the optimizer's own accuracy; CMI >= 0
         rho = xstate_matrix(random_xstate(rng))
-        hi = optimize_cmi(rho).value
+        hi = oracle_set(rho).cs.value
         for _ in range(100):
             m = LocalMeasurement(
                 rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
@@ -138,41 +145,34 @@ class TestOptimizeCmi:
 
     def test_setting_reproduces_value(self):
         rho = xstate_matrix(make_state(FamilySpec("mems", 0.4)))
-        res = optimize_cmi(rho)
+        res = oracle_set(rho).cs
         val = classical_mutual_info(post_measurement_probs(rho, res.setting))
         assert val == pytest.approx(res.value, abs=1e-10)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
-            optimize_cmi(MIXED, grid=4)
+            oracle_set(MIXED, grid=4)
 
     def test_grid_ceiling(self):
         with pytest.raises(ValueError, match="at most"):
-            optimize_cmi(MIXED, grid=GRID_MAX + 1)
+            oracle_set(MIXED, grid=GRID_MAX + 1)
 
-    @pytest.mark.parametrize(
-        "search",
-        [lambda rho, r: optimize_cmi(rho, 8, r), lambda rho, r: laqc_oracle(rho, 8, r),
-         lambda rho, r: qs_oracle(rho, 8, r)],
-        ids=["optimize_cmi", "laqc_oracle", "qs_oracle"],
-    )
-    def test_negative_refine_rejected(self, search):
+    @pytest.mark.parametrize("measure", ["cs", "laqc", "qs"], ids=["optimize_cmi", "laqc_oracle", "qs_oracle"])
+    def test_negative_refine_rejected(self, measure):
         with pytest.raises(ValueError, match="refine"):
-            search(MIXED, -1)
-        assert search(MIXED, 0).refinement_depth == 0
+            oracle_set(MIXED, 8, -1)
+        assert getattr(oracle_set(MIXED, 8, 0), measure).refinement_depth == 0
 
-    @pytest.mark.parametrize("search", [optimize_cmi, laqc_oracle, qs_oracle])
-    def test_refine_ceiling(self, search):
+    @pytest.mark.parametrize("measure", ["cs", "laqc", "qs"], ids=["optimize_cmi", "laqc_oracle", "qs_oracle"])
+    def test_refine_ceiling(self, measure):
         # each round costs a kernel call per stage, so refine is bounded as grid is
         with pytest.raises(ValueError, match=f"refine must be at most {REFINE_MAX}"):
-            search(MIXED, 8, REFINE_MAX + 1)
-        assert search(MIXED, 8, REFINE_MAX).refinement_depth == REFINE_MAX
+            oracle_set(MIXED, 8, REFINE_MAX + 1)
+        assert getattr(oracle_set(MIXED, 8, REFINE_MAX), measure).refinement_depth == REFINE_MAX
 
     def test_deterministic(self):
         rho = xstate_matrix(make_state(FamilySpec("mnms", 0.3)))
-        r1 = optimize_cmi(rho)
-        r2 = optimize_cmi(rho)
-        assert r1 == r2
+        assert oracle_set(rho) == oracle_set(rho)
 
 
 def _full_sphere_leader(parts, grid, sign=1.0):
@@ -637,7 +637,8 @@ def test_phase_stage_value_is_the_cmi_at_its_setting(entries, grid, refine):
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
     phases = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    for res in (qs_oracle(rho, grid, refine), laqc_oracle(rho, grid, refine)):
+    found = oracle_set(rho, grid, refine)
+    for res in (found.qs, found.laqc):
         base, pa, pb = res.setting
         assert abs(_projector_cmi(rho, base, pa, pb) - res.value) <= 1e-12
         diagonal = max(_projector_cmi(rho, base, p, p) for p in phases)
@@ -651,96 +652,109 @@ def test_later_rounds_never_lower_the_value(kind, seed, grid):
     # only on strict improvement, so each search's value is nondecreasing in r
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng) if kind == "generic" else xstate_matrix(random_xstate(rng, kind == "x-rank"))
-    for search in (laqc_oracle, optimize_cmi):
-        values = [search(rho, grid, refine).value for refine in range(9)]
+    found = [oracle_set(rho, grid, refine) for refine in range(9)]
+    for measure in ("laqc", "cs"):
+        values = [getattr(res, measure).value for res in found]
         assert all(later >= value for value, later in zip(values, values[1:])), values
 
 
 class TestLaqcOracle:
     def test_werner(self):
         st = make_state(FamilySpec("werner", 0.5))
-        res = laqc_oracle(xstate_matrix(st))
+        res = _laqc(xstate_matrix(st))
         assert res.value == pytest.approx(0.18872187554086717, abs=1e-3)
 
     def test_diagonal_state_yields_zero(self):
         rho = xstate_matrix(XStateParams(0.4, 0.1, 0.2, 0.3, 0.0, 0.0))
-        assert laqc_oracle(rho).value < 1e-6
+        assert _laqc(rho).value < 1e-6
 
     def test_mems_large_x(self):
         st = make_state(FamilySpec("mems", 0.9))
-        res = laqc_oracle(xstate_matrix(st))
+        res = _laqc(xstate_matrix(st))
         assert res.value == pytest.approx(family_laqc(0.9), abs=1e-3)
 
     def test_mub_setting_returned(self):
-        from rqcx.oracle import ComplementarySetting
-
-        res = laqc_oracle(BELL)
+        res = _laqc(BELL)
         assert isinstance(res.setting, ComplementarySetting)
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestQsOracle:
     def test_werner_equals_cs_oracle(self):
-        rho = xstate_matrix(make_state(FamilySpec("werner", 0.5)))
-        assert qs_oracle(rho).value == pytest.approx(
-            optimize_cmi(rho).value, abs=1e-6
-        )
+        found = oracle_set(xstate_matrix(make_state(FamilySpec("werner", 0.5))))
+        assert found.qs.value == pytest.approx(found.cs.value, abs=1e-6)
 
     def test_mems_small_x(self):
         rho = xstate_matrix(make_state(FamilySpec("mems", 0.1)))
-        assert qs_oracle(rho).value == pytest.approx(family_laqc(0.1), abs=1e-3)
+        assert oracle_set(rho).qs.value == pytest.approx(family_laqc(0.1), abs=1e-3)
 
     def test_maximally_mixed(self):
-        assert qs_oracle(MIXED).value < 1e-9
+        assert oracle_set(MIXED).qs.value < 1e-9
 
     @pytest.mark.parametrize("kind, x", [("werner", 0.3), ("werner", 0.7), ("mems", 0.8)])
     def test_keeps_the_first_leader_with_the_largest_value(self, kind, x):
         # eight tied stage-1 leaders, several of whose phase stages end on bit-equal values
         rho = xstate_matrix(make_state(FamilySpec(kind, x)))
         parts = _fano_parts(rho)
-        angles, values = oracle._max_leaders(parts, 16, 2)
+        angles, values = oracle.optimize_cmi(parts, 16, 2)
         best = None
         for a in angles[values >= values.max() - 1e-9]:
             phases, value = oracle._phase_stage(parts, a[None], 16, 2)
             if best is None or value[0] > best[0]:
                 best = (value[0], LocalMeasurement(*a), *phases[0])
-        res = qs_oracle(rho, 16, 2)
+        res = oracle_set(rho, 16, 2).qs
         assert (res.value, *res.setting) == best
 
     def test_dominated_by_laqc_on_random_states(self, rng):
         for _ in range(5):
-            rho = xstate_matrix(random_xstate(rng))
-            assert laqc_oracle(rho).value >= qs_oracle(rho).value - 2e-3
+            found = oracle_set(xstate_matrix(random_xstate(rng)))
+            assert found.laqc.value >= found.qs.value - 2e-3
 
 
-class TestStageOneMemo:
-    """qs_oracle and optimize_cmi share one stage-1 search; the last one is kept."""
+def _result_bits(res):
+    """A result's value and setting angles as float64 bits, with its grid and refine."""
+    setting = res.setting
+    if isinstance(setting, ComplementarySetting):
+        setting = (*setting.base, setting.phi_a, setting.phi_b)
+    return _bits([res.value, *setting]).tolist(), res.grid_resolution, res.refinement_depth
 
-    @staticmethod
-    def _fresh(monkeypatch, search):
-        monkeypatch.setattr(oracle, "_last_leaders", None)
-        return search()
 
-    def test_memo_matches_fresh_searches(self, monkeypatch, rng):
-        # generic states: their maxima lie off the grid, so refine and grid move the leaders
+class TestOracleSet:
+    """oracle_set checks rho once and runs the three stages, stage 1 once."""
+
+    def test_matches_the_stages_run_by_hand(self, rng):
+        cases = [(xstate_matrix(random_xstate(rng)), 16, 3), (random_density_matrix(rng), 9, 2),
+                 (xstate_matrix(random_xstate(rng, True)), 32, 4), (MIXED, 8, 0), (BELL, 33, 1)]
+        for rho, grid, refine in cases:
+            parts = _search_parts(rho, grid, refine)
+            angles, values = leaders = oracle.optimize_cmi(parts, grid, refine)
+            laqc = oracle.laqc_oracle(parts, grid, refine)
+            qs = oracle.qs_oracle(parts, leaders, grid, refine)
+            cs = oracle.OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
+            found = oracle_set(rho, grid, refine)
+            assert [_result_bits(r) for r in (found.laqc, found.qs, found.cs)] == [
+                _result_bits(r) for r in (laqc, qs, cs)
+            ]
+
+    def test_interleaved_calls_match_single_calls(self, rng):
+        # generic states: their maxima lie off the grid, so refine and grid move
+        # the leaders.  Each run differs from the one before in one of state,
+        # refine and grid, so a result kept from an earlier call would show.
         rhos = [random_density_matrix(rng), random_density_matrix(rng)]
-        # each run differs from the one before in one of state, refine and
-        # grid, so a key that missed any of them would read a stale entry
         runs = [(0, 2, 16), (0, 4, 16), (1, 4, 16), (1, 2, 16), (0, 2, 16), (0, 2, 8), (1, 2, 8), (1, 4, 8)]
-        for i, refine, grid in runs:
-            rho = rhos[i]
-            qs_res = qs_oracle(rho, grid, refine)
-            cs_res = optimize_cmi(rho, grid, refine)
-            assert qs_res == self._fresh(monkeypatch, lambda: qs_oracle(rho, grid, refine))
-            assert cs_res == self._fresh(monkeypatch, lambda: optimize_cmi(rho, grid, refine))
+        single = {run: oracle_set(rhos[run[0]], run[2], run[1]) for run in sorted(set(runs))}
+        for run in runs:
+            found = oracle_set(rhos[run[0]], run[2], run[1])
+            for measure in ("laqc", "qs", "cs"):
+                assert _result_bits(getattr(found, measure)) == _result_bits(getattr(single[run], measure))
 
     def test_max_takes_the_first_leader(self, rng):
-        # the one-leader route optimize_cmi took before the search was shared
+        # cs is leader 0 of stage 1, which is the search of the grid stage's first leader alone
         for rho in (xstate_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
             angles, _ = _grid_stage(parts, 16)
             angles, values = _refine_angles(parts, angles, _grid_steps(16), 3)
-            res = optimize_cmi(rho, 16, 3)
+            res = oracle_set(rho, 16, 3).cs
             assert np.float64(res.value).view(np.int64) == np.float64(max(values[0], 0.0)).view(np.int64)
             np.testing.assert_array_equal(np.array(res.setting), angles[0])
 
@@ -748,8 +762,8 @@ class TestStageOneMemo:
 def test_oracles_match_closed_forms_on_random_states(rng):
     for _ in range(5):
         st = random_xstate(rng)
-        rho = xstate_matrix(st)
+        found = oracle_set(xstate_matrix(st))
         ms = measure_set(st)
-        assert laqc_oracle(rho).value == pytest.approx(ms.laqc, abs=2e-3)
-        assert qs_oracle(rho).value == pytest.approx(ms.qs, abs=2e-3)
-        assert optimize_cmi(rho).value == pytest.approx(ms.cs, abs=2e-3)
+        assert found.laqc.value == pytest.approx(ms.laqc, abs=2e-3)
+        assert found.qs.value == pytest.approx(ms.qs, abs=2e-3)
+        assert found.cs.value == pytest.approx(ms.cs, abs=2e-3)

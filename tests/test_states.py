@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rqcx.measures import measure_set
 from rqcx.states import (
     BlochX,
     InvalidStateError,
+    ValidationReport,
     XStateParams,
     bloch_params,
     check_xstate,
@@ -44,6 +47,40 @@ class TestValidation:
 
     def test_nan_rejected(self):
         assert not xstate_report(XStateParams(float("nan"), 0.5, 0.25, 0.25, 0, 0)).valid
+
+
+def _state(route, fields, kind):
+    """The X state of fields, each of type kind: six X parameters, or five Bloch coefficients read by bloch_params."""
+    values = [kind(v) for v in fields]
+    return XStateParams(*values) if route == "params" else bloch_params(BlochX(*values))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestNumpyScalars:
+    """Numpy-scalar fields are read as floats: the report and the bits of Python floats."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("route, slot", [("params", k) for k in range(6)] + [("bloch", k) for k in range(5)])
+    def test_non_finite_field_gets_its_report(self, route, slot, value):
+        # value in one slot and -value in the next, so inf meets -inf in the
+        # sums; the suite turns numpy's RuntimeWarning into an error
+        fields = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0] if route == "params" else [0.1, 0.0, 0.0, 0.0, 0.0]
+        fields[slot], fields[(slot + 1) % len(fields)] = value, -value
+        for kind in (np.float64, float):
+            assert xstate_report(_state(route, fields, kind)) == ValidationReport((("finite_values", np.inf),))
+
+    @pytest.mark.parametrize("route", ["params", "bloch"])
+    def test_finite_fields_give_the_float_bits(self, rng, route):
+        for k in range(200):
+            p = random_xstate(rng, k % 2 == 1)
+            fields = astuple(p) if route == "params" else astuple(bloch(p))
+            scalar, plain = _state(route, fields, np.float64), _state(route, fields, float)
+            assert _bits(astuple(scalar)) == _bits(astuple(plain))
+            assert _bits(check_xstate(scalar)) == _bits(check_xstate(plain))
+            assert _bits(astuple(measure_set(scalar))) == _bits(astuple(measure_set(plain)))
 
 
 class TestBlochConversion:
