@@ -4,8 +4,9 @@ Time is dimensionless (gamma*t), and all rates are entered relative to the
 environment fluctuation rate gamma.  Each model owns its closed forms:
 envelope(t) and the ladders zeros(t_max), extrema(t_end) and crossings(kappa,
 t_end), the times where Lambda^2 falls through a level kappa, each a float64
-array.  Random telegraph noise (RTN) oscillates as it decays; all three of its
-ladders come from one table of the pieces where |Lambda| falls.  The modified
+array.  Random telegraph noise (RTN) oscillates as it decays; its zeros and
+crossings come from one table of the pieces where |Lambda| falls, and its
+extrema from the extremum ladder that starts those pieces.  The modified
 Ornstein-Uhlenbeck noise (MOUN) and the Markovian baseline decay monotonically
 and share one definition: no zeros, no extrema.  Markov crosses a level in
 closed form; RTN and MOUN solve each crossing on a monotone piece of the
@@ -66,14 +67,17 @@ class Rtn:
         w = self.omega
         return -np.exp(-t) * (w + 1.0 / w) * np.sin(w * t)
 
+    def _starts(self, t: float) -> np.ndarray:
+        """The extrema k pi/omega from k = 0 to one past floor(t omega/pi), which
+        rounds low an ulp past an extremum: every extremum up to t, and more."""
+        return self._extremum(np.arange(0.0, np.floor(t * self.omega / np.pi) + 2.0))
+
     def _pieces(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The falling pieces of |Lambda| that start at or before t: the extrema k pi/omega
-        and the zeros after them, which hold every zero up to t.  k runs one past
-        floor(t omega/pi), which rounds low an ulp past an extremum, and is cut at t."""
-        k = np.arange(0.0, np.floor(t * self.omega / np.pi) + 2.0)
-        start = self._extremum(k)
+        (`_starts`, cut at t) and the zeros after them, which hold every zero up to t."""
+        start = self._starts(t)
         n = np.searchsorted(start, t, side="right")
-        return start[:n], self._zero(k[:n])
+        return start[:n], self._zero(np.arange(0.0, n))
 
     def zeros(self, t_max: float) -> np.ndarray:
         """The zeros in (0, t_max], one after each extremum."""
@@ -81,8 +85,11 @@ class Rtn:
         return end[end <= t_max]
 
     def extrema(self, t_end: float) -> np.ndarray:
-        """The extrema k pi/omega, k >= 1, before t_end, where sin(omega t) in Lambda' changes sign."""
-        t = self._pieces(t_end)[0][1:]
+        """The extrema k pi/omega, k >= 1, before t_end, where sin(omega t) in Lambda' changes sign.
+
+        They need no zeros, so they come from `_starts` alone, not from the
+        piece table: `detect_events` builds that once, for the zeros."""
+        t = self._starts(t_end)[1:]
         return t[t < t_end]
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:

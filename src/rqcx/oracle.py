@@ -15,6 +15,19 @@ is deterministic coarse-to-fine: a grid scan (the four angles, each distinct
 measurement once, or the two Hadamard phases), then the rounds of the one
 ascent loop `_ascend`, whose step halves each round.
 
+Stage 1's grid scan is pruned by an exact bound.  Fix A's direction n: by
+Holevo's theorem no measurement on B draws more than chi_A(n) bits about A's
+outcome, so every CMI in A's row n is at most chi_A(n), and every CMI in B's
+column n at most chi_B(n) (`_holevo_bounds`, one vectorized pass over the
+directions).  The floor is the best kernel value on the row of the largest
+chi_A and the column of the largest chi_B, less `_TIE_TOL` and a slack
+`_BOUND_SLACK` of 1e-6; a row or column whose bound is below it cannot hold
+a setting within `_TIE_TOL` of the maximum, and is not scanned.  The kernel
+exceeds the exact CMI only by rounding, by at most 3.3e-14 on the states
+tried, so the leaders are the full scan's, to the bit.  A state with one
+bound in every direction (Werner states, the maximally mixed state, Bell
+states) is scanned whole, with no probe.
+
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
 candidates come from its own point.  A lane takes its first best candidate
@@ -62,6 +75,11 @@ REFINE_MAX = 64
 # The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
 # 8 * 64**2 settings, so every kernel call stays within one block.
 BLOCK_ELEMENTS = 1 << 15
+# How far below a kernel value the grid stage's row and column bounds may sit
+# before a row or column is dropped: the kernel's rounding excess over the
+# exact CMI was at most 3.3e-14 on the states tried (see `_grid_stage`).
+_BOUND_SLACK = 1e-6
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two outcomes, on a leading axis
 _TWO_PI = 2.0 * np.pi
 
 
@@ -191,14 +209,60 @@ def _grid_steps(grid: int) -> np.ndarray:
     return np.array([dt, dp, dt, dp])
 
 
+def _holevo_bounds(parts, n: np.ndarray) -> np.ndarray:
+    """chi_A and chi_B, shape (2, len(n)): the Holevo bound of each party's measurement along n.
+
+    Measuring A along n gives outcome s = +-1 with p_s = (1 + s n.rA)/2 and
+    leaves B with Bloch vector v_s/(2 p_s), v_s = rB + s T^T n, so chi_A(n) =
+    S(rho_B) - sum_s p_s S(rho_B|s), S the entropy of a Bloch length clipped
+    at 1 and a p_s = 0 branch adding 0; chi_B swaps rA and rB and transposes
+    T.  No measurement of the other party draws more than chi bits about the
+    outcome (Holevo), so every CMI of A's row n is at most chi_A(n), and of
+    B's column n chi_B(n).  p_s S(rho_B|s) is -sum_k e log2 e + p_s log2 p_s,
+    e = (2 p_s + k |v_s|)/4 for k = +-1, so chi takes the CMI formula's
+    form: joint terms of e, less the marginal terms of n.rA and |rB|.
+    """
+    ra, rb, tt = parts
+    # n.rA and n.rB, the measured party's projection; rB.(T^T n) and rA.(T n),
+    # the cross terms; T^T n and T n, the steered Bloch vectors
+    proj = np.column_stack((ra, rb, tt @ rb, tt.T @ ra, tt, tt.T)).T @ n.T
+    own, cross, steer = proj[:2], proj[2:4], proj[4:]
+    other = np.array([[rb @ rb], [ra @ ra]])  # |rB|^2, |rA|^2
+    two_p = 1.0 + _SIGNS * own  # (outcome, party, direction)
+    square = (other + (steer * steer).reshape(2, 3, -1).sum(axis=1)) + 2.0 * _SIGNS * cross
+    # |v_s|, at most 2 p_s: the conditional Bloch length clipped at 1
+    length = np.minimum(np.sqrt(np.maximum(square, 0.0)), np.maximum(two_p, 0.0))
+    joint = kernels._xlog2x(0.25 * (two_p + _SIGNS[:, None] * length)).sum(axis=(0, 1))
+    marginal = kernels._marginal_plogp(np.concatenate((own.ravel(), np.sqrt(other[:, 0]))))
+    return joint - marginal[:-2].reshape(own.shape) - marginal[-2:, None]
+
+
 def _grid_stage(parts, grid: int, keep: int = 1):
     """4-angle grid scan for the CMI maximum; returns up to `keep` tied leaders in scan order,
     as angles of shape (L, 4) and their values.
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
-    w is one matrix product (row slices of it can round differently); the
-    CMI is then evaluated and reduced one row block of at most
+    w is one matrix product (row slices of it can round differently).
+
+    Only the rows and columns that can hold a leader are scanned.  Every CMI
+    of A's row n is at most chi_A(n), and of B's column n chi_B(n)
+    (`_holevo_bounds`); the kernel exceeds the exact CMI only by rounding,
+    at most 3.3e-14 on the states tried (rank-deficient X states give the
+    most), far inside `_BOUND_SLACK`.  The floor is the best kernel value on
+    the row of the largest chi_A and the column of the largest chi_B (one
+    probe call), less `_TIE_TOL` and `_BOUND_SLACK`: these are grid
+    settings, so the stage's maximum is at least the floor plus both.  A row
+    or column whose chi is below the floor then holds no setting within
+    `_TIE_TOL` of the maximum, and dropping it changes neither the maximum
+    nor its ties: the result is the full scan's, to the bit.  When every
+    chi lies within `_TIE_TOL` plus half the slack of the largest, the floor
+    cannot fall above any of them, and the probe is skipped.  Kept rows and
+    columns stay ascending and the leaders map back to their full scan
+    indices; when all are kept (an isotropic state, such as Werner's) they
+    are taken as slices.
+
+    The CMI is then evaluated and reduced one row block of at most
     `BLOCK_ELEMENTS` settings at a time, so no table-sized array is
     made.  Each block keeps its maximum and every setting within `_TIE_TOL`
     of it: a tie of the overall maximum is within the tolerance of its own
@@ -211,22 +275,36 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
     x, y, w = na @ ra, na @ rb, na @ tt @ na.T
-    rows = max(1, BLOCK_ELEMENTS // n)
+    chi = _holevo_bounds(parts, na)
+    floor = -np.inf  # when every bound is within the slack of the largest (an isotropic state), no probe
+    if chi.min() < chi.max() - _TIE_TOL - 0.5 * _BOUND_SLACK:
+        # the floor's probes, one call: row i of A, and column j of B as a lane with the parties
+        # swapped, whose terms round differently from the scan's by far less than the slack
+        i, j = np.argmax(chi, axis=1)
+        probe = kernels.cmi_table(np.array([[x[i]], [y[j]]]), np.stack((y, x)), np.stack((w[i], w[:, j]))[:, None])
+        floor = probe.max() - _TIE_TOL - _BOUND_SLACK
+    rows, cols = np.flatnonzero(chi[0] >= floor), np.flatnonzero(chi[1] >= floor)
+    # the kept table, (rows.size, cols.size) and row-major, is taken as slices when it is whole
+    col_sel = slice(None) if cols.size == n else cols
+    y_kept = y[col_sel]
+    step = max(1, BLOCK_ELEMENTS // cols.size)
     tops, found, values = [], [], []
-    for r0 in range(0, n, rows):
-        block = kernels.cmi_table(x[r0 : r0 + rows], y, w[r0 : r0 + rows]).ravel()
+    for r0 in range(0, rows.size, step):
+        row_sel = slice(r0, r0 + step) if rows.size == n else rows[r0 : r0 + step]
+        block = kernels.cmi_table(x[row_sel], y_kept, w[row_sel][:, col_sel]).ravel()
         top = block.max()
         near = np.flatnonzero(block >= top - _TIE_TOL)
         if near.size > keep:
             vals = block[near]
             near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
         tops.append(top)
-        found.append(near + r0 * n)
+        found.append(near + r0 * cols.size)
         values.append(block[near])
     best = float(np.max(tops))
     idx, vals = np.concatenate(found), np.concatenate(values)
     lead = np.flatnonzero(vals >= best - _TIE_TOL)[:keep]
-    ia, ib = np.divmod(idx[lead], n)
+    ia, ib = np.divmod(idx[lead], cols.size)
+    ia, ib = rows[ia], cols[ib]
     return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 

@@ -81,6 +81,7 @@ class InvalidStateError(ValueError):
         self.report = report
 
 
+_TEXT = (str, bytes, bytearray)  # what float() parses but no field may be
 _X_CHECKS = ("weight_nonnegative", "unit_trace", "r_coherence_bound", "s_coherence_bound")
 
 
@@ -137,8 +138,15 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
     reconstructs.  A rejected state raises InvalidStateError("unphysical X
     state: <rows>"), or "unphysical Bloch coefficients: <rows>", with the
     report of those defects; a valid state builds no dataclass and no report.
+    A str, bytes or bytearray field raises TypeError before any is read, since
+    float() would parse it and the measures' arithmetic would not.
     """
-    a, b, c, d, r, s = float(p.a), float(p.b), float(p.c), float(p.d), float(p.r), float(p.s)
+    a, b, c, d, r, s = fields = p.a, p.b, p.c, p.d, p.r, p.s
+    if not type(a) is type(b) is type(c) is type(d) is type(r) is type(s) is float:  # plain floats pass as they are
+        for v in fields:
+            if isinstance(v, _TEXT):
+                raise TypeError(f"X-state fields must be numbers, not {type(v).__name__}")
+        a, b, c, d, r, s = map(float, fields)
     defects = _x_defects(a, b, c, d, r, s)
     if not _holds(defects):
         _require(_report((a, b, c, d, r, s), defects), "unphysical X state")

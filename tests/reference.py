@@ -1,7 +1,8 @@
 """Independent references the tests check rqcx against.
 
 Each one computes its quantity a second way, from explicit operators:
-complex measurement bases and projectors, the complex Hadamard family, the
+complex measurement bases and projectors, the Holevo quantity of a local
+measurement from partial traces, the complex Hadamard family, the
 spin-flip construction of the concurrence, the phase-flip Kraus channel and
 Pauli traces.  The families' closed-form curves and u itself are written
 out in plain `math` floats.  From rqcx each imports only data types
@@ -102,6 +103,27 @@ def classical_mutual_info(table) -> float:
 
     value = plogp(p.ravel()) - plogp(p.sum(axis=1)) - plogp(p.sum(axis=0))
     return max(value, 0.0)
+
+
+def _entropy_bits(rho2: np.ndarray) -> float:
+    """Von Neumann entropy in bits of a qubit density matrix, with 0 log2 0 = 0."""
+    return -sum(v * math.log2(v) for v in np.linalg.eigvalsh(rho2).tolist() if v > 0.0)
+
+
+def holevo_quantity(rho: np.ndarray, theta: float, phi: float, party: str) -> float:
+    """chi of measuring `party` ("A" or "B") of rho along the Bloch direction (theta, phi):
+    S(rho_other) - sum_i p_i S(rho_other|i), from the explicit projectors and partial traces."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)  # (a, b, a', b')
+    # the other party's state, and its unnormalized state after outcome i
+    other, given = ("bcbd->cd", "ac,cbad->bd") if party == "A" else ("abcb->ac", "bd,adcb->ac")
+    chi = _entropy_bits(np.einsum(other, r))
+    basis = basis_vectors(theta, phi)
+    for i in range(2):
+        sigma = np.einsum(given, np.outer(basis[:, i], basis[:, i].conj()), r)
+        p = float(np.trace(sigma).real)
+        if p > 0.0:
+            chi -= p * _entropy_bits(sigma / p)
+    return chi
 
 
 # ---- the concurrence of any 2-qubit state

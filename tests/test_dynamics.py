@@ -84,6 +84,16 @@ class TestEvents:
         with pytest.raises(ValueError, match="finite and positive"):
             detect_events(st, RTN4, t_end)
 
+    @pytest.mark.parametrize("param, tables", [(0.2, 1), (0.9, 2)], ids=["no-death-level", "crossings"])
+    def test_one_piece_table_for_zeros_and_extrema(self, monkeypatch, param, tables):
+        # Werner 0.2 has no concurrence, so its events need only the zeros and
+        # extrema, one RTN piece table; Werner 0.9's concurrence deaths need the
+        # crossings, which build their own
+        calls = []
+        monkeypatch.setattr(Rtn, "_pieces", lambda self, t, _fn=Rtn._pieces: calls.append(t) or _fn(self, t))
+        detect_events(make_state(FamilySpec("werner", param)), RTN4, 3.0)
+        assert len(calls) == tables and calls[0] == 3.0
+
     def test_moun_produces_no_sudden_death(self):
         st = make_state(FamilySpec("mnms", 0.7))
         events = detect_events(st, Moun(1.0), 3.0)

@@ -210,12 +210,8 @@ class TestBlockedKernel:
         assert flat[0] == 1.0 and flat[1] == 1.0
 
 
-@pytest.mark.parametrize("refine", [0, 4, 8])
-def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
-    # one `rqcx oracle` at grid 32: 8 grid-stage row blocks, then one call
-    # for the leaders' start values and one per refinement round, and one
-    # full phase table plus one per round in each of the two phase stages;
-    # stage 1 runs once, and nothing goes through cmi_flat
+def _oracle_table_calls(monkeypatch, capsys, kind, param, refine):
+    """The cmi_table and cmi_flat calls of one `rqcx oracle --grid 32` run."""
     from rqcx import cli
 
     calls = {"cmi_table": 0, "cmi_flat": 0}
@@ -225,9 +221,30 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
             return _fn(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    assert cli.main(["oracle", "--state", "werner", "--param", "0.7", "--grid", "32", "--refine", str(refine)]) == 0
+    argv = ["oracle", "--state", kind, "--param", str(param), "--grid", "32", "--refine", str(refine)]
+    assert cli.main(argv) == 0
     capsys.readouterr()
+    return calls
+
+
+@pytest.mark.parametrize("refine", [0, 4, 8])
+def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
+    # one `rqcx oracle` at grid 32: 8 grid-stage row blocks, then one call
+    # for the leaders' start values and one per refinement round, and one
+    # full phase table plus one per round in each of the two phase stages;
+    # stage 1 runs once, and nothing goes through cmi_flat.  Werner's bound
+    # is the same in every direction, so its grid stage drops nothing and
+    # makes no floor probe
+    calls = _oracle_table_calls(monkeypatch, capsys, "werner", 0.7, refine)
     assert calls == {"cmi_table": 8 + 3 * (1 + refine), "cmi_flat": 0}
+
+
+@pytest.mark.parametrize("refine", [0, 4, 8])
+def test_pruned_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
+    # MNMS 0.6: the grid stage's floor probe, one call, leaves one setting,
+    # which is one more; the rest as for Werner
+    calls = _oracle_table_calls(monkeypatch, capsys, "mnms", 0.6, refine)
+    assert calls == {"cmi_table": 2 + 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("kind, param", [("werner", 0.0), ("mems", 0.8)])

@@ -293,6 +293,23 @@ class TestLadders:
         for ladder in (lambda_zeros(model, t_end), model.extrema(t_end)):
             assert isinstance(ladder, np.ndarray) and ladder.dtype == np.float64 and ladder.ndim == 1
 
+    @settings(max_examples=200)
+    @given(window=_rtn_windows())
+    def test_extrema_build_no_piece_table(self, window):
+        # the extrema k pi/omega before t, from the extremum ladder alone, so
+        # zeros and extrema together build one piece table
+        model, t = window
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Rtn, "_pieces", lambda self, t, _fn=Rtn._pieces: calls.append(t) or _fn(self, t))
+            extrema = model.extrema(t)
+            lambda_zeros(model, t)
+        assert calls == [t]
+        w = model.omega
+        assert extrema.tolist() == [k * np.pi / w for k in range(1, extrema.size + 1)]
+        assert extrema.size == 0 or extrema[-1] < t
+        assert (extrema.size + 1) * np.pi / w >= t
+
 
 class TestCrossings:
     """Each model's crossings of a level kappa are where Lambda^2 falls through it."""

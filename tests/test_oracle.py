@@ -12,6 +12,7 @@ from reference import (
     classical_mutual_info,
     complementary_basis,
     family_laqc,
+    holevo_quantity,
     post_measurement_probs,
 )
 from rqcx import kernels, oracle
@@ -220,17 +221,60 @@ def _stage_state(kind, weights, signs):
     return xstate_matrix(XStateParams(a, b, c, d, r, s))
 
 
-def _rows_in_scan_order(table):
-    """A cmi_table stand-in serving the rows of `table` in turn, as many per call as it is given."""
-    row = 0
+def _served_by_setting(table, w):
+    """A cmi_table stand-in serving table[i, j] for each entry of the w it is given, read off the
+    bits of w[i, j]: every entry of w must differ, so any call (probe, block or full table) is served."""
+    where = {v: k for k, v in enumerate(w.ravel().tolist())}
+    assert len(where) == w.size
+    served = []
 
-    def cmi_table(x, y, w):
-        nonlocal row
-        out = table[row : row + len(x)].copy()
-        row = (row + len(x)) % len(table)
-        return out
+    def cmi_table(x, y, w_in):
+        settings = [where[v] for v in np.ravel(w_in).tolist()]
+        served.append(len(settings))
+        return table.ravel()[settings].reshape(np.shape(w_in))
 
-    return cmi_table
+    return cmi_table, served
+
+
+def _rotated_isotropic_parts(seed, c=0.3):
+    """Fano parts with rA = rB = 0 and T = c Q, Q a random orthogonal matrix: every direction has the
+    same bound, so the grid stage keeps every row and column, and w = n.T.n has no two equal entries."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    return np.zeros(3), np.zeros(3), c * q
+
+
+def _stage_calls(monkeypatch, parts, grid, keep):
+    """_grid_stage's result and the sizes of its cmi_table calls."""
+    sizes = []
+
+    def recorded(x, y, w, _fn=kernels.cmi_table):
+        sizes.append(np.size(w))
+        return _fn(x, y, w)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "cmi_table", recorded)
+        result = _grid_stage(parts, grid, keep)
+    return result, sizes
+
+
+_BOUND_KINDS = ("x", "x-rank-deficient", "x-diagonal", "generic", "rank-1", "rank-2", "rank-3", "negative-eigenvalue")
+
+
+def _bound_state(kind, entries, weights):
+    """A density matrix of the given kind, from 32 entries in [-1, 1] and four X weights; the entries,
+    plus 2 on the diagonal so that no column vanishes, make g, and rho is g g^dagger of rank at most r."""
+    if kind.startswith("x"):
+        return _stage_state({"x": "generic", "x-rank-deficient": "rank-deficient", "x-diagonal": "diagonal"}[kind],
+                            weights, (1.0, -1.0))
+    rank = int(kind[-1]) if kind.startswith("rank") else 4
+    g = ((np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4) + 2.0 * np.eye(4))[:, :rank]
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    if kind == "negative-eigenvalue":  # inside EIG_TOL, as a rounded state can be
+        vals, vecs = np.linalg.eigh(rho)
+        vals[0] = -1e-10
+        rho = (vecs * (vals / vals.sum())) @ vecs.conj().T
+    return rho
 
 
 class TestGridStage:
@@ -282,22 +326,95 @@ class TestGridStage:
         # Block 0 (rows 0 and 1) holds a near tie at (0, 3): within _TIE_TOL of
         # its block's maximum (0, 4), but not of the overall maximum (2, 0) in
         # block 1.  (0, 4) and (1, 5) are true ties.  A block list cut at
-        # `keep` would hold the near tie and lose a true tie behind it.
-        n = _grid_directions(8)[0].shape[0]
+        # `keep` would hold the near tie and lose a true tie behind it.  The
+        # parts' bound keeps every row and column, so all of the table is scanned.
+        parts = _rotated_isotropic_parts(3)
+        na = _grid_directions(8)[0]
+        n = na.shape[0]
         table = np.zeros((n, n))
         table[0, 3] = 1.0 - 1.05e-9
         table[0, 4] = 1.0 - 0.1e-9
         table[1, 5] = 1.0 - 0.7e-9
         table[2, 0] = 1.0
         table[3, 1] = 1.0 - 0.2e-9
+        fake, served = _served_by_setting(table, na @ parts[2] @ na.T)
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * n)
-        parts = _fano_parts(random_density_matrix(np.random.default_rng(3)))
-        monkeypatch.setattr(kernels, "cmi_table", _rows_in_scan_order(table))
+        monkeypatch.setattr(kernels, "cmi_table", fake)
         angles, values = _grid_stage(parts, 8, keep)
+        assert sum(served) == n * n
         ref_angles, ref_values = _grid_stage_ref(parts, 8, keep)
         assert values.tolist() == [1.0 - 0.1e-9, 1.0 - 0.7e-9, 1.0][:keep]
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("kind, param", [("mnms", 0.3), ("mems", 0.9)])
+    def test_pruned_stage_matches_full_table(self, monkeypatch, kind, param):
+        # the bound drops all but a sliver of the table: one probe call, then
+        # the kept rows and columns, a setting of MNMS 0.3 and 64 x 64 of MEMS 0.9
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec(kind, param))))
+        n = _grid_directions(32)[0].shape[0]
+        for keep in (1, 8):
+            (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, keep)
+            ref_angles, ref_values = _grid_stage_ref(parts, 32, keep)
+            assert sizes[0] == 2 * n and sum(sizes[1:]) <= 0.02 * n * n
+            np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+            np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("name", ["werner", "mixed", "bell"])
+    def test_isotropic_stage_scans_everything(self, monkeypatch, name):
+        # every direction has the same bound: no probe, and every row block is
+        # the full scan's
+        rho = {"werner": xstate_matrix(make_state(FamilySpec("werner", 0.7))), "mixed": MIXED, "bell": BELL}[name]
+        parts = _fano_parts(rho)
+        n = _grid_directions(32)[0].shape[0]
+        rows = oracle.BLOCK_ELEMENTS // n
+        (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, 8)
+        ref_angles, ref_values = _grid_stage_ref(parts, 32, 8)
+        assert sizes == [rows * n] * (n // rows) + [(n % rows) * n]
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("keep", [1, 8])
+    def test_block_boundary_inside_the_kept_rows(self, monkeypatch, keep):
+        # MEMS 0.7 keeps 160 of 481 rows and columns; blocks of 7 kept rows put
+        # 22 boundaries inside them
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("mems", 0.7))))
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 7 * 160)
+        (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, keep)
+        ref_angles, ref_values = _grid_stage_ref(parts, 32, keep)
+        assert sizes[1:] == [7 * 160] * 22 + [6 * 160]
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    def test_bounds_match_the_projector_route(self, rng):
+        # chi from the Fano parts is the Holevo quantity of the measurement, as
+        # the partial traces of rho give it
+        rhos = [random_density_matrix(rng) for _ in range(4)]
+        rhos += [xstate_matrix(random_xstate(rng, k % 2 == 1)) for k in range(4)]
+        rhos += [xstate_matrix(make_state(FamilySpec(kind, x))) for kind, x in (("mnms", 0.3), ("werner", 1.0))]
+        na, ta, pa = _grid_directions(8)
+        for rho in rhos:
+            chi = oracle._holevo_bounds(_fano_parts(rho), na)
+            ref = [[holevo_quantity(rho, t, p, party) for t, p in zip(ta, pa)] for party in "AB"]
+            np.testing.assert_allclose(chi, ref, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(_BOUND_KINDS),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+        weights=st.tuples(*[st.floats(0.05, 1.0)] * 4),
+        grid=st.sampled_from((8, 16, 33)),
+    )
+    def test_every_cmi_is_within_its_bounds(self, kind, entries, weights, grid):
+        # Holevo: no CMI of A's row n exceeds chi_A(n), nor of B's column n
+        # chi_B(n); the kernel's rounding stays far inside the slack
+        parts = _fano_parts(_bound_state(kind, entries, weights))
+        ra, rb, tt = parts
+        na = _grid_directions(grid)[0]
+        table = kernels.cmi_table(na @ ra, na @ rb, na @ tt @ na.T)
+        chi = oracle._holevo_bounds(parts, na)
+        assert np.all(table <= chi[0][:, None] + oracle._BOUND_SLACK)
+        assert np.all(table <= chi[1][None, :] + oracle._BOUND_SLACK)
 
     @pytest.mark.parametrize("kind", ["generic", "mixed"])
     def test_grid_64_peak_is_about_w(self, kind):

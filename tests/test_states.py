@@ -83,6 +83,28 @@ class TestNumpyScalars:
             assert _bits(astuple(measure_set(scalar))) == _bits(astuple(measure_set(plain)))
 
 
+class TestTextFields:
+    """A text field, which float() would parse, is a TypeError on every entry point."""
+
+    @pytest.mark.parametrize("kind", [str, lambda v: str(v).encode(), lambda v: bytearray(str(v).encode())],
+                             ids=["str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_text_field_is_a_type_error(self, slot, kind):
+        fields = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+        fields[slot] = kind(fields[slot])
+        p = XStateParams(*fields)
+        for entry in (xstate_report, check_xstate, measure_set):
+            with pytest.raises(TypeError, match="X-state fields must be numbers"):
+                entry(p)
+
+    def test_every_field_text(self):
+        p = XStateParams("0.25", "0.25", "0.25", "0.25", "0", "0")
+        with pytest.raises(TypeError, match="not str"):
+            xstate_report(p)
+        with pytest.raises(TypeError, match="not str"):
+            measure_set(p)
+
+
 class TestBlochConversion:
     def test_maximally_mixed_maps_to_zero(self):
         b = bloch(MIXED)
