@@ -29,9 +29,14 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
 
 
+_SIGNS = np.array([[1.0], [-1.0]])  # the two outcomes, on a leading axis
+
+
 def _marginal_plogp(x: np.ndarray) -> np.ndarray:
-    """Sum of p*log2(p) over the two outcomes of a party with Bloch projection x."""
-    return _xlog2x(0.5 * (1.0 + x)) + _xlog2x(0.5 * (1.0 - x))
+    """Sum of p*log2(p) over the two outcomes of a party with Bloch projection x (1-d): one
+    masked log2 over the stacked (2, x.size) outcome probabilities."""
+    terms = _xlog2x(0.5 * (1.0 + _SIGNS * x))
+    return terms[0] + terms[1]
 
 
 def _marginals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,12 @@ import numpy as np
 from .search import newton
 
 
+# e^-x is 0.0 for x >= 746 (exp underflows below -745.14).  The envelopes cap RTN's t in
+# cos(omega t) and the exponent of Markov and MOUN there: past it the envelope is 0 (RTN's
+# with the sign it has at 746), and omega t and lambda t cannot overflow to inf or a NaN
+_EXP_ZERO = 746.0
+
+
 def _require_rate(value: float, label: str) -> None:
     if not (np.isfinite(value) and value > 0.0):
         raise ValueError(f"{label} must be finite and positive")
@@ -51,7 +57,8 @@ class Rtn:
 
     def envelope(self, t):
         w = self.omega
-        return np.exp(-t) * (np.cos(w * t) + np.sin(w * t) / w)
+        wt = w * np.minimum(t, _EXP_ZERO)
+        return np.exp(-t) * (np.cos(wt) + np.sin(wt) / w)
 
     def _extremum(self, k):
         """The k-th extremum k pi/omega; k = 0 is t = 0."""
@@ -151,7 +158,8 @@ class Moun(_Monotone):
         _require_rate(self.Gamma_over_gamma, "MOUN relaxation rate")
 
     def envelope(self, t):
-        return np.exp(-0.5 * self.Gamma_over_gamma * (t + np.expm1(-t)))
+        gamma = self.Gamma_over_gamma
+        return np.exp(-0.5 * gamma * np.minimum(t + np.expm1(-t), 2.0 * _EXP_ZERO / gamma))
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:
         """The time in (0, t_end], if any, where Lambda^2 falls through kappa, 0 < kappa < 1.
@@ -181,7 +189,8 @@ class Markov(_Monotone):
         _require_rate(self.lambda_over_gamma, "Markovian decay rate")
 
     def envelope(self, t):
-        return np.exp(-self.lambda_over_gamma * t)
+        rate = self.lambda_over_gamma
+        return np.exp(-rate * np.minimum(t, _EXP_ZERO / rate))
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:
         """The time in (0, t_end], if any, where Lambda^2 falls through kappa: ln(1/kappa)/(2 lambda)."""

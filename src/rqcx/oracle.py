@@ -24,9 +24,23 @@ chi_A and the column of the largest chi_B, less `_TIE_TOL` and a slack
 `_BOUND_SLACK` of 1e-6; a row or column whose bound is below it cannot hold
 a setting within `_TIE_TOL` of the maximum, and is not scanned.  The kernel
 exceeds the exact CMI only by rounding, by at most 3.3e-14 on the states
-tried, so the leaders are the full scan's, to the bit.  A state with one
-bound in every direction (Werner states, the maximally mixed state, Bell
-states) is scanned whole, with no probe.
+tried, so the leaders are the full scan's, to the bit.
+
+A state with one Holevo bound in every direction (Werner and Bell states)
+is pruned by a second exact bound, on cells of one A direction n and one of
+B's theta rings (a grid row of directions at one theta; the pole is a ring of
+one).  For A's outcome s, B's direction enters the CMI only through m_s =
+n_B.(rB + s T^T n), and over a ring m_s fills an interval.  For a fixed
+input distribution the mutual information is convex in the channel (Cover
+and Thomas, Thm 2.7.4), and B's channel is affine in (m_+, m_-), so no
+setting of the cell beats the CMI at the four corners of that box
+(`_ring_bounds`, one kernel call per block of rows).  The corners' kernel
+values, like the scan's, are the exact CMI up to rounding far inside the
+slack, so the leaders stay the full scan's, to the bit.  The probe is the
+cell of the largest bound, and only cells at or above the floor are
+scanned: at the default grid, 15360 of Werner's 231361 settings.  A state
+whose bound is within the slack of 0 (the maximally mixed state) can drop
+nothing, and is scanned whole.
 
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
@@ -54,6 +68,7 @@ phases of the complementary family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,9 +90,9 @@ REFINE_MAX = 64
 # The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
 # 8 * 64**2 settings, so every kernel call stays within one block.
 BLOCK_ELEMENTS = 1 << 15
-# How far below a kernel value the grid stage's row and column bounds may sit
-# before a row or column is dropped: the kernel's rounding excess over the
-# exact CMI was at most 3.3e-14 on the states tried (see `_grid_stage`).
+# How far below a kernel value the grid stage's row, column and cell bounds may
+# sit before a row, column or cell is dropped: the kernel's rounding excess over
+# the exact CMI was at most 3.3e-14 on the states tried (see `_grid_stage`).
 _BOUND_SLACK = 1e-6
 _SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two outcomes, on a leading axis
 _TWO_PI = 2.0 * np.pi
@@ -118,28 +133,38 @@ def _fano_parts(rho: np.ndarray):
     return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
+@functools.cache
 def _grid_directions(grid: int):
-    """Distinct measurement directions of the grid x grid sphere grid, in scan order.
+    """Distinct measurement directions of the grid x grid sphere grid, in scan order, read-only
+    and made once per grid.
 
     The full grid runs theta over [0, pi] (grid points) and phi over [0, 2pi)
     (grid points), theta-major.  Directions n and -n give the same projective
     measurement, so only the first occurrence of each is kept: the theta = 0
     pole once (theta = pi is its antipode), then every inner theta row, except
     that for even grids the rows past the equator are dropped, since each holds
-    the antipodes (pi - theta, phi + pi) of an earlier row.
+    the antipodes (pi - theta, phi + pi) of an earlier row.  Each inner row is
+    a ring of grid directions at one theta, and the pole a ring of one.
     """
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
     rows = thetas[1 : grid // 2] if grid % 2 == 0 else thetas[1:-1]
     t = np.concatenate(([0.0], np.repeat(rows, grid)))
     p = np.concatenate(([0.0], np.tile(phis, rows.size)))
-    return _direction(t, p), t, p
+    directions = _direction(t, p), t, p
+    for a in directions:
+        a.flags.writeable = False
+    return directions
 
 
 def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta) along a new last axis."""
     st = np.sin(theta)
-    return np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (3,))
+    np.multiply(st, np.cos(phi), out=out[..., 0])
+    np.multiply(st, np.sin(phi), out=out[..., 1])
+    np.cos(theta, out=out[..., 2])
+    return out
 
 
 def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -237,74 +262,181 @@ def _holevo_bounds(parts, n: np.ndarray) -> np.ndarray:
     return joint - marginal[:-2].reshape(own.shape) - marginal[-2:, None]
 
 
+def _ring_bounds(parts, n: np.ndarray, x: np.ndarray, thetas: np.ndarray, pole) -> np.ndarray:
+    """Bounds of the kernel on each cell of A's directions n and B's rings, shape (len(n), 1 + len(thetas)).
+
+    A cell is A's direction n_i with B's ring at one theta of thetas: the
+    directions (sin theta cos phi, sin theta sin phi, cos theta) over phi.
+    For A's outcome s, B's direction enters the CMI only through m_s =
+    n_B.v_s, v_s = rB + s T^T n_i and p_s = (1 + s n_i.rA)/2 as in
+    `_holevo_bounds`; the kernel's y and w are (m_+ + m_-)/2 and (m_+ -
+    m_-)/2.  Over the ring, m_s lies within v_s,z cos theta +- sin theta
+    |v_s,xy|, clipped to the +-2 p_s of a valid outcome table.  For a fixed
+    input distribution the mutual information is convex in the channel (Cover
+    and Thomas, Thm 2.7.4), and B's channel is affine in (m_+, m_-), so no
+    setting of the cell beats the CMI at a corner of that box: column r + 1
+    is the largest kernel value at the four corners of ring r.  Column 0 is
+    B's pole, a ring of one direction, whose kernel values come from the
+    scan's own terms, pole = (y at the pole, w's pole column), so they have
+    the scan's bits.  The kernel runs in row blocks of at most
+    `BLOCK_ELEMENTS` settings.
+    """
+    _, rb, tt = parts
+    y_pole, w_pole = pole
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    width = 1 + 4 * thetas.size
+    step = max(1, BLOCK_ELEMENTS // width)
+    bounds = np.empty((len(n), 1 + thetas.size))
+    for r0 in range(0, len(n), step):
+        rows = slice(r0, r0 + step)
+        xb = x[rows]
+        v = rb + _SIGNS * (n[rows] @ tt)  # v_s, (outcome, row, 3)
+        # m_s's range on each ring, (low/high, outcome, ring, row): rows last, so every
+        # elementwise pass runs along them
+        centre = v[:, None, :, 2] * cos_t[:, None]
+        half = np.hypot(v[..., 0], v[..., 1])[:, None] * sin_t[:, None]
+        two_p = np.maximum(1.0 + _SIGNS[:, 0] * xb, 0.0)[:, None]
+        m = np.clip(np.stack((centre - half, centre + half)), -two_p, two_p)
+        m_plus, m_minus = m[:, None, 0], m[None, :, 1]  # the corners, (m_+ end, m_- end, ring, row)
+        y, w = np.empty((xb.size, width)), np.empty((xb.size, 1, width))
+        y[:, 0], w[:, 0, 0] = y_pole, w_pole[rows]
+        y[:, 1:] = (0.5 * (m_plus + m_minus)).reshape(-1, xb.size).T
+        w[:, 0, 1:] = (0.5 * (m_plus - m_minus)).reshape(-1, xb.size).T
+        table = kernels.cmi_table(xb[:, None], y, w)[:, 0]
+        bounds[rows, 0] = table[:, 0]
+        bounds[rows, 1:] = table[:, 1:].reshape(xb.size, 4, -1).max(axis=1)
+    return bounds
+
+
+def _ties(block: np.ndarray, keep: int):
+    """A flat block's maximum, and the positions (ascending) and values of its settings within
+    `_TIE_TOL` of it, less those behind `keep` earlier ones at least as large."""
+    top = block.max()
+    near = np.flatnonzero(block >= top - _TIE_TOL)
+    if near.size > keep:
+        vals = block[near]
+        near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
+    return top, near, block[near]
+
+
+def _table_scan(x, y, w, keep: int, rows: np.ndarray, cols: np.ndarray):
+    """The table of A's rows and B's cols (ascending, of the grid's x.size directions), one row
+    block of at most `BLOCK_ELEMENTS` settings per kernel call: yields each block's `_ties`,
+    its positions as full scan indices.  A whole axis is taken as a slice."""
+    n = x.size
+    col_sel = slice(None) if cols.size == n else cols
+    y_kept = y[col_sel]
+    step = max(1, BLOCK_ELEMENTS // cols.size)
+    for r0 in range(0, rows.size, step):
+        row_sel = slice(r0, r0 + step) if rows.size == n else rows[r0 : r0 + step]
+        top, near, vals = _ties(kernels.cmi_table(x[row_sel], y_kept, w[row_sel][:, col_sel]).ravel(), keep)
+        ia, ib = np.divmod(near, cols.size)
+        yield top, rows[r0 + ia] * n + cols[ib], vals
+
+
+def _cell_scan(parts, grid: int, keep: int, na, t, x, y, w):
+    """The cells of A's directions and B's rings that can hold a leader (`_ring_bounds`), one
+    block of at most `BLOCK_ELEMENTS` settings per kernel call: yields each block's `_ties`,
+    its positions as full scan indices.  The bound table's pole column is the first block."""
+    n = x.size
+    thetas = t[1::grid]  # ring r + 1 is directions 1 + r grid to (r + 1) grid
+    bounds = _ring_bounds(parts, na, x, thetas, (y[0], w[:, 0]))
+    top, near, vals = _ties(bounds[:, 0], keep)
+    yield top, near * n, vals
+
+    def scan(cells):  # flat (row, ring) cell indices, ascending
+        ci, cr = np.divmod(cells, thetas.size)
+        cols = (1 + grid * cr)[:, None] + np.arange(grid)
+        top, near, vals = _ties(kernels.cmi_table(x[ci, None], y[cols], w[ci[:, None], cols][:, None]).ravel(), keep)
+        return top, ci[near // grid] * n + cols.ravel()[near], vals
+
+    rings = bounds[:, 1:]
+    i, r = np.unravel_index(np.argmax(bounds), bounds.shape)
+    if r > 0:  # the probe, the cell of the largest bound; a pole cell's bound is its value
+        probe = scan(np.array([i * thetas.size + r - 1]))
+        yield probe
+        top = max(top, probe[0])
+        rings[i, r - 1] = -np.inf
+    cells = np.flatnonzero(rings >= top - _TIE_TOL - _BOUND_SLACK)
+    step = max(1, BLOCK_ELEMENTS // grid)
+    for c0 in range(0, cells.size, step):
+        yield scan(cells[c0 : c0 + step])
+
+
 def _grid_stage(parts, grid: int, keep: int = 1):
     """4-angle grid scan for the CMI maximum; returns up to `keep` tied leaders in scan order,
     as angles of shape (L, 4) and their values.
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
-    w is one matrix product (row slices of it can round differently).
+    w is one matrix product (row slices of it can round differently), and
+    each setting's kernel value has the same bits whatever call it is in.
 
-    Only the rows and columns that can hold a leader are scanned.  Every CMI
-    of A's row n is at most chi_A(n), and of B's column n chi_B(n)
-    (`_holevo_bounds`); the kernel exceeds the exact CMI only by rounding,
-    at most 3.3e-14 on the states tried (rank-deficient X states give the
-    most), far inside `_BOUND_SLACK`.  The floor is the best kernel value on
-    the row of the largest chi_A and the column of the largest chi_B (one
-    probe call), less `_TIE_TOL` and `_BOUND_SLACK`: these are grid
-    settings, so the stage's maximum is at least the floor plus both.  A row
-    or column whose chi is below the floor then holds no setting within
-    `_TIE_TOL` of the maximum, and dropping it changes neither the maximum
-    nor its ties: the result is the full scan's, to the bit.  When every
-    chi lies within `_TIE_TOL` plus half the slack of the largest, the floor
-    cannot fall above any of them, and the probe is skipped.  Kept rows and
-    columns stay ascending and the leaders map back to their full scan
-    indices; when all are kept (an isotropic state, such as Werner's) they
-    are taken as slices.
+    Only settings that can be within `_TIE_TOL` of the maximum are scanned.
+    Each rests on an exact bound: no CMI of a set of settings exceeds the
+    set's bound, and the kernel exceeds the exact CMI only by rounding, at
+    most 3.3e-14 on the states tried (rank-deficient X states give the
+    most), far inside `_BOUND_SLACK`.  The floor is the best kernel value of
+    the set of the largest bound (one probe), less `_TIE_TOL` and
+    `_BOUND_SLACK`: these are grid settings, so the stage's maximum is at
+    least the floor plus both.  A set whose bound is below the floor holds
+    no setting within `_TIE_TOL` of the maximum, and dropping it changes
+    neither the maximum nor its ties: the result is the full scan's, to the
+    bit.  The sets are chosen by the Holevo bounds chi of each direction
+    (`_holevo_bounds`):
 
-    The CMI is then evaluated and reduced one row block of at most
-    `BLOCK_ELEMENTS` settings at a time, so no table-sized array is
-    made.  Each block keeps its maximum and every setting within `_TIE_TOL`
-    of it: a tie of the overall maximum is within the tolerance of its own
-    block's maximum.  A block's list is not cut at `keep`, since a near tie
-    there may fall out of the window once a later block raises the maximum;
-    it drops only settings behind `keep` earlier ones at least as large,
-    which are never among the first `keep` ties.
+    - when chi differs across directions by more than `_TIE_TOL` plus half
+      the slack, every CMI of A's row n is at most chi_A(n), and of B's
+      column n chi_B(n); the probe is the row of the largest chi_A and the
+      column of the largest chi_B, and the kept rows and columns are scanned
+      as one table (`_table_scan`);
+    - otherwise (Werner and Bell states, say) a floor could not fall above
+      any row or column, and the sets are cells: one A direction with one of
+      B's theta rings.  Over a ring, B's projection m_s of the state A's
+      outcome s leaves fills an interval, and the CMI is convex in B's
+      channel, which is affine in (m_+, m_-), so a cell's bound is the
+      largest kernel value at the four corners of that box (`_ring_bounds`).
+      Those are kernel values too, so the same slack covers their rounding.
+      The pole column's bound is its kernel values themselves, which join
+      the candidates; the probe is the cell of the largest bound
+      (`_cell_scan`);
+    - a state whose largest chi is at most `_TIE_TOL + _BOUND_SLACK` (the
+      maximally mixed state) can drop nothing, and is scanned whole, with no
+      bound computed.
+
+    The CMI is evaluated and reduced one block of at most `BLOCK_ELEMENTS`
+    settings at a time, so no table-sized array is made.  Each block keeps
+    its maximum and every setting within `_TIE_TOL` of it (`_ties`): a tie
+    of the overall maximum is within the tolerance of its own block's
+    maximum.  A block's list is not cut at `keep`, since a near tie there
+    may fall out of the window once a later block raises the maximum; it
+    drops only settings behind `keep` earlier ones at least as large, which
+    are never among the first `keep` ties.  The lists are merged in scan
+    order.
     """
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
     x, y, w = na @ ra, na @ rb, na @ tt @ na.T
     chi = _holevo_bounds(parts, na)
-    floor = -np.inf  # when every bound is within the slack of the largest (an isotropic state), no probe
-    if chi.min() < chi.max() - _TIE_TOL - 0.5 * _BOUND_SLACK:
+    if chi.max() <= _TIE_TOL + _BOUND_SLACK:
+        found = _table_scan(x, y, w, keep, np.arange(n), np.arange(n))
+    elif chi.min() < chi.max() - _TIE_TOL - 0.5 * _BOUND_SLACK:
         # the floor's probes, one call: row i of A, and column j of B as a lane with the parties
         # swapped, whose terms round differently from the scan's by far less than the slack
         i, j = np.argmax(chi, axis=1)
         probe = kernels.cmi_table(np.array([[x[i]], [y[j]]]), np.stack((y, x)), np.stack((w[i], w[:, j]))[:, None])
         floor = probe.max() - _TIE_TOL - _BOUND_SLACK
-    rows, cols = np.flatnonzero(chi[0] >= floor), np.flatnonzero(chi[1] >= floor)
-    # the kept table, (rows.size, cols.size) and row-major, is taken as slices when it is whole
-    col_sel = slice(None) if cols.size == n else cols
-    y_kept = y[col_sel]
-    step = max(1, BLOCK_ELEMENTS // cols.size)
-    tops, found, values = [], [], []
-    for r0 in range(0, rows.size, step):
-        row_sel = slice(r0, r0 + step) if rows.size == n else rows[r0 : r0 + step]
-        block = kernels.cmi_table(x[row_sel], y_kept, w[row_sel][:, col_sel]).ravel()
-        top = block.max()
-        near = np.flatnonzero(block >= top - _TIE_TOL)
-        if near.size > keep:
-            vals = block[near]
-            near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
-        tops.append(top)
-        found.append(near + r0 * cols.size)
-        values.append(block[near])
+        found = _table_scan(x, y, w, keep, np.flatnonzero(chi[0] >= floor), np.flatnonzero(chi[1] >= floor))
+    else:
+        found = _cell_scan(parts, grid, keep, na, ta, x, y, w)
+    tops, idx, vals = zip(*found)
     best = float(np.max(tops))
-    idx, vals = np.concatenate(found), np.concatenate(values)
+    idx, vals = np.concatenate(idx), np.concatenate(vals)
+    order = np.argsort(idx)  # the cell scan's pole column comes first
+    idx, vals = idx[order], vals[order]
     lead = np.flatnonzero(vals >= best - _TIE_TOL)[:keep]
-    ia, ib = np.divmod(idx[lead], cols.size)
-    ia, ib = rows[ia], cols[ib]
+    ia, ib = np.divmod(idx[lead], n)
     return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 

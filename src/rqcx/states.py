@@ -85,6 +85,15 @@ _TEXT = (str, bytes, bytearray)  # what float() parses but no field may be
 _X_CHECKS = ("weight_nonnegative", "unit_trace", "r_coherence_bound", "s_coherence_bound")
 
 
+def _floats(fields: tuple, what: str) -> tuple[float, ...]:
+    """fields read with float(); a str, bytes or bytearray field raises TypeError before any is
+    read, since float() would parse it and the measures' arithmetic would not."""
+    for v in fields:
+        if isinstance(v, _TEXT):
+            raise TypeError(f"{what} must be numbers, not {type(v).__name__}")
+    return tuple(map(float, fields))
+
+
 def _x_defects(a: float, b: float, c: float, d: float, r: float, s: float) -> tuple[float, ...]:
     """The magnitudes of the four X inequalities, in _X_CHECKS order, then
     sqrt(ad) and sqrt(bc).  A NaN or inf field makes the trace magnitude
@@ -138,15 +147,11 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
     reconstructs.  A rejected state raises InvalidStateError("unphysical X
     state: <rows>"), or "unphysical Bloch coefficients: <rows>", with the
     report of those defects; a valid state builds no dataclass and no report.
-    A str, bytes or bytearray field raises TypeError before any is read, since
-    float() would parse it and the measures' arithmetic would not.
+    Other fields are read by _floats, so a text field is a TypeError.
     """
     a, b, c, d, r, s = fields = p.a, p.b, p.c, p.d, p.r, p.s
     if not type(a) is type(b) is type(c) is type(d) is type(r) is type(s) is float:  # plain floats pass as they are
-        for v in fields:
-            if isinstance(v, _TEXT):
-                raise TypeError(f"X-state fields must be numbers, not {type(v).__name__}")
-        a, b, c, d, r, s = map(float, fields)
+        a, b, c, d, r, s = _floats(fields, "X-state fields")
     defects = _x_defects(a, b, c, d, r, s)
     if not _holds(defects):
         _require(_report((a, b, c, d, r, s), defects), "unphysical X state")
@@ -168,8 +173,9 @@ def xstate_report(p: XStateParams) -> ValidationReport:
 
 
 def bloch_params(b: BlochX) -> XStateParams:
-    """The X state with Fano coefficients b, not yet checked: check_xstate checks it."""
-    return XStateParams(*_to_params(float(b.t30), float(b.t03), float(b.t11), float(b.t22), float(b.t33)))
+    """The X state with Fano coefficients b, read by _floats (a text field is a TypeError), not
+    yet checked: check_xstate checks it."""
+    return XStateParams(*_to_params(*_floats((b.t30, b.t03, b.t11, b.t22, b.t33), "Bloch coefficients")))
 
 
 def xstate_matrix(p: XStateParams) -> np.ndarray:

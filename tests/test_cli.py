@@ -792,6 +792,25 @@ class TestInputBoundary:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--state", "mnms", "--time-grid", "0:1e308:3"],
+            ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "1e308"],
+        ],
+        ids=["surface-time-1e308", "markov-rate-1e308"],
+    )
+    def test_envelope_at_the_edge_of_its_range(self, capsys, argv):
+        # e^-t (RTN) and e^(-lambda t) (Markov) are 0 there: no cos(inf), and
+        # no overflow in the exponent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert "nan" not in out.lower()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("axis", ["param", "time"])
     def test_grid_shape_error_names_the_grid(self, capsys, axis):
         # the shape is checked once, by dynamics.SweepSpec

@@ -189,11 +189,15 @@ def _full_sphere_leader(parts, grid, sign=1.0):
     return np.array([t[ia], p[ia], t[ib], p[ib]]), sign * float(flat[k])
 
 
-def _grid_stage_ref(parts, grid, keep=1):
-    """The grid stage as one full CMI table: its maximum, then the first `keep` settings within _TIE_TOL of it."""
+def _grid_stage_ref(parts, grid, keep=1, block_rows=None):
+    """The grid stage as one full CMI table: its maximum, then the first `keep` settings within _TIE_TOL of it.
+    With block_rows, the kernel runs on that many rows of the one w at a time: the same bits, in less memory."""
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
-    flat = kernels.cmi_table(na @ ra, na @ rb, na @ tt @ na.T).ravel()
+    x, y, w = na @ ra, na @ rb, na @ tt @ na.T
+    step = block_rows or x.size
+    flat = np.concatenate([kernels.cmi_table(x[r : r + step], y, w[r : r + step]).ravel()
+                           for r in range(0, x.size, step)])
     best = float(flat.max())
     idx = np.flatnonzero(flat >= best - oracle._TIE_TOL)[:keep]
     ia, ib = np.divmod(idx, na.shape[0])
@@ -221,17 +225,20 @@ def _stage_state(kind, weights, signs):
     return xstate_matrix(XStateParams(a, b, c, d, r, s))
 
 
-def _served_by_setting(table, w):
+def _served_by_setting(table, w, bound=None):
     """A cmi_table stand-in serving table[i, j] for each entry of the w it is given, read off the
-    bits of w[i, j]: every entry of w must differ, so any call (probe, block or full table) is served."""
+    bits of w[i, j]: every entry of w must differ, so any call (probe, block or full table) is served.
+    With bound, an entry that is not one of w's (a corner of the ring bounds) is served bound, and
+    only w's entries count as served."""
     where = {v: k for k, v in enumerate(w.ravel().tolist())}
     assert len(where) == w.size
-    served = []
+    served, padded = [], np.append(table.ravel(), bound)
 
     def cmi_table(x, y, w_in):
-        settings = [where[v] for v in np.ravel(w_in).tolist()]
-        served.append(len(settings))
-        return table.ravel()[settings].reshape(np.shape(w_in))
+        wanted = np.ravel(w_in).tolist()
+        settings = [where[v] for v in wanted] if bound is None else [where.get(v, -1) for v in wanted]
+        served.append(sum(k >= 0 for k in settings))
+        return padded[settings].reshape(np.shape(w_in))
 
     return cmi_table, served
 
@@ -323,25 +330,31 @@ class TestGridStage:
 
     @pytest.mark.parametrize("keep", [1, 2, 3])
     def test_near_tie_before_a_true_tie(self, monkeypatch, keep):
-        # Block 0 (rows 0 and 1) holds a near tie at (0, 3): within _TIE_TOL of
-        # its block's maximum (0, 4), but not of the overall maximum (2, 0) in
-        # block 1.  (0, 4) and (1, 5) are true ties.  A block list cut at
-        # `keep` would hold the near tie and lose a true tie behind it.  The
-        # parts' bound keeps every row and column, so all of the table is scanned.
+        # The parts' Holevo bound is the same in every direction, so the stage
+        # scans cells: one A direction with one B ring of 8 directions (ring r
+        # is columns 8 r - 7 to 8 r).  The fake kernel serves 2 at every ring
+        # bound corner, so the probe, cell (0, ring 1), and then every other
+        # cell are scanned, two cells per block.  Block 0 (row 0, rings 2 and
+        # 3) holds a near tie at (0, 11): within _TIE_TOL of its block's
+        # maximum (0, 12), but not of the overall maximum (2, 1) in block 2.
+        # (0, 12) and (0, 20) are true ties.  A block list cut at `keep` would
+        # hold the near tie and lose a true tie behind it.
         parts = _rotated_isotropic_parts(3)
         na = _grid_directions(8)[0]
         n = na.shape[0]
         table = np.zeros((n, n))
-        table[0, 3] = 1.0 - 1.05e-9
-        table[0, 4] = 1.0 - 0.1e-9
-        table[1, 5] = 1.0 - 0.7e-9
-        table[2, 0] = 1.0
-        table[3, 1] = 1.0 - 0.2e-9
-        fake, served = _served_by_setting(table, na @ parts[2] @ na.T)
-        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * n)
+        table[0, 11] = 1.0 - 1.05e-9
+        table[0, 12] = 1.0 - 0.1e-9
+        table[0, 20] = 1.0 - 0.7e-9
+        table[2, 1] = 1.0
+        table[3, 9] = 1.0 - 0.2e-9
+        fake, served = _served_by_setting(table, na @ parts[2] @ na.T, bound=2.0)
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * 8)
         monkeypatch.setattr(kernels, "cmi_table", fake)
         angles, values = _grid_stage(parts, 8, keep)
-        assert sum(served) == n * n
+        # the bound calls serve the pole column, one row per call, and the
+        # rest come in the probe and in blocks of two cells
+        assert served == [1] * n + [8] + [16] * ((n * n - n - 8) // 16)
         ref_angles, ref_values = _grid_stage_ref(parts, 8, keep)
         assert values.tolist() == [1.0 - 0.1e-9, 1.0 - 0.7e-9, 1.0][:keep]
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
@@ -362,15 +375,26 @@ class TestGridStage:
 
     @pytest.mark.parametrize("name", ["werner", "mixed", "bell"])
     def test_isotropic_stage_scans_everything(self, monkeypatch, name):
-        # every direction has the same bound: no probe, and every row block is
-        # the full scan's
+        # every direction has the same Holevo bound, so no row or column can
+        # be dropped, and every setting is scanned or bounded.  The maximally
+        # mixed state's bound is 0: nothing can be dropped at all, and every
+        # row block is the full scan's.  Werner 0.7 and Bell are scanned in
+        # cells of one A direction and one B ring: one call bounds all 481 x
+        # 16 cells (the pole column's values and the four corners of each of
+        # 15 rings), then comes the probe cell, unless the pole column holds
+        # the largest bound, as Bell's does, then the kept cells, one ring of
+        # 32 per A direction past the pole: 15360 of the 231361 settings
         rho = {"werner": xstate_matrix(make_state(FamilySpec("werner", 0.7))), "mixed": MIXED, "bell": BELL}[name]
         parts = _fano_parts(rho)
         n = _grid_directions(32)[0].shape[0]
         rows = oracle.BLOCK_ELEMENTS // n
         (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, 8)
         ref_angles, ref_values = _grid_stage_ref(parts, 32, 8)
-        assert sizes == [rows * n] * (n // rows) + [(n % rows) * n]
+        if name == "mixed":
+            assert sizes == [rows * n] * (n // rows) + [(n % rows) * n]
+        else:
+            cells = [32, 15328] if name == "werner" else [15360]
+            assert sizes == [n * (1 + 4 * 15)] + cells
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
@@ -385,6 +409,50 @@ class TestGridStage:
         assert sizes[1:] == [7 * 160] * 22 + [6 * 160]
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("grid", [8, 16, 32, 33])
+    def test_isotropic_stage_matches_full_table(self, grid):
+        # Werner states across (0, 1]: up to p = 1e-3 the bound is within
+        # _TIE_TOL + _BOUND_SLACK of 0 and the stage scans the whole table;
+        # above it, the cell scan
+        rhos = [xstate_matrix(make_state(FamilySpec("werner", p))) for p in
+                (1e-6, 1e-4, 1e-3, 1.2e-3, 2e-3, 0.01, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)]
+        states = [_fano_parts(rho) for rho in (*rhos, MIXED, BELL)]
+        states += [_rotated_isotropic_parts(seed, c) for seed, c in ((0, 0.3), (1, 0.8), (2, 1.0))]
+        for parts in states:
+            for keep in (1, 8):
+                angles, values = _grid_stage(parts, grid, keep)
+                ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
+                np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+                np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    def test_isotropic_stage_matches_full_table_at_grid_64(self):
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("werner", 0.7))))
+        angles, values = _grid_stage(parts, 64, 8)
+        ref_angles, ref_values = _grid_stage_ref(parts, 64, 8, block_rows=64)
+        np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+        np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(_BOUND_KINDS),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+        weights=st.tuples(*[st.floats(0.05, 1.0)] * 4),
+        grid=st.sampled_from((8, 16, 33)),
+    )
+    def test_every_cmi_is_within_its_ring_bound(self, kind, entries, weights, grid):
+        # convexity in B's channel: no kernel value of a cell (A direction i,
+        # B ring r) exceeds the largest at the corners of its box, past
+        # rounding; the pole column is the scan's own values
+        parts = _fano_parts(_bound_state(kind, entries, weights))
+        ra, rb, tt = parts
+        na, t, _ = _grid_directions(grid)
+        x, y, w = na @ ra, na @ rb, na @ tt @ na.T
+        table = kernels.cmi_table(x, y, w)
+        bounds = oracle._ring_bounds(parts, na, x, t[1::grid], (y[0], w[:, 0]))
+        np.testing.assert_array_equal(_bits(bounds[:, 0]), _bits(table[:, 0]))
+        rings = table[:, 1:].reshape(x.size, -1, grid)
+        assert np.all(rings.max(axis=2) <= bounds[:, 1:] + 1e-12)
 
     def test_bounds_match_the_projector_route(self, rng):
         # chi from the Fano parts is the Holevo quantity of the measurement, as
@@ -416,10 +484,11 @@ class TestGridStage:
         assert np.all(table <= chi[0][:, None] + oracle._BOUND_SLACK)
         assert np.all(table <= chi[1][None, :] + oracle._BOUND_SLACK)
 
-    @pytest.mark.parametrize("kind", ["generic", "mixed"])
+    @pytest.mark.parametrize("kind", ["generic", "mixed", "bell"])
     def test_grid_64_peak_is_about_w(self, kind):
         # w (1985**2 doubles, 31.5 MB) is the one table-sized array; a full CMI
-        # table, or a candidate list holding every tie, would double the peak
+        # table, or a candidate list holding every tie, would double the peak.
+        # Bell's stage is the cell scan, whose bounds and cells come in blocks
         parts = _fano_parts(_stage_state(kind, (0.4, 0.3, 0.2, 0.1), (1.0, -1.0)))
         w_bytes = 1985**2 * 8
         tracemalloc.start()

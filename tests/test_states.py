@@ -97,6 +97,15 @@ class TestTextFields:
             with pytest.raises(TypeError, match="X-state fields must be numbers"):
                 entry(p)
 
+    @pytest.mark.parametrize("kind", [str, lambda v: str(v).encode(), lambda v: bytearray(str(v).encode())],
+                             ids=["str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_text_bloch_coefficient_is_a_type_error(self, slot, kind):
+        fields = [0.1, 0.0, 0.0, 0.0, 0.0]
+        fields[slot] = kind(fields[slot])
+        with pytest.raises(TypeError, match="Bloch coefficients must be numbers, not"):
+            bloch_params(BlochX(*fields))
+
     def test_every_field_text(self):
         p = XStateParams("0.25", "0.25", "0.25", "0.25", "0", "0")
         with pytest.raises(TypeError, match="not str"):
