@@ -53,7 +53,9 @@ class Rtn:
 
     @functools.cached_property
     def omega(self) -> float:
-        return float(np.sqrt((2.0 * self.a_over_gamma) ** 2 - 1.0))
+        """sqrt((2a)^2 - 1), factored: no cancellation near 2a = 1, and no overflow of the square."""
+        two_a = 2.0 * self.a_over_gamma
+        return float(np.sqrt(two_a - 1.0) * np.sqrt(two_a + 1.0))
 
     def envelope(self, t):
         w = self.omega

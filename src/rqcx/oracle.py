@@ -15,32 +15,28 @@ is deterministic coarse-to-fine: a grid scan (the four angles, each distinct
 measurement once, or the two Hadamard phases), then the rounds of the one
 ascent loop `_ascend`, whose step halves each round.
 
-Stage 1's grid scan is pruned by an exact bound.  Fix A's direction n: by
-Holevo's theorem no measurement on B draws more than chi_A(n) bits about A's
-outcome, so every CMI in A's row n is at most chi_A(n), and every CMI in B's
-column n at most chi_B(n) (`_holevo_bounds`, one vectorized pass over the
-directions).  The floor is the best kernel value on the row of the largest
-chi_A and the column of the largest chi_B, less `_TIE_TOL` and a slack
-`_BOUND_SLACK` of 1e-6; a row or column whose bound is below it cannot hold
-a setting within `_TIE_TOL` of the maximum, and is not scanned.  The kernel
-exceeds the exact CMI only by rounding, by at most 3.3e-14 on the states
-tried, so the leaders are the full scan's, to the bit.
-
-A state with one Holevo bound in every direction (Werner and Bell states)
-is pruned by a second exact bound, on cells of one A direction n and one of
-B's theta rings (a grid row of directions at one theta; the pole is a ring of
-one).  For A's outcome s, B's direction enters the CMI only through m_s =
-n_B.(rB + s T^T n), and over a ring m_s fills an interval.  For a fixed
-input distribution the mutual information is convex in the channel (Cover
-and Thomas, Thm 2.7.4), and B's channel is affine in (m_+, m_-), so no
-setting of the cell beats the CMI at the four corners of that box
-(`_ring_bounds`, one kernel call per block of rows).  The corners' kernel
-values, like the scan's, are the exact CMI up to rounding far inside the
-slack, so the leaders stay the full scan's, to the bit.  The probe is the
-cell of the largest bound, and only cells at or above the floor are
-scanned: at the default grid, 15360 of Werner's 231361 settings.  A state
-whose bound is within the slack of 0 (the maximally mixed state) can drop
-nothing, and is scanned whole.
+Stage 1's grid scan is pruned by two exact bounds, in one sequence for
+every state.  Fix A's direction n: by Holevo's theorem no measurement on B
+draws more than chi_A(n) bits about A's outcome, so every CMI in A's row n
+is at most chi_A(n) (`_holevo_bounds`, one vectorized pass over the
+directions).  The probe scans the row of the largest chi_A, and the floor
+is its best kernel value less `_TIE_TOL` and a slack `_BOUND_SLACK` of
+1e-6; a row whose bound is below it cannot hold a setting within
+`_TIE_TOL` of the maximum, and is dropped.  The kept rows are cut into
+cells of one A direction n and one of B's theta rings (a grid row of
+directions at one theta; the pole is a ring of one).  For A's outcome s,
+B's direction enters the CMI only through m_s = n_B.(rB + s T^T n), and
+over a ring m_s fills an interval.  For a fixed input distribution the
+mutual information is convex in the channel (Cover and Thomas, Thm
+2.7.4), and B's channel is affine in (m_+, m_-), so no setting of the cell
+beats the CMI at the four corners of that box (`_ring_bounds`, one kernel
+call per block of rows).  The pole cells' values, the scan's own, may
+raise the floor, and only the cells at or above it are scanned.  The
+kernel exceeds the exact CMI only by rounding, by at most 3.3e-14 on the
+states tried, and the corners' values are kernel values too, so the
+leaders are the full scan's, to the bit.  At the default grid, MNMS states
+below x = 1 scan one row of 481 settings, and Werner states 15328 or 15360
+cells' settings past the probe and the bounds.
 
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
@@ -90,9 +86,9 @@ REFINE_MAX = 64
 # The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
 # 8 * 64**2 settings, so every kernel call stays within one block.
 BLOCK_ELEMENTS = 1 << 15
-# How far below a kernel value the grid stage's row, column and cell bounds may
-# sit before a row, column or cell is dropped: the kernel's rounding excess over
-# the exact CMI was at most 3.3e-14 on the states tried (see `_grid_stage`).
+# How far below a kernel value the grid stage's row and cell bounds may sit
+# before a row or cell is dropped: the kernel's rounding excess over the
+# exact CMI was at most 3.3e-14 on the states tried (see `_grid_stage`).
 _BOUND_SLACK = 1e-6
 _SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two outcomes, on a leading axis
 _TWO_PI = 2.0 * np.pi
@@ -235,31 +231,26 @@ def _grid_steps(grid: int) -> np.ndarray:
 
 
 def _holevo_bounds(parts, n: np.ndarray) -> np.ndarray:
-    """chi_A and chi_B, shape (2, len(n)): the Holevo bound of each party's measurement along n.
+    """chi_A, shape (len(n),): the Holevo bound of A's measurement along each direction n.
 
     Measuring A along n gives outcome s = +-1 with p_s = (1 + s n.rA)/2 and
     leaves B with Bloch vector v_s/(2 p_s), v_s = rB + s T^T n, so chi_A(n) =
     S(rho_B) - sum_s p_s S(rho_B|s), S the entropy of a Bloch length clipped
-    at 1 and a p_s = 0 branch adding 0; chi_B swaps rA and rB and transposes
-    T.  No measurement of the other party draws more than chi bits about the
-    outcome (Holevo), so every CMI of A's row n is at most chi_A(n), and of
-    B's column n chi_B(n).  p_s S(rho_B|s) is -sum_k e log2 e + p_s log2 p_s,
-    e = (2 p_s + k |v_s|)/4 for k = +-1, so chi takes the CMI formula's
-    form: joint terms of e, less the marginal terms of n.rA and |rB|.
+    at 1 and a p_s = 0 branch adding 0.  No measurement of B draws more than
+    chi_A(n) bits about A's outcome (Holevo), so every CMI of A's row n is at
+    most chi_A(n).  p_s S(rho_B|s) is -sum_k e log2 e + p_s log2 p_s, e = (2
+    p_s + k |v_s|)/4 for k = +-1, so chi takes the CMI formula's form: joint
+    terms of e, less the marginal terms of n.rA and |rB|.
     """
     ra, rb, tt = parts
-    # n.rA and n.rB, the measured party's projection; rB.(T^T n) and rA.(T n),
-    # the cross terms; T^T n and T n, the steered Bloch vectors
-    proj = np.column_stack((ra, rb, tt @ rb, tt.T @ ra, tt, tt.T)).T @ n.T
-    own, cross, steer = proj[:2], proj[2:4], proj[4:]
-    other = np.array([[rb @ rb], [ra @ ra]])  # |rB|^2, |rA|^2
-    two_p = 1.0 + _SIGNS * own  # (outcome, party, direction)
-    square = (other + (steer * steer).reshape(2, 3, -1).sum(axis=1)) + 2.0 * _SIGNS * cross
+    own, steer = n @ ra, n @ tt  # n.rA, and T^T n, the steered Bloch vector
+    two_p = 1.0 + _SIGNS[:, 0] * own  # (outcome, direction)
+    square = (rb @ rb + (steer * steer).sum(axis=1)) + 2.0 * _SIGNS[:, 0] * (steer @ rb)
     # |v_s|, at most 2 p_s: the conditional Bloch length clipped at 1
     length = np.minimum(np.sqrt(np.maximum(square, 0.0)), np.maximum(two_p, 0.0))
-    joint = kernels._xlog2x(0.25 * (two_p + _SIGNS[:, None] * length)).sum(axis=(0, 1))
-    marginal = kernels._marginal_plogp(np.concatenate((own.ravel(), np.sqrt(other[:, 0]))))
-    return joint - marginal[:-2].reshape(own.shape) - marginal[-2:, None]
+    joint = kernels._xlog2x(0.25 * (two_p + _SIGNS * length)).sum(axis=(0, 1))
+    marginal = kernels._marginal_plogp(np.append(own, np.sqrt(rb @ rb)))
+    return joint - marginal[:-1] - marginal[-1]
 
 
 def _ring_bounds(parts, n: np.ndarray, x: np.ndarray, thetas: np.ndarray, pole) -> np.ndarray:
@@ -319,50 +310,6 @@ def _ties(block: np.ndarray, keep: int):
     return top, near, block[near]
 
 
-def _table_scan(x, y, w, keep: int, rows: np.ndarray, cols: np.ndarray):
-    """The table of A's rows and B's cols (ascending, of the grid's x.size directions), one row
-    block of at most `BLOCK_ELEMENTS` settings per kernel call: yields each block's `_ties`,
-    its positions as full scan indices.  A whole axis is taken as a slice."""
-    n = x.size
-    col_sel = slice(None) if cols.size == n else cols
-    y_kept = y[col_sel]
-    step = max(1, BLOCK_ELEMENTS // cols.size)
-    for r0 in range(0, rows.size, step):
-        row_sel = slice(r0, r0 + step) if rows.size == n else rows[r0 : r0 + step]
-        top, near, vals = _ties(kernels.cmi_table(x[row_sel], y_kept, w[row_sel][:, col_sel]).ravel(), keep)
-        ia, ib = np.divmod(near, cols.size)
-        yield top, rows[r0 + ia] * n + cols[ib], vals
-
-
-def _cell_scan(parts, grid: int, keep: int, na, t, x, y, w):
-    """The cells of A's directions and B's rings that can hold a leader (`_ring_bounds`), one
-    block of at most `BLOCK_ELEMENTS` settings per kernel call: yields each block's `_ties`,
-    its positions as full scan indices.  The bound table's pole column is the first block."""
-    n = x.size
-    thetas = t[1::grid]  # ring r + 1 is directions 1 + r grid to (r + 1) grid
-    bounds = _ring_bounds(parts, na, x, thetas, (y[0], w[:, 0]))
-    top, near, vals = _ties(bounds[:, 0], keep)
-    yield top, near * n, vals
-
-    def scan(cells):  # flat (row, ring) cell indices, ascending
-        ci, cr = np.divmod(cells, thetas.size)
-        cols = (1 + grid * cr)[:, None] + np.arange(grid)
-        top, near, vals = _ties(kernels.cmi_table(x[ci, None], y[cols], w[ci[:, None], cols][:, None]).ravel(), keep)
-        return top, ci[near // grid] * n + cols.ravel()[near], vals
-
-    rings = bounds[:, 1:]
-    i, r = np.unravel_index(np.argmax(bounds), bounds.shape)
-    if r > 0:  # the probe, the cell of the largest bound; a pole cell's bound is its value
-        probe = scan(np.array([i * thetas.size + r - 1]))
-        yield probe
-        top = max(top, probe[0])
-        rings[i, r - 1] = -np.inf
-    cells = np.flatnonzero(rings >= top - _TIE_TOL - _BOUND_SLACK)
-    step = max(1, BLOCK_ELEMENTS // grid)
-    for c0 in range(0, cells.size, step):
-        yield scan(cells[c0 : c0 + step])
-
-
 def _grid_stage(parts, grid: int, keep: int = 1):
     """4-angle grid scan for the CMI maximum; returns up to `keep` tied leaders in scan order,
     as angles of shape (L, 4) and their values.
@@ -372,68 +319,69 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     w is one matrix product (row slices of it can round differently), and
     each setting's kernel value has the same bits whatever call it is in.
 
-    Only settings that can be within `_TIE_TOL` of the maximum are scanned.
-    Each rests on an exact bound: no CMI of a set of settings exceeds the
-    set's bound, and the kernel exceeds the exact CMI only by rounding, at
-    most 3.3e-14 on the states tried (rank-deficient X states give the
-    most), far inside `_BOUND_SLACK`.  The floor is the best kernel value of
-    the set of the largest bound (one probe), less `_TIE_TOL` and
-    `_BOUND_SLACK`: these are grid settings, so the stage's maximum is at
-    least the floor plus both.  A set whose bound is below the floor holds
-    no setting within `_TIE_TOL` of the maximum, and dropping it changes
-    neither the maximum nor its ties: the result is the full scan's, to the
-    bit.  The sets are chosen by the Holevo bounds chi of each direction
-    (`_holevo_bounds`):
+    Only settings that can be within `_TIE_TOL` of the maximum are scanned,
+    in one sequence that every state runs:
 
-    - when chi differs across directions by more than `_TIE_TOL` plus half
-      the slack, every CMI of A's row n is at most chi_A(n), and of B's
-      column n chi_B(n); the probe is the row of the largest chi_A and the
-      column of the largest chi_B, and the kept rows and columns are scanned
-      as one table (`_table_scan`);
-    - otherwise (Werner and Bell states, say) a floor could not fall above
-      any row or column, and the sets are cells: one A direction with one of
-      B's theta rings.  Over a ring, B's projection m_s of the state A's
-      outcome s leaves fills an interval, and the CMI is convex in B's
-      channel, which is affine in (m_+, m_-), so a cell's bound is the
-      largest kernel value at the four corners of that box (`_ring_bounds`).
-      Those are kernel values too, so the same slack covers their rounding.
-      The pole column's bound is its kernel values themselves, which join
-      the candidates; the probe is the cell of the largest bound
-      (`_cell_scan`);
-    - a state whose largest chi is at most `_TIE_TOL + _BOUND_SLACK` (the
-      maximally mixed state) can drop nothing, and is scanned whole, with no
-      bound computed.
+    1. one call scans A's row of the largest Holevo bound chi_A
+       (`_holevo_bounds`); its values join the candidates, and the floor is
+       their maximum less `_TIE_TOL` and `_BOUND_SLACK`;
+    2. every CMI of A's row n is at most chi_A(n), so only the other rows
+       whose chi_A is at or above the floor are kept.  Their cells, one A
+       direction with one of B's theta rings, are bounded by the kernel at
+       the four corners of the box of B's conditional projections
+       (`_ring_bounds`); the bound of the pole, a ring of one direction, is
+       its kernel value, which joins the candidates and may raise the floor;
+    3. the cells whose bound is at or above the floor are scanned, one
+       block of at most `BLOCK_ELEMENTS` settings per kernel call.
 
-    The CMI is evaluated and reduced one block of at most `BLOCK_ELEMENTS`
-    settings at a time, so no table-sized array is made.  Each block keeps
-    its maximum and every setting within `_TIE_TOL` of it (`_ties`): a tie
-    of the overall maximum is within the tolerance of its own block's
-    maximum.  A block's list is not cut at `keep`, since a near tie there
-    may fall out of the window once a later block raises the maximum; it
-    drops only settings behind `keep` earlier ones at least as large, which
-    are never among the first `keep` ties.  The lists are merged in scan
-    order.
+    Each bound is exact: no CMI of a row or cell exceeds it, and the kernel
+    exceeds the exact CMI only by rounding, at most 3.3e-14 on the states
+    tried (rank-deficient X states give the most), far inside
+    `_BOUND_SLACK`; the corners are kernel values too, so the same slack
+    covers their rounding.  The probe's values are grid settings, so the
+    stage's maximum is at least the floor plus `_TIE_TOL` and the slack.  A
+    row or cell whose bound is below the floor holds no setting within
+    `_TIE_TOL` of the maximum, and dropping it changes neither the maximum
+    nor its ties: the result is the full scan's, to the bit.  A state whose
+    bounds all lie within the slack of 0 (the maximally mixed state) drops
+    nothing, and its every cell is scanned.
+
+    No table-sized CMI array is made.  Each block keeps its maximum and
+    every setting within `_TIE_TOL` of it (`_ties`): a tie of the overall
+    maximum is within the tolerance of its own block's maximum.  A block's
+    list is not cut at `keep`, since a near tie there may fall out of the
+    window once a later block raises the maximum; it drops only settings
+    behind `keep` earlier ones at least as large, which are never among the
+    first `keep` ties.  The lists are merged in scan order.
     """
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
     x, y, w = na @ ra, na @ rb, na @ tt @ na.T
     chi = _holevo_bounds(parts, na)
-    if chi.max() <= _TIE_TOL + _BOUND_SLACK:
-        found = _table_scan(x, y, w, keep, np.arange(n), np.arange(n))
-    elif chi.min() < chi.max() - _TIE_TOL - 0.5 * _BOUND_SLACK:
-        # the floor's probes, one call: row i of A, and column j of B as a lane with the parties
-        # swapped, whose terms round differently from the scan's by far less than the slack
-        i, j = np.argmax(chi, axis=1)
-        probe = kernels.cmi_table(np.array([[x[i]], [y[j]]]), np.stack((y, x)), np.stack((w[i], w[:, j]))[:, None])
-        floor = probe.max() - _TIE_TOL - _BOUND_SLACK
-        found = _table_scan(x, y, w, keep, np.flatnonzero(chi[0] >= floor), np.flatnonzero(chi[1] >= floor))
-    else:
-        found = _cell_scan(parts, grid, keep, na, ta, x, y, w)
+    i = int(np.argmax(chi))
+    top, near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, w[i : i + 1]).ravel(), keep)
+    found = [(top, i * n + near, vals)]
+    floor = top - _TIE_TOL - _BOUND_SLACK
+    rows = np.flatnonzero(chi >= floor)
+    rows = rows[rows != i]
+    thetas = ta[1::grid]  # ring r is directions 1 + r grid to (r + 1) grid
+    bounds = _ring_bounds(parts, na[rows], x[rows], thetas, (y[0], w[rows, 0]))
+    if rows.size:
+        top, near, vals = _ties(bounds[:, 0], keep)
+        found.append((top, rows[near] * n, vals))
+        floor = max(floor, top - _TIE_TOL - _BOUND_SLACK)
+    cells = np.flatnonzero(bounds[:, 1:] >= floor)  # flat (kept row, ring), ascending
+    step = max(1, BLOCK_ELEMENTS // grid)
+    for c0 in range(0, cells.size, step):
+        ci, cr = np.divmod(cells[c0 : c0 + step], thetas.size)
+        ri, cols = rows[ci], (1 + grid * cr)[:, None] + np.arange(grid)
+        top, near, vals = _ties(kernels.cmi_table(x[ri, None], y[cols], w[ri[:, None], cols][:, None]).ravel(), keep)
+        found.append((top, ri[near // grid] * n + cols.ravel()[near], vals))
     tops, idx, vals = zip(*found)
     best = float(np.max(tops))
     idx, vals = np.concatenate(idx), np.concatenate(vals)
-    order = np.argsort(idx)  # the cell scan's pole column comes first
+    order = np.argsort(idx)  # the probe row and the pole column are found first, out of scan order
     idx, vals = idx[order], vals[order]
     lead = np.flatnonzero(vals >= best - _TIE_TOL)[:keep]
     ia, ib = np.divmod(idx[lead], n)

@@ -37,22 +37,30 @@ def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
         vals = doc[key]
         if not isinstance(vals, list) or len(vals) != 6 or not _numbers(vals):
             raise InvalidStateError("'abcdrs' must be an array of 6 reals")
-        return XStateParams(*(float(v) for v in vals))
+        return XStateParams(*_floats(key, vals))
     if key == "bloch":
         obj, names = doc[key], ("t30", "t03", "t11", "t22", "t33")
         if not isinstance(obj, dict) or not _numbers([obj.get(k) for k in names]):
             raise InvalidStateError(f"'bloch' must map each of {', '.join(names)} to a real")
-        return bloch_params(BlochX(*(float(obj[k]) for k in names)))
+        return bloch_params(BlochX(*_floats(key, [obj[k] for k in names])))
     arr = np.array(doc[key], dtype=object)
     if arr.shape != (4, 4, 2) or not _numbers(arr.ravel()):
         raise InvalidStateError("'matrix' must be a 4x4 array of [re, im] pairs")
-    arr = arr.astype(float)
+    arr = np.array(_floats(key, arr.ravel())).reshape(arr.shape)
     return arr[..., 0] + 1.0j * arr[..., 1]
 
 
 def _numbers(vals) -> bool:
     """Whether every value is a JSON number; true and false are not."""
     return all(type(v) in (int, float) for v in vals)
+
+
+def _floats(key: str, vals) -> list[float]:
+    """JSON numbers as floats; an integer past the float range is an input error, not an overflow."""
+    try:
+        return [float(v) for v in vals]
+    except OverflowError:
+        raise InvalidStateError(f"'{key}' holds an integer past the float range") from None
 
 
 def load_options_file(path: str | Path) -> dict:

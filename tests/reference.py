@@ -5,13 +5,15 @@ complex measurement bases and projectors, the Holevo quantity of a local
 measurement from partial traces, the complex Hadamard family, the
 spin-flip construction of the concurrence, the phase-flip Kraus channel and
 Pauli traces.  The families' closed-form curves and u itself are written
-out in plain `math` floats.  From rqcx each imports only data types
-(XStateParams, BlochX, LocalMeasurement), so no reference reuses the code
-it checks (test_reference.py enforces this).
+out in plain `math` floats, and RTN's omega in 50-digit `decimal`.  From
+rqcx each imports only data types (XStateParams, BlochX, LocalMeasurement),
+so no reference reuses the code it checks (test_reference.py enforces
+this).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -209,3 +211,11 @@ def family_concurrence(kind: str, x: float) -> float:
 def werner_concurrence_dephased(z: float, lam: float) -> float:
     """Concurrence of the Werner state z after local dephasing with envelope Lambda on each qubit."""
     return max(0.0, 0.5 * ((1.0 + 2.0 * lam * lam) * z - 1.0))
+
+
+def rtn_omega(a_over_gamma: float) -> float:
+    """RTN's omega, sqrt((2a/gamma)^2 - 1), at 50 digits from the exact value of the float a/gamma."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        two_a = 2 * decimal.Decimal(a_over_gamma)
+        return float((two_a * two_a - 1).sqrt())

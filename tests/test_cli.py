@@ -797,12 +797,15 @@ class TestInputBoundary:
         [
             ["surface", "--state", "mnms", "--time-grid", "0:1e308:3"],
             ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "1e308"],
+            ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
+            ["surface", "--state", "mnms", "--noise", "rtn", "--a-over-gamma", "1e154"],
         ],
-        ids=["surface-time-1e308", "markov-rate-1e308"],
+        ids=["surface-time-1e308", "markov-rate-1e308", "rtn-rate-1e154", "surface-rtn-rate-1e154"],
     )
     def test_envelope_at_the_edge_of_its_range(self, capsys, argv):
         # e^-t (RTN) and e^(-lambda t) (Markov) are 0 there: no cos(inf), and
-        # no overflow in the exponent
+        # no overflow in the exponent; RTN's omega is factored, so (2a)^2
+        # does not overflow
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
@@ -871,6 +874,26 @@ class TestInputBoundary:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["measures", "validate"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"abcdrs": [10**400, 0, 0, 0, 0, 0]},
+            {"bloch": {"t30": 0, "t03": 0, "t11": -0.5, "t22": -0.5, "t33": 10**400}},
+            {"matrix": [[[0.25, 0]] * 4] * 3 + [[[0.25, 0]] * 3 + [[10**400, 0]]]},
+        ],
+        ids=["abcdrs", "bloch", "matrix"],
+    )
+    def test_integer_past_the_float_range_exits_one(self, capsys, tmp_path, command, doc):
+        # JSON integers have no range; float() of this one overflows, which
+        # is the caller's input, not a numeric failure
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--state", "file", "--state-file", str(path))
+        assert (code, out) == (1, "")
+        key = next(iter(doc))
+        assert err == f"error: '{key}' holds an integer past the float range\n"
 
     def test_coarse_grid_events_match_fine_grid(self, capsys):
         argv = ["events", "--state", "werner", "--param", "0.6667", "--tmax", "3"]

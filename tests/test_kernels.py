@@ -233,19 +233,20 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
     # the leaders' start values and one per refinement round, and one full
     # phase table plus one per round in each of the two phase stages; stage
     # 1 runs once, and nothing goes through cmi_flat.  Werner's Holevo bound
-    # is the same in every direction, so its grid stage is the cell scan:
-    # the ring bounds of all 481 x 16 cells, the probe cell, and the kept
-    # cells, all in one block
+    # is the same in every direction, so its grid stage keeps every row: the
+    # probe row, the ring bounds of the other rows' 480 x 16 cells, and the
+    # kept cells, all in one block
     calls = _oracle_table_calls(monkeypatch, capsys, "werner", 0.7, refine)
     assert calls == {"cmi_table": 3 + 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("refine", [0, 4, 8])
 def test_pruned_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
-    # MNMS 0.6: the grid stage's floor probe, one call, leaves one setting,
-    # which is one more; the rest as for Werner
+    # MNMS 0.6: the grid stage's probe row, one call, sets a floor above
+    # every other row's Holevo bound, so nothing else is scanned; the rest
+    # as for Werner
     calls = _oracle_table_calls(monkeypatch, capsys, "mnms", 0.6, refine)
-    assert calls == {"cmi_table": 2 + 3 * (1 + refine), "cmi_flat": 0}
+    assert calls == {"cmi_table": 1 + 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("kind, param", [("werner", 0.0), ("werner", 0.7), ("mems", 0.8)])

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_xstate
-from reference import apply_common_bath, bloch_from_matrix, kraus_pair
+from reference import apply_common_bath, bloch_from_matrix, kraus_pair, rtn_omega
 from test_dynamics import DEATH_TOL, _margin_deaths, _slope
 from rqcx import noise, search
 from rqcx.measures import _StateMeasures
@@ -31,6 +31,14 @@ def _rtn_windows(draw):
 class TestModels:
     def test_rtn_omega(self):
         assert RTN4.omega == pytest.approx(3.0 * np.sqrt(7.0), abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5 + 1e-6, 0.5 + 1e-9, 0.5 + 1e-12, 0.6, 4.0, 1e3, 1e154])
+    def test_rtn_omega_near_threshold_and_far_past_it(self, a):
+        # sqrt((2a)^2 - 1) cancels as 2a nears 1 (5e-10 relative at 0.5 +
+        # 1e-9) and overflows past 2a ~ 1.3e154; the factored form does
+        # neither
+        ref = rtn_omega(a)
+        assert abs(Rtn(a).omega - ref) <= 2.5e-16 * ref
 
     def test_rtn_overdamped_rejected(self):
         with pytest.raises(ValueError):

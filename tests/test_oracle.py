@@ -245,7 +245,7 @@ def _served_by_setting(table, w, bound=None):
 
 def _rotated_isotropic_parts(seed, c=0.3):
     """Fano parts with rA = rB = 0 and T = c Q, Q a random orthogonal matrix: every direction has the
-    same bound, so the grid stage keeps every row and column, and w = n.T.n has no two equal entries."""
+    same Holevo bound, so the grid stage keeps every row, and w = n.T.n has no two equal entries."""
     q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
     return np.zeros(3), np.zeros(3), c * q
 
@@ -330,18 +330,19 @@ class TestGridStage:
 
     @pytest.mark.parametrize("keep", [1, 2, 3])
     def test_near_tie_before_a_true_tie(self, monkeypatch, keep):
-        # The parts' Holevo bound is the same in every direction, so the stage
-        # scans cells: one A direction with one B ring of 8 directions (ring r
-        # is columns 8 r - 7 to 8 r).  The fake kernel serves 2 at every ring
-        # bound corner, so the probe, cell (0, ring 1), and then every other
-        # cell are scanned, two cells per block.  Block 0 (row 0, rings 2 and
-        # 3) holds a near tie at (0, 11): within _TIE_TOL of its block's
-        # maximum (0, 12), but not of the overall maximum (2, 1) in block 2.
-        # (0, 12) and (0, 20) are true ties.  A block list cut at `keep` would
-        # hold the near tie and lose a true tie behind it.
-        parts = _rotated_isotropic_parts(3)
+        # The parts' Holevo bound is 1 in every direction, so the probe is A's
+        # row 0 and every row is kept; the other rows are cut into cells: one
+        # A direction with one B ring of 8 directions (ring r is columns 8 r -
+        # 7 to 8 r).  The fake kernel serves 2 at every ring bound corner, so
+        # every cell is scanned, two cells per block.  The probe row holds a
+        # near tie at (0, 11): within _TIE_TOL of its own maximum (0, 12),
+        # but not of the overall maximum (2, 1) in a later block.  (0, 12) and
+        # (0, 20) are true ties.  A block list cut at `keep` would hold the
+        # near tie and lose a true tie behind it.
+        parts = _rotated_isotropic_parts(3, 1.0)
         na = _grid_directions(8)[0]
         n = na.shape[0]
+        assert np.all(oracle._holevo_bounds(parts, na) == 1.0)
         table = np.zeros((n, n))
         table[0, 11] = 1.0 - 1.05e-9
         table[0, 12] = 1.0 - 0.1e-9
@@ -352,9 +353,9 @@ class TestGridStage:
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * 8)
         monkeypatch.setattr(kernels, "cmi_table", fake)
         angles, values = _grid_stage(parts, 8, keep)
-        # the bound calls serve the pole column, one row per call, and the
-        # rest come in the probe and in blocks of two cells
-        assert served == [1] * n + [8] + [16] * ((n * n - n - 8) // 16)
+        # the probe serves row 0, the bound calls the pole column, one row
+        # per call, and the rest come in blocks of two cells
+        assert served == [n] + [1] * (n - 1) + [16] * ((n - 1) ** 2 // 16)
         ref_angles, ref_values = _grid_stage_ref(parts, 8, keep)
         assert values.tolist() == [1.0 - 0.1e-9, 1.0 - 0.7e-9, 1.0][:keep]
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
@@ -362,59 +363,58 @@ class TestGridStage:
 
     @pytest.mark.parametrize("kind, param", [("mnms", 0.3), ("mems", 0.9)])
     def test_pruned_stage_matches_full_table(self, monkeypatch, kind, param):
-        # the bound drops all but a sliver of the table: one probe call, then
-        # the kept rows and columns, a setting of MNMS 0.3 and 64 x 64 of MEMS 0.9
+        # the bounds drop all but a sliver of the table: one probe call, A's
+        # row of the largest bound, is all of MNMS 0.3's stage; MEMS 0.9 then
+        # bounds the cells of its 63 other kept rows (the pole and the four
+        # corners of 15 rings each) and scans 31 cells of 32 settings
         parts = _fano_parts(xstate_matrix(make_state(FamilySpec(kind, param))))
         n = _grid_directions(32)[0].shape[0]
         for keep in (1, 8):
             (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, keep)
             ref_angles, ref_values = _grid_stage_ref(parts, 32, keep)
-            assert sizes[0] == 2 * n and sum(sizes[1:]) <= 0.02 * n * n
+            assert sizes == ([n] if kind == "mnms" else [n, 63 * (1 + 4 * 15), 31 * 32])
             np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
             np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
     @pytest.mark.parametrize("name", ["werner", "mixed", "bell"])
     def test_isotropic_stage_scans_everything(self, monkeypatch, name):
-        # every direction has the same Holevo bound, so no row or column can
-        # be dropped, and every setting is scanned or bounded.  The maximally
-        # mixed state's bound is 0: nothing can be dropped at all, and every
-        # row block is the full scan's.  Werner 0.7 and Bell are scanned in
-        # cells of one A direction and one B ring: one call bounds all 481 x
-        # 16 cells (the pole column's values and the four corners of each of
-        # 15 rings), then comes the probe cell, unless the pole column holds
-        # the largest bound, as Bell's does, then the kept cells, one ring of
-        # 32 per A direction past the pole: 15360 of the 231361 settings
+        # every direction has the same Holevo bound, so no row can be
+        # dropped, and every setting is scanned or bounded.  The probe scans
+        # A's row of the largest bound, one call bounds the other 480 x 16
+        # cells (the pole column's values and the four corners of each of 15
+        # rings), and then the kept cells are scanned.  Werner 0.7 and Bell
+        # keep one ring of 32 per A direction past the pole, 15328 or 15360
+        # settings (Werner's probe row holds one of them); the maximally mixed
+        # state's bound is 0, so it drops nothing and scans all 7200 cells in
+        # blocks of 1024
         rho = {"werner": xstate_matrix(make_state(FamilySpec("werner", 0.7))), "mixed": MIXED, "bell": BELL}[name]
         parts = _fano_parts(rho)
         n = _grid_directions(32)[0].shape[0]
-        rows = oracle.BLOCK_ELEMENTS // n
         (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, 8)
         ref_angles, ref_values = _grid_stage_ref(parts, 32, 8)
-        if name == "mixed":
-            assert sizes == [rows * n] * (n // rows) + [(n % rows) * n]
-        else:
-            cells = [32, 15328] if name == "werner" else [15360]
-            assert sizes == [n * (1 + 4 * 15)] + cells
+        cells = {"werner": [15328], "bell": [15360], "mixed": [oracle.BLOCK_ELEMENTS] * 7 + [1024]}[name]
+        assert sizes == [n, (n - 1) * (1 + 4 * 15)] + cells
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
     @pytest.mark.parametrize("keep", [1, 8])
     def test_block_boundary_inside_the_kept_rows(self, monkeypatch, keep):
-        # MEMS 0.7 keeps 160 of 481 rows and columns; blocks of 7 kept rows put
-        # 22 boundaries inside them
+        # MEMS 0.7 keeps 159 rows past the probe and 31 of their cells; blocks
+        # of 7 cells put 4 boundaries inside the kept cells, and the bounds
+        # come 3 rows (of 61 corner and pole settings) a call
         parts = _fano_parts(xstate_matrix(make_state(FamilySpec("mems", 0.7))))
-        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 7 * 160)
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 7 * 32)
         (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, keep)
         ref_angles, ref_values = _grid_stage_ref(parts, 32, keep)
-        assert sizes[1:] == [7 * 160] * 22 + [6 * 160]
+        assert sizes[1:] == [3 * 61] * 53 + [7 * 32] * 4 + [3 * 32]
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
     @pytest.mark.parametrize("grid", [8, 16, 32, 33])
     def test_isotropic_stage_matches_full_table(self, grid):
         # Werner states across (0, 1]: up to p = 1e-3 the bound is within
-        # _TIE_TOL + _BOUND_SLACK of 0 and the stage scans the whole table;
-        # above it, the cell scan
+        # _TIE_TOL + _BOUND_SLACK of 0 and the stage scans every cell; above
+        # it, only the cells at or above the floor
         rhos = [xstate_matrix(make_state(FamilySpec("werner", p))) for p in
                 (1e-6, 1e-4, 1e-3, 1.2e-3, 2e-3, 0.01, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)]
         states = [_fano_parts(rho) for rho in (*rhos, MIXED, BELL)]
@@ -425,6 +425,19 @@ class TestGridStage:
                 ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
                 np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
                 np.testing.assert_array_equal(_bits(values), _bits(ref_values))
+
+    @pytest.mark.parametrize("param", [0.5625, 0.565, 0.5675, 0.57])
+    def test_near_isotropic_stage_matches_full_table(self, monkeypatch, param):
+        # MEMS here has Holevo bounds within 0.015 of each other, so a row
+        # bound alone keeps 480 rows; the pole column's values, its leaders
+        # among them, raise the floor above every other cell's bound
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("mems", param))))
+        for keep in (1, 8):
+            (angles, values), sizes = _stage_calls(monkeypatch, parts, 32, keep)
+            ref_angles, ref_values = _grid_stage_ref(parts, 32, keep)
+            assert sum(sizes) <= 30000 and len(sizes) <= 3
+            np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
+            np.testing.assert_array_equal(_bits(values), _bits(ref_values))
 
     def test_isotropic_stage_matches_full_table_at_grid_64(self):
         parts = _fano_parts(xstate_matrix(make_state(FamilySpec("werner", 0.7))))
@@ -455,15 +468,15 @@ class TestGridStage:
         assert np.all(rings.max(axis=2) <= bounds[:, 1:] + 1e-12)
 
     def test_bounds_match_the_projector_route(self, rng):
-        # chi from the Fano parts is the Holevo quantity of the measurement, as
-        # the partial traces of rho give it
+        # chi_A from the Fano parts is the Holevo quantity of A's measurement,
+        # as the partial traces of rho give it
         rhos = [random_density_matrix(rng) for _ in range(4)]
         rhos += [xstate_matrix(random_xstate(rng, k % 2 == 1)) for k in range(4)]
         rhos += [xstate_matrix(make_state(FamilySpec(kind, x))) for kind, x in (("mnms", 0.3), ("werner", 1.0))]
         na, ta, pa = _grid_directions(8)
         for rho in rhos:
             chi = oracle._holevo_bounds(_fano_parts(rho), na)
-            ref = [[holevo_quantity(rho, t, p, party) for t, p in zip(ta, pa)] for party in "AB"]
+            ref = [holevo_quantity(rho, t, p, "A") for t, p in zip(ta, pa)]
             np.testing.assert_allclose(chi, ref, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -474,21 +487,22 @@ class TestGridStage:
         grid=st.sampled_from((8, 16, 33)),
     )
     def test_every_cmi_is_within_its_bounds(self, kind, entries, weights, grid):
-        # Holevo: no CMI of A's row n exceeds chi_A(n), nor of B's column n
-        # chi_B(n); the kernel's rounding stays far inside the slack
+        # Holevo: no CMI of A's row n exceeds chi_A(n); the kernel's rounding
+        # stays far inside the slack
         parts = _fano_parts(_bound_state(kind, entries, weights))
         ra, rb, tt = parts
         na = _grid_directions(grid)[0]
         table = kernels.cmi_table(na @ ra, na @ rb, na @ tt @ na.T)
         chi = oracle._holevo_bounds(parts, na)
-        assert np.all(table <= chi[0][:, None] + oracle._BOUND_SLACK)
-        assert np.all(table <= chi[1][None, :] + oracle._BOUND_SLACK)
+        assert chi.shape == (na.shape[0],)
+        assert np.all(table <= chi[:, None] + oracle._BOUND_SLACK)
 
     @pytest.mark.parametrize("kind", ["generic", "mixed", "bell"])
     def test_grid_64_peak_is_about_w(self, kind):
         # w (1985**2 doubles, 31.5 MB) is the one table-sized array; a full CMI
         # table, or a candidate list holding every tie, would double the peak.
-        # Bell's stage is the cell scan, whose bounds and cells come in blocks
+        # The ring bounds and the cells come in blocks; the maximally mixed
+        # state and Bell scan the most cells
         parts = _fano_parts(_stage_state(kind, (0.4, 0.3, 0.2, 0.1), (1.0, -1.0)))
         w_bytes = 1985**2 * 8
         tracemalloc.start()
