@@ -24,13 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, families, measures, noise, oracle, stateio
-from .states import (
-    InvalidStateError,
-    matrix_params,
-    validate_density_matrix,
-    xstate_matrix,
-    xstate_report,
-)
+from .states import InvalidStateError, XStateParams, xstate_matrix, xstate_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +121,9 @@ def _merged(args: argparse.Namespace) -> dict:
     return opts
 
 
-def _resolve_state(opts: dict):
-    """The state document: XStateParams, or the density matrix of a matrix document."""
+def _xstate_of(opts: dict) -> XStateParams:
+    """The state's X parameters, not yet checked: each command checks them
+    once, with check_xstate, as measure_set does."""
     kind = opts["state"]
     if kind in families.FAMILY_KINDS:
         if opts["param"] is None:
@@ -140,13 +135,6 @@ def _resolve_state(opts: dict):
             raise InvalidStateError("--state-file is required with --state file")
         return stateio.load_state_document(opts["state_file"])
     raise InvalidStateError("no state given: use --state werner|mnms|mems with --param, or --state file")
-
-
-def _xstate_of(opts: dict):
-    """The state's X parameters, not yet checked: the closed forms of the
-    command check them, as measure_set does."""
-    doc = _resolve_state(opts)
-    return matrix_params(doc) if isinstance(doc, np.ndarray) else doc
 
 
 def _noise_of(opts: dict) -> noise.NoiseModel:
@@ -255,16 +243,13 @@ def _emit_surface(params: np.ndarray, tgrid: np.ndarray, values: np.ndarray, opt
 
 
 def _cmd_validate(opts: dict) -> int:
-    doc = _resolve_state(opts)
-    if isinstance(doc, np.ndarray):
-        report = validate_density_matrix(doc)
-        if report.valid:  # an X-shaped, real-coherence matrix is checked as its parameters too
-            try:
-                doc = matrix_params(doc)
-            except InvalidStateError as exc:  # off the X shape or complex
-                report = exc.report
-    if not isinstance(doc, np.ndarray):  # a Bloch coefficient may still lie just past 1, as measure_set finds
-        report = xstate_report(doc)
+    """The report of the reader and the check every other command runs."""
+    try:
+        report = xstate_report(_xstate_of(opts))
+    except InvalidStateError as exc:
+        if exc.report is None:  # a missing flag or an unreadable file: there is no state to report on
+            raise
+        report = exc.report  # a matrix that is not a real-coherence X matrix
     names = [name for name, _ in report.violations]
     columns = {
         "check": ["valid", *names],

@@ -16,7 +16,8 @@ takes the best of all three branches and the quantum one the runner-up.
 
 Every closed form lives here, each evaluated one way, with two entry
 points.  `measure_set` checks one state once, with `states.check_xstate`,
-and reads all four measures off `_branches` and the concurrence's roots.
+and reads all four measures off `_branches` and the coherences and roots
+the check returns; neither entry point reads a field of the state.
 The sweep engine `_StateMeasures` checks each state the same way and takes
 the same float operations along an envelope, so at Lambda = 1 it gives
 measure_set's values to the bit.  Its branches are then finite and at least
@@ -77,13 +78,15 @@ def _branches(t30: float, t03: float, t11: float, t22: float, t33: float) -> tup
 def measure_set(p: XStateParams) -> MeasureSet:
     """All four measures of a single X state, checked once by check_xstate.
 
-    The concurrence is max(0, 2(|r| - sqrt(bc)), 2(|s| - sqrt(ad))), with the
-    roots the check computes.
+    Every number comes from the check's tuple, not from a field of p, so a
+    field of any numeric type gives the measures of its float.  The
+    concurrence is max(0, 2(|r| - sqrt(bc)), 2(|s| - sqrt(ad))), with the
+    coherences and roots the check returns.
     """
-    t30, t03, t11, t22, t33, root_ad, root_bc = check_xstate(p)
+    t30, t03, t11, t22, t33, root_ad, root_bc, r, s = check_xstate(p)
     g1, g2, g3 = _branches(t30, t03, t11, t22, t33)
     g = sorted((g1, g2, g3))
-    concurrence = float(max(0.0, 2.0 * (abs(p.r) - root_bc), 2.0 * (abs(p.s) - root_ad)))
+    concurrence = float(max(0.0, 2.0 * (r - root_bc), 2.0 * (s - root_ad)))
     return MeasureSet(concurrence=concurrence, laqc=max(g1, g2), qs=g[1], cs=g[2])
 
 
@@ -101,7 +104,8 @@ class _StateMeasures:
 
     The channel scales only t11 and t22, by Lambda^2, so g3 and the
     concurrence's coherences and roots are computed once, and each state is
-    checked once, by check_xstate as in measure_set.  g1, g2 and the margin
+    checked once, by check_xstate as in measure_set; every constant is read
+    off the check's tuple, never off a field of the state.  g1, g2 and the margin
     take the float operations of `_branches` and measure_set's concurrence:
     at Lambda = 1 every measure equals measure_set's to the bit.  For a sequence of n states the per-state
     constants are (n, 1) columns, so an envelope of shape (T,) gives (n, T)
@@ -112,9 +116,9 @@ class _StateMeasures:
         one = isinstance(states, XStateParams)
         consts = []
         for p in [states] if one else states:
-            t30, t03, t11, t22, t33, root_ad, root_bc = check_xstate(p)
+            t30, t03, t11, t22, t33, root_ad, root_bc, r, s = check_xstate(p)
             g3 = _branches(t30, t03, t11, t22, t33)[2]
-            consts.append((t11, t22, g3, abs(p.r), root_bc, abs(p.s), root_ad))
+            consts.append((t11, t22, g3, r, root_bc, s, root_ad))
         cols = np.array(consts).T
         cols = cols[:, 0] if one else cols[:, :, None]
         self._t11, self._t22, self._g3, self._r, self._root_bc, self._s, self._root_ad = cols

@@ -42,7 +42,7 @@ def _require_rate(value: float, label: str) -> None:
 
 @dataclass(frozen=True)
 class Rtn:
-    """Random telegraph noise; needs the underdamped regime 2a/gamma > 1."""
+    """Random telegraph noise; needs the underdamped regime 2a/gamma > 1 and a finite omega."""
 
     a_over_gamma: float
 
@@ -50,6 +50,8 @@ class Rtn:
         _require_rate(self.a_over_gamma, "RTN coupling strength")
         if not 2.0 * self.a_over_gamma > 1.0:
             raise ValueError(f"RTN requires 2a/gamma > 1 (oscillatory regime); got a/gamma = {self.a_over_gamma}")
+        if not np.isfinite(self.omega):  # 2a overflows past a/gamma ~ 9e307
+            raise ValueError(f"RTN coupling strength a/gamma = {self.a_over_gamma} puts omega past the float range")
 
     @functools.cached_property
     def omega(self) -> float:
@@ -133,7 +135,8 @@ class Rtn:
         lo, hi = start[keep], np.minimum(end[keep], t_end)
         tol = 1e-10 * (hi - lo)
         if keep.size and keep[0]:
-            t0 = np.sqrt(2.0 * (1.0 - root) / (1.0 + self.omega**2))
+            # omega * omega is inf past omega ~ 1.3e154, where omega**2 raises OverflowError; t0 is then 0
+            t0 = np.sqrt(2.0 * (1.0 - root) / (1.0 + self.omega * self.omega))
             lo[0] = min(t0, hi[0])
             # t0 is 0 where sqrt(kappa) rounds to 1, and then so is Lambda(0) - sqrt(kappa)
             if 0.0 < 2.0 * t0 < hi[0] and fall(np.array([2.0 * t0]))[0][0] <= 0.0:
@@ -167,11 +170,18 @@ class Moun(_Monotone):
         """The time in (0, t_end], if any, where Lambda^2 falls through kappa, 0 < kappa < 1.
 
         Lambda^2 = kappa where g(t) = t + e^-t - 1 equals c = ln(1/kappa)/Gamma.
-        As g(t)(2 + t) >= t^2, the root lies in [0, (c + sqrt(c^2 + 8c))/2],
-        and one Newton lane solves c - g = 0 from the top, to 1e-10 of that.
+        As g(t) < t, the root lies past c, so there is none in the window when
+        c >= t_end (c is then also allowed to be inf).  As g(t)(2 + t) >= t^2,
+        the root lies in [0, (c + sqrt(c^2 + 8c))/2]; where c(c + 8)
+        overflows, g(t) >= t - 1 bounds it by c + 1 instead.  One Newton lane
+        solves c - g = 0 from the top, to 1e-10 of that bound.
         """
-        c = -np.log(kappa) / self.Gamma_over_gamma
-        hi = 0.5 * (c + np.sqrt(c * (c + 8.0)))
+        # Python floats: an overflow is inf, with no warning, and past every window
+        c = float(-np.log(kappa)) / self.Gamma_over_gamma
+        if c >= t_end:
+            return np.empty(0)
+        square = c * (c + 8.0)
+        hi = 0.5 * (c + np.sqrt(square)) if square < np.inf else c + 1.0
 
         def fall(t):
             slope = np.expm1(-t)
@@ -196,7 +206,8 @@ class Markov(_Monotone):
 
     def crossings(self, kappa: float, t_end: float) -> np.ndarray:
         """The time in (0, t_end], if any, where Lambda^2 falls through kappa: ln(1/kappa)/(2 lambda)."""
-        t = -np.log(kappa) / (2.0 * self.lambda_over_gamma)
+        # a Python float quotient that overflows is inf, with no warning, and past every window
+        t = float(-np.log(kappa)) / (2.0 * self.lambda_over_gamma)
         return np.array([t] if t <= t_end else [])
 
 

@@ -5,6 +5,10 @@ A state document is JSON with exactly one of the keys:
     "abcdrs"  -- array of six reals [a, b, c, d, r, s]
     "bloch"   -- object with t30, t03, t11, t22, t33
     "matrix"  -- 4x4 array of [re, im] pairs
+
+Every kind is read as the X parameters of the state it holds, a matrix
+through states.matrix_params, and none is checked here: each command checks
+the parameters once, with states.check_xstate.
 """
 
 from __future__ import annotations
@@ -14,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import BlochX, InvalidStateError, XStateParams, bloch_params
+from .states import BlochX, InvalidStateError, XStateParams, bloch_params, matrix_params
 
 _STATE_KEYS = ("abcdrs", "bloch", "matrix")
 
 
-def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
-    """Parse a state file; returns X parameters or a raw density matrix, neither checked yet."""
+def load_state_document(path: str | Path) -> XStateParams:
+    """The X parameters of a state file, not yet checked.
+
+    A document that cannot be read as X parameters raises InvalidStateError:
+    with no report when the file or its JSON shape is wrong, and with the
+    report of the failed test (finite_values, hermitian, x_shape or
+    real_coherences) when a matrix is not a real-coherence X matrix.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -46,8 +56,9 @@ def load_state_document(path: str | Path) -> XStateParams | np.ndarray:
     arr = np.array(doc[key], dtype=object)
     if arr.shape != (4, 4, 2) or not _numbers(arr.ravel()):
         raise InvalidStateError("'matrix' must be a 4x4 array of [re, im] pairs")
-    arr = np.array(_floats(key, arr.ravel())).reshape(arr.shape)
-    return arr[..., 0] + 1.0j * arr[..., 1]
+    # each [re, im] pair is one complex entry: no arithmetic, so an inf part stays where it is
+    pairs = np.array(_floats(key, arr.ravel())).reshape(arr.shape)
+    return matrix_params(pairs.view(complex)[..., 0])
 
 
 def _numbers(vals) -> bool:

@@ -16,9 +16,11 @@ Each conversion is written once, in one direction, and leaves the state
 unchecked: bloch_params (Bloch vector to state), xstate_matrix (state to
 matrix) and matrix_params (matrix to state; it rejects only a matrix that is
 not Hermitian, not X-shaped or has complex coherences).  check_xstate, which
-also returns the Bloch vector, is the one decision of X-state validity, and
-xstate_report is its report: that of the InvalidStateError it raises, or an
-empty one.  Each entry point runs one of the two once.
+also returns the Bloch vector, sqrt(ad), sqrt(bc), |r| and |s|, is the one
+decision of X-state validity, and xstate_report is its report: that of the
+InvalidStateError it raises, or an empty one.  Each entry point runs one of
+the two once.  validate_density_matrix is the general check of any 4x4
+density matrix, which the oracle makes.
 """
 
 from __future__ import annotations
@@ -139,15 +141,17 @@ def _require(report: ValidationReport, what: str) -> None:
         raise InvalidStateError(f"{what}: {report.violations}", report)
 
 
-def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, float, float]:
-    """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc)) of p, the one decision of X-state validity.
+def check_xstate(p: XStateParams) -> tuple[float, ...]:
+    """(t30, t03, t11, t22, t33, sqrt(ad), sqrt(bc), |r|, |s|) of p, the one decision of X-state validity.
 
     p's _x_defects must hold, then the Bloch step: its Bloch vector's
     coefficient range and the _x_defects of the state that vector
     reconstructs.  A rejected state raises InvalidStateError("unphysical X
     state: <rows>"), or "unphysical Bloch coefficients: <rows>", with the
     report of those defects; a valid state builds no dataclass and no report.
-    Other fields are read by _floats, so a text field is a TypeError.
+    Other fields are read by _floats, so a text field is a TypeError.  Every
+    number returned is a float computed from the fields as read, so the
+    closed forms read this tuple and no field of p.
     """
     a, b, c, d, r, s = fields = p.a, p.b, p.c, p.d, p.r, p.s
     if not type(a) is type(b) is type(c) is type(d) is type(r) is type(s) is float:  # plain floats pass as they are
@@ -160,7 +164,7 @@ def check_xstate(p: XStateParams) -> tuple[float, float, float, float, float, fl
     inner, over = _x_defects(*params), max(abs(t30), abs(t03), abs(t11), abs(t22), abs(t33)) - 1.0
     if not _holds(inner, over):
         _require(_report(params, inner, over), "unphysical Bloch coefficients")
-    return t30, t03, t11, t22, t33, defects[4], defects[5]
+    return t30, t03, t11, t22, t33, defects[4], defects[5], abs(r), abs(s)
 
 
 def xstate_report(p: XStateParams) -> ValidationReport:
@@ -188,8 +192,10 @@ def xstate_matrix(p: XStateParams) -> np.ndarray:
 
 
 def _hermiticity_defect(rho: np.ndarray) -> float:
-    """The largest entry of |rho - rho^dagger|; a density matrix keeps it within STRUCT_TOL."""
-    return float(np.max(np.abs(rho - rho.conj().T)))
+    """The largest entry of |rho - rho^dagger|, inf past the float range; a density matrix keeps it
+    within STRUCT_TOL."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(rho - rho.conj().T)))
 
 
 def matrix_params(rho: np.ndarray) -> XStateParams:
@@ -209,7 +215,8 @@ def matrix_params(rho: np.ndarray) -> XStateParams:
             f"matrix is not Hermitian (deviation {herm:.3e})", ValidationReport((("hermitian", herm),))
         )
     off_mask = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diagonal and anti-diagonal
-    stray = float(np.max(np.abs(rho[off_mask])))
+    with np.errstate(over="ignore"):  # a modulus past the float range is inf
+        stray = float(np.max(np.abs(rho[off_mask])))
     if stray > X_SHAPE_TOL:
         raise InvalidStateError(
             f"matrix is not X-shaped (stray entry {stray:.3e})", ValidationReport((("x_shape", stray),))

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rqcx import cli, dynamics, measures, oracle, states
-from rqcx.families import FamilySpec, make_state
+from rqcx import cli, dynamics, measures, oracle, stateio, states
+from rqcx.families import FAMILY_KINDS, FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.noise import Markov, Moun, Rtn, lambda_of_t, lambda_zeros
 from rqcx.states import InvalidStateError, XStateParams
@@ -297,6 +297,62 @@ class TestStateFiles:
         ]
 
 
+def _matrix_doc(entries):
+    """A matrix document: zero but for entries, a map (i, j) -> complex."""
+    mat = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    for (i, j), z in entries.items():
+        mat[i][j] = [complex(z).real, complex(z).imag]
+    return {"matrix": mat}
+
+
+_DIAGONAL = {(k, k): 0.25 for k in range(4)}
+# one document of each kind for every verdict the reader or check_xstate gives
+VERDICT_DOCS = {
+    "abcdrs-valid": {"abcdrs": [0.4, 0.1, 0.2, 0.3, 0.3, 0.1]},
+    "abcdrs-coherence": {"abcdrs": [0.5, 0.0, 0.0, 0.5, 0.6, 0.0]},
+    "abcdrs-coefficient-range": {"abcdrs": [0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0, 0]},
+    "bloch-valid": {"bloch": {"t30": 0, "t03": 0, "t11": -0.5, "t22": -0.5, "t33": -0.5}},
+    "bloch-coherence": {"bloch": {"t30": 0, "t03": 0, "t11": 1.5, "t22": 0, "t33": 0}},
+    "matrix-valid": _matrix_doc({(0, 0): 0.4, (1, 1): 0.1, (2, 2): 0.2, (3, 3): 0.3,
+                                 (0, 3): 0.2, (3, 0): 0.2, (1, 2): 0.05, (2, 1): 0.05}),
+    # X-shaped and Hermitian, not positive: validate reported positive_semidefinite
+    "matrix-not-density": _matrix_doc({(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.6, (3, 0): 0.6}),
+    "matrix-trace-two": _matrix_doc({(k, k): 0.5 for k in range(4)}),
+    "matrix-non-hermitian": _matrix_doc({(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.5}),
+    "matrix-off-x": _matrix_doc({**_DIAGONAL, (0, 1): 0.1, (1, 0): 0.1}),
+    "matrix-complex-coherence": _matrix_doc({**_DIAGONAL, (0, 3): 0.1 + 0.1j, (3, 0): 0.1 - 0.1j}),
+    "matrix-nan": _matrix_doc({**_DIAGONAL, (0, 0): math.nan}),
+    "matrix-inf-imaginary": _matrix_doc({**_DIAGONAL, (0, 3): complex(0.0, math.inf)}),
+    # finite entries whose difference from the adjoint, or whose modulus, passes the float range
+    "matrix-huge-non-hermitian": _matrix_doc({**_DIAGONAL, (0, 1): 1e308, (1, 0): -1e308}),
+    "matrix-huge-off-x": _matrix_doc({**_DIAGONAL, (0, 1): complex(1e308, 1e308), (1, 0): complex(1e308, -1e308)}),
+}
+
+
+@pytest.mark.parametrize("doc", VERDICT_DOCS.values(), ids=VERDICT_DOCS)
+def test_validate_reports_the_check_the_other_commands_make(capsys, tmp_path, doc):
+    """rqcx validate's rows after "valid" are the report of the InvalidStateError that
+    load_state_document or check_xstate raises on the way to measure_set, and none when
+    neither raises: one reader and one check for every command."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    try:
+        measure_set(stateio.load_state_document(path))
+        want = ()
+    except InvalidStateError as exc:
+        want = exc.report.violations
+    state = ["--state", "file", "--state-file", str(path)]
+    code, out, err = run_cli(capsys, "validate", *state)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)[1]
+    assert (rows[0]["check"], rows[0]["ok"]) == ("valid", str(int(not want)))
+    assert [(r["check"], r["ok"], float(r["magnitude"])) for r in rows[1:]] == [
+        (name, "0", magnitude) for name, magnitude in want
+    ]
+    code, out, err = run_cli(capsys, "measures", *state)
+    assert code == (1 if want else 0) and (out == "") == bool(want)
+
+
 _MEASURE_NAMES = ("concurrence", "laqc", "qs", "cs")
 
 
@@ -498,8 +554,8 @@ class TestSurfaceOracleCrossover:
         # one oracle_set call serves all three measures: the matrix is checked
         # once and its Fano table computed once; every binding counts
         calls = collections.Counter()
-        for module, name in ((states, "validate_density_matrix"), (cli, "validate_density_matrix"),
-                             (states, "fano_coefficients"), (oracle, "fano_coefficients")):
+        for module, name in ((states, "validate_density_matrix"), (states, "fano_coefficients"),
+                             (oracle, "fano_coefficients")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -772,6 +828,9 @@ class TestInputBoundary:
             ["events", *WERNER, "--revival-threshold", "-1"],
             *(["surface", "--state", "mnms", f"{flag}={grid}"]
               for flag in ("--param-grid", "--time-grid") for grid in ("0:1:1", "1:0:3", "0:1:0", "0:1:-2")),
+            ["evolve", "--state", "mems", "--param", "0.5", "--noise", "rtn", "--a-over-gamma", "1e308",
+             "--tmax", "1", "--steps", "3"],
+            ["surface", "--state", "mems", "--noise", "rtn", "--a-over-gamma", "1e308"],
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
@@ -780,6 +839,7 @@ class TestInputBoundary:
             "threshold-nan", "threshold-inf", "threshold-negative",
             *(f"{axis}-grid-{case}" for axis in ("param", "time")
               for case in ("one-point", "decreasing", "no-points", "negative-count")),
+            "rtn-omega-inf", "surface-rtn-omega-inf",
         ],
     )
     def test_bad_input_exits_one_quietly(self, capsys, argv):
@@ -799,13 +859,26 @@ class TestInputBoundary:
             ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "1e308"],
             ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
             ["surface", "--state", "mnms", "--noise", "rtn", "--a-over-gamma", "1e154"],
+            ["events", "--state", "werner", "--param", "0.9", "--noise", "rtn", "--a-over-gamma", "1e154",
+             "--tmax", "1e-150"],
+            ["events", *WERNER, "--noise", "markov", "--lambda-over-gamma", "5e-324", "--tmax", "50"],
+            ["events", "--state", "werner", "--param", "0.9", "--noise", "moun", "--Gamma-over-gamma", "5e-324"],
+            ["events", *WERNER, "--noise", "moun", "--Gamma-over-gamma", "2.2e-308", "--tmax", "1e-12"],
+            ["events", "--state", "werner", "--param", "0.9", "--noise", "moun", "--Gamma-over-gamma", "1e-300",
+             "--tmax", "1e308"],
         ],
-        ids=["surface-time-1e308", "markov-rate-1e308", "rtn-rate-1e154", "surface-rtn-rate-1e154"],
+        ids=[
+            "surface-time-1e308", "markov-rate-1e308", "rtn-rate-1e154", "surface-rtn-rate-1e154",
+            "events-rtn-rate-1e154", "events-markov-rate-5e-324", "events-moun-rate-5e-324",
+            "events-moun-rate-2.2e-308", "events-moun-rate-1e-300",
+        ],
     )
     def test_envelope_at_the_edge_of_its_range(self, capsys, argv):
         # e^-t (RTN) and e^(-lambda t) (Markov) are 0 there: no cos(inf), and
         # no overflow in the exponent; RTN's omega is factored, so (2a)^2
-        # does not overflow
+        # does not overflow, and where omega^2 does, a crossing's first lane
+        # starts from 0; a Markov or MOUN crossing past the float range lies
+        # past the window
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
@@ -942,6 +1015,125 @@ class TestInputBoundary:
             assert len(deaths["12"][name]) == len(deaths["20000"][name]) == 4
             for coarse, fine in zip(deaths["12"][name], deaths["20000"][name]):
                 assert coarse == pytest.approx(fine, abs=1e-9)
+
+
+# numeric option values: the ends of the float range, both zeros, one ulp past
+# 1/2 (RTN's threshold), the non-finite values and -1, then a few ordinary ones
+EDGE_NUMBERS = ("0", "-0", "5e-324", "2.2e-308", "1e-300", repr(0.5 + 2**-53), "1e154", "1e300", "1e308",
+                "inf", "-inf", "nan", "-1")
+ORDINARY_NUMBERS = ("0.5", "0.9", "1", "3", "4")
+# The caps bound each run's memory and time: --grid at most 16, --steps and
+# grid counts at most 300, and a/gamma * tmax of an RTN events run at most 2e4,
+# so that no RTN ladder passes about 1.3e4 entries
+INT_VALUES = {
+    "steps": ("-1", "0", "1", "2", "3", "300"),
+    "grid": ("-1", "0", "1", "2", "8", "16", "65"),
+    "refine": ("-1", "0", "1", "4", "64", "65"),
+}
+GRID_COUNTS = ("-2", "0", "1", "2", "3", "40", "300")
+RTN_WINDOW_CAP = 2e4
+
+
+def _option_value(key, opt):
+    """A strategy for the text of one option's value."""
+    if key == "state_file":
+        return st.sampled_from([f"@{name}" for name in VERDICT_DOCS])
+    if opt.choices:
+        return st.sampled_from(opt.choices)
+    if opt.type is int:
+        return st.sampled_from(INT_VALUES[key])
+    numbers = st.sampled_from(EDGE_NUMBERS) | st.sampled_from(ORDINARY_NUMBERS)
+    if key.endswith("_grid"):
+        # as drawn, so bad and reversed grids come up, or in increasing order
+        ends = st.tuples(numbers, numbers)
+        ordered = ends.map(lambda ends: ends if "nan" in ends else sorted(ends, key=float))
+        grids = st.tuples(ends | ordered, st.sampled_from(GRID_COUNTS)).map(lambda g: ":".join((*g[0], g[1])))
+        return grids | st.just("nope")
+    return numbers
+
+
+def _rtn_window(argv):
+    """a/gamma * tmax of an events run under RTN, with the defaults where a flag is absent, else 0."""
+    opts = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    if argv[0] != "events" or opts.get("noise", "rtn") != "rtn":
+        return 0.0
+    a, tmax = float(opts.get("a-over-gamma", 4.0)), float(opts.get("tmax", 3.0))
+    return a * tmax if a > 0.0 and tmax > 0.0 else 0.0  # a NaN or negative value is rejected first
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of any subcommand, each option as --flag=value: a small run that
+    passes every input check, with up to three of its options then set to any
+    drawn value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    taken = {key: opt for key, opt in cli._OPTIONS.items() if command in opt.commands and key != "out"}
+    opts = {}
+    if command in cli._STATE and draw(st.integers(0, 3)) == 0:
+        opts.update(state="file", state_file=draw(_option_value("state_file", None)))
+    elif "state" in taken:
+        opts["state"] = draw(st.sampled_from(FAMILY_KINDS))
+        if command != "surface":
+            opts["param"] = draw(st.sampled_from(("0", "0.3", "0.5", "0.9", "1")))
+    if "noise" in taken:
+        opts["noise"] = draw(st.sampled_from(taken["noise"].choices))
+    opts.update({"surface": {"param_grid": "0:1:20", "time_grid": "0:3:30"}, "oracle": {"grid": "8"},
+                 "evolve": {"steps": "60"}}.get(command, {}))
+    for key in draw(st.lists(st.sampled_from(sorted(taken)), max_size=3, unique=True)):
+        opts[key] = draw(_option_value(key, taken[key]))
+    return [command] + [f"--{key.replace('_', '-')}={value}" for key, value in opts.items()]
+
+
+@pytest.fixture(scope="module")
+def state_docs(tmp_path_factory):
+    """Each of VERDICT_DOCS written to a file: its name -> its path."""
+    root = tmp_path_factory.mktemp("docs")
+    for name, doc in VERDICT_DOCS.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {f"@{name}": str(root / f"{name}.json") for name in VERDICT_DOCS}
+
+
+WERNER_09 = ["--state=werner", "--param=0.9"]
+
+
+@settings(max_examples=1000)
+@given(argv=cli_argvs().filter(lambda argv: _rtn_window(argv) <= RTN_WINDOW_CAP))
+@example(argv=["events", *WERNER_09, "--noise=rtn", "--a-over-gamma=1e154", "--tmax=1e-150"])
+@example(argv=["evolve", "--state=mems", "--param=0.5", "--noise=rtn", "--a-over-gamma=1e308", "--tmax=1",
+               "--steps=3"])
+@example(argv=["surface", "--state=mems", "--noise=rtn", "--a-over-gamma=1e308", "--param-grid=0:1:3",
+               "--time-grid=0:1:3"])
+@example(argv=["events", "--state=werner", "--param=0.5", "--noise=markov", "--lambda-over-gamma=5e-324",
+               "--tmax=50"])
+@example(argv=["events", *WERNER_09, "--noise=moun", "--Gamma-over-gamma=5e-324"])
+@example(argv=["events", "--state=werner", "--param=0.5", "--noise=moun", "--Gamma-over-gamma=2.2e-308",
+               "--tmax=1e-12"])
+@example(argv=["events", *WERNER_09, "--noise=moun", "--Gamma-over-gamma=1e-300", "--tmax=1e308"])
+@example(argv=["measures", "--state=file", "--state-file=@matrix-inf-imaginary"])
+@example(argv=["validate", "--state=file", "--state-file=@matrix-huge-non-hermitian"])
+@example(argv=["oracle", "--state=file", "--state-file=@matrix-huge-off-x", "--grid=8"])
+def test_every_argv_exits_zero_or_one_quietly(state_docs, argv):
+    """Any argv of the seven subcommands, over edge values of every option, exits 0
+    or 1 with no traceback and no RuntimeWarning; an exit-0 output holds no nan
+    unless an input was nan.  Each example is a fault this property found in
+    earlier code; an @name value is the path of VERDICT_DOCS[name]."""
+    nan_given = any("nan" in arg for arg in argv)  # a value, or the @matrix-nan document
+    flags = [arg.split("=", 1) for arg in argv[1:]]
+    argv = argv[:1] + [f"{key}={state_docs.get(value, value)}" for key, value in flags]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 1:
+        assert out == "" and "error:" in err
+    else:
+        assert err == ""
+        assert nan_given or "nan" not in out.lower()
 
 
 def assert_same_text(got, want):

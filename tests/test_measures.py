@@ -1,3 +1,8 @@
+import math
+from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import bloch, random_xstate
@@ -691,3 +696,56 @@ class TestMiddleOfThree:
                 assert not np.isnan(values).any(), name
                 if name != "concurrence":
                     assert not (np.signbit(values) & (values == 0.0)).any(), name
+
+
+def _dyadic_xstate(rng):
+    """A valid X state whose fields are multiples of 1/64, exact in float32 too."""
+    w = rng.multinomial(64, [0.25] * 4)
+    r = int(rng.integers(-1, 2)) * int(rng.integers(0, math.isqrt(int(w[0] * w[3])) + 1))
+    s = int(rng.integers(-1, 2)) * int(rng.integers(0, math.isqrt(int(w[1] * w[2])) + 1))
+    return XStateParams(*(v / 64.0 for v in (*w.tolist(), r, s)))
+
+
+_NUMERIC_TYPES = (lambda v: Decimal(repr(float(v))), Fraction, np.float32, np.float64, float)
+
+
+class TestNumericFields:
+    """A field of any numeric type gives the measures of its float: measure_set and the
+    sweep engine read only check_xstate's tuple, never a field of the state."""
+
+    def _assert_float_bits(self, p):
+        plain = XStateParams(*(float(v) for v in astuple(p)))
+        assert xstate_report(p) == xstate_report(plain)
+        if not xstate_report(p).valid:
+            return False
+        assert _bits(astuple(measure_set(p))) == _bits(astuple(measure_set(plain)))
+        tgrid = np.linspace(0.0, 3.0, 7)
+        for noise in (Rtn(4.0), Moun(1.0)):
+            got, want = trajectory(p, noise, tgrid), trajectory(plain, noise, tgrid)
+            assert [_bits(col) for col in got] == [_bits(col) for col in want]
+        return True
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (0.5, 0.0, 0.0, 0.5, Decimal("0.25"), 0.0),
+            (1, 0, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0),
+            (0.5, 0, 0, 0.5, 0, Fraction(0)),
+            (Fraction(1, 2), 0, 0, Fraction(1, 2), Fraction(-1, 2), 0),
+            (np.float32(0.25), np.float32(0.25), 0.25, 0.25, np.float32(0.125), np.float32(-0.125)),
+        ],
+        ids=["decimal-r", "int-00", "int-11", "int-and-fraction", "fraction-bell", "float32"],
+    )
+    def test_fields_of_each_type(self, fields):
+        assert self._assert_float_bits(XStateParams(*fields))
+
+    @pytest.mark.parametrize("kind", range(len(_NUMERIC_TYPES)), ids=["decimal", "fraction", "float32", "float64", "float"])
+    def test_random_states_of_one_type_per_field(self, rng, kind):
+        valid = 0
+        for k in range(100):
+            p = _dyadic_xstate(rng) if k % 2 else random_xstate(rng, k % 4 == 1)
+            # the given type in a random half of the fields, any other in the rest
+            types = [_NUMERIC_TYPES[kind if rng.random() < 0.5 else rng.integers(len(_NUMERIC_TYPES))] for _ in range(6)]
+            valid += self._assert_float_bits(XStateParams(*(t(v) for t, v in zip(types, astuple(p)))))
+        assert valid >= 50

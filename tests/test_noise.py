@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from conftest import random_xstate
 from reference import apply_common_bath, bloch_from_matrix, kraus_pair, rtn_omega
 from test_dynamics import DEATH_TOL, _margin_deaths, _slope
 from rqcx import noise, search
+from rqcx.families import FamilySpec, make_state
 from rqcx.measures import _StateMeasures
 from rqcx.noise import (
     Markov,
@@ -54,6 +57,13 @@ class TestModels:
     def test_nonfinite_rates_rejected(self, model, rate):
         with pytest.raises(ValueError, match="finite"):
             model(rate)
+
+    @pytest.mark.parametrize("a", [9e307, 1e308, 1.7976931348623157e308])
+    def test_rtn_omega_past_the_float_range_rejected(self, a):
+        # 2a overflows to inf, and so would omega and every envelope value
+        with pytest.raises(ValueError, match=re.escape(f"a/gamma = {a} puts omega past the float range")):
+            Rtn(a)
+        assert np.isfinite(Rtn(8.9e307).omega)
 
 
 class TestEnvelope:
@@ -361,6 +371,33 @@ class TestCrossings:
         near = model.crossings(kappa, 50.0)
         assert near.size
         assert np.array_equal(model.crossings(kappa, 1e5), near)
+
+
+    def test_rtn_first_piece_past_the_square_of_omega(self):
+        # omega^2 overflows past omega ~ 1.3e154: the first lane then starts
+        # from t0 = 0, and its crossing still solves Lambda^2 = kappa
+        model = Rtn(1e154)
+        t = model.crossings(0.5, 1e-150)
+        assert t.size and np.all(np.diff(t) > 0.0) and t[-1] <= 1e-150
+        assert np.abs(lambda_of_t(model, t[:1]) ** 2 - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-155])
+    def test_moun_crossing_where_the_quadratic_bound_overflows(self, gamma):
+        # c = ln(1/kappa)/Gamma is past 1e154, so c(c + 8) overflows; the root
+        # of g(t) = t + e^-t - 1 = c lies in (c, c + 1], as t - 1 <= g(t) < t
+        kappa = _StateMeasures(make_state(FamilySpec("werner", 0.9))).death_level()
+        model, c = Moun(gamma), -np.log(kappa) / gamma
+        t = model.crossings(kappa, 1e308)
+        assert t.size == 1 and c <= t[0] <= c + 1.0
+        assert t[0] == pytest.approx(c + 1.0, rel=1e-10)
+        # the window (0, c] holds no root
+        assert model.crossings(kappa, c).size == 0
+
+    @pytest.mark.parametrize("model", [Moun(5e-324), Markov(5e-324)], ids=["moun", "markov"])
+    def test_crossing_past_every_window(self, model):
+        # ln(1/kappa) over the rate overflows: no crossing, and no warning
+        for t_end in (1e-12, 50.0, 1e308):
+            assert model.crossings(0.5, t_end).size == 0
 
 
 def _whole_piece_crossings(model, kappa, t_end):
