@@ -80,8 +80,17 @@ class Rtn:
 
     def _starts(self, t: float) -> np.ndarray:
         """The extrema k pi/omega from k = 0 to one past floor(t omega/pi), which
-        rounds low an ulp past an extremum: every extremum up to t, and more."""
-        return self._extremum(np.arange(0.0, np.floor(t * self.omega / np.pi) + 2.0))
+        rounds low an ulp past an extremum: every extremum up to t, and more.
+
+        A ladder of more than 2**27 extrema, one float64 array past 1 GiB, is
+        refused before it is allocated."""
+        count = np.floor(float(t) * self.omega / np.pi) + 2.0  # Python floats: an overflow is a quiet inf
+        if not count <= 2.0**27:
+            raise ValueError(
+                f"time window (--tmax) {t:g} at RTN coupling a/gamma = {self.a_over_gamma:g} needs "
+                f"{count:.3g} extrema, past the 2**27 (1 GiB) one ladder may hold: lower --tmax or --a-over-gamma"
+            )
+        return self._extremum(np.arange(0.0, count))
 
     def _pieces(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The falling pieces of |Lambda| that start at or before t: the extrema k pi/omega

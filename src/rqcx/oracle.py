@@ -36,7 +36,10 @@ kernel exceeds the exact CMI only by rounding, by at most 3.3e-14 on the
 states tried, and the corners' values are kernel values too, so the
 leaders are the full scan's, to the bit.  At the default grid, MNMS states
 below x = 1 scan one row of 481 settings, and Werner states 15328 or 15360
-cells' settings past the probe and the bounds.
+cells' settings past the probe and the bounds.  No table of w = n_A.T.n_B
+is formed: each entry the scan reads comes from the steered vectors T^T n_A
+by one elementwise formula (`_pair_w`), so its bits do not depend on which
+entries a call forms, nor, on an X state, on the BLAS kernel.
 
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
@@ -75,10 +78,11 @@ from .states import fano_coefficients, require_density_matrix
 
 _TIE_TOL = 1e-9
 GRID, REFINE = 32, 4  # oracle_set's default grid resolution and refinement rounds
-# Largest grid resolution.  A grid stage at 64 scans 1985**2 settings, and a
-# grid-64 oracle call peaks at about 62 MB resident, w taking 32 MB; the CMI
-# is reduced block by block, so no table of it is held.  w grows as grid**4,
-# so at 128 it alone would take about 0.5 GB.
+# Largest grid resolution.  A grid stage at 64 holds 1985**2 settings; the
+# bounds prune most of them, but a state they cannot prune (the maximally
+# mixed state) scans every cell, and that scan's time grows as grid**4: 16
+# times the grid-64 scan at 128.  The CMI and w are formed block by block, so
+# memory is not what caps the grid.
 GRID_MAX = 64
 # Most rounds (a kernel call each per stage); the step is then at most 2.4e-20.
 REFINE_MAX = 64
@@ -153,6 +157,15 @@ def _grid_directions(grid: int):
     return directions
 
 
+@functools.cache
+def _ring_directions(grid: int) -> np.ndarray:
+    """The rings of `_grid_directions` past the pole, component-major, read-only and made once
+    per grid: [k, r, j] is component k of direction j of ring r (direction 1 + r grid + j)."""
+    rings = np.ascontiguousarray(_grid_directions(grid)[0][1:].T).reshape(3, -1, grid)
+    rings.flags.writeable = False
+    return rings
+
+
 def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta) along a new last axis."""
     st = np.sin(theta)
@@ -163,10 +176,29 @@ def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_w(s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The kernel's w = s.n of steered vectors s = T^T n_A and B's directions n, components on
+    the last axis, broadcast: (s0 n0 + s1 n1) + s2 n2, elementwise.
+
+    An entry has the same bits whichever entries a call forms and whatever
+    BLAS kernel numpy runs, where a matrix product's rounding depends on
+    both.  x = n_A.rA, y = n_B.rB and s stay matrix products: on an X state
+    (T diagonal, rA and rB along z) each of their entries is one product
+    plus exact zeros, the same under every kernel.
+    """
+    return (s[..., 0] * n[..., 0] + s[..., 1] * n[..., 1]) + s[..., 2] * n[..., 2]
+
+
+def _cell_w(steer: np.ndarray, rings: np.ndarray, ri: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """w of the cells (A direction ri, B ring cr), shape (cells, grid): the rings are taken from
+    their component-major layout (`_ring_directions`), so each component is one contiguous array."""
+    return _pair_w(steer[ri, None], np.moveaxis(rings.take(cr, axis=1), 0, -1))
+
+
 def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """CMI of every (A, B) direction pair of each lane: da (L, nA, 3), db (L, nB, 3) give (L, nA, nB)."""
     ra, rb, tt = parts
-    return kernels.cmi_table(da @ ra, db @ rb, (da @ tt) @ np.swapaxes(db, 1, 2))
+    return kernels.cmi_table(da @ ra, db @ rb, _pair_w((da @ tt)[:, :, None], db[:, None]))
 
 
 _OFFSETS = {d: np.array(np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij")).reshape(d, -1).T for d in (1, 2)}
@@ -216,7 +248,7 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if grid > GRID_MAX:
-        raise ValueError(f"grid must be at most {GRID_MAX} (the grid scan's memory grows as grid**4)")
+        raise ValueError(f"grid must be at most {GRID_MAX} (the grid scan's time grows as grid**4)")
     if refine < 0:
         raise ValueError("refine must be at least 0")
     if refine > REFINE_MAX:
@@ -316,8 +348,8 @@ def _grid_stage(parts, grid: int, keep: int = 1):
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
-    w is one matrix product (row slices of it can round differently), and
-    each setting's kernel value has the same bits whatever call it is in.
+    Every w entry read comes from `_pair_w` on the steered vectors T^T n_A,
+    so each setting's kernel value has the same bits whatever call it is in.
 
     Only settings that can be within `_TIE_TOL` of the maximum are scanned,
     in one sequence that every state runs:
@@ -346,38 +378,44 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     bounds all lie within the slack of 0 (the maximally mixed state) drops
     nothing, and its every cell is scanned.
 
-    No table-sized CMI array is made.  Each block keeps its maximum and
-    every setting within `_TIE_TOL` of it (`_ties`): a tie of the overall
-    maximum is within the tolerance of its own block's maximum.  A block's
-    list is not cut at `keep`, since a near tie there may fall out of the
-    window once a later block raises the maximum; it drops only settings
-    behind `keep` earlier ones at least as large, which are never among the
-    first `keep` ties.  The lists are merged in scan order.
+    No table-sized array is made.  w is formed only where the scan reads
+    it: the probe row, the pole column and each block's cells, whose B
+    rings come from their component-major layout (`_cell_w`).  Each block
+    keeps its maximum and every setting within `_TIE_TOL` of it (`_ties`):
+    a tie of the overall maximum is within the tolerance of its own block's
+    maximum.  A block's list is not cut at `keep`, since a near tie there
+    may fall out of the window once a later block raises the maximum; it
+    drops only settings behind `keep` earlier ones at least as large, which
+    are never among the first `keep` ties.  The lists are merged in scan
+    order.
     """
     ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
-    x, y, w = na @ ra, na @ rb, na @ tt @ na.T
+    x, y, steer = na @ ra, na @ rb, na @ tt  # w[i, j] is _pair_w(steer[i], na[j])
     chi = _holevo_bounds(parts, na)
     i = int(np.argmax(chi))
-    top, near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, w[i : i + 1]).ravel(), keep)
+    top, near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, _pair_w(steer[i], na)[None]).ravel(), keep)
     found = [(top, i * n + near, vals)]
     floor = top - _TIE_TOL - _BOUND_SLACK
     rows = np.flatnonzero(chi >= floor)
     rows = rows[rows != i]
     thetas = ta[1::grid]  # ring r is directions 1 + r grid to (r + 1) grid
-    bounds = _ring_bounds(parts, na[rows], x[rows], thetas, (y[0], w[rows, 0]))
+    bounds = _ring_bounds(parts, na[rows], x[rows], thetas, (y[0], _pair_w(steer[rows], na[0])))
     if rows.size:
         top, near, vals = _ties(bounds[:, 0], keep)
         found.append((top, rows[near] * n, vals))
         floor = max(floor, top - _TIE_TOL - _BOUND_SLACK)
     cells = np.flatnonzero(bounds[:, 1:] >= floor)  # flat (kept row, ring), ascending
+    rings, ring_y = _ring_directions(grid), y[1:].reshape(-1, grid)
     step = max(1, BLOCK_ELEMENTS // grid)
     for c0 in range(0, cells.size, step):
         ci, cr = np.divmod(cells[c0 : c0 + step], thetas.size)
-        ri, cols = rows[ci], (1 + grid * cr)[:, None] + np.arange(grid)
-        top, near, vals = _ties(kernels.cmi_table(x[ri, None], y[cols], w[ri[:, None], cols][:, None]).ravel(), keep)
-        found.append((top, ri[near // grid] * n + cols.ravel()[near], vals))
+        ri = rows[ci]
+        w = _cell_w(steer, rings, ri, cr)[:, None]
+        top, near, vals = _ties(kernels.cmi_table(x[ri, None], ring_y.take(cr, axis=0), w).ravel(), keep)
+        q, j = np.divmod(near, grid)
+        found.append((top, ri[q] * n + 1 + grid * cr[q] + j, vals))
     tops, idx, vals = zip(*found)
     best = float(np.max(tops))
     idx, vals = np.concatenate(idx), np.concatenate(vals)

@@ -831,6 +831,8 @@ class TestInputBoundary:
             ["evolve", "--state", "mems", "--param", "0.5", "--noise", "rtn", "--a-over-gamma", "1e308",
              "--tmax", "1", "--steps", "3"],
             ["surface", "--state", "mems", "--noise", "rtn", "--a-over-gamma", "1e308"],
+            ["events", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
+            ["events", *WERNER, "--tmax", "1e308"],
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
@@ -839,7 +841,7 @@ class TestInputBoundary:
             "threshold-nan", "threshold-inf", "threshold-negative",
             *(f"{axis}-grid-{case}" for axis in ("param", "time")
               for case in ("one-point", "decreasing", "no-points", "negative-count")),
-            "rtn-omega-inf", "surface-rtn-omega-inf",
+            "rtn-omega-inf", "surface-rtn-omega-inf", "rtn-ladder-past-memory", "tmax-ladder-past-memory",
         ],
     )
     def test_bad_input_exits_one_quietly(self, capsys, argv):
@@ -1112,6 +1114,8 @@ WERNER_09 = ["--state=werner", "--param=0.9"]
 @example(argv=["measures", "--state=file", "--state-file=@matrix-inf-imaginary"])
 @example(argv=["validate", "--state=file", "--state-file=@matrix-huge-non-hermitian"])
 @example(argv=["oracle", "--state=file", "--state-file=@matrix-huge-off-x", "--grid=8"])
+@example(argv=["events", "--state=werner", "--param=0.5", "--noise=rtn", "--a-over-gamma=1e154"])
+@example(argv=["events", "--state=werner", "--param=0.5", "--tmax=1e308"])
 def test_every_argv_exits_zero_or_one_quietly(state_docs, argv):
     """Any argv of the seven subcommands, over edge values of every option, exits 0
     or 1 with no traceback and no RuntimeWarning; an exit-0 output holds no nan

@@ -31,7 +31,11 @@ stage came to run on (lanes, nA, nB) tables, with real phase directions:
 ``oracle_default`` stayed byte-identical.  The ``crossover`` files were
 rewritten when crossover_z came to solve by safeguarded Newton in place of
 bisection: z* went from 0.42149947141453142 (1.9e-13 from the root) to
-0.42149947141471866 (1.6e-16 from it).  Each file is named
+0.42149947141471866 (1.6e-16 from it).  The ``oracle_werner`` files were
+rewritten when every w the oracle reads came to be formed by one elementwise
+formula in place of matrix products, whose rounding varied with the
+OpenBLAS kernel: only the ``cs`` row moved, from 0.39015969528359928 to
+0.39015969528359973 (``abs_error`` 2.8e-16 to 1.7e-16).  Each file is named
 ``<case>.<format>``.
 """
 

@@ -65,6 +65,18 @@ class TestModels:
             Rtn(a)
         assert np.isfinite(Rtn(8.9e307).omega)
 
+    @pytest.mark.parametrize("a, t", [(1e154, 3.0), (4.0, 1e308), (1e2, 1e7)])
+    def test_rtn_ladder_past_memory_rejected(self, a, t):
+        # more than 2**27 extrema (one float64 ladder past 1 GiB) is refused
+        # before numpy is asked for the array, naming both flags that set it
+        model = Rtn(a)
+        ladders = [model.zeros, model.extrema]
+        if a > 1e9:  # crossings cut the window at ln(1/kappa)/2, so only a large coupling gets there
+            ladders.append(lambda t: model.crossings(0.5, t))
+        for ladder in ladders:
+            with pytest.raises(ValueError, match=r"--tmax.*--a-over-gamma"):
+                ladder(t)
+
 
 class TestEnvelope:
     def test_unity_at_time_zero(self):

@@ -189,12 +189,18 @@ def _full_sphere_leader(parts, grid, sign=1.0):
     return np.array([t[ia], p[ia], t[ib], p[ib]]), sign * float(flat[k])
 
 
+def _full_table_terms(parts, na):
+    """x, y and the full w table of directions na for both parties, w by the oracle's one
+    elementwise formula, so every entry has the bits of the stage's own."""
+    ra, rb, tt = parts
+    return na @ ra, na @ rb, oracle._pair_w((na @ tt)[:, None], na)
+
+
 def _grid_stage_ref(parts, grid, keep=1, block_rows=None):
     """The grid stage as one full CMI table: its maximum, then the first `keep` settings within _TIE_TOL of it.
     With block_rows, the kernel runs on that many rows of the one w at a time: the same bits, in less memory."""
-    ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
-    x, y, w = na @ ra, na @ rb, na @ tt @ na.T
+    x, y, w = _full_table_terms(parts, na)
     step = block_rows or x.size
     flat = np.concatenate([kernels.cmi_table(x[r : r + step], y, w[r : r + step]).ravel()
                            for r in range(0, x.size, step)])
@@ -244,10 +250,18 @@ def _served_by_setting(table, w, bound=None):
 
 
 def _rotated_isotropic_parts(seed, c=0.3):
-    """Fano parts with rA = rB = 0 and T = c Q, Q a random orthogonal matrix: every direction has the
-    same Holevo bound, so the grid stage keeps every row, and w = n.T.n has no two equal entries."""
-    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
-    return np.zeros(3), np.zeros(3), c * q
+    """Fano parts with rA = rB = 0 and T = c Q, Q a random rotation: every direction has the
+    same Holevo bound, so the grid stage keeps every row, and w = n.T.n has no two equal entries.
+    Q is the rotation of a random unit quaternion, elementwise, so its bits do not depend on the
+    BLAS or LAPACK kernel, as a QR factor's do."""
+    g = np.random.default_rng(seed).normal(size=4)
+    q0, q1, q2, q3 = g / np.sqrt(((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2]) + g[3] * g[3])
+    rotation = 2.0 * np.array([
+        [q0 * q0 + q1 * q1 - 0.5, q1 * q2 - q0 * q3, q1 * q3 + q0 * q2],
+        [q1 * q2 + q0 * q3, q0 * q0 + q2 * q2 - 0.5, q2 * q3 - q0 * q1],
+        [q1 * q3 - q0 * q2, q2 * q3 + q0 * q1, q0 * q0 + q3 * q3 - 0.5],
+    ])
+    return np.zeros(3), np.zeros(3), c * rotation
 
 
 def _stage_calls(monkeypatch, parts, grid, keep):
@@ -349,7 +363,7 @@ class TestGridStage:
         table[0, 20] = 1.0 - 0.7e-9
         table[2, 1] = 1.0
         table[3, 9] = 1.0 - 0.2e-9
-        fake, served = _served_by_setting(table, na @ parts[2] @ na.T, bound=2.0)
+        fake, served = _served_by_setting(table, _full_table_terms(parts, na)[2], bound=2.0)
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * 8)
         monkeypatch.setattr(kernels, "cmi_table", fake)
         angles, values = _grid_stage(parts, 8, keep)
@@ -458,9 +472,8 @@ class TestGridStage:
         # B ring r) exceeds the largest at the corners of its box, past
         # rounding; the pole column is the scan's own values
         parts = _fano_parts(_bound_state(kind, entries, weights))
-        ra, rb, tt = parts
         na, t, _ = _grid_directions(grid)
-        x, y, w = na @ ra, na @ rb, na @ tt @ na.T
+        x, y, w = _full_table_terms(parts, na)
         table = kernels.cmi_table(x, y, w)
         bounds = oracle._ring_bounds(parts, na, x, t[1::grid], (y[0], w[:, 0]))
         np.testing.assert_array_equal(_bits(bounds[:, 0]), _bits(table[:, 0]))
@@ -499,10 +512,11 @@ class TestGridStage:
 
     @pytest.mark.parametrize("kind", ["generic", "mixed", "bell"])
     def test_grid_64_peak_is_about_w(self, kind):
-        # w (1985**2 doubles, 31.5 MB) is the one table-sized array; a full CMI
-        # table, or a candidate list holding every tie, would double the peak.
-        # The ring bounds and the cells come in blocks; the maximally mixed
-        # state and Bell scan the most cells
+        # no table-sized array: the full w would be 1985**2 doubles (31.5 MB),
+        # and the stage stays under an eighth of it (3.4 MB measured for the
+        # maximally mixed state and Bell, which scan the most cells).  A full
+        # CMI or w table, or a candidate list holding every tie, would break
+        # it; the ring bounds, w and the cells come in blocks
         parts = _fano_parts(_stage_state(kind, (0.4, 0.3, 0.2, 0.1), (1.0, -1.0)))
         w_bytes = 1985**2 * 8
         tracemalloc.start()
@@ -511,7 +525,49 @@ class TestGridStage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * w_bytes
+        assert peak < w_bytes / 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(_BOUND_KINDS),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+        weights=st.tuples(*[st.floats(0.05, 1.0)] * 4),
+        grid=st.sampled_from((8, 16, 33)),
+        prune=st.booleans(),
+    )
+    def test_stage_w_has_the_full_table_bits(self, kind, entries, weights, grid, prune):
+        # every w entry the stage forms, the pole column handed to the ring
+        # bounds and each cell block's, has the bits of the full _pair_w table
+        # at its indices.  Unpruned (a slack past every CMI), every row is
+        # kept and every cell scanned
+        parts = _fano_parts(_bound_state(kind, entries, weights))
+        na = _grid_directions(grid)[0]
+        full = _full_table_terms(parts, na)[2]
+        poles, blocks = [], []
+
+        def ring_bounds(parts, n, x, thetas, pole, _fn=oracle._ring_bounds):
+            poles.append((n, pole[1]))
+            return _fn(parts, n, x, thetas, pole)
+
+        def cell_w(steer, rings, ri, cr, _fn=oracle._cell_w):
+            blocks.append((ri, cr, _fn(steer, rings, ri, cr)))
+            return blocks[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_ring_bounds", ring_bounds)
+            mp.setattr(oracle, "_cell_w", cell_w)
+            if not prune:
+                mp.setattr(oracle, "_BOUND_SLACK", 10.0)
+            _grid_stage(parts, grid, 8)
+        (n, w_pole), = poles
+        rows = np.array([int(np.flatnonzero((na == d).all(axis=1))[0]) for d in n], dtype=int)
+        np.testing.assert_array_equal(_bits(w_pole), _bits(full[rows, 0]))
+        scanned = sum(ri.size for ri, _, _ in blocks)
+        if not prune:
+            assert rows.size == na.shape[0] - 1 and scanned == rows.size * (na.shape[0] - 1) // grid
+        for ri, cr, w in blocks:
+            cols = (1 + grid * cr)[:, None] + np.arange(grid)
+            np.testing.assert_array_equal(_bits(w), _bits(full[ri[:, None], cols]))
 
 
 def _paired_cmi_ref(parts, da, db):
