@@ -11,7 +11,9 @@ Ornstein-Uhlenbeck noise (MOUN) and the Markovian baseline decay monotonically
 and share one definition: no zeros, no extrema.  Markov crosses a level in
 closed form; RTN and MOUN solve each crossing on a monotone piece of the
 envelope with a Newton lane (`search.newton`).  `lambda_of_t` and
-`lambda_zeros` check their arguments and call the model.
+`lambda_zeros` check their arguments and call the model; `lambda_of_t` also
+refuses an RTN window whose phase omega t reaches 2**52, where cos(omega t)
+is rounding noise.
 
 The channel is two independent local phase-flip channels with equal Lambda,
 one per qubit, not one field shared by both qubits: both coherences r and s
@@ -33,6 +35,8 @@ from .search import newton
 # cos(omega t) and the exponent of Markov and MOUN there: past it the envelope is 0 (RTN's
 # with the sign it has at 746), and omega t and lambda t cannot overflow to inf or a NaN
 _EXP_ZERO = 746.0
+# omega t at or past 2**52 has an ulp of a radian or more, so cos(omega t) is rounding noise
+_PHASE_MAX = 2.0**52
 
 
 def _require_rate(value: float, label: str) -> None:
@@ -224,10 +228,25 @@ NoiseModel = Rtn | Moun | Markov
 
 
 def lambda_of_t(model: NoiseModel, t):
-    """Channel envelope at time t (gamma*t units); Lambda(0) = 1, |Lambda| <= 1."""
+    """Channel envelope at time t (gamma*t units); Lambda(0) = 1, |Lambda| <= 1.
+
+    An RTN window whose phase omega * min(t, 746) reaches 2**52 is refused:
+    one ulp of omega t is then a radian or more, and cos(omega t) is rounding
+    noise.  The check is one comparison per call (and a pass over t only
+    where omega * 746 reaches the limit), outside the envelope, so the Newton
+    rounds of `Rtn.crossings` do not repeat it; an events window that long
+    is refused first by `Rtn._starts`."""
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise ValueError("time must be finite and nonnegative")
+    if isinstance(model, Rtn) and model.omega * _EXP_ZERO >= _PHASE_MAX:
+        t_end = min(float(np.max(arr, initial=0.0)), _EXP_ZERO)
+        if model.omega * t_end >= _PHASE_MAX:
+            raise ValueError(
+                f"time window up to t = {t_end:g} at RTN coupling a/gamma = {model.a_over_gamma:g} "
+                f"(--a-over-gamma) puts omega t at {model.omega * t_end:.3g}, past 2**52, where cos(omega t) "
+                "is rounding noise: shorten the time window or lower --a-over-gamma"
+            )
     val = model.envelope(arr)
     return float(val) if val.ndim == 0 else val
 

@@ -10,36 +10,41 @@ classical mutual information.  oracle_set, the one entry point, checks rho,
 grid and refine once and runs three stages on the Fano parts of rho:
 optimize_cmi over all local settings (stage 1, whose first leader is Wu's
 cs), laqc_oracle over the bases complementary to the computational basis,
-and qs_oracle over those complementary to stage 1's leaders (stage 2).  Each
-is deterministic coarse-to-fine: a grid scan (the four angles, each distinct
-measurement once, or the two Hadamard phases), then the rounds of the one
-ascent loop `_ascend`, whose step halves each round.
+and qs_oracle over those complementary to stage 1's leaders (stage 2); laqc
+is the one-base case of qs's step from phase-stage lanes to a result
+(`_phase_result`).  Each is deterministic coarse-to-fine: a grid scan (the
+four angles, each distinct measurement once, or the two Hadamard phases),
+then the rounds of the one ascent loop `_ascend`, whose step halves each
+round.  The ascent starts from the scan's own values, so no kernel call
+comes between a scan and its first round.
 
 Stage 1's grid scan is pruned by two exact bounds, in one sequence for
-every state.  Fix A's direction n: by Holevo's theorem no measurement on B
-draws more than chi_A(n) bits about A's outcome, so every CMI in A's row n
-is at most chi_A(n) (`_holevo_bounds`, one vectorized pass over the
-directions).  The probe scans the row of the largest chi_A, and the floor
-is its best kernel value less `_TIE_TOL` and a slack `_BOUND_SLACK` of
-1e-6; a row whose bound is below it cannot hold a setting within
-`_TIE_TOL` of the maximum, and is dropped.  The kept rows are cut into
-cells of one A direction n and one of B's theta rings (a grid row of
-directions at one theta; the pole is a ring of one).  For A's outcome s,
-B's direction enters the CMI only through m_s = n_B.(rB + s T^T n), and
-over a ring m_s fills an interval.  For a fixed input distribution the
-mutual information is convex in the channel (Cover and Thomas, Thm
-2.7.4), and B's channel is affine in (m_+, m_-), so no setting of the cell
-beats the CMI at the four corners of that box (`_ring_bounds`, one kernel
-call per block of rows).  The pole cells' values, the scan's own, may
-raise the floor, and only the cells at or above it are scanned.  The
-kernel exceeds the exact CMI only by rounding, by at most 3.3e-14 on the
-states tried, and the corners' values are kernel values too, so the
-leaders are the full scan's, to the bit.  At the default grid, MNMS states
-below x = 1 scan one row of 481 settings, and Werner states 15328 or 15360
-cells' settings past the probe and the bounds.  No table of w = n_A.T.n_B
-is formed: each entry the scan reads comes from the steered vectors T^T n_A
-by one elementwise formula (`_pair_w`), so its bits do not depend on which
-entries a call forms, nor, on an X state, on the BLAS kernel.
+every state.  Both read A's row terms, formed once per scan (`_row_terms`):
+measuring A along n gives outcome s = +-1 with probability p_s and leaves
+B's Bloch vector v_s/(2 p_s), v_s = rB + s T^T n.  Fix A's direction n: by
+Holevo's theorem no measurement on B draws more than chi_A(n) bits about
+A's outcome, so every CMI in A's row n is at most chi_A(n)
+(`_holevo_bounds`, one vectorized pass over the rows).  The probe scans the
+row of the largest chi_A, and the floor is its best kernel value less
+`_TIE_TOL` and a slack `_BOUND_SLACK` of 1e-6; a row whose bound is below
+it cannot hold a setting within `_TIE_TOL` of the maximum, and is dropped.
+The kept rows are cut into cells of one A direction n and one of B's theta
+rings (a grid row of directions at one theta; the pole is a ring of one).
+For A's outcome s, B's direction enters the CMI only through m_s = n_B.v_s,
+and over a ring m_s fills an interval.  For a fixed input distribution the
+mutual information is convex in the channel (Cover and Thomas, Thm 2.7.4),
+and B's channel is affine in (m_+, m_-), so no setting of the cell beats
+the CMI at the four corners of that box (`_ring_bounds`, one kernel call
+per block of rows).  The pole cells' values, the scan's own, may raise the
+floor, and only the cells at or above it are scanned.  The kernel exceeds
+the exact CMI only by rounding, by at most 3.3e-14 on the states tried, and
+the corners' values are kernel values too, so the leaders are the full
+scan's, to the bit.  At the default grid, MNMS states below x = 1 scan one
+row of 481 settings, and Werner states 15328 or 15360 cells' settings past
+the probe and the bounds.  No table of w = n_A.T.n_B is formed: each entry
+the scan reads comes from the steered vectors T^T n_A by one elementwise
+formula (`_pair_w`), so its bits do not depend on which entries a call
+forms, nor, on an X state, on the BLAS kernel.
 
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
@@ -226,9 +231,10 @@ def _ascend(table, fold, cur_a, cur_b, best, steps, rounds: int):
     return np.concatenate((cur_a, cur_b), axis=1), best
 
 
-def _refine_angles(parts, angles0, steps0, rounds: int):
-    """`_ascend` of L starts (angles0 of shape (L, 4)) with steps steps0 (4,) at once:
-    each party's 9 candidates are (theta, phi) moves, one (L, 9, 9) table per round."""
+def _refine_angles(parts, angles0, values0, steps0, rounds: int):
+    """`_ascend` of L starts (angles0 of shape (L, 4), values0 (L,) their CMI) with steps steps0
+    (4,) at once: each party's 9 candidates are (theta, phi) moves, one (L, 9, 9) table per round.
+    The starts' values come from their caller, the grid stage's own, so no call precedes the rounds."""
 
     def table(a, b):
         return _lane_table(parts, _direction(a[..., 0], a[..., 1]), _direction(b[..., 0], b[..., 1]))
@@ -239,8 +245,7 @@ def _refine_angles(parts, angles0, steps0, rounds: int):
         return cand
 
     angles, steps = np.asarray(angles0, dtype=float), np.asarray(steps0, dtype=float)
-    best = table(angles[:, None, :2], angles[:, None, 2:])[:, 0, 0]
-    return _ascend(table, fold, angles[:, :2], angles[:, 2:], best, (steps[:2], steps[2:]), rounds)
+    return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, (steps[:2], steps[2:]), rounds)
 
 
 def _search_parts(rho: np.ndarray, grid: int, refine: int):
@@ -262,84 +267,93 @@ def _grid_steps(grid: int) -> np.ndarray:
     return np.array([dt, dp, dt, dp])
 
 
-def _holevo_bounds(parts, n: np.ndarray) -> np.ndarray:
-    """chi_A, shape (len(n),): the Holevo bound of A's measurement along each direction n.
+def _holevo_bounds(terms, rb_length: float) -> np.ndarray:
+    """chi_A, one per row of A's row terms (`_row_terms`): the Holevo bound of A's measurement
+    along each row's direction n, given |rB|.
 
-    Measuring A along n gives outcome s = +-1 with p_s = (1 + s n.rA)/2 and
-    leaves B with Bloch vector v_s/(2 p_s), v_s = rB + s T^T n, so chi_A(n) =
-    S(rho_B) - sum_s p_s S(rho_B|s), S the entropy of a Bloch length clipped
-    at 1 and a p_s = 0 branch adding 0.  No measurement of B draws more than
-    chi_A(n) bits about A's outcome (Holevo), so every CMI of A's row n is at
-    most chi_A(n).  p_s S(rho_B|s) is -sum_k e log2 e + p_s log2 p_s, e = (2
-    p_s + k |v_s|)/4 for k = +-1, so chi takes the CMI formula's form: joint
-    terms of e, less the marginal terms of n.rA and |rB|.
+    chi_A(n) = S(rho_B) - sum_s p_s S(rho_B|s), S the entropy of a Bloch
+    length clipped at 1 and a p_s = 0 branch adding 0.  No measurement of B
+    draws more than chi_A(n) bits about A's outcome (Holevo), so every CMI
+    of A's row n is at most chi_A(n).  p_s S(rho_B|s) is -sum_k e log2 e +
+    p_s log2 p_s, e = (2 p_s + k |v_s|)/4 for k = +-1, so chi takes the CMI
+    formula's form: joint terms of e, less the marginal terms of n.rA and
+    |rB|.
     """
-    ra, rb, tt = parts
-    own, steer = n @ ra, n @ tt  # n.rA, and T^T n, the steered Bloch vector
-    two_p = 1.0 + _SIGNS[:, 0] * own  # (outcome, direction)
-    square = (rb @ rb + (steer * steer).sum(axis=1)) + 2.0 * _SIGNS[:, 0] * (steer @ rb)
-    # |v_s|, at most 2 p_s: the conditional Bloch length clipped at 1
-    length = np.minimum(np.sqrt(np.maximum(square, 0.0)), np.maximum(two_p, 0.0))
+    x, two_p, v_z, v_xy = terms
+    length = np.minimum(np.hypot(v_xy, v_z), two_p)  # |v_s|, at most 2 p_s: the Bloch length clipped at 1
     joint = kernels._xlog2x(0.25 * (two_p + _SIGNS * length)).sum(axis=(0, 1))
-    marginal = kernels._marginal_plogp(np.append(own, np.sqrt(rb @ rb)))
+    marginal = kernels._marginal_plogp(np.append(x, rb_length))
     return joint - marginal[:-1] - marginal[-1]
 
 
-def _ring_bounds(parts, n: np.ndarray, x: np.ndarray, thetas: np.ndarray, pole) -> np.ndarray:
-    """Bounds of the kernel on each cell of A's directions n and B's rings, shape (len(n), 1 + len(thetas)).
+def _ring_bounds(terms, rows: np.ndarray, thetas: np.ndarray, pole) -> np.ndarray:
+    """Bounds of the kernel on each cell of A's rows `rows` (indices into the row terms, `_row_terms`)
+    and B's rings, shape (len(rows), 1 + len(thetas)).
 
     A cell is A's direction n_i with B's ring at one theta of thetas: the
     directions (sin theta cos phi, sin theta sin phi, cos theta) over phi.
     For A's outcome s, B's direction enters the CMI only through m_s =
-    n_B.v_s, v_s = rB + s T^T n_i and p_s = (1 + s n_i.rA)/2 as in
-    `_holevo_bounds`; the kernel's y and w are (m_+ + m_-)/2 and (m_+ -
-    m_-)/2.  Over the ring, m_s lies within v_s,z cos theta +- sin theta
-    |v_s,xy|, clipped to the +-2 p_s of a valid outcome table.  For a fixed
-    input distribution the mutual information is convex in the channel (Cover
-    and Thomas, Thm 2.7.4), and B's channel is affine in (m_+, m_-), so no
-    setting of the cell beats the CMI at a corner of that box: column r + 1
-    is the largest kernel value at the four corners of ring r.  Column 0 is
-    B's pole, a ring of one direction, whose kernel values come from the
-    scan's own terms, pole = (y at the pole, w's pole column), so they have
-    the scan's bits.  The kernel runs in row blocks of at most
-    `BLOCK_ELEMENTS` settings.
+    n_B.v_s; the kernel's y and w are (m_+ + m_-)/2 and (m_+ - m_-)/2.  Over
+    the ring, m_s lies within v_s,z cos theta +- sin theta |v_s,xy|, clipped
+    to the +-2 p_s of a valid outcome table.  For a fixed input distribution
+    the mutual information is convex in the channel (Cover and Thomas, Thm
+    2.7.4), and B's channel is affine in (m_+, m_-), so no setting of the
+    cell beats the CMI at a corner of that box: column r + 1 is the largest
+    kernel value at the four corners of ring r.  Column 0 is B's pole, a
+    ring of one direction, whose kernel values come from the scan's own
+    terms, pole = (y at the pole, w's pole column at rows), so they have the
+    scan's bits.  The kernel runs in row blocks of at most `BLOCK_ELEMENTS`
+    settings.
     """
-    _, rb, tt = parts
+    x, two_p, v_z, v_xy = terms
     y_pole, w_pole = pole
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     width = 1 + 4 * thetas.size
     step = max(1, BLOCK_ELEMENTS // width)
-    bounds = np.empty((len(n), 1 + thetas.size))
-    for r0 in range(0, len(n), step):
-        rows = slice(r0, r0 + step)
-        xb = x[rows]
-        v = rb + _SIGNS * (n[rows] @ tt)  # v_s, (outcome, row, 3)
+    bounds = np.empty((rows.size, 1 + thetas.size))
+    for r0 in range(0, rows.size, step):
+        block, r = slice(r0, r0 + step), rows[r0 : r0 + step]
         # m_s's range on each ring, (low/high, outcome, ring, row): rows last, so every
         # elementwise pass runs along them
-        centre = v[:, None, :, 2] * cos_t[:, None]
-        half = np.hypot(v[..., 0], v[..., 1])[:, None] * sin_t[:, None]
-        two_p = np.maximum(1.0 + _SIGNS[:, 0] * xb, 0.0)[:, None]
-        m = np.clip(np.stack((centre - half, centre + half)), -two_p, two_p)
+        centre, half, edge = v_z[:, None, r] * cos_t[:, None], v_xy[:, None, r] * sin_t[:, None], two_p[:, None, r]
+        m = np.clip(np.stack((centre - half, centre + half)), -edge, edge)
         m_plus, m_minus = m[:, None, 0], m[None, :, 1]  # the corners, (m_+ end, m_- end, ring, row)
-        y, w = np.empty((xb.size, width)), np.empty((xb.size, 1, width))
-        y[:, 0], w[:, 0, 0] = y_pole, w_pole[rows]
-        y[:, 1:] = (0.5 * (m_plus + m_minus)).reshape(-1, xb.size).T
-        w[:, 0, 1:] = (0.5 * (m_plus - m_minus)).reshape(-1, xb.size).T
-        table = kernels.cmi_table(xb[:, None], y, w)[:, 0]
-        bounds[rows, 0] = table[:, 0]
-        bounds[rows, 1:] = table[:, 1:].reshape(xb.size, 4, -1).max(axis=1)
+        y, w = np.empty((r.size, width)), np.empty((r.size, 1, width))
+        y[:, 0], w[:, 0, 0] = y_pole, w_pole[block]
+        y[:, 1:] = (0.5 * (m_plus + m_minus)).reshape(-1, r.size).T
+        w[:, 0, 1:] = (0.5 * (m_plus - m_minus)).reshape(-1, r.size).T
+        table = kernels.cmi_table(x[r, None], y, w)[:, 0]
+        bounds[block, 0] = table[:, 0]
+        bounds[block, 1:] = table[:, 1:].reshape(r.size, 4, -1).max(axis=1)
     return bounds
 
 
 def _ties(block: np.ndarray, keep: int):
-    """A flat block's maximum, and the positions (ascending) and values of its settings within
-    `_TIE_TOL` of it, less those behind `keep` earlier ones at least as large."""
-    top = block.max()
-    near = np.flatnonzero(block >= top - _TIE_TOL)
+    """The positions (ascending) and values of a flat block's settings within `_TIE_TOL` of its
+    maximum, less those behind `keep` earlier ones at least as large; the maximum is among them."""
+    near = np.flatnonzero(block >= block.max() - _TIE_TOL)
     if near.size > keep:
         vals = block[near]
         near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
-    return top, near, block[near]
+    return near, block[near]
+
+
+def _row_terms(parts, n: np.ndarray):
+    """A's row terms at its directions n, each row's once: x = n.rA, y = n.rB, the steered vectors
+    T^T n, and, on a leading outcome axis, the conditional model (2 p_s, v_s,z, |v_s,xy|).
+
+    Measuring A along n gives outcome s = +-1 with p_s = (1 + s x)/2, kept
+    at or above 0 against rounding, and leaves B with Bloch vector v_s/(2
+    p_s), v_s = rB + s T^T n.  Both grid bounds read these terms
+    (`_holevo_bounds`, `_ring_bounds`), x and the conditional model as one
+    tuple.  x, y and T^T n are matrix products; on an X state each entry is
+    one product plus exact zeros.
+    """
+    ra, rb, tt = parts
+    x, steer = n @ ra, n @ tt
+    v = rb + _SIGNS * steer  # (outcome, row, 3)
+    terms = x, np.maximum(1.0 + _SIGNS[:, 0] * x, 0.0), v[..., 2], np.hypot(v[..., 0], v[..., 1])
+    return n @ rb, steer, terms
 
 
 def _grid_stage(parts, grid: int, keep: int = 1):
@@ -352,7 +366,8 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     so each setting's kernel value has the same bits whatever call it is in.
 
     Only settings that can be within `_TIE_TOL` of the maximum are scanned,
-    in one sequence that every state runs:
+    in one sequence that every state runs, on A's row terms (`_row_terms`),
+    formed once and read by the scan and both bounds:
 
     1. one call scans A's row of the largest Holevo bound chi_A
        (`_holevo_bounds`); its values join the candidates, and the floor is
@@ -387,25 +402,27 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     may fall out of the window once a later block raises the maximum; it
     drops only settings behind `keep` earlier ones at least as large, which
     are never among the first `keep` ties.  The lists are merged in scan
-    order.
+    order.  The leaders' values are the scan's own kernel values; on an X
+    state they have the bits of a lane table at the leaders' angles, so the
+    refinement starts from them (`optimize_cmi`).
     """
-    ra, rb, tt = parts
     na, ta, pa = _grid_directions(grid)
     n = na.shape[0]
-    x, y, steer = na @ ra, na @ rb, na @ tt  # w[i, j] is _pair_w(steer[i], na[j])
-    chi = _holevo_bounds(parts, na)
+    y, steer, terms = _row_terms(parts, na)  # w[i, j] is _pair_w(steer[i], na[j])
+    x, rb = terms[0], parts[1]
+    chi = _holevo_bounds(terms, np.sqrt(rb @ rb))
     i = int(np.argmax(chi))
-    top, near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, _pair_w(steer[i], na)[None]).ravel(), keep)
-    found = [(top, i * n + near, vals)]
-    floor = top - _TIE_TOL - _BOUND_SLACK
+    near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, _pair_w(steer[i], na)[None]).ravel(), keep)
+    found = [(i * n + near, vals)]
+    floor = vals.max() - _TIE_TOL - _BOUND_SLACK
     rows = np.flatnonzero(chi >= floor)
     rows = rows[rows != i]
     thetas = ta[1::grid]  # ring r is directions 1 + r grid to (r + 1) grid
-    bounds = _ring_bounds(parts, na[rows], x[rows], thetas, (y[0], _pair_w(steer[rows], na[0])))
+    bounds = _ring_bounds(terms, rows, thetas, (y[0], _pair_w(steer[rows], na[0])))
     if rows.size:
-        top, near, vals = _ties(bounds[:, 0], keep)
-        found.append((top, rows[near] * n, vals))
-        floor = max(floor, top - _TIE_TOL - _BOUND_SLACK)
+        near, vals = _ties(bounds[:, 0], keep)
+        found.append((rows[near] * n, vals))
+        floor = max(floor, vals.max() - _TIE_TOL - _BOUND_SLACK)
     cells = np.flatnonzero(bounds[:, 1:] >= floor)  # flat (kept row, ring), ascending
     rings, ring_y = _ring_directions(grid), y[1:].reshape(-1, grid)
     step = max(1, BLOCK_ELEMENTS // grid)
@@ -413,24 +430,22 @@ def _grid_stage(parts, grid: int, keep: int = 1):
         ci, cr = np.divmod(cells[c0 : c0 + step], thetas.size)
         ri = rows[ci]
         w = _cell_w(steer, rings, ri, cr)[:, None]
-        top, near, vals = _ties(kernels.cmi_table(x[ri, None], ring_y.take(cr, axis=0), w).ravel(), keep)
+        near, vals = _ties(kernels.cmi_table(x[ri, None], ring_y.take(cr, axis=0), w).ravel(), keep)
         q, j = np.divmod(near, grid)
-        found.append((top, ri[q] * n + 1 + grid * cr[q] + j, vals))
-    tops, idx, vals = zip(*found)
-    best = float(np.max(tops))
-    idx, vals = np.concatenate(idx), np.concatenate(vals)
+        found.append((ri[q] * n + 1 + grid * cr[q] + j, vals))
+    idx, vals = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(idx)  # the probe row and the pole column are found first, out of scan order
     idx, vals = idx[order], vals[order]
-    lead = np.flatnonzero(vals >= best - _TIE_TOL)[:keep]
+    lead = np.flatnonzero(vals >= vals.max() - _TIE_TOL)[:keep]
     ia, ib = np.divmod(idx[lead], n)
     return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 
 def optimize_cmi(parts, grid: int, refine: int):
     """Stage 1, the CMI maximum over all local projective bases: the angles (L, 4) and values
-    of the grid stage's first 8 tied leaders, refined together.  Wu's cs is leader 0's value."""
-    angles, _ = _grid_stage(parts, grid, keep=8)
-    return _refine_angles(parts, angles, _grid_steps(grid), refine)
+    of the grid stage's first 8 tied leaders, refined together from the stage's own values.
+    Wu's cs is leader 0's value."""
+    return _refine_angles(parts, *_grid_stage(parts, grid, keep=8), _grid_steps(grid), refine)
 
 
 def _frame(base: np.ndarray):
@@ -470,16 +485,24 @@ def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     return cur, np.where(0.0 > best, 0.0, best)
 
 
+def _phase_result(parts, bases: np.ndarray, grid: int, refine: int) -> OptimizationResult:
+    """The phase stage on L base settings (angles (L, 4)), as the result of its first lane with
+    the largest value."""
+    phases, values = _phase_stage(parts, bases, grid, refine)
+    k = int(np.argmax(values))
+    setting = ComplementarySetting(LocalMeasurement(*map(float, bases[k])), *map(float, phases[k]))
+    return OptimizationResult(float(values[k]), setting, grid, refine)
+
+
 def laqc_oracle(parts, grid: int, refine: int) -> OptimizationResult:
     """Measurement-based LAQC of the state with Fano parts `parts`.
 
     The distinguished basis is the computational one (see module docstring);
     the returned value is the phase-stage maximum over its complementary
-    family, evaluated from explicit measurement statistics.
+    family, evaluated from explicit measurement statistics: the one-base
+    case of qs_oracle's step.
     """
-    phases, values = _phase_stage(parts, np.zeros((1, 4)), grid, refine)
-    setting = ComplementarySetting(LocalMeasurement(0.0, 0.0, 0.0, 0.0), *map(float, phases[0]))
-    return OptimizationResult(float(values[0]), setting, grid, refine)
+    return _phase_result(parts, np.zeros((1, 4)), grid, refine)
 
 
 def qs_oracle(parts, leaders, grid: int, refine: int) -> OptimizationResult:
@@ -487,15 +510,10 @@ def qs_oracle(parts, leaders, grid: int, refine: int) -> OptimizationResult:
 
     leaders, the angles and values of optimize_cmi (stage 1), are all carried
     forward if tied; stage 2 maximizes over the Hadamard phases of the bases
-    complementary to each leader and keeps the overall best.
+    complementary to each leader and keeps the first with the overall best.
     """
     angles, values = leaders
-    angles = angles[values >= values.max() - _TIE_TOL]
-    phases, values = _phase_stage(parts, angles, grid, refine)
-    # the first leader with the largest value
-    k = int(np.argmax(values))
-    setting = ComplementarySetting(LocalMeasurement(*angles[k]), *map(float, phases[k]))
-    return OptimizationResult(float(values[k]), setting, grid, refine)
+    return _phase_result(parts, angles[values >= values.max() - _TIE_TOL], grid, refine)
 
 
 def oracle_set(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OracleSet:

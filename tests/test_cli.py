@@ -833,6 +833,9 @@ class TestInputBoundary:
             ["surface", "--state", "mems", "--noise", "rtn", "--a-over-gamma", "1e308"],
             ["events", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
             ["events", *WERNER, "--tmax", "1e308"],
+            # omega t past 2**52, where cos(omega t) is rounding noise
+            ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
+            ["surface", "--state", "mnms", "--noise", "rtn", "--a-over-gamma", "1e154"],
         ],
         ids=[
             "tmax-inf", "tmax-nan", "tmax-zero", "tmax-negative", "steps-zero", "steps-one",
@@ -842,6 +845,7 @@ class TestInputBoundary:
             *(f"{axis}-grid-{case}" for axis in ("param", "time")
               for case in ("one-point", "decreasing", "no-points", "negative-count")),
             "rtn-omega-inf", "surface-rtn-omega-inf", "rtn-ladder-past-memory", "tmax-ladder-past-memory",
+            "rtn-rate-1e154", "surface-rtn-rate-1e154",
         ],
     )
     def test_bad_input_exits_one_quietly(self, capsys, argv):
@@ -859,8 +863,6 @@ class TestInputBoundary:
         [
             ["surface", "--state", "mnms", "--time-grid", "0:1e308:3"],
             ["evolve", *WERNER, "--noise", "markov", "--lambda-over-gamma", "1e308"],
-            ["evolve", *WERNER, "--noise", "rtn", "--a-over-gamma", "1e154"],
-            ["surface", "--state", "mnms", "--noise", "rtn", "--a-over-gamma", "1e154"],
             ["events", "--state", "werner", "--param", "0.9", "--noise", "rtn", "--a-over-gamma", "1e154",
              "--tmax", "1e-150"],
             ["events", *WERNER, "--noise", "markov", "--lambda-over-gamma", "5e-324", "--tmax", "50"],
@@ -870,9 +872,8 @@ class TestInputBoundary:
              "--tmax", "1e308"],
         ],
         ids=[
-            "surface-time-1e308", "markov-rate-1e308", "rtn-rate-1e154", "surface-rtn-rate-1e154",
-            "events-rtn-rate-1e154", "events-markov-rate-5e-324", "events-moun-rate-5e-324",
-            "events-moun-rate-2.2e-308", "events-moun-rate-1e-300",
+            "surface-time-1e308", "markov-rate-1e308", "events-rtn-rate-1e154", "events-markov-rate-5e-324",
+            "events-moun-rate-5e-324", "events-moun-rate-2.2e-308", "events-moun-rate-1e-300",
         ],
     )
     def test_envelope_at_the_edge_of_its_range(self, capsys, argv):
@@ -1121,7 +1122,13 @@ def test_every_argv_exits_zero_or_one_quietly(state_docs, argv):
     or 1 with no traceback and no RuntimeWarning; an exit-0 output holds no nan
     unless an input was nan.  Each example is a fault this property found in
     earlier code; an @name value is the path of VERDICT_DOCS[name]."""
-    nan_given = any("nan" in arg for arg in argv)  # a value, or the @matrix-nan document
+    _main_quietly(state_docs, argv, nan_given=any("nan" in arg for arg in argv))
+
+
+def _main_quietly(state_docs, argv, nan_given):
+    """cli.main's exit code, stdout and stderr on argv, each @name value the path of
+    VERDICT_DOCS[name], once the run is seen to exit 0 or 1 with no traceback and no
+    RuntimeWarning, and, at exit 0, with no nan in its output unless nan_given."""
     flags = [arg.split("=", 1) for arg in argv[1:]]
     argv = argv[:1] + [f"{key}={state_docs.get(value, value)}" for key, value in flags]
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -1138,6 +1145,65 @@ def test_every_argv_exits_zero_or_one_quietly(state_docs, argv):
     else:
         assert err == ""
         assert nan_given or "nan" not in out.lower()
+    return code, out, err
+
+
+# config values no flag can give: JSON's own types, a number string, a
+# float literal past the range (inf once parsed) and an integer past it
+JSON_ONLY = ("true", "null", '"4"', "[1]", "1e400", str(10**400))
+
+
+def _config_text(key, text):
+    """The JSON text of option key's flag value text: a float row's as json.dumps(float(text)),
+    so -0 stays -0.0 and inf and nan become Infinity and NaN, an int row's as a JSON integer,
+    and a str row's as a JSON string."""
+    kind = cli._OPTIONS[key].type
+    return json.dumps(kind(text) if kind in (float, int) else text)
+
+
+@st.composite
+def config_argvs(draw):
+    """A draw of cli_argvs, as the all-flags argv, with a drawn subset of its options moved into
+    a config document: (argv, the argv of the flags left, {key: JSON text}, whether every moved
+    value came from the flag pools).  About one moved value in four becomes a JSON_ONLY value."""
+    argv = draw(cli_argvs().filter(lambda argv: _rtn_window(argv) <= RTN_WINDOW_CAP))
+    flags = [arg[2:].split("=", 1) for arg in argv[1:]]
+    moved = draw(st.sets(st.sampled_from(range(len(flags))))) if flags else set()
+    left, config, pooled = argv[:1], {}, True
+    for k, (flag, value) in enumerate(flags):
+        if k not in moved:
+            left.append(f"--{flag}={value}")
+        elif draw(st.integers(0, 3)) == 0:
+            config[flag.replace("-", "_")] = draw(st.sampled_from(JSON_ONLY))
+            pooled = False
+        else:
+            config[flag.replace("-", "_")] = _config_text(flag.replace("-", "_"), value)
+    return argv, left, config, pooled
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """A path for the config document of each example of the config property."""
+    return tmp_path_factory.mktemp("config") / "run.json"
+
+
+@settings(max_examples=1000)
+@given(case=config_argvs())
+def test_every_config_exits_zero_or_one_quietly(state_docs, config_path, case):
+    """cli_argvs' draws with a drawn subset of their options moved into a --config file,
+    some as values only JSON can give, exit 0 or 1 as the flags do: no traceback, no
+    RuntimeWarning, and no nan in an exit-0 output unless an input was nan.  Where every
+    moved value came from the flag pools, the run's exit code and output bytes are the
+    all-flags argv's.  A config's @name text is the path of VERDICT_DOCS[name]."""
+    argv, left, config, pooled = case
+    doc = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in config.items()) + "}"
+    for name, path in state_docs.items():
+        doc = doc.replace(json.dumps(name), json.dumps(path))
+    config_path.write_text(doc)
+    nan_given = any("nan" in arg for arg in argv)
+    got = _main_quietly(state_docs, [*left, f"--config={config_path}"], nan_given)
+    if pooled:
+        assert got == _main_quietly(state_docs, argv, nan_given)
 
 
 def assert_same_text(got, want):

@@ -229,15 +229,15 @@ def _oracle_table_calls(monkeypatch, capsys, kind, param, refine):
 
 @pytest.mark.parametrize("refine", [0, 4, 8])
 def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
-    # one `rqcx oracle` at grid 32: 3 grid-stage calls, then one call for
-    # the leaders' start values and one per refinement round, and one full
-    # phase table plus one per round in each of the two phase stages; stage
-    # 1 runs once, and nothing goes through cmi_flat.  Werner's Holevo bound
+    # one `rqcx oracle` at grid 32: 3 grid-stage calls, then one per
+    # refinement round, which starts from the grid stage's own values, and
+    # one full phase table plus one per round in each of the two phase
+    # stages; stage 1 runs once, and nothing goes through cmi_flat.  Werner's Holevo bound
     # is the same in every direction, so its grid stage keeps every row: the
     # probe row, the ring bounds of the other rows' 480 x 16 cells, and the
     # kept cells, all in one block
     calls = _oracle_table_calls(monkeypatch, capsys, "werner", 0.7, refine)
-    assert calls == {"cmi_table": 3 + 3 * (1 + refine), "cmi_flat": 0}
+    assert calls == {"cmi_table": 2 + 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("refine", [0, 4, 8])
@@ -246,14 +246,14 @@ def test_pruned_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
     # every other row's Holevo bound, so nothing else is scanned; the rest
     # as for Werner
     calls = _oracle_table_calls(monkeypatch, capsys, "mnms", 0.6, refine)
-    assert calls == {"cmi_table": 1 + 3 * (1 + refine), "cmi_flat": 0}
+    assert calls == {"cmi_table": 3 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("kind, param", [("werner", 0.0), ("werner", 0.7), ("mems", 0.8)])
 def test_oracle_calls_fit_one_block(monkeypatch, capsys, kind, param):
     # the grid stage is the one caller that cuts a table, or Werner 0.7's
-    # ring bounds and cells, into blocks; every other call (refinement, start
-    # values, phase scans and rounds) is one table of at most 8 * 64**2
+    # ring bounds and cells, into blocks; every other call (refinement
+    # rounds, phase scans and rounds) is one table of at most 8 * 64**2
     # settings, which a Werner state's 8 tied leaders reach in qs's phase
     # scan at grid 64
     from rqcx import cli

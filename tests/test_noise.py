@@ -92,6 +92,26 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             lambda_of_t(RTN4, t)
 
+    @pytest.mark.parametrize("a", [1e13, 1e154, 1e300])
+    def test_rtn_phase_past_2_to_the_52_rejected(self, a):
+        # past omega t = 2**52 one ulp of omega t is a radian or more; the
+        # window's largest t counts, up to 746, where e^-t is 0
+        model = Rtn(a)
+        t_max = 2.0**52 / model.omega
+        below = np.nextafter(t_max, 0.0)
+        assert model.omega * below < 2.0**52 <= model.omega * np.nextafter(t_max, np.inf)
+        lambda_of_t(model, np.array([0.0, below]))
+        lambda_of_t(model, np.empty(0))
+        for t in (np.nextafter(t_max, np.inf), np.array([0.0, 1e-300, 2.0 * t_max]), 1e6):
+            with pytest.raises(ValueError, match=r"time window .*--a-over-gamma.* past 2\*\*52"):
+                lambda_of_t(model, t)
+
+    def test_rtn_phase_short_of_2_to_the_52_at_every_time(self):
+        # omega * 746 below 2**52: no window is refused, however long
+        model = Rtn(1e12)
+        assert model.omega * 746.0 < 2.0**52
+        assert lambda_of_t(model, 1e300) == 0.0
+
     def test_rtn_first_zero(self):
         w = RTN4.omega
         t1 = (np.pi - np.arctan(w)) / w

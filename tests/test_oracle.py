@@ -16,7 +16,7 @@ from reference import (
     post_measurement_probs,
 )
 from rqcx import kernels, oracle
-from rqcx.families import FamilySpec, make_state
+from rqcx.families import FAMILY_KINDS, FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.oracle import (
     GRID,
@@ -196,6 +196,19 @@ def _full_table_terms(parts, na):
     return na @ ra, na @ rb, oracle._pair_w((na @ tt)[:, None], na)
 
 
+def _holevo(parts, na):
+    """chi_A of A's directions na, from the row terms as the grid stage forms them."""
+    rb = parts[1]
+    return oracle._holevo_bounds(oracle._row_terms(parts, na)[2], np.sqrt(rb @ rb))
+
+
+def _start_values(parts, angles):
+    """The CMI at each start of angles (L, 4), from one (L, 1, 1) lane table: the start values of
+    a refinement from angles that are not the grid stage's leaders."""
+    da = oracle._direction(angles[:, None, 0], angles[:, None, 1])
+    return oracle._lane_table(parts, da, oracle._direction(angles[:, None, 2], angles[:, None, 3]))[:, 0, 0]
+
+
 def _grid_stage_ref(parts, grid, keep=1, block_rows=None):
     """The grid stage as one full CMI table: its maximum, then the first `keep` settings within _TIE_TOL of it.
     With block_rows, the kernel runs on that many rows of the one w at a time: the same bits, in less memory."""
@@ -356,7 +369,7 @@ class TestGridStage:
         parts = _rotated_isotropic_parts(3, 1.0)
         na = _grid_directions(8)[0]
         n = na.shape[0]
-        assert np.all(oracle._holevo_bounds(parts, na) == 1.0)
+        assert np.all(_holevo(parts, na) == 1.0)
         table = np.zeros((n, n))
         table[0, 11] = 1.0 - 1.05e-9
         table[0, 12] = 1.0 - 0.1e-9
@@ -475,7 +488,8 @@ class TestGridStage:
         na, t, _ = _grid_directions(grid)
         x, y, w = _full_table_terms(parts, na)
         table = kernels.cmi_table(x, y, w)
-        bounds = oracle._ring_bounds(parts, na, x, t[1::grid], (y[0], w[:, 0]))
+        terms = oracle._row_terms(parts, na)[2]
+        bounds = oracle._ring_bounds(terms, np.arange(x.size), t[1::grid], (y[0], w[:, 0]))
         np.testing.assert_array_equal(_bits(bounds[:, 0]), _bits(table[:, 0]))
         rings = table[:, 1:].reshape(x.size, -1, grid)
         assert np.all(rings.max(axis=2) <= bounds[:, 1:] + 1e-12)
@@ -488,7 +502,7 @@ class TestGridStage:
         rhos += [xstate_matrix(make_state(FamilySpec(kind, x))) for kind, x in (("mnms", 0.3), ("werner", 1.0))]
         na, ta, pa = _grid_directions(8)
         for rho in rhos:
-            chi = oracle._holevo_bounds(_fano_parts(rho), na)
+            chi = _holevo(_fano_parts(rho), na)
             ref = [holevo_quantity(rho, t, p, "A") for t, p in zip(ta, pa)]
             np.testing.assert_allclose(chi, ref, rtol=0.0, atol=1e-12)
 
@@ -506,9 +520,33 @@ class TestGridStage:
         ra, rb, tt = parts
         na = _grid_directions(grid)[0]
         table = kernels.cmi_table(na @ ra, na @ rb, na @ tt @ na.T)
-        chi = oracle._holevo_bounds(parts, na)
+        chi = _holevo(parts, na)
         assert chi.shape == (na.shape[0],)
         assert np.all(table <= chi[:, None] + oracle._BOUND_SLACK)
+
+    @pytest.mark.parametrize("grid", [8, 16, 32, 33])
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(("werner", "mnms", "mems", "x", "x-rank")),
+        param=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leader_values_are_the_lane_table_bits(self, grid, kind, param, seed):
+        """On an X state, each leader value of the grid stage has the bits of the (L, 1, 1) lane
+        table at its angles, so refinement starts from the values that table would give.
+
+        Both routes form x, y and T^T n by matrix products, which on an X state
+        are one product plus exact zeros whatever the shapes; on a generic matrix
+        the grid's (n, 3) products and the lanes' (L, 1, 3) ones can round
+        differently, and a leader value can then differ in its last bit.
+        """
+        if kind in FAMILY_KINDS:
+            state = make_state(FamilySpec(kind, param))
+        else:
+            state = random_xstate(np.random.default_rng(seed), kind == "x-rank")
+        parts = _fano_parts(xstate_matrix(state))
+        angles, values = _grid_stage(parts, grid, 8)
+        np.testing.assert_array_equal(_bits(values), _bits(_start_values(parts, angles)))
 
     @pytest.mark.parametrize("kind", ["generic", "mixed", "bell"])
     def test_grid_64_peak_is_about_w(self, kind):
@@ -545,9 +583,9 @@ class TestGridStage:
         full = _full_table_terms(parts, na)[2]
         poles, blocks = [], []
 
-        def ring_bounds(parts, n, x, thetas, pole, _fn=oracle._ring_bounds):
-            poles.append((n, pole[1]))
-            return _fn(parts, n, x, thetas, pole)
+        def ring_bounds(terms, rows, thetas, pole, _fn=oracle._ring_bounds):
+            poles.append((rows, pole[1]))
+            return _fn(terms, rows, thetas, pole)
 
         def cell_w(steer, rings, ri, cr, _fn=oracle._cell_w):
             blocks.append((ri, cr, _fn(steer, rings, ri, cr)))
@@ -559,8 +597,7 @@ class TestGridStage:
             if not prune:
                 mp.setattr(oracle, "_BOUND_SLACK", 10.0)
             _grid_stage(parts, grid, 8)
-        (n, w_pole), = poles
-        rows = np.array([int(np.flatnonzero((na == d).all(axis=1))[0]) for d in n], dtype=int)
+        (rows, w_pole), = poles
         np.testing.assert_array_equal(_bits(w_pole), _bits(full[rows, 0]))
         scanned = sum(ri.size for ri, _, _ in blocks)
         if not prune:
@@ -716,8 +753,8 @@ class TestTableStages:
         # the grid stage's tied leaders, as the oracle carries them forward;
         # a lane may take another tied candidate, but not another value
         parts = self._parts(kind, seed)
-        starts, _ = _grid_stage(parts, grid, keep=8)
-        angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
+        starts, start_values = _grid_stage(parts, grid, keep=8)
+        angles, values = _refine_angles(parts, starts, start_values, _grid_steps(grid), refine)
         ref_angles, ref_values = _refine_ref(parts, starts, _grid_steps(grid), refine)
         assert np.max(np.abs(values - ref_values)) <= 1e-14
         for base in (angles, np.zeros((1, 4))):
@@ -744,7 +781,7 @@ class TestTableStages:
         clipped[[0, 1], 0] = 0.0, np.pi
         clipped[[2, 3], 2] = np.pi, 0.0
         starts = np.concatenate((leaders, clipped))
-        angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
+        angles, values = _refine_angles(parts, starts, _start_values(parts, starts), _grid_steps(grid), refine)
         ref_angles, ref_values = _refine_table_ref(parts, starts, _grid_steps(grid), refine)
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
@@ -814,10 +851,11 @@ class TestBatchedSearch:
             parts = _fano_parts(rho)
             starts = self._starts(rng, parts, grid, sign, lanes)
             for refine in range(7):
-                angles, values = _refine_angles(parts, starts, _grid_steps(grid), refine)
+                angles, values = _refine_angles(parts, starts, _start_values(parts, starts), _grid_steps(grid), refine)
                 assert angles.shape == (lanes, 4) and values.shape == (lanes,)
                 for lane in range(lanes):
-                    one = _refine_angles(parts, starts[lane : lane + 1], _grid_steps(grid), refine)
+                    start = starts[lane : lane + 1]
+                    one = _refine_angles(parts, start, _start_values(parts, start), _grid_steps(grid), refine)
                     np.testing.assert_array_equal(_bits(angles[lane]), _bits(one[0][0]))
                     assert _bits(values[lane]) == _bits(one[1][0])
 
@@ -1008,8 +1046,8 @@ class TestOracleSet:
         # cs is leader 0 of stage 1, which is the search of the grid stage's first leader alone
         for rho in (xstate_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
-            angles, _ = _grid_stage(parts, 16)
-            angles, values = _refine_angles(parts, angles, _grid_steps(16), 3)
+            angles, values = _grid_stage(parts, 16)
+            angles, values = _refine_angles(parts, angles, values, _grid_steps(16), 3)
             res = oracle_set(rho, 16, 3).cs
             assert np.float64(res.value).view(np.int64) == np.float64(max(values[0], 0.0)).view(np.int64)
             np.testing.assert_array_equal(np.array(res.setting), angles[0])
