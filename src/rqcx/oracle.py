@@ -267,6 +267,24 @@ def _grid_steps(grid: int) -> np.ndarray:
     return np.array([dt, dp, dt, dp])
 
 
+def _row_terms(parts, n: np.ndarray):
+    """A's row terms at its directions n, each row's once: x = n.rA, y = n.rB, the steered vectors
+    T^T n, and, on a leading outcome axis, the conditional model (2 p_s, v_s,z, |v_s,xy|).
+
+    Measuring A along n gives outcome s = +-1 with p_s = (1 + s x)/2, kept
+    at or above 0 against rounding, and leaves B with Bloch vector v_s/(2
+    p_s), v_s = rB + s T^T n.  Both grid bounds read these terms
+    (`_holevo_bounds`, `_ring_bounds`), x and the conditional model as one
+    tuple.  x, y and T^T n are matrix products; on an X state each entry is
+    one product plus exact zeros.
+    """
+    ra, rb, tt = parts
+    x, steer = n @ ra, n @ tt
+    v = rb + _SIGNS * steer  # (outcome, row, 3)
+    terms = x, np.maximum(1.0 + _SIGNS[:, 0] * x, 0.0), v[..., 2], np.hypot(v[..., 0], v[..., 1])
+    return n @ rb, steer, terms
+
+
 def _holevo_bounds(terms, rb_length: float) -> np.ndarray:
     """chi_A, one per row of A's row terms (`_row_terms`): the Holevo bound of A's measurement
     along each row's direction n, given |rB|.
@@ -336,24 +354,6 @@ def _ties(block: np.ndarray, keep: int):
         vals = block[near]
         near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
     return near, block[near]
-
-
-def _row_terms(parts, n: np.ndarray):
-    """A's row terms at its directions n, each row's once: x = n.rA, y = n.rB, the steered vectors
-    T^T n, and, on a leading outcome axis, the conditional model (2 p_s, v_s,z, |v_s,xy|).
-
-    Measuring A along n gives outcome s = +-1 with p_s = (1 + s x)/2, kept
-    at or above 0 against rounding, and leaves B with Bloch vector v_s/(2
-    p_s), v_s = rB + s T^T n.  Both grid bounds read these terms
-    (`_holevo_bounds`, `_ring_bounds`), x and the conditional model as one
-    tuple.  x, y and T^T n are matrix products; on an X state each entry is
-    one product plus exact zeros.
-    """
-    ra, rb, tt = parts
-    x, steer = n @ ra, n @ tt
-    v = rb + _SIGNS * steer  # (outcome, row, 3)
-    terms = x, np.maximum(1.0 + _SIGNS[:, 0] * x, 0.0), v[..., 2], np.hypot(v[..., 0], v[..., 1])
-    return n @ rb, steer, terms
 
 
 def _grid_stage(parts, grid: int, keep: int = 1):
