@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, families, measures, noise, oracle, stateio
-from .states import InvalidStateError, XStateParams, xstate_matrix, xstate_report
+from .states import InvalidStateError, XStateParams, xstate_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +142,16 @@ def _noise_of(opts: dict) -> noise.NoiseModel:
     return model(opts[rate])
 
 
-def _parse_grid(text: str) -> np.ndarray:
+# Most values in one --steps or grid count, and cells in one surface: 2**27 float64 values, one
+# array of 1 GiB, the cap Rtn._starts puts on one ladder.  A larger count is refused before any
+# array is made.
+_COUNT_MAX = 1 << 27
+_AT_MOST = f"at most {_COUNT_MAX} (2**27, 1 GiB of float64)"
+
+
+def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
+    """The min, max and count of a min:max:count grid, the count at most _COUNT_MAX; negative
+    counts read as 0, which dynamics.SweepSpec refuses with the grid's shape."""
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -150,7 +159,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
-    return np.linspace(lo, hi, max(count, 0))  # dynamics.SweepSpec checks the grid's shape
+    if count > _COUNT_MAX:
+        raise InvalidStateError(f"{flag} count must be {_AT_MOST}, got {count}")
+    return lo, hi, max(count, 0)
 
 
 def _window(opts: dict) -> tuple[float, int]:
@@ -159,6 +170,8 @@ def _window(opts: dict) -> tuple[float, int]:
         raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
         raise InvalidStateError(f"--steps must be at least 2, got {steps}")
+    if steps > _COUNT_MAX:
+        raise InvalidStateError(f"--steps must be {_AT_MOST}, got {steps}")
     return tmax, steps
 
 
@@ -286,11 +299,15 @@ def _cmd_events(opts: dict) -> int:
 def _cmd_surface(opts: dict) -> int:
     if opts["state"] not in families.FAMILY_KINDS:
         raise InvalidStateError("surface needs --state werner|mnms|mems")
+    pgrid = _parse_grid(opts["param_grid"], "--param-grid")
+    model = _noise_of(opts)
+    tgrid = _parse_grid(opts["time_grid"], "--time-grid")
+    cells = pgrid[2] * tgrid[2]
+    if cells > _COUNT_MAX:
+        got = f"{pgrid[2]} x {tgrid[2]} = {cells}"
+        raise InvalidStateError(f"--param-grid x --time-grid cells must be {_AT_MOST}, got {got}")
     spec = dynamics.SweepSpec(
-        family=opts["state"],
-        param_grid=_parse_grid(opts["param_grid"]),
-        noise=_noise_of(opts),
-        time_grid=_parse_grid(opts["time_grid"]),
+        family=opts["state"], param_grid=np.linspace(*pgrid), noise=model, time_grid=np.linspace(*tgrid)
     )
     _emit_surface(*dynamics.surface(spec, opts["measure_a"], opts["measure_b"]), opts)
     return 0
@@ -298,9 +315,8 @@ def _cmd_surface(opts: dict) -> int:
 
 def _cmd_oracle(opts: dict) -> int:
     params = _xstate_of(opts)
-    # measure_set checks the state and oracle_set the matrix built from it
-    ms = measures.measure_set(params)
-    res = oracle.oracle_set(xstate_matrix(params), opts["grid"], opts["refine"])
+    ms = measures.measure_set(params)  # the state's one check, which the oracle's search trusts
+    res = oracle._xstate_oracle_set(params, opts["grid"], opts["refine"])
     names = ["laqc", "qs", "cs"]
     found, exact = [getattr(res, n).value for n in names], [getattr(ms, n) for n in names]
     abs_error = [abs(o - c) for o, c in zip(found, exact)]

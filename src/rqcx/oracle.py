@@ -6,17 +6,22 @@ routes can be checked against each other.
 
 A local setting is a pair of Bloch directions (theta, phi per party); the
 outcome table is p_ij = Tr[(Pi_i x Pi_j) rho].  Every search maximizes the
-classical mutual information.  oracle_set, the one entry point, checks rho,
-grid and refine once and runs three stages on the Fano parts of rho:
-optimize_cmi over all local settings (stage 1, whose first leader is Wu's
-cs), laqc_oracle over the bases complementary to the computational basis,
-and qs_oracle over those complementary to stage 1's leaders (stage 2); laqc
+classical mutual information.  oracle_set, the one entry point, checks rho
+in full, grid and refine once and runs three stages on the Fano parts of
+rho: optimize_cmi over all local settings (stage 1, whose first leader is
+Wu's cs), laqc_oracle over the bases complementary to the computational
+basis, and qs_oracle over those complementary to stage 1's leaders (stage
+2).  `rqcx oracle` runs the same stages on an X state that measure_set's
+check_xstate has passed, with no second check (`_xstate_oracle_set`).  laqc
 is the one-base case of qs's step from phase-stage lanes to a result
-(`_phase_result`).  Each is deterministic coarse-to-fine: a grid scan (the
-four angles, each distinct measurement once, or the two Hadamard phases),
-then the rounds of the one ascent loop `_ascend`, whose step halves each
-round.  The ascent starts from the scan's own values, so no kernel call
-comes between a scan and its first round.
+(`_phase_result`), and a stage-1 leader that is the computational basis,
+bit for bit, takes laqc's lane: when it is the only tied leader (MNMS below
+x = 1, MEMS at low x), qs makes no kernel call.  Each stage is
+deterministic coarse-to-fine: a grid scan (the four angles, each distinct
+measurement once, or the two Hadamard phases), then the rounds of the one
+ascent loop `_ascend`, whose step halves each round.  The ascent starts
+from the scan's own values, so no kernel call comes between a scan and its
+first round.
 
 Stage 1's grid scan is pruned by two exact bounds, in one sequence for
 every state.  Both read A's row terms, formed once per scan (`_row_terms`):
@@ -79,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .states import fano_coefficients, require_density_matrix
+from .states import XStateParams, fano_coefficients, require_density_matrix, xstate_matrix
 
 _TIE_TOL = 1e-9
 GRID, REFINE = 32, 4  # oracle_set's default grid resolution and refinement rounds
@@ -248,8 +253,8 @@ def _refine_angles(parts, angles0, values0, steps0, rounds: int):
     return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, (steps[:2], steps[2:]), rounds)
 
 
-def _search_parts(rho: np.ndarray, grid: int, refine: int):
-    """The Fano parts of rho, once grid, refine and rho are checked: oracle_set's one validation."""
+def _check_search(grid: int, refine: int) -> None:
+    """Refuse a grid or refine out of range: the first check of every oracle call."""
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if grid > GRID_MAX:
@@ -258,6 +263,11 @@ def _search_parts(rho: np.ndarray, grid: int, refine: int):
         raise ValueError("refine must be at least 0")
     if refine > REFINE_MAX:
         raise ValueError(f"refine must be at most {REFINE_MAX}")
+
+
+def _search_parts(rho: np.ndarray, grid: int, refine: int):
+    """The Fano parts of rho, once grid, refine and rho are checked: oracle_set's one validation."""
+    _check_search(grid, refine)
     require_density_matrix(rho)
     return _fano_parts(rho)
 
@@ -485,10 +495,9 @@ def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     return cur, np.where(0.0 > best, 0.0, best)
 
 
-def _phase_result(parts, bases: np.ndarray, grid: int, refine: int) -> OptimizationResult:
-    """The phase stage on L base settings (angles (L, 4)), as the result of its first lane with
-    the largest value."""
-    phases, values = _phase_stage(parts, bases, grid, refine)
+def _phase_result(bases: np.ndarray, phases: np.ndarray, values: np.ndarray, grid: int, refine: int):
+    """The result of the first of L phase-stage lanes with the largest value: base settings
+    (angles (L, 4)) with their lanes' phases (L, 2) and values (L,)."""
     k = int(np.argmax(values))
     setting = ComplementarySetting(LocalMeasurement(*map(float, bases[k])), *map(float, phases[k]))
     return OptimizationResult(float(values[k]), setting, grid, refine)
@@ -502,26 +511,60 @@ def laqc_oracle(parts, grid: int, refine: int) -> OptimizationResult:
     family, evaluated from explicit measurement statistics: the one-base
     case of qs_oracle's step.
     """
-    return _phase_result(parts, np.zeros((1, 4)), grid, refine)
+    base = np.zeros((1, 4))
+    return _phase_result(base, *_phase_stage(parts, base, grid, refine), grid, refine)
 
 
-def qs_oracle(parts, leaders, grid: int, refine: int) -> OptimizationResult:
+def qs_oracle(parts, leaders, laqc: OptimizationResult, grid: int, refine: int) -> OptimizationResult:
     """Stage 2 of the symmetric quantum-correlation measure.
 
     leaders, the angles and values of optimize_cmi (stage 1), are all carried
     forward if tied; stage 2 maximizes over the Hadamard phases of the bases
     complementary to each leader and keeps the first with the overall best.
+    A leader whose four angles are bitwise +0.0 is the computational basis,
+    whose phase stage laqc_oracle has run: it takes laqc's lane, its phases
+    and clamped value, and the phase stage runs on the other leaders alone,
+    if there are any.  A lane is the search it would be alone, to the bit, so
+    the result is that of the phase stage on every leader.
     """
     angles, values = leaders
-    return _phase_result(parts, angles[values >= values.max() - _TIE_TOL], grid, refine)
+    bases = angles[values >= values.max() - _TIE_TOL]
+    own = bases.view(np.int64).any(axis=1)  # a bit test: -0.0 runs its own lane
+    phases, found = np.empty((len(bases), 2)), np.empty(len(bases))
+    phases[~own], found[~own] = (laqc.setting.phi_a, laqc.setting.phi_b), laqc.value
+    if own.any():
+        phases[own], found[own] = _phase_stage(parts, bases[own], grid, refine)
+    return _phase_result(bases, phases, found, grid, refine)
+
+
+def _stages(parts, grid: int, refine: int) -> OracleSet:
+    """The three stages on the Fano parts of a checked state, stage 1 and laqc once each: cs is
+    stage 1's leader 0, clamped at 0, and qs_oracle starts from its leaders and laqc's lane.
+    The stages are called by their module names, so a timing wrapper set on the module sees each."""
+    angles, values = leaders = optimize_cmi(parts, grid, refine)
+    cs = OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
+    laqc = laqc_oracle(parts, grid, refine)
+    return OracleSet(laqc, qs_oracle(parts, leaders, laqc, grid, refine), cs)
 
 
 def oracle_set(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OracleSet:
-    """The oracle's laqc, qs and cs of density matrix rho, with rho, grid and refine checked once.
+    """The oracle's laqc, qs and cs of density matrix rho, with rho, grid and refine checked once:
+    rho in full, as any 4x4 density matrix (`require_density_matrix`)."""
+    return _stages(_search_parts(rho, grid, refine), grid, refine)
 
-    Stage 1 runs once: cs is its leader 0, clamped at 0, and qs_oracle starts from its leaders.
-    The stages are called by their module names, so a timing wrapper set on the module sees each."""
-    parts = _search_parts(rho, grid, refine)
-    angles, values = leaders = optimize_cmi(parts, grid, refine)
-    cs = OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
-    return OracleSet(laqc_oracle(parts, grid, refine), qs_oracle(parts, leaders, grid, refine), cs)
+
+def _xstate_oracle_set(params: XStateParams, grid: int, refine: int) -> OracleSet:
+    """The oracle's laqc, qs and cs of an X state that `check_xstate` has passed: grid and refine
+    are checked here, params are not.
+
+    `rqcx oracle` checks its state once, with measure_set's check_xstate.
+    Every state check_xstate accepts builds a density matrix: Hermitian,
+    positive semidefinite within EIG_TOL and of unit trace within rounding
+    of STRUCT_TOL (tests/test_states.py).  Its Fano parts are those of
+    xstate_matrix(params), so the result is oracle_set(xstate_matrix(params))'s,
+    bit for bit, wherever oracle_set takes that matrix; it refuses only a
+    trace drift a few ulps past STRUCT_TOL, since np.trace sums the diagonal
+    in another order than check_xstate.
+    """
+    _check_search(grid, refine)
+    return _stages(_fano_parts(xstate_matrix(params)), grid, refine)

@@ -551,8 +551,10 @@ class TestSurfaceOracleCrossover:
         assert float(by_measure["laqc"]["abs_error"]) < 2e-3
 
     def test_oracle_checks_the_matrix_once(self, capsys, monkeypatch):
-        # one oracle_set call serves all three measures: the matrix is checked
-        # once and its Fano table computed once; every binding counts
+        # one oracle call serves all three measures: the state is checked once,
+        # by measure_set's check_xstate, so the matrix built from it makes no
+        # validate_density_matrix call (and no eigvalsh), and its Fano table is
+        # computed once; every binding counts
         calls = collections.Counter()
         for module, name in ((states, "validate_density_matrix"), (states, "fano_coefficients"),
                              (oracle, "fano_coefficients")):
@@ -563,19 +565,54 @@ class TestSurfaceOracleCrossover:
             monkeypatch.setattr(module, name, counted)
         code, _, err = run_cli(capsys, "oracle", "--state", "mems", "--param", "0.4", "--grid", "32", "--refine", "4")
         assert (code, err) == (0, "")
-        assert dict(calls) == {"validate_density_matrix": 1, "fano_coefficients": 1}
+        assert (calls["validate_density_matrix"], calls["fano_coefficients"]) == (0, 1)
 
     @pytest.mark.parametrize(
         "flags, message",
         [(["--refine", "-1"], "refine must be at least 0"), (["--grid", "65"], "grid must be at most 64"),
-         (["--refine", "65"], "refine must be at most 64")],
-        ids=["refine", "grid", "refine-ceiling"],
+         (["--refine", "65"], "refine must be at most 64"), (["--grid", "7"], "grid must be at least 8")],
+        ids=["refine", "grid", "refine-ceiling", "grid-floor"],
     )
     def test_oracle_search_bounds_exit_one(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "oracle", "--state", "werner", "--param", "0.5", *flags)
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "abcdrs, flags, line",
+        [
+            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], [], "unphysical X state: (('r_coherence_bound', 0.09999999999999998),)"),
+            ([0.5, 0.0, 0.0, 0.5, 0.6, 0.0], ["--grid", "65"],
+             "unphysical X state: (('r_coherence_bound', 0.09999999999999998),)"),
+            ([0.6, 0.1, 0.1, 0.3, 0.0, 0.0], [], "unphysical X state: (('unit_trace', 0.09999999999999987),)"),
+            ([0.5, 0.5000000000026, -0.9e-12, -0.9e-12, 0.0, 0.0], [],
+             "unphysical Bloch coefficients: (('coefficient_range', 4.40003589119442e-12), "
+             "('weight_nonnegative', 1.100008972798605e-12))"),
+        ],
+        ids=["coherence", "coherence-and-grid", "trace", "bloch"],
+    )
+    def test_oracle_state_errors_keep_their_lines(self, capsys, tmp_path, abcdrs, flags, line):
+        # the state is checked once, by measure_set's check_xstate, before the
+        # oracle's grid and refine: a bad state exits 1 with the line it gave
+        # when the oracle checked the matrix again
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"abcdrs": abcdrs}))
+        args = ["--state", "file", "--state-file", str(path), *flags]
+        assert run_cli(capsys, "oracle", *args) == (1, "", f"error: {line}\n")
+
+    def test_oracle_takes_every_state_measures_takes(self, capsys, tmp_path):
+        # check_xstate accepts this trace drift, summed ((a + b) + c) + d, at
+        # 1e-12; np.trace's (a + b) + (c + d) reads 1.0000889e-12, so the
+        # oracle's second check refused it while rqcx measures took it
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"abcdrs": [1e-12, 0.0, 0.6666666666666666, 0.3333333333333333, 0.0, 0.0]}))
+        args = ["--state", "file", "--state-file", str(path)]
+        assert run_cli(capsys, "measures", *args)[0] == 0
+        code, out, err = run_cli(capsys, "oracle", *args, "--grid", "8", "--refine", "0")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r["measure"] for r in rows] == ["laqc", "qs", "cs"]
 
     def test_crossover_value(self, capsys):
         code, out, _ = run_cli(capsys, "crossover")
@@ -857,6 +894,49 @@ class TestInputBoundary:
         assert err.startswith("error:")
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    _CAP = "at most 134217728 (2**27, 1 GiB of float64), got"
+
+    @pytest.mark.parametrize(
+        "argv, config, line",
+        [
+            (["evolve", *WERNER, "--steps", str(10**30)], None, f"--steps must be {_CAP} {10**30}"),
+            (["evolve", *WERNER, "--steps", str(2**27 + 1)], None, f"--steps must be {_CAP} {2**27 + 1}"),
+            (["events", *WERNER, "--steps", str(2**27 + 1)], None, f"--steps must be {_CAP} {2**27 + 1}"),
+            (["evolve", *WERNER], {"steps": 10**400}, f"--steps must be {_CAP} {10**400}"),
+            (["surface", "--state", "werner", "--param-grid", f"0:1:{10**27}"], None,
+             f"--param-grid count must be {_CAP} {10**27}"),
+            (["surface", "--state", "werner", "--time-grid", f"0:1:{2**27 + 1}"], None,
+             f"--time-grid count must be {_CAP} {2**27 + 1}"),
+            (["surface", "--state", "werner"], {"time_grid": f"0:3:{10**400}"},
+             f"--time-grid count must be {_CAP} {10**400}"),
+            (["surface", "--state", "werner", "--param-grid", "0:1:20000", "--time-grid", "0:1:20000"], None,
+             f"--param-grid x --time-grid cells must be {_CAP} 20000 x 20000 = 400000000"),
+            (["surface", "--state", "werner", "--param-grid", f"0:1:{2**14}", "--time-grid", f"0:1:{2**13 + 1}"],
+             None, f"--param-grid x --time-grid cells must be {_CAP} 16384 x 8193 = {2**14 * (2**13 + 1)}"),
+        ],
+        ids=["steps-1e30", "steps-cap-plus-one", "events-steps-cap-plus-one", "config-steps-1e400",
+             "param-grid-1e27", "time-grid-cap-plus-one", "config-time-grid-1e400", "surface-cells",
+             "surface-cells-cap-plus-a-row"],
+    )
+    def test_count_past_the_cap_names_its_flag(self, capsys, monkeypatch, tmp_path, argv, config, line):
+        # a count past 2**27 float64 values (1 GiB), the cap Rtn._starts puts
+        # on one ladder, is refused with one line that names the flag and the
+        # count, before any array is made
+        made = []
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: made.append(args))
+        if config is not None:
+            path = tmp_path / "options.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+        assert made == []
+
+    def test_counts_at_the_cap_pass(self):
+        # the check only: a run at the cap would allocate its 1 GiB
+        cap = 2**27
+        assert cli._parse_grid(f"0:1:{cap}", "--param-grid") == (0.0, 1.0, cap)
+        assert cli._window({"tmax": 1.0, "steps": cap}) == (1.0, cap)
 
     @pytest.mark.parametrize(
         "argv",

@@ -232,7 +232,9 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
     # one `rqcx oracle` at grid 32: 3 grid-stage calls, then one per
     # refinement round, which starts from the grid stage's own values, and
     # one full phase table plus one per round in each of the two phase
-    # stages; stage 1 runs once, and nothing goes through cmi_flat.  Werner's Holevo bound
+    # stages (no tied leader of Werner 0.7 is the computational basis, so qs
+    # runs its own lanes); stage 1 runs once, and nothing goes through
+    # cmi_flat.  Werner's Holevo bound
     # is the same in every direction, so its grid stage keeps every row: the
     # probe row, the ring bounds of the other rows' 480 x 16 cells, and the
     # kept cells, all in one block
@@ -243,10 +245,12 @@ def test_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
 @pytest.mark.parametrize("refine", [0, 4, 8])
 def test_pruned_oracle_call_is_table_calls_only(monkeypatch, capsys, refine):
     # MNMS 0.6: the grid stage's probe row, one call, sets a floor above
-    # every other row's Holevo bound, so nothing else is scanned; the rest
-    # as for Werner
+    # every other row's Holevo bound, so nothing else is scanned; then the
+    # refinement rounds and laqc's phase stage, as for Werner.  Stage 1's one
+    # tied leader is the computational basis, so qs takes laqc's lane and
+    # makes no call: 2 (1 + refine) in all
     calls = _oracle_table_calls(monkeypatch, capsys, "mnms", 0.6, refine)
-    assert calls == {"cmi_table": 3 * (1 + refine), "cmi_flat": 0}
+    assert calls == {"cmi_table": 2 * (1 + refine), "cmi_flat": 0}
 
 
 @pytest.mark.parametrize("kind, param", [("werner", 0.0), ("werner", 0.7), ("mems", 0.8)])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -1005,6 +1006,70 @@ class TestQsOracle:
             assert found.laqc.value >= found.qs.value - 2e-3
 
 
+    def test_computational_leader_takes_laqcs_lane(self, monkeypatch):
+        # MNMS 0.6's one tied stage-1 leader is the computational basis, laqc's
+        # base: qs takes laqc's lane and makes no kernel call
+        parts = _search_parts(xstate_matrix(make_state(FamilySpec("mnms", 0.6))), GRID, REFINE)
+        angles, values = leaders = oracle.optimize_cmi(parts, GRID, REFINE)
+        tied = angles[values >= values.max() - oracle._TIE_TOL]
+        assert tied.view(np.int64).tolist() == [[0] * 4]
+        laqc = oracle.laqc_oracle(parts, GRID, REFINE)
+        calls = []
+        monkeypatch.setattr(kernels, "cmi_table", lambda *args: calls.append(args))
+        qs = oracle.qs_oracle(parts, leaders, laqc, GRID, REFINE)
+        assert calls == []
+        assert _result_bits(qs) == _result_bits(laqc)
+
+    def test_werner_runs_qs_on_the_other_seven_leaders(self, monkeypatch):
+        # Werner 0.2559 has 8 tied stage-1 leaders, one of them the
+        # computational basis: the phase stage runs on the other 7 in one call
+        parts = _search_parts(xstate_matrix(make_state(FamilySpec("werner", 0.2559))), GRID, REFINE)
+        angles, values = leaders = oracle.optimize_cmi(parts, GRID, REFINE)
+        tied = angles[values >= values.max() - oracle._TIE_TOL]
+        assert len(tied) == 8 and (~tied.view(np.int64).any(axis=1)).sum() == 1
+        laqc = oracle.laqc_oracle(parts, GRID, REFINE)
+        lanes = []
+
+        def recorded(parts, base, grid, refine, _fn=oracle._phase_stage):
+            lanes.append(len(base))
+            return _fn(parts, base, grid, refine)
+
+        monkeypatch.setattr(oracle, "_phase_stage", recorded)
+        oracle.qs_oracle(parts, leaders, laqc, GRID, REFINE)
+        assert lanes == [7]
+
+    @pytest.mark.parametrize(
+        "base, own",
+        [((0.0,) * 4, False), ((-0.0, 0.0, 0.0, 0.0), True), ((0.0, 0.0, 0.0, -0.0), True), ((0.0, 0.0, 1e-300, 0.0), True)],
+        ids=["zero", "minus-zero-theta-a", "minus-zero-phi-b", "subnormal-step"],
+    )
+    def test_only_a_bitwise_zero_base_takes_laqcs_lane(self, base, own):
+        # laqc's lane is marked with a value no phase stage gives, so a lane
+        # taken from it shows; a base with any bit set, -0.0 included, runs
+        # its own phase stage
+        parts = _search_parts(xstate_matrix(make_state(FamilySpec("mems", 0.4))), 16, 2)
+        laqc = oracle.laqc_oracle(parts, 16, 2)
+        marked = dataclasses.replace(laqc, value=laqc.value + 1.0)
+        bases = np.array([base])
+        res = oracle.qs_oracle(parts, (bases, np.array([0.5])), marked, 16, 2)
+        if own:
+            phases, value = oracle._phase_stage(parts, bases, 16, 2)
+            assert _result_bits(res)[0] == _bits([value[0], *base, *phases[0]]).tolist()
+        else:
+            assert _result_bits(res) == _result_bits(marked)
+
+
+def _phase_stages_by_hand(parts, bases, grid, refine):
+    """The first base with the largest value of the phase stage run on each base alone, as the
+    float64 bits of (value, base, phases)."""
+    best = None
+    for base in bases:
+        phases, value = oracle._phase_stage(parts, base[None], grid, refine)
+        if best is None or value[0] > best[0]:
+            best = (value[0], *base, *phases[0])
+    return _bits(best).tolist()
+
+
 def _result_bits(res):
     """A result's value and setting angles as float64 bits, with its grid and refine."""
     setting = res.setting
@@ -1023,12 +1088,43 @@ class TestOracleSet:
             parts = _search_parts(rho, grid, refine)
             angles, values = leaders = oracle.optimize_cmi(parts, grid, refine)
             laqc = oracle.laqc_oracle(parts, grid, refine)
-            qs = oracle.qs_oracle(parts, leaders, grid, refine)
+            qs = oracle.qs_oracle(parts, leaders, laqc, grid, refine)
             cs = oracle.OptimizationResult(max(float(values[0]), 0.0), LocalMeasurement(*angles[0]), grid, refine)
             found = oracle_set(rho, grid, refine)
             assert [_result_bits(r) for r in (found.laqc, found.qs, found.cs)] == [
                 _result_bits(r) for r in (laqc, qs, cs)
             ]
+
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(("family", "x", "x-rank", "generic")),
+        family=st.sampled_from(FAMILY_KINDS),
+        param=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        refine=st.integers(0, 5),
+    )
+    @example(kind="family", family="mnms", param=0.6, seed=0, refine=4)
+    @example(kind="family", family="mems", param=0.1559, seed=0, refine=5)
+    @example(kind="family", family="werner", param=0.2559, seed=0, refine=0)
+    @example(kind="family", family="werner", param=0.7, seed=0, refine=3)
+    def test_laqc_and_qs_are_the_phase_stages_run_by_hand(self, grid, kind, family, param, seed, refine):
+        # laqc is the phase stage on the computational basis, and qs the first
+        # of the phase stages on every tied stage-1 leader, each run alone,
+        # whether or not a leader takes laqc's lane
+        rng = np.random.default_rng(seed)
+        if kind == "family":
+            rho = xstate_matrix(make_state(FamilySpec(family, param)))
+        elif kind == "generic":
+            rho = random_density_matrix(rng)
+        else:
+            rho = xstate_matrix(random_xstate(rng, kind == "x-rank"))
+        parts = _search_parts(rho, grid, refine)
+        angles, values = oracle.optimize_cmi(parts, grid, refine)
+        found = oracle_set(rho, grid, refine)
+        laqc = _phase_stages_by_hand(parts, np.zeros((1, 4)), grid, refine)
+        qs = _phase_stages_by_hand(parts, angles[values >= values.max() - oracle._TIE_TOL], grid, refine)
+        assert [_result_bits(found.laqc), _result_bits(found.qs)] == [(laqc, grid, refine), (qs, grid, refine)]
 
     def test_interleaved_calls_match_single_calls(self, rng):
         # generic states: their maxima lie off the grid, so refine and grid move

@@ -1,13 +1,18 @@
+import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bloch, random_density_matrix, random_xstate
 from reference import apply_common_bath, bloch_from_matrix
 from rqcx.families import FamilySpec, make_state
 from rqcx.measures import measure_set
 from rqcx.states import (
+    EIG_TOL,
+    STRUCT_TOL,
     BlochX,
     InvalidStateError,
     ValidationReport,
@@ -211,6 +216,50 @@ class TestMatrixForm:
         for _ in range(1000):
             rho = xstate_matrix(random_xstate(rng))
             assert validate_density_matrix(rho).valid
+
+    @settings(max_examples=1000)
+    @given(
+        weights=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        zeros=st.tuples(*[st.booleans()] * 4),
+        fractions=st.tuples(*[st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)] * 2),
+        signs=st.tuples(*[st.sampled_from((1.0, -1.0))] * 2),
+        nudges=st.tuples(*[st.floats(-1e-12, 1e-12)] * 7),
+    )
+    @example(weights=(0.0, 0.0, 1.0, 0.5), zeros=(False,) * 4, fractions=(0.0, 0.0), signs=(1.0, 1.0),
+             nudges=(0.0, 0.0, 0.0, 0.0, 1e-12, 0.0, 0.0))
+    @example(weights=(1.0,) * 4, zeros=(False, True, True, False), fractions=(1.0, 1.0), signs=(1.0, 1.0),
+             nudges=(-1e-12, -1e-12, -1e-12, -1e-12, 1e-12, 1e-12, 1e-12))
+    @example(weights=(1.0,) * 4, zeros=(True, False, False, True), fractions=(1.0, 1.0), signs=(-1.0, -1.0),
+             nudges=(-1e-12, -1e-12, -1e-12, -1e-12, 1e-12, 1e-12, -1e-12))
+    @example(weights=(1.0, 1e-300, 1e-300, 1.0), zeros=(False,) * 4, fractions=(1.0, 1.0), signs=(1.0, -1.0),
+             nudges=(0.0, 0.0, 0.0, 0.0, 1e-12, 1e-12, 1e-12))
+    def test_every_accepted_state_is_a_density_matrix(self, weights, zeros, fractions, signs, nudges):
+        # rqcx oracle checks its state once, with check_xstate, and builds the
+        # oracle's matrix unchecked, so every state check_xstate accepts must
+        # be a density matrix: Hermitian, positive semidefinite within EIG_TOL
+        # (validate_density_matrix's eigvalsh test), and of unit trace.  The
+        # trace is the one test the two checks round differently: check_xstate
+        # sums ((a + b) + c) + d, np.trace (a + b) + (c + d), so a drift at
+        # STRUCT_TOL can read a few ulps past it in validate_density_matrix
+        # (the first @example).  The draws sit at the edges of check_xstate's
+        # tolerance: zero weights moved by up to 1e-12 either way, the trace
+        # moved by up to 1e-12 and coherences at or up to 1e-12 past their bounds
+        w = np.where(zeros, 0.0, weights)
+        w = w / w.sum() if w.sum() > 0.0 else np.full(4, 0.25)
+        a, b, c, d = (nudge if zero else float(v) for v, zero, nudge in zip(w, zeros, nudges))
+        a += nudges[4]  # the trace
+        r = signs[0] * fractions[0] * math.sqrt(max(a, 0.0) * max(d, 0.0)) + nudges[5]
+        s = signs[1] * fractions[1] * math.sqrt(max(b, 0.0) * max(c, 0.0)) + nudges[6]
+        p = XStateParams(a, b, c, d, r, s)
+        try:
+            check_xstate(p)
+        except InvalidStateError:
+            return  # rqcx oracle exits 1 on it, with check_xstate's line
+        rho = xstate_matrix(p)
+        rows = dict(validate_density_matrix(rho).violations)
+        assert set(rows) <= {"unit_trace"}
+        assert rows.get("unit_trace", 0.0) <= STRUCT_TOL + 4.0 * np.finfo(float).eps
+        assert np.linalg.eigvalsh(rho).min() >= -EIG_TOL
 
     def test_matrix_round_trip(self, rng):
         for _ in range(100):
