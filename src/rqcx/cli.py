@@ -142,15 +142,13 @@ def _noise_of(opts: dict) -> noise.NoiseModel:
     return model(opts[rate])
 
 
-# Most values in one --steps or grid count, and cells in one surface: 2**27 float64 values, one
-# array of 1 GiB, the cap Rtn._starts puts on one ladder.  A larger count is refused before any
-# array is made.
-_COUNT_MAX = 1 << 27
-_AT_MOST = f"at most {_COUNT_MAX} (2**27, 1 GiB of float64)"
+# --steps, a grid count and a surface's cells are capped at noise.COUNT_MAX, the cap Rtn._starts
+# puts on one ladder, before any array is made.
+_AT_MOST = f"at most {noise.COUNT_MAX} (2**27, 1 GiB of float64)"
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
-    """The min, max and count of a min:max:count grid, the count at most _COUNT_MAX; negative
+    """The min, max and count of a min:max:count grid, the count at most noise.COUNT_MAX; negative
     counts read as 0, which dynamics.SweepSpec refuses with the grid's shape."""
     try:
         lo, hi, count = text.split(":")
@@ -159,7 +157,7 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
-    if count > _COUNT_MAX:
+    if count > noise.COUNT_MAX:
         raise InvalidStateError(f"{flag} count must be {_AT_MOST}, got {count}")
     return lo, hi, max(count, 0)
 
@@ -170,7 +168,7 @@ def _window(opts: dict) -> tuple[float, int]:
         raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
         raise InvalidStateError(f"--steps must be at least 2, got {steps}")
-    if steps > _COUNT_MAX:
+    if steps > noise.COUNT_MAX:
         raise InvalidStateError(f"--steps must be {_AT_MOST}, got {steps}")
     return tmax, steps
 
@@ -303,7 +301,7 @@ def _cmd_surface(opts: dict) -> int:
     model = _noise_of(opts)
     tgrid = _parse_grid(opts["time_grid"], "--time-grid")
     cells = pgrid[2] * tgrid[2]
-    if cells > _COUNT_MAX:
+    if cells > noise.COUNT_MAX:
         got = f"{pgrid[2]} x {tgrid[2]} = {cells}"
         raise InvalidStateError(f"--param-grid x --time-grid cells must be {_AT_MOST}, got {got}")
     spec = dynamics.SweepSpec(

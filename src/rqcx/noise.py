@@ -37,6 +37,10 @@ from .search import newton
 _EXP_ZERO = 746.0
 # omega t at or past 2**52 has an ulp of a radian or more, so cos(omega t) is rounding noise
 _PHASE_MAX = 2.0**52
+# Most float64 values in one array: 2**27, 1 GiB.  One RTN ladder of extrema (`Rtn._starts`)
+# and every count the CLI hands to numpy (`--steps`, a grid count, a surface's cells) are capped
+# here, before any array is made
+COUNT_MAX = 1 << 27
 
 
 def _require_rate(value: float, label: str) -> None:
@@ -86,10 +90,10 @@ class Rtn:
         """The extrema k pi/omega from k = 0 to one past floor(t omega/pi), which
         rounds low an ulp past an extremum: every extremum up to t, and more.
 
-        A ladder of more than 2**27 extrema, one float64 array past 1 GiB, is
-        refused before it is allocated."""
+        A ladder of more than COUNT_MAX (2**27) extrema, one float64 array past
+        1 GiB, is refused before it is allocated."""
         count = np.floor(float(t) * self.omega / np.pi) + 2.0  # Python floats: an overflow is a quiet inf
-        if not count <= 2.0**27:
+        if not count <= COUNT_MAX:
             raise ValueError(
                 f"time window (--tmax) {t:g} at RTN coupling a/gamma = {self.a_over_gamma:g} needs "
                 f"{count:.3g} extrema, past the 2**27 (1 GiB) one ladder may hold: lower --tmax or --a-over-gamma"

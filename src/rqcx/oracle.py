@@ -19,9 +19,10 @@ bit for bit, takes laqc's lane: when it is the only tied leader (MNMS below
 x = 1, MEMS at low x), qs makes no kernel call.  Each stage is
 deterministic coarse-to-fine: a grid scan (the four angles, each distinct
 measurement once, or the two Hadamard phases), then the rounds of the one
-ascent loop `_ascend`, whose step halves each round.  The ascent starts
-from the scan's own values, so no kernel call comes between a scan and its
-first round.
+ascent loop `_ascend`, whose step starts at the grid's and halves each
+round.  The ascent starts from the scan's own values, so no kernel call
+comes between a scan and its first round.  Stage 1 carries its first
+`_LEADERS` (8) tied leaders into its refinement and into qs.
 
 Stage 1's grid scan is pruned by two exact bounds, in one sequence for
 every state.  Both read A's row terms, formed once per scan (`_row_terms`):
@@ -47,9 +48,10 @@ the corners' values are kernel values too, so the leaders are the full
 scan's, to the bit.  At the default grid, MNMS states below x = 1 scan one
 row of 481 settings, and Werner states 15328 or 15360 cells' settings past
 the probe and the bounds.  No table of w = n_A.T.n_B is formed: each entry
-the scan reads comes from the steered vectors T^T n_A by one elementwise
-formula (`_pair_w`), so its bits do not depend on which entries a call
-forms, nor, on an X state, on the BLAS kernel.
+the scan reads comes from the steered vectors T^T n_A and the grid's
+directions, B's rings taken straight from them, by one elementwise formula
+(`_pair_w`), so its bits do not depend on which entries a call forms, nor,
+on an X state, on the BLAS kernel.
 
 The searches run on batches of L starts, one lane per start.  Every scan and
 round is one (L, nA, nB) kernel table, A-major; in a round, each party's
@@ -78,6 +80,7 @@ phases of the complementary family.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,9 +99,12 @@ GRID, REFINE = 32, 4  # oracle_set's default grid resolution and refinement roun
 GRID_MAX = 64
 # Most rounds (a kernel call each per stage); the step is then at most 2.4e-20.
 REFINE_MAX = 64
+# Tied stage-1 leaders carried into the refinement and into qs: the grid
+# stage's first _LEADERS settings within _TIE_TOL of its maximum.
+_LEADERS = 8
 # Settings per grid-stage block: 32768 doubles, 256 KiB per kernel buffer.
-# The largest lane table, qs's phase scan at GRID_MAX with 8 leaders, is
-# 8 * 64**2 settings, so every kernel call stays within one block.
+# The largest lane table, qs's phase scan at GRID_MAX with _LEADERS leaders,
+# is 8 * 64**2 settings, so every kernel call stays within one block.
 BLOCK_ELEMENTS = 1 << 15
 # How far below a kernel value the grid stage's row and cell bounds may sit
 # before a row or cell is dropped: the kernel's rounding excess over the
@@ -167,15 +173,6 @@ def _grid_directions(grid: int):
     return directions
 
 
-@functools.cache
-def _ring_directions(grid: int) -> np.ndarray:
-    """The rings of `_grid_directions` past the pole, component-major, read-only and made once
-    per grid: [k, r, j] is component k of direction j of ring r (direction 1 + r grid + j)."""
-    rings = np.ascontiguousarray(_grid_directions(grid)[0][1:].T).reshape(3, -1, grid)
-    rings.flags.writeable = False
-    return rings
-
-
 def _direction(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Bloch directions (sin theta cos phi, sin theta sin phi, cos theta) along a new last axis."""
     st = np.sin(theta)
@@ -197,12 +194,6 @@ def _pair_w(s: np.ndarray, n: np.ndarray) -> np.ndarray:
     plus exact zeros, the same under every kernel.
     """
     return (s[..., 0] * n[..., 0] + s[..., 1] * n[..., 1]) + s[..., 2] * n[..., 2]
-
-
-def _cell_w(steer: np.ndarray, rings: np.ndarray, ri: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """w of the cells (A direction ri, B ring cr), shape (cells, grid): the rings are taken from
-    their component-major layout (`_ring_directions`), so each component is one contiguous array."""
-    return _pair_w(steer[ri, None], np.moveaxis(rings.take(cr, axis=1), 0, -1))
 
 
 def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -236,10 +227,11 @@ def _ascend(table, fold, cur_a, cur_b, best, steps, rounds: int):
     return np.concatenate((cur_a, cur_b), axis=1), best
 
 
-def _refine_angles(parts, angles0, values0, steps0, rounds: int):
-    """`_ascend` of L starts (angles0 of shape (L, 4), values0 (L,) their CMI) with steps steps0
-    (4,) at once: each party's 9 candidates are (theta, phi) moves, one (L, 9, 9) table per round.
-    The starts' values come from their caller, the grid stage's own, so no call precedes the rounds."""
+def _refine_angles(parts, angles0, values0, grid: int, rounds: int):
+    """`_ascend` of L starts (angles0 of shape (L, 4), values0 (L,) their CMI) at once, from the
+    grid's (theta, phi) steps, pi/(grid - 1) and 2pi/grid: each party's 9 candidates are (theta, phi)
+    moves, one (L, 9, 9) table per round.  The starts' values come from their caller, the grid
+    stage's own, so no call precedes the rounds."""
 
     def table(a, b):
         return _lane_table(parts, _direction(a[..., 0], a[..., 1]), _direction(b[..., 0], b[..., 1]))
@@ -249,12 +241,16 @@ def _refine_angles(parts, angles0, values0, steps0, rounds: int):
         np.remainder(cand[..., 1], _TWO_PI, out=cand[..., 1])
         return cand
 
-    angles, steps = np.asarray(angles0, dtype=float), np.asarray(steps0, dtype=float)
-    return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, (steps[:2], steps[2:]), rounds)
+    angles, step = np.asarray(angles0, dtype=float), np.array([np.pi / (grid - 1), _TWO_PI / grid])
+    return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, (step, step), rounds)
 
 
 def _check_search(grid: int, refine: int) -> None:
-    """Refuse a grid or refine out of range: the first check of every oracle call."""
+    """Refuse a grid or refine that is not an integer (a bool is not; a numpy integer is), then one
+    out of range: the first check of every oracle call."""
+    for name, value in (("grid", grid), ("refine", refine)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if grid > GRID_MAX:
@@ -263,18 +259,6 @@ def _check_search(grid: int, refine: int) -> None:
         raise ValueError("refine must be at least 0")
     if refine > REFINE_MAX:
         raise ValueError(f"refine must be at most {REFINE_MAX}")
-
-
-def _search_parts(rho: np.ndarray, grid: int, refine: int):
-    """The Fano parts of rho, once grid, refine and rho are checked: oracle_set's one validation."""
-    _check_search(grid, refine)
-    require_density_matrix(rho)
-    return _fano_parts(rho)
-
-
-def _grid_steps(grid: int) -> np.ndarray:
-    dt, dp = np.pi / (grid - 1), _TWO_PI / grid
-    return np.array([dt, dp, dt, dp])
 
 
 def _row_terms(parts, n: np.ndarray):
@@ -356,19 +340,19 @@ def _ring_bounds(terms, rows: np.ndarray, thetas: np.ndarray, pole) -> np.ndarra
     return bounds
 
 
-def _ties(block: np.ndarray, keep: int):
+def _ties(block: np.ndarray):
     """The positions (ascending) and values of a flat block's settings within `_TIE_TOL` of its
-    maximum, less those behind `keep` earlier ones at least as large; the maximum is among them."""
+    maximum, less those behind `_LEADERS` earlier ones at least as large; the maximum is among them."""
     near = np.flatnonzero(block >= block.max() - _TIE_TOL)
-    if near.size > keep:
-        vals = block[near]
-        near = np.concatenate((near[:keep], near[keep:][vals[keep:] > vals[:keep].min()]))
+    if near.size > _LEADERS:
+        vals, k = block[near], _LEADERS
+        near = np.concatenate((near[:k], near[k:][vals[k:] > vals[:k].min()]))
     return near, block[near]
 
 
-def _grid_stage(parts, grid: int, keep: int = 1):
-    """4-angle grid scan for the CMI maximum; returns up to `keep` tied leaders in scan order,
-    as angles of shape (L, 4) and their values.
+def _grid_stage(parts, grid: int):
+    """4-angle grid scan for the CMI maximum; returns its first `_LEADERS` tied leaders (or all,
+    if fewer) in scan order, as angles of shape (L, 4) and their values.
 
     Each party scans the distinct directions of `_grid_directions`, so a
     leader is the first of its ties in the scan order of the full grid.
@@ -405,13 +389,13 @@ def _grid_stage(parts, grid: int, keep: int = 1):
 
     No table-sized array is made.  w is formed only where the scan reads
     it: the probe row, the pole column and each block's cells, whose B
-    rings come from their component-major layout (`_cell_w`).  Each block
-    keeps its maximum and every setting within `_TIE_TOL` of it (`_ties`):
-    a tie of the overall maximum is within the tolerance of its own block's
-    maximum.  A block's list is not cut at `keep`, since a near tie there
-    may fall out of the window once a later block raises the maximum; it
-    drops only settings behind `keep` earlier ones at least as large, which
-    are never among the first `keep` ties.  The lists are merged in scan
+    rings are read from the grid's directions.  Each block keeps its
+    maximum and every setting within `_TIE_TOL` of it (`_ties`): a tie of
+    the overall maximum is within the tolerance of its own block's maximum.
+    A block's list is not cut at `_LEADERS`, since a near tie there may fall
+    out of the window once a later block raises the maximum; it drops only
+    settings behind `_LEADERS` earlier ones at least as large, which are
+    never among the first `_LEADERS` ties.  The lists are merged in scan
     order.  The leaders' values are the scan's own kernel values; on an X
     state they have the bits of a lane table at the leaders' angles, so the
     refinement starts from them (`optimize_cmi`).
@@ -422,7 +406,7 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     x, rb = terms[0], parts[1]
     chi = _holevo_bounds(terms, np.sqrt(rb @ rb))
     i = int(np.argmax(chi))
-    near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, _pair_w(steer[i], na)[None]).ravel(), keep)
+    near, vals = _ties(kernels.cmi_table(x[i : i + 1], y, _pair_w(steer[i], na)[None]).ravel())
     found = [(i * n + near, vals)]
     floor = vals.max() - _TIE_TOL - _BOUND_SLACK
     rows = np.flatnonzero(chi >= floor)
@@ -430,32 +414,32 @@ def _grid_stage(parts, grid: int, keep: int = 1):
     thetas = ta[1::grid]  # ring r is directions 1 + r grid to (r + 1) grid
     bounds = _ring_bounds(terms, rows, thetas, (y[0], _pair_w(steer[rows], na[0])))
     if rows.size:
-        near, vals = _ties(bounds[:, 0], keep)
+        near, vals = _ties(bounds[:, 0])
         found.append((rows[near] * n, vals))
         floor = max(floor, vals.max() - _TIE_TOL - _BOUND_SLACK)
     cells = np.flatnonzero(bounds[:, 1:] >= floor)  # flat (kept row, ring), ascending
-    rings, ring_y = _ring_directions(grid), y[1:].reshape(-1, grid)
+    rings, ring_y = na[1:].reshape(-1, grid, 3), y[1:].reshape(-1, grid)
     step = max(1, BLOCK_ELEMENTS // grid)
     for c0 in range(0, cells.size, step):
         ci, cr = np.divmod(cells[c0 : c0 + step], thetas.size)
         ri = rows[ci]
-        w = _cell_w(steer, rings, ri, cr)[:, None]
-        near, vals = _ties(kernels.cmi_table(x[ri, None], ring_y.take(cr, axis=0), w).ravel(), keep)
+        w = _pair_w(steer[ri, None], rings[cr])[:, None]
+        near, vals = _ties(kernels.cmi_table(x[ri, None], ring_y.take(cr, axis=0), w).ravel())
         q, j = np.divmod(near, grid)
         found.append((ri[q] * n + 1 + grid * cr[q] + j, vals))
     idx, vals = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(idx)  # the probe row and the pole column are found first, out of scan order
     idx, vals = idx[order], vals[order]
-    lead = np.flatnonzero(vals >= vals.max() - _TIE_TOL)[:keep]
+    lead = np.flatnonzero(vals >= vals.max() - _TIE_TOL)[:_LEADERS]
     ia, ib = np.divmod(idx[lead], n)
     return np.column_stack((ta[ia], pa[ia], ta[ib], pa[ib])), vals[lead]
 
 
 def optimize_cmi(parts, grid: int, refine: int):
     """Stage 1, the CMI maximum over all local projective bases: the angles (L, 4) and values
-    of the grid stage's first 8 tied leaders, refined together from the stage's own values.
-    Wu's cs is leader 0's value."""
-    return _refine_angles(parts, *_grid_stage(parts, grid, keep=8), _grid_steps(grid), refine)
+    of the grid stage's first `_LEADERS` tied leaders, refined together from the stage's own
+    values.  Wu's cs is leader 0's value."""
+    return _refine_angles(parts, *_grid_stage(parts, grid), grid, refine)
 
 
 def _frame(base: np.ndarray):
@@ -550,7 +534,9 @@ def _stages(parts, grid: int, refine: int) -> OracleSet:
 def oracle_set(rho: np.ndarray, grid: int = GRID, refine: int = REFINE) -> OracleSet:
     """The oracle's laqc, qs and cs of density matrix rho, with rho, grid and refine checked once:
     rho in full, as any 4x4 density matrix (`require_density_matrix`)."""
-    return _stages(_search_parts(rho, grid, refine), grid, refine)
+    _check_search(grid, refine)
+    require_density_matrix(rho)
+    return _stages(_fano_parts(rho), grid, refine)
 
 
 def _xstate_oracle_set(params: XStateParams, grid: int, refine: int) -> OracleSet:
@@ -558,13 +544,12 @@ def _xstate_oracle_set(params: XStateParams, grid: int, refine: int) -> OracleSe
     are checked here, params are not.
 
     `rqcx oracle` checks its state once, with measure_set's check_xstate.
-    Every state check_xstate accepts builds a density matrix: Hermitian,
-    positive semidefinite within EIG_TOL and of unit trace within rounding
-    of STRUCT_TOL (tests/test_states.py).  Its Fano parts are those of
+    Every state check_xstate accepts builds a density matrix that
+    validate_density_matrix passes: Hermitian, positive semidefinite within
+    EIG_TOL and of unit trace within STRUCT_TOL, both checks summing the
+    trace in index order (tests/test_states.py).  Its Fano parts are those of
     xstate_matrix(params), so the result is oracle_set(xstate_matrix(params))'s,
-    bit for bit, wherever oracle_set takes that matrix; it refuses only a
-    trace drift a few ulps past STRUCT_TOL, since np.trace sums the diagonal
-    in another order than check_xstate.
+    bit for bit.
     """
     _check_search(grid, refine)
     return _stages(_fano_parts(xstate_matrix(params)), grid, refine)

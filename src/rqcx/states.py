@@ -240,7 +240,9 @@ def validate_density_matrix(rho: np.ndarray) -> ValidationReport:
     herm = _hermiticity_defect(rho)
     if herm > STRUCT_TOL:
         violations.append(("hermitian", herm))
-    drift = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
+    d0, d1, d2, d3 = rho.diagonal().tolist()
+    trace = ((d0 + d1) + d2) + d3  # in index order, as check_xstate sums ((a + b) + c) + d
+    drift = abs(float(trace.real) - 1.0) + abs(float(trace.imag))
     if drift > STRUCT_TOL:
         violations.append(("unit_trace", drift))
     if not violations:

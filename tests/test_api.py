@@ -1,6 +1,8 @@
 """The public names of the rqcx package, pinned so that any API change is a deliberate edit here."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -37,3 +39,26 @@ def test_removed_names_are_defined_nowhere():
     assert len(modules) >= 10
     for module in [rqcx, *modules]:
         assert not REMOVED & set(vars(module)), module.__name__
+
+
+def test_every_private_function_has_a_library_caller():
+    # a private top-level function that only tests call is test code (tests/reference.py).  A
+    # reference is a name in the function's own module outside its definition, or an attribute
+    # or import of that name anywhere in rqcx; docstrings and comments are not names
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(pathlib.Path(rqcx.__file__).parent.glob("*.py"))}
+    refs = set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != owner:
+                    refs.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((None, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update((None, alias.name) for alias in node.names)
+    private = [(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+    assert len(private) >= 20
+    assert [f"{m}.{name}" for m, name in private if not {(m, name), (None, name)} & refs] == []

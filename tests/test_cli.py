@@ -603,8 +603,9 @@ class TestSurfaceOracleCrossover:
 
     def test_oracle_takes_every_state_measures_takes(self, capsys, tmp_path):
         # check_xstate accepts this trace drift, summed ((a + b) + c) + d, at
-        # 1e-12; np.trace's (a + b) + (c + d) reads 1.0000889e-12, so the
-        # oracle's second check refused it while rqcx measures took it
+        # 1e-12; summed (a + b) + (c + d) it reads 1.0000889e-12, so a second
+        # check of the oracle's matrix in that order refused it while rqcx
+        # measures took it
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"abcdrs": [1e-12, 0.0, 0.6666666666666666, 0.3333333333333333, 0.0, 0.0]}))
         args = ["--state", "file", "--state-file", str(path)]

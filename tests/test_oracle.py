@@ -29,12 +29,10 @@ from rqcx.oracle import (
     _fano_parts,
     _grid_directions,
     _grid_stage,
-    _grid_steps,
     _refine_angles,
-    _search_parts,
     oracle_set,
 )
-from rqcx.states import XStateParams, xstate_matrix
+from rqcx.states import XStateParams, check_xstate, xstate_matrix
 
 MIXED = np.eye(4) / 4.0
 BELL = xstate_matrix(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
@@ -42,8 +40,8 @@ Z_BASIS_BOTH = LocalMeasurement(0.0, 0.0, 0.0, 0.0)
 
 
 def _laqc(rho, grid=GRID, refine=REFINE):
-    """The laqc stage alone, on the checked Fano parts of rho."""
-    return oracle.laqc_oracle(_search_parts(rho, grid, refine), grid, refine)
+    """The laqc stage alone, on the Fano parts of rho."""
+    return oracle.laqc_oracle(_fano_parts(rho), grid, refine)
 
 
 class TestProbabilities:
@@ -172,6 +170,25 @@ class TestOptimizeCmi:
             oracle_set(MIXED, 8, REFINE_MAX + 1)
         assert getattr(oracle_set(MIXED, 8, REFINE_MAX), measure).refinement_depth == REFINE_MAX
 
+    @pytest.mark.parametrize(
+        "grid, refine, line",
+        [(32.0, 4, "grid must be an integer, not float"), (16, 2.0, "refine must be an integer, not float"),
+         (True, 2, "grid must be an integer, not bool"), (16, True, "refine must be an integer, not bool"),
+         ("16", 2, "grid must be an integer, not str"), (16, "2", "refine must be an integer, not str")],
+        ids=["float-grid", "float-refine", "bool-grid", "bool-refine", "str-grid", "str-refine"],
+    )
+    def test_non_integer_search_rejected(self, grid, refine, line):
+        # numpy would refuse a float deep inside a stage, and a bool would run
+        # as 0 or 1 and come back as the result's refinement_depth
+        with pytest.raises(TypeError, match=f"^{line}$"):
+            oracle_set(MIXED, grid, refine)
+
+    def test_numpy_integer_search_taken(self):
+        rho = xstate_matrix(make_state(FamilySpec("mems", 0.4)))
+        found, want = oracle_set(rho, np.int64(16), np.int32(2)), oracle_set(rho, 16, 2)
+        for measure in ("laqc", "qs", "cs"):
+            assert _result_bits(getattr(found, measure)) == _result_bits(getattr(want, measure))
+
     def test_deterministic(self):
         rho = xstate_matrix(make_state(FamilySpec("mnms", 0.3)))
         assert oracle_set(rho) == oracle_set(rho)
@@ -279,7 +296,7 @@ def _rotated_isotropic_parts(seed, c=0.3):
 
 
 def _stage_calls(monkeypatch, parts, grid, keep):
-    """_grid_stage's result and the sizes of its cmi_table calls."""
+    """_grid_stage's result with `keep` leaders and the sizes of its cmi_table calls."""
     sizes = []
 
     def recorded(x, y, w, _fn=kernels.cmi_table):
@@ -288,7 +305,8 @@ def _stage_calls(monkeypatch, parts, grid, keep):
 
     with monkeypatch.context() as mp:
         mp.setattr(kernels, "cmi_table", recorded)
-        result = _grid_stage(parts, grid, keep)
+        mp.setattr(oracle, "_LEADERS", keep)
+        result = _grid_stage(parts, grid)
     return result, sizes
 
 
@@ -350,7 +368,8 @@ class TestGridStage:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "BLOCK_ELEMENTS", block)
-            angles, values = _grid_stage(parts, grid, keep)
+            mp.setattr(oracle, "_LEADERS", keep)
+            angles, values = _grid_stage(parts, grid)
             ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
         assert angles.shape == ref_angles.shape and angles.shape[0] >= 1
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
@@ -380,7 +399,8 @@ class TestGridStage:
         fake, served = _served_by_setting(table, _full_table_terms(parts, na)[2], bound=2.0)
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 2 * 8)
         monkeypatch.setattr(kernels, "cmi_table", fake)
-        angles, values = _grid_stage(parts, 8, keep)
+        monkeypatch.setattr(oracle, "_LEADERS", keep)
+        angles, values = _grid_stage(parts, 8)
         # the probe serves row 0, the bound calls the pole column, one row
         # per call, and the rest come in blocks of two cells
         assert served == [n] + [1] * (n - 1) + [16] * ((n - 1) ** 2 // 16)
@@ -449,7 +469,9 @@ class TestGridStage:
         states += [_rotated_isotropic_parts(seed, c) for seed, c in ((0, 0.3), (1, 0.8), (2, 1.0))]
         for parts in states:
             for keep in (1, 8):
-                angles, values = _grid_stage(parts, grid, keep)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(oracle, "_LEADERS", keep)
+                    angles, values = _grid_stage(parts, grid)
                 ref_angles, ref_values = _grid_stage_ref(parts, grid, keep)
                 np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
                 np.testing.assert_array_equal(_bits(values), _bits(ref_values))
@@ -469,7 +491,7 @@ class TestGridStage:
 
     def test_isotropic_stage_matches_full_table_at_grid_64(self):
         parts = _fano_parts(xstate_matrix(make_state(FamilySpec("werner", 0.7))))
-        angles, values = _grid_stage(parts, 64, 8)
+        angles, values = _grid_stage(parts, 64)
         ref_angles, ref_values = _grid_stage_ref(parts, 64, 8, block_rows=64)
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
@@ -546,7 +568,7 @@ class TestGridStage:
         else:
             state = random_xstate(np.random.default_rng(seed), kind == "x-rank")
         parts = _fano_parts(xstate_matrix(state))
-        angles, values = _grid_stage(parts, grid, 8)
+        angles, values = _grid_stage(parts, grid)
         np.testing.assert_array_equal(_bits(values), _bits(_start_values(parts, angles)))
 
     @pytest.mark.parametrize("kind", ["generic", "mixed", "bell"])
@@ -560,7 +582,7 @@ class TestGridStage:
         w_bytes = 1985**2 * 8
         tracemalloc.start()
         try:
-            _grid_stage(parts, 64, 8)
+            _grid_stage(parts, 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -577,35 +599,48 @@ class TestGridStage:
     def test_stage_w_has_the_full_table_bits(self, kind, entries, weights, grid, prune):
         # every w entry the stage forms, the pole column handed to the ring
         # bounds and each cell block's, has the bits of the full _pair_w table
-        # at its indices.  Unpruned (a slack past every CMI), every row is
-        # kept and every cell scanned
+        # at its indices.  A block's cells are read off its _pair_w call: each
+        # cell's steered vector is a row of T^T n_A and its directions one of
+        # B's rings, matched by their bits.  The block's w is the one its
+        # kernel call, one of the stage's last, receives.  Unpruned (a slack
+        # past every CMI), every row is kept and every cell scanned
         parts = _fano_parts(_bound_state(kind, entries, weights))
         na = _grid_directions(grid)[0]
         full = _full_table_terms(parts, na)[2]
-        poles, blocks = [], []
+        row_of = {v.tobytes(): i for i, v in reversed(list(enumerate(na @ parts[2])))}  # a repeated row: its first
+        ring_of = {v.tobytes(): r for r, v in enumerate(na[1:].reshape(-1, grid, 3))}
+        poles, blocks, tables = [], [], []
 
         def ring_bounds(terms, rows, thetas, pole, _fn=oracle._ring_bounds):
             poles.append((rows, pole[1]))
             return _fn(terms, rows, thetas, pole)
 
-        def cell_w(steer, rings, ri, cr, _fn=oracle._cell_w):
-            blocks.append((ri, cr, _fn(steer, rings, ri, cr)))
-            return blocks[-1][2]
+        def pair_w(s, n, _fn=oracle._pair_w):
+            w = _fn(s, n)
+            if np.ndim(n) == 3:  # a block of cells, (cells, 1, 3) steered vectors with (cells, grid, 3) rings
+                ri = np.array([row_of[v.tobytes()] for v in s[:, 0]])
+                blocks.append((ri, np.array([ring_of[v.tobytes()] for v in n])))
+            return w
+
+        def cmi_table(x, y, w, _fn=kernels.cmi_table):
+            tables.append(w)
+            return _fn(x, y, w)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_ring_bounds", ring_bounds)
-            mp.setattr(oracle, "_cell_w", cell_w)
+            mp.setattr(oracle, "_pair_w", pair_w)
+            mp.setattr(kernels, "cmi_table", cmi_table)
             if not prune:
                 mp.setattr(oracle, "_BOUND_SLACK", 10.0)
-            _grid_stage(parts, grid, 8)
+            _grid_stage(parts, grid)
         (rows, w_pole), = poles
         np.testing.assert_array_equal(_bits(w_pole), _bits(full[rows, 0]))
-        scanned = sum(ri.size for ri, _, _ in blocks)
+        scanned = sum(ri.size for ri, _ in blocks)
         if not prune:
             assert rows.size == na.shape[0] - 1 and scanned == rows.size * (na.shape[0] - 1) // grid
-        for ri, cr, w in blocks:
+        for (ri, cr), w in zip(blocks, tables[len(tables) - len(blocks):]):
             cols = (1 + grid * cr)[:, None] + np.arange(grid)
-            np.testing.assert_array_equal(_bits(w), _bits(full[ri[:, None], cols]))
+            np.testing.assert_array_equal(_bits(w[:, 0]), _bits(full[ri[:, None], cols]))
 
 
 def _paired_cmi_ref(parts, da, db):
@@ -638,10 +673,16 @@ def _take_improvements_ref(vals, cand, best, cur):
     return np.where(up, top, best), np.where(up[:, None], cand[lanes, k], cur)
 
 
-def _refine_ref(parts, angles0, steps0, rounds):
+def _grid_steps_ref(grid):
+    """The (theta_a, phi_a, theta_b, phi_b) steps of a grid: pi/(grid - 1) and 2pi/grid."""
+    dt, dp = np.pi / (grid - 1), 2.0 * np.pi / grid
+    return np.array([dt, dp, dt, dp])
+
+
+def _refine_ref(parts, angles0, grid, rounds):
     """The refinement before its rounds became (L, 9, 9) tables: 81 paired candidates per lane."""
     angles = np.array(angles0, dtype=float)
-    steps = np.asarray(steps0, dtype=float)
+    steps = _grid_steps_ref(grid)
     best = _cmi_at_angles_ref(parts, angles)
     for _ in range(rounds):
         cand = angles[:, None, :] + _OFFSETS_4_REF * steps
@@ -685,7 +726,7 @@ def _phase_stage_ref(parts, base, grid, refine):
     return cur, np.where(0.0 > best, 0.0, best)
 
 
-def _refine_table_ref(parts, angles0, steps0, rounds):
+def _refine_table_ref(parts, angles0, grid, rounds):
     """The table refinement before the one ascent loop: 81 joint candidates per
     lane, candidate 9a + b being entry (a, b) of one (L, 9, 9) table."""
 
@@ -696,7 +737,7 @@ def _refine_table_ref(parts, angles0, steps0, rounds):
         )
         return vals.reshape(cand.shape[:2])
 
-    angles, steps = np.array(angles0, dtype=float), np.asarray(steps0, dtype=float)
+    angles, steps = np.array(angles0, dtype=float), _grid_steps_ref(grid)
     best = table(angles[:, None])[:, 0]
     for _ in range(rounds):
         cand = angles[:, None, :] + _OFFSETS_4_REF * steps
@@ -754,9 +795,9 @@ class TestTableStages:
         # the grid stage's tied leaders, as the oracle carries them forward;
         # a lane may take another tied candidate, but not another value
         parts = self._parts(kind, seed)
-        starts, start_values = _grid_stage(parts, grid, keep=8)
-        angles, values = _refine_angles(parts, starts, start_values, _grid_steps(grid), refine)
-        ref_angles, ref_values = _refine_ref(parts, starts, _grid_steps(grid), refine)
+        starts, start_values = _grid_stage(parts, grid)
+        angles, values = _refine_angles(parts, starts, start_values, grid, refine)
+        ref_angles, ref_values = _refine_ref(parts, starts, grid, refine)
         assert np.max(np.abs(values - ref_values)) <= 1e-14
         for base in (angles, np.zeros((1, 4))):
             phases, values = oracle._phase_stage(parts, base, grid, refine)
@@ -776,14 +817,14 @@ class TestTableStages:
         # the grid stage's leaders, then random starts on each theta clip
         parts = self._parts(kind, seed)
         rng = np.random.default_rng(seed)
-        leaders, _ = _grid_stage(parts, grid, keep=8)
+        leaders, _ = _grid_stage(parts, grid)
         clipped = np.column_stack((rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4),
                                    rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4)))
         clipped[[0, 1], 0] = 0.0, np.pi
         clipped[[2, 3], 2] = np.pi, 0.0
         starts = np.concatenate((leaders, clipped))
-        angles, values = _refine_angles(parts, starts, _start_values(parts, starts), _grid_steps(grid), refine)
-        ref_angles, ref_values = _refine_table_ref(parts, starts, _grid_steps(grid), refine)
+        angles, values = _refine_angles(parts, starts, _start_values(parts, starts), grid, refine)
+        ref_angles, ref_values = _refine_table_ref(parts, starts, grid, refine)
         np.testing.assert_array_equal(_bits(angles), _bits(ref_angles))
         np.testing.assert_array_equal(_bits(values), _bits(ref_values))
         for base in (angles, np.zeros((1, 4))):
@@ -831,7 +872,7 @@ class TestBatchedSearch:
         # first CMI minimum, far from every maximum.  Then random starts, two of
         # them on the theta clips.
         if sign > 0:
-            angles, _ = _grid_stage(parts, grid, keep=lanes)
+            angles = _grid_stage(parts, grid)[0][:lanes]  # the first `lanes` of the tied leaders
         else:
             angles = _full_sphere_leader(parts, grid, sign)[0][None]
         extra = np.column_stack((
@@ -852,11 +893,11 @@ class TestBatchedSearch:
             parts = _fano_parts(rho)
             starts = self._starts(rng, parts, grid, sign, lanes)
             for refine in range(7):
-                angles, values = _refine_angles(parts, starts, _start_values(parts, starts), _grid_steps(grid), refine)
+                angles, values = _refine_angles(parts, starts, _start_values(parts, starts), grid, refine)
                 assert angles.shape == (lanes, 4) and values.shape == (lanes,)
                 for lane in range(lanes):
                     start = starts[lane : lane + 1]
-                    one = _refine_angles(parts, start, _start_values(parts, start), _grid_steps(grid), refine)
+                    one = _refine_angles(parts, start, _start_values(parts, start), grid, refine)
                     np.testing.assert_array_equal(_bits(angles[lane]), _bits(one[0][0]))
                     assert _bits(values[lane]) == _bits(one[1][0])
 
@@ -1009,7 +1050,7 @@ class TestQsOracle:
     def test_computational_leader_takes_laqcs_lane(self, monkeypatch):
         # MNMS 0.6's one tied stage-1 leader is the computational basis, laqc's
         # base: qs takes laqc's lane and makes no kernel call
-        parts = _search_parts(xstate_matrix(make_state(FamilySpec("mnms", 0.6))), GRID, REFINE)
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("mnms", 0.6))))
         angles, values = leaders = oracle.optimize_cmi(parts, GRID, REFINE)
         tied = angles[values >= values.max() - oracle._TIE_TOL]
         assert tied.view(np.int64).tolist() == [[0] * 4]
@@ -1023,7 +1064,7 @@ class TestQsOracle:
     def test_werner_runs_qs_on_the_other_seven_leaders(self, monkeypatch):
         # Werner 0.2559 has 8 tied stage-1 leaders, one of them the
         # computational basis: the phase stage runs on the other 7 in one call
-        parts = _search_parts(xstate_matrix(make_state(FamilySpec("werner", 0.2559))), GRID, REFINE)
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("werner", 0.2559))))
         angles, values = leaders = oracle.optimize_cmi(parts, GRID, REFINE)
         tied = angles[values >= values.max() - oracle._TIE_TOL]
         assert len(tied) == 8 and (~tied.view(np.int64).any(axis=1)).sum() == 1
@@ -1047,7 +1088,7 @@ class TestQsOracle:
         # laqc's lane is marked with a value no phase stage gives, so a lane
         # taken from it shows; a base with any bit set, -0.0 included, runs
         # its own phase stage
-        parts = _search_parts(xstate_matrix(make_state(FamilySpec("mems", 0.4))), 16, 2)
+        parts = _fano_parts(xstate_matrix(make_state(FamilySpec("mems", 0.4))))
         laqc = oracle.laqc_oracle(parts, 16, 2)
         marked = dataclasses.replace(laqc, value=laqc.value + 1.0)
         bases = np.array([base])
@@ -1085,7 +1126,7 @@ class TestOracleSet:
         cases = [(xstate_matrix(random_xstate(rng)), 16, 3), (random_density_matrix(rng), 9, 2),
                  (xstate_matrix(random_xstate(rng, True)), 32, 4), (MIXED, 8, 0), (BELL, 33, 1)]
         for rho, grid, refine in cases:
-            parts = _search_parts(rho, grid, refine)
+            parts = _fano_parts(rho)
             angles, values = leaders = oracle.optimize_cmi(parts, grid, refine)
             laqc = oracle.laqc_oracle(parts, grid, refine)
             qs = oracle.qs_oracle(parts, leaders, laqc, grid, refine)
@@ -1094,6 +1135,16 @@ class TestOracleSet:
             assert [_result_bits(r) for r in (found.laqc, found.qs, found.cs)] == [
                 _result_bits(r) for r in (laqc, qs, cs)
             ]
+
+    def test_takes_the_trace_drift_check_xstate_takes(self):
+        # check_xstate reads this state's trace drift as 9.99866855977416e-13,
+        # inside STRUCT_TOL; summed (a + b) + (c + d), the matrix check read
+        # 1.000088900582341e-12 and refused it.  Both now sum in index order
+        params = XStateParams(1e-12, 0.0, 2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0)
+        check_xstate(params)
+        found, want = oracle_set(xstate_matrix(params), 8, 0), oracle._xstate_oracle_set(params, 8, 0)
+        for measure in ("laqc", "qs", "cs"):
+            assert _result_bits(getattr(found, measure)) == _result_bits(getattr(want, measure))
 
     @pytest.mark.parametrize("grid", [8, 16, 32])
     @settings(max_examples=40)
@@ -1119,7 +1170,7 @@ class TestOracleSet:
             rho = random_density_matrix(rng)
         else:
             rho = xstate_matrix(random_xstate(rng, kind == "x-rank"))
-        parts = _search_parts(rho, grid, refine)
+        parts = _fano_parts(rho)
         angles, values = oracle.optimize_cmi(parts, grid, refine)
         found = oracle_set(rho, grid, refine)
         laqc = _phase_stages_by_hand(parts, np.zeros((1, 4)), grid, refine)
@@ -1143,7 +1194,7 @@ class TestOracleSet:
         for rho in (xstate_matrix(random_xstate(rng)), random_density_matrix(rng), MIXED):
             parts = _fano_parts(rho)
             angles, values = _grid_stage(parts, 16)
-            angles, values = _refine_angles(parts, angles, values, _grid_steps(16), 3)
+            angles, values = _refine_angles(parts, angles, values, 16, 3)
             res = oracle_set(rho, 16, 3).cs
             assert np.float64(res.value).view(np.int64) == np.float64(max(values[0], 0.0)).view(np.int64)
             np.testing.assert_array_equal(np.array(res.setting), angles[0])
