@@ -3,7 +3,9 @@
 Subcommands: validate, measures, evolve, events, surface, oracle, crossover.
 Output is CSV (default, '#'-prefixed header, 17 significant digits) or JSON,
 to stdout or --out.  Exit codes: 0 success, 1 input error, 2 internal
-numeric failure.
+numeric failure.  An input error is a ValueError: a bad flag, config value or
+file raises a plain one, and a state that fails a check raises
+InvalidStateError, with that check's report, which `validate` prints.
 
 Every option is one row of _OPTIONS: its default, value type, allowed values,
 the subcommands that take it and its help text.  The row named a_b is the
@@ -97,23 +99,23 @@ def _merged(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     opts = {key: opt.default for key, opt in _OPTIONS.items()}
     if args.config:
-        cfg = stateio.load_options_file(args.config)
+        cfg = stateio.read_json_object(args.config, "config")
         unknown = set(cfg) - set(_OPTIONS)
         if unknown:
-            raise InvalidStateError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in cfg.items():
             opt = _OPTIONS[key]
             name, types = _JSON_TYPES[opt.type]
             # an exact type test: a JSON true or false is not a number
             if type(val) not in types and not (val is None and opt.default is None):
-                raise InvalidStateError(f"config key {key!r} must be {name}, got {json.dumps(val)}")
+                raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(val)}")
             if opt.choices and val is not None and val not in opt.choices:
                 allowed = ", ".join(opt.choices)
-                raise InvalidStateError(f"config key {key!r} must be one of {allowed}, got {json.dumps(val)}")
+                raise ValueError(f"config key {key!r} must be one of {allowed}, got {json.dumps(val)}")
             try:
                 opts[key] = val if val is None else opt.type(val)
             except OverflowError:  # an integer past the float range
-                raise InvalidStateError(f"config key {key!r} is out of range") from None
+                raise ValueError(f"config key {key!r} is out of range") from None
     for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
@@ -127,14 +129,14 @@ def _xstate_of(opts: dict) -> XStateParams:
     kind = opts["state"]
     if kind in families.FAMILY_KINDS:
         if opts["param"] is None:
-            raise InvalidStateError(f"--param is required with --state {kind}")
+            raise ValueError(f"--param is required with --state {kind}")
         spec = families.FamilySpec(kind, opts["param"])
         return families.make_state(spec)
     if kind == "file" or (kind is None and opts["state_file"]):
         if not opts["state_file"]:
-            raise InvalidStateError("--state-file is required with --state file")
+            raise ValueError("--state-file is required with --state file")
         return stateio.load_state_document(opts["state_file"])
-    raise InvalidStateError("no state given: use --state werner|mnms|mems with --param, or --state file")
+    raise ValueError("no state given: use --state werner|mnms|mems with --param, or --state file")
 
 
 def _noise_of(opts: dict) -> noise.NoiseModel:
@@ -154,22 +156,22 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise InvalidStateError(f"grid must look like min:max:count, got {text!r}") from exc
+        raise ValueError(f"grid must look like min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidStateError(f"grid min and max must be finite, got {text!r}")
+        raise ValueError(f"grid min and max must be finite, got {text!r}")
     if count > noise.COUNT_MAX:
-        raise InvalidStateError(f"{flag} count must be {_AT_MOST}, got {count}")
+        raise ValueError(f"{flag} count must be {_AT_MOST}, got {count}")
     return lo, hi, max(count, 0)
 
 
 def _window(opts: dict) -> tuple[float, int]:
     tmax, steps = opts["tmax"], opts["steps"]
     if not (math.isfinite(tmax) and tmax > 0.0):
-        raise InvalidStateError(f"--tmax must be finite and > 0, got {tmax}")
+        raise ValueError(f"--tmax must be finite and > 0, got {tmax}")
     if steps < 2:
-        raise InvalidStateError(f"--steps must be at least 2, got {steps}")
+        raise ValueError(f"--steps must be at least 2, got {steps}")
     if steps > noise.COUNT_MAX:
-        raise InvalidStateError(f"--steps must be {_AT_MOST}, got {steps}")
+        raise ValueError(f"--steps must be {_AT_MOST}, got {steps}")
     return tmax, steps
 
 
@@ -210,7 +212,7 @@ def _write(pieces: Sequence[str], opts: dict) -> None:
             with open(opts["out"], "w") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
-            raise InvalidStateError(f"cannot write {opts['out']}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {opts['out']}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()  # a closed pipe then fails here, inside main
@@ -257,10 +259,8 @@ def _cmd_validate(opts: dict) -> int:
     """The report of the reader and the check every other command runs."""
     try:
         report = xstate_report(_xstate_of(opts))
-    except InvalidStateError as exc:
-        if exc.report is None:  # a missing flag or an unreadable file: there is no state to report on
-            raise
-        report = exc.report  # a matrix that is not a real-coherence X matrix
+    except InvalidStateError as exc:  # a matrix that is not a real-coherence X matrix
+        report = exc.report
     names = [name for name, _ in report.violations]
     columns = {
         "check": ["valid", *names],
@@ -296,14 +296,14 @@ def _cmd_events(opts: dict) -> int:
 
 def _cmd_surface(opts: dict) -> int:
     if opts["state"] not in families.FAMILY_KINDS:
-        raise InvalidStateError("surface needs --state werner|mnms|mems")
+        raise ValueError("surface needs --state werner|mnms|mems")
     pgrid = _parse_grid(opts["param_grid"], "--param-grid")
     model = _noise_of(opts)
     tgrid = _parse_grid(opts["time_grid"], "--time-grid")
     cells = pgrid[2] * tgrid[2]
     if cells > noise.COUNT_MAX:
         got = f"{pgrid[2]} x {tgrid[2]} = {cells}"
-        raise InvalidStateError(f"--param-grid x --time-grid cells must be {_AT_MOST}, got {got}")
+        raise ValueError(f"--param-grid x --time-grid cells must be {_AT_MOST}, got {got}")
     spec = dynamics.SweepSpec(
         family=opts["state"], param_grid=np.linspace(*pgrid), noise=model, time_grid=np.linspace(*tgrid)
     )

@@ -22,7 +22,7 @@ import numpy as np
 from .families import FamilySpec, make_state
 from .measures import MEASURES, _StateMeasures
 from .noise import NoiseModel, lambda_of_t, lambda_zeros
-from .states import XStateParams
+from .states import XStateParams, _refuse_text
 
 THRESHOLD = 1e-4  # detect_events' default threshold, also `rqcx events --revival-threshold`'s
 
@@ -55,6 +55,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name, grid in (("param", self.param_grid), ("time", self.time_grid)):
+            _refuse_text(grid, f"{name}_grid")
             grid = np.asarray(grid, float)
             if grid.size < 2:
                 raise ValueError(f"{name} grid needs at least 2 points")
@@ -63,10 +64,12 @@ class SweepSpec:
 
 
 def trajectory(state: XStateParams, noise: NoiseModel, tgrid) -> Trajectory:
-    """Sample the envelope and all measures on a time grid."""
+    """Sample the envelope and all measures on a time grid; a scalar time is a grid of one, and
+    text in tgrid is a TypeError."""
     measures = _StateMeasures(state)
-    t = np.array(tgrid, dtype=float)
-    lam = np.atleast_1d(lambda_of_t(noise, t))
+    _refuse_text(tgrid, "tgrid")
+    t = np.atleast_1d(np.array(tgrid, dtype=float))
+    lam = lambda_of_t(noise, t)
     return Trajectory(t, lam, **measures(lam))
 
 
@@ -81,9 +84,10 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float,
     `threshold` at the last extremum before it (t = 0 before the first).
     Revival peaks sit at the envelope extrema and are reported where the
     measure exceeds `threshold`.
-    `t_end` must be finite and positive, and `threshold` finite and
-    nonnegative.
+    `t_end` must be finite and positive (text is a TypeError), and
+    `threshold` finite and nonnegative.
     """
+    _refuse_text(t_end, "t_end")
     if not (np.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"revival threshold must be finite and nonnegative, got {threshold}")
     measures = _StateMeasures(state)

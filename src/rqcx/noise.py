@@ -11,9 +11,9 @@ Ornstein-Uhlenbeck noise (MOUN) and the Markovian baseline decay monotonically
 and share one definition: no zeros, no extrema.  Markov crosses a level in
 closed form; RTN and MOUN solve each crossing on a monotone piece of the
 envelope with a Newton lane (`search.newton`).  `lambda_of_t` and
-`lambda_zeros` check their arguments and call the model; `lambda_of_t` also
-refuses an RTN window whose phase omega t reaches 2**52, where cos(omega t)
-is rounding noise.
+`lambda_zeros` check their arguments, refusing text, and call the model;
+`lambda_of_t` also refuses an RTN window whose phase omega t reaches 2**52,
+where cos(omega t) is rounding noise.
 
 The channel is two independent local phase-flip channels with equal Lambda,
 one per qubit, not one field shared by both qubits: both coherences r and s
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .search import newton
+from .states import _refuse_text
 
 
 # e^-x is 0.0 for x >= 746 (exp underflows below -745.14).  The envelopes cap RTN's t in
@@ -239,7 +240,8 @@ def lambda_of_t(model: NoiseModel, t):
     noise.  The check is one comparison per call (and a pass over t only
     where omega * 746 reaches the limit), outside the envelope, so the Newton
     rounds of `Rtn.crossings` do not repeat it; an events window that long
-    is refused first by `Rtn._starts`."""
+    is refused first by `Rtn._starts`.  Text in t is a TypeError."""
+    _refuse_text(t, "t")
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise ValueError("time must be finite and nonnegative")
@@ -256,7 +258,9 @@ def lambda_of_t(model: NoiseModel, t):
 
 
 def lambda_zeros(model: NoiseModel, t_max: float) -> np.ndarray:
-    """All envelope zeros in (0, t_max], at the model's closed form; only RTN has any."""
+    """All envelope zeros in (0, t_max], at the model's closed form; only RTN has any.  A text
+    t_max is a TypeError."""
+    _refuse_text(t_max, "t_max")
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     return model.zeros(t_max)

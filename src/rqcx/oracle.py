@@ -205,17 +205,18 @@ def _lane_table(parts, da: np.ndarray, db: np.ndarray) -> np.ndarray:
 _OFFSETS = {d: np.array(np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij")).reshape(d, -1).T for d in (1, 2)}
 
 
-def _ascend(table, fold, cur_a, cur_b, best, steps, rounds: int):
+def _ascend(table, fold, cur_a, cur_b, best, step, rounds: int):
     """Neighborhood ascent of L lanes from points cur_a, cur_b (L, d) of values best (L,).
 
-    Each round, a party's 3**d candidates are its point plus its step times each offset
-    in {-1, 0, 1}**d, base-3 digit order, put in range by fold (in place); table gives their
-    (L, 3**d, 3**d) values.  A lane takes its first best entry, A-major, and moves only on
-    strict improvement; the steps halve.  Returns the joined points (L, 2d) and values."""
+    Each round, a party's 3**d candidates are its point plus the step (a scalar or one per
+    coordinate, the same for both parties) times each offset in {-1, 0, 1}**d, base-3 digit
+    order, put in range by fold (in place); table gives their (L, 3**d, 3**d) values.  A lane
+    takes its first best entry, A-major, and moves only on strict improvement; the step
+    halves.  Returns the joined points (L, 2d) and values."""
     offsets, lanes = _OFFSETS[cur_a.shape[1]], np.arange(len(best))
-    move_a, move_b = offsets * steps[0], offsets * steps[1]
+    move = offsets * step
     for _ in range(rounds):
-        cand_a, cand_b = fold(cur_a[:, None] + move_a), fold(cur_b[:, None] + move_b)
+        cand_a, cand_b = fold(cur_a[:, None] + move), fold(cur_b[:, None] + move)
         vals = table(cand_a, cand_b).reshape(len(best), -1)
         k = np.argmax(vals, axis=1)
         top = vals[lanes, k]
@@ -223,7 +224,7 @@ def _ascend(table, fold, cur_a, cur_b, best, steps, rounds: int):
         best = np.where(up, top, best)
         cur_a = np.where(up[:, None], cand_a[lanes, k // len(offsets)], cur_a)
         cur_b = np.where(up[:, None], cand_b[lanes, k % len(offsets)], cur_b)
-        move_a, move_b = 0.5 * move_a, 0.5 * move_b
+        move = 0.5 * move
     return np.concatenate((cur_a, cur_b), axis=1), best
 
 
@@ -242,7 +243,7 @@ def _refine_angles(parts, angles0, values0, grid: int, rounds: int):
         return cand
 
     angles, step = np.asarray(angles0, dtype=float), np.array([np.pi / (grid - 1), _TWO_PI / grid])
-    return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, (step, step), rounds)
+    return _ascend(table, fold, angles[:, :2], angles[:, 2:], values0, step, rounds)
 
 
 def _check_search(grid: int, refine: int) -> None:
@@ -472,9 +473,9 @@ def _phase_stage(parts, base: np.ndarray, grid: int, refine: int):
     phases = np.linspace(0.0, _TWO_PI, grid, endpoint=False)[:, None]
     scan = table(phases, phases).reshape(len(base), -1)
     k = np.argmax(scan, axis=1)
-    best, steps = scan[np.arange(k.size), k], (_TWO_PI / grid,) * 2
+    best = scan[np.arange(k.size), k]
     fold = lambda cand: np.remainder(cand, _TWO_PI, out=cand)
-    cur, best = _ascend(table, fold, phases[k // grid], phases[k % grid], best, steps, refine)
+    cur, best = _ascend(table, fold, phases[k // grid], phases[k % grid], best, _TWO_PI / grid, refine)
     # max(best, 0.0) lane by lane
     return cur, np.where(0.0 > best, 0.0, best)
 

@@ -76,14 +76,16 @@ _BAD_SHAPE = ValidationReport((("shape", float("nan")),))
 
 
 class InvalidStateError(ValueError):
-    """Raised when an operation receives an unphysical state."""
+    """A state that failed a check, with that check's report: raised by check_xstate,
+    matrix_params and require_density_matrix only.  Every other caller mistake is a
+    plain ValueError."""
 
-    def __init__(self, message: str, report: ValidationReport | None = None):
+    def __init__(self, message: str, report: ValidationReport):
         super().__init__(message)
         self.report = report
 
 
-_TEXT = (str, bytes, bytearray)  # what float() parses but no field may be
+_TEXT = (str, bytes, bytearray)  # what float() parses but no field, time or grid may be
 _X_CHECKS = ("weight_nonnegative", "unit_trace", "r_coherence_bound", "s_coherence_bound")
 
 
@@ -94,6 +96,15 @@ def _floats(fields: tuple, what: str) -> tuple[float, ...]:
         if isinstance(v, _TEXT):
             raise TypeError(f"{what} must be numbers, not {type(v).__name__}")
     return tuple(map(float, fields))
+
+
+def _refuse_text(value, what: str) -> None:
+    """Raise TypeError naming `what` if value is text: a str, bytes or bytearray, or an array or
+    list holding str or bytes, which float() and numpy would parse as numbers.  A library time
+    argument or grid is checked so before it is converted."""
+    arr = None if isinstance(value, _TEXT) else np.asarray(value)
+    if arr is None or arr.dtype.kind in "SU" or (arr.dtype == object and any(isinstance(v, _TEXT) for v in arr.flat)):
+        raise TypeError(f"{what} must be a number or an array of numbers, not text")
 
 
 def _x_defects(a: float, b: float, c: float, d: float, r: float, s: float) -> tuple[float, ...]:

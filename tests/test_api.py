@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import types
@@ -21,11 +22,11 @@ PUBLIC = [
 # check_xstate is the one validity decision and xstate_report its report, and
 # what that check guarantees (no NaN or -0.0 branch, simple RTN zeros) is not
 # decided again; oracle_set runs stage 1 once, so no stage-1 result is kept
-# between calls
+# between calls; state documents and option files share stateio.read_json_object
 REMOVED = {"u_func", "family_laqc_closed", "family_concurrence_closed", "werner_concurrence_rtn",
            "SIGMA_0", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
            "validate_xstate", "validate_bloch", "_bloch_defects", "_before", "_check_sign_changes",
-           "_last_leaders", "_max_leaders"}
+           "_last_leaders", "_max_leaders", "load_options_file"}
 
 
 def test_public_names_are_pinned():
@@ -62,3 +63,19 @@ def test_every_private_function_has_a_library_caller():
                and stmt.name.startswith("_") and not stmt.name.startswith("__")]
     assert len(private) >= 20
     assert [f"{m}.{name}" for m, name in private if not {(m, name), (None, name)} & refs] == []
+
+
+def test_invalid_state_error_only_from_a_failed_check():
+    # InvalidStateError means "this state failed a check": only states builds one, always with the
+    # check's report, and every other caller mistake is a plain ValueError
+    assert inspect.signature(rqcx.InvalidStateError).parameters["report"].default is inspect.Parameter.empty
+    built = []
+    for path in sorted(pathlib.Path(rqcx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "InvalidStateError":
+                    built.append((path.stem, len(node.args) + len(node.keywords)))
+    assert len(built) >= 5
+    assert [(module, n) for module, n in built if (module, n) != ("states", 2)] == []

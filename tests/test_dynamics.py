@@ -69,6 +69,17 @@ class TestTrajectory:
         vals = trajectory(st, Moun(1.0), _grid()).laqc
         assert np.all(np.diff(vals) < 0.0)
 
+    def test_scalar_time_is_a_grid_of_one(self):
+        traj = trajectory(make_state(FamilySpec("mems", 0.7)), RTN4, 0.5)
+        assert [col.shape for col in traj] == [(1,)] * 6
+        assert traj == trajectory(make_state(FamilySpec("mems", 0.7)), RTN4, [0.5])
+
+    @pytest.mark.parametrize("tgrid", ["1", b"1", bytearray(b"01"), ["0", "1"], np.array(["0", "1"])],
+                             ids=["str", "bytes", "bytearray", "str-list", "str-array"])
+    def test_text_grid_refused(self, tgrid):
+        with pytest.raises(TypeError, match="^tgrid must be a number or an array of numbers, not text$"):
+            trajectory(make_state(FamilySpec("mems", 0.7)), RTN4, tgrid)
+
     def test_rows_respect_measure_ordering(self):
         st = make_state(FamilySpec("mems", 0.4))
         traj = trajectory(st, RTN4, _grid(steps=100))
@@ -78,6 +89,12 @@ class TestTrajectory:
 
 
 class TestEvents:
+    @pytest.mark.parametrize("t_end", ["3", b"3", bytearray(b"3"), np.array(["3"])],
+                             ids=["str", "bytes", "bytearray", "str-array"])
+    def test_text_window_refused(self, t_end):
+        with pytest.raises(TypeError, match="^t_end must be a number or an array of numbers, not text$"):
+            detect_events(make_state(FamilySpec("werner", 1.0)), RTN4, t_end)
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
     def test_window_end_must_be_finite_and_positive(self, t_end):
         st = make_state(FamilySpec("werner", 0.8))
@@ -350,6 +367,14 @@ class TestSurface:
             SweepSpec("mnms", np.array([0.5]), RTN4, np.linspace(0, 3, 10))
         with pytest.raises(ValueError):
             SweepSpec("mnms", np.linspace(1, 0, 5), RTN4, np.linspace(0, 3, 10))
+
+    @pytest.mark.parametrize("grid", [["0", "1"], np.array(["0", "1"]), np.array([b"0", b"1"]), bytearray(b"01")],
+                             ids=["str-list", "str-array", "bytes-array", "bytearray"])
+    @pytest.mark.parametrize("which", ["param", "time"])
+    def test_text_grid_refused(self, grid, which):
+        grids = {"param_grid": np.linspace(0, 1, 5), "time_grid": np.linspace(0, 3, 7), f"{which}_grid": grid}
+        with pytest.raises(TypeError, match=f"^{which}_grid must be a number or an array of numbers, not text$"):
+            SweepSpec("mnms", noise=RTN4, **grids)
 
     def test_unknown_measure_rejected(self):
         spec = SweepSpec("mnms", np.linspace(0, 1, 5), RTN4, np.linspace(0, 3, 7))

@@ -288,13 +288,13 @@ def _ref_validate_bloch(b):
 
 
 def _ref_require_valid(p):
-    if _ref_validate_xstate(p):
-        raise InvalidStateError("unphysical X state")
+    if rows := _ref_validate_xstate(p):
+        raise InvalidStateError("unphysical X state", ValidationReport(tuple(rows)))
 
 
 def _ref_require_valid_bloch(b):
-    if _ref_validate_bloch(b):
-        raise InvalidStateError("unphysical Bloch coefficients")
+    if rows := _ref_validate_bloch(b):
+        raise InvalidStateError("unphysical Bloch coefficients", ValidationReport(tuple(rows)))
 
 
 def _ref_xlog2x(v):

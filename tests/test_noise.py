@@ -92,6 +92,19 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             lambda_of_t(RTN4, t)
 
+    @pytest.mark.parametrize("t", ["1", b"1", bytearray(b"1"), ["0", "1"], np.array(["1"]), np.array([b"1"]),
+                                   np.array([1.0, "1"], dtype=object)],
+                             ids=["str", "bytes", "bytearray", "str-list", "str-array", "bytes-array", "object-array"])
+    def test_text_time_refused(self, t):
+        # float() and numpy parse text, and a bytearray becomes its character codes
+        with pytest.raises(TypeError, match="^t must be a number or an array of numbers, not text$"):
+            lambda_of_t(RTN4, t)
+
+    def test_numeric_time_kinds_agree_to_the_bit(self):
+        want = lambda_of_t(RTN4, 1.0)
+        for t in (1, np.float64(1.0), np.int64(1), [1.0], np.array([1.0])):
+            assert np.atleast_1d(lambda_of_t(RTN4, t)).tolist() == [want]
+
     @pytest.mark.parametrize("a", [1e13, 1e154, 1e300])
     def test_rtn_phase_past_2_to_the_52_rejected(self, a):
         # past omega t = 2**52 one ulp of omega t is a radian or more; the
@@ -234,6 +247,12 @@ class TestZeros:
 
     def test_window_short_of_first_zero(self):
         assert lambda_zeros(RTN4, 0.2).tolist() == []
+
+    @pytest.mark.parametrize("t_max", ["1", b"1", bytearray(b"1"), np.array(["1"])],
+                             ids=["str", "bytes", "bytearray", "str-array"])
+    def test_text_window_refused(self, t_max):
+        with pytest.raises(TypeError, match="^t_max must be a number or an array of numbers, not text$"):
+            lambda_zeros(RTN4, t_max)
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
     def test_window_must_be_finite_and_positive(self, t_max):
