@@ -190,8 +190,12 @@ def _float_cells(floats: np.ndarray, as_json: bool) -> tuple[str, list]:
 
 def _cells(column, as_json: bool) -> tuple[str, list]:
     """One column as its row-template field and cells, in row order: floats as
-    _float_cells gives them, others as str (CSV) or json.dumps (JSON) in "%s"."""
+    _float_cells gives them, others as str (CSV) or json.dumps (JSON) in "%s".
+    A JSON column of str alone dumps each distinct string once."""
     if isinstance(column, list) and not all(isinstance(v, float) for v in column):
+        if as_json and all(type(v) is str for v in column):
+            text = {v: json.dumps(v) for v in set(column)}
+            return "%s", list(map(text.__getitem__, column))
         return "%s", list(map(json.dumps if as_json else str, column))
     return _float_cells(np.ascontiguousarray(column, dtype=np.float64).ravel(), as_json)
 
@@ -288,9 +292,9 @@ def _cmd_events(opts: dict) -> int:
     model = _noise_of(opts)
     tmax, _ = _window(opts)  # the events depend only on the window end
     events = dynamics.detect_events(params, model, tmax, opts["revival_threshold"])
-    names = ("kind", "measure", "t", "value")
-    columns = {name: [getattr(e, name) for e in events] for name in names}
-    _emit(columns, opts)
+    # one list per field, by index: zip(*events) would make one iterator per
+    # record, and the garbage collector rescans every record as they pile up
+    _emit({name: [e[i] for e in events] for i, name in enumerate(dynamics.EventRecord._fields)}, opts)
     return 0
 
 

@@ -14,6 +14,7 @@ is a simple zero of its closed form (Lambda' != 0 there).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +39,9 @@ class Trajectory(NamedTuple):
     cs: np.ndarray
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
+    """One event: a plain tuple of its four fields, so it equals that tuple."""
+
     kind: str  # sudden_death | revival_peak | asymptotic
     measure: str  # concurrence | laqc | qs
     t: float
@@ -84,10 +86,11 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float,
     `threshold` at the last extremum before it (t = 0 before the first).
     Revival peaks sit at the envelope extrema and are reported where the
     measure exceeds `threshold`.
-    `t_end` must be finite and positive (text is a TypeError), and
-    `threshold` finite and nonnegative.
+    `t_end` must be finite and positive, and `threshold` finite and
+    nonnegative; text in either is a TypeError.
     """
     _refuse_text(t_end, "t_end")
+    _refuse_text(threshold, "threshold")
     if not (np.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"revival threshold must be finite and nonnegative, got {threshold}")
     measures = _StateMeasures(state)
@@ -98,10 +101,11 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float,
     # every point value in one call: both ends, the zeros, the extrema and
     # the concurrence deaths
     values = measures(lambda_of_t(noise, np.concatenate(([0.0, t_end], zeros, extrema, deaths))))
-    parts = np.cumsum([1, 1, zeros.size, extrema.size])
+    ze, ee = 2 + zeros.size, 2 + zeros.size + extrema.size  # where the zeros' and extrema's values end
     events: list[EventRecord] = []
     for name in ("laqc", "qs", "concurrence"):
-        start, end, on_zero, on_extremum, on_death = np.split(values[name], parts)
+        v = values[name]
+        start, end, on_zero, on_extremum, on_death = v[:1], v[1:2], v[2:ze], v[ze:ee], v[ee:]
         dies, on_dead = (deaths, on_death) if name == "concurrence" else (zeros, on_zero)
         # the value at the last extremum before each death, t = 0 first
         gate = np.concatenate((start, on_extremum))[np.searchsorted(extrema, dies)]
@@ -112,7 +116,7 @@ def detect_events(state: XStateParams, noise: NoiseModel, t_end: float,
             events += _records("revival_peak", name, extrema, on_extremum, on_extremum > threshold)
         elif start[0] > threshold and end[0] < start[0]:
             events.append(EventRecord("asymptotic", name, t_end, float(end[0])))
-    events.sort(key=lambda e: (e.t, e.measure, e.kind))
+    events.sort(key=operator.attrgetter("t", "measure", "kind"))
     return events
 
 

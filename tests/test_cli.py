@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import random_xstate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1350,7 +1352,12 @@ def column_sets(draw):
                 col = draw(st.lists(FLOATS, min_size=n, max_size=n))
             columns[name] = np.array(col, dtype=float) if kind == "float-array" else col
         elif kind == "str":
-            columns[name] = draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))
+            if draw(st.booleans()):
+                # a small pool drawn from, so columns repeat strings
+                pool = draw(st.lists(st.text(max_size=5), min_size=1, max_size=3))
+                columns[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            else:
+                columns[name] = draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))
         else:
             columns[name] = draw(st.lists(st.integers(), min_size=n, max_size=n))
     return columns
@@ -1399,6 +1406,52 @@ class TestEmitter:
         params, ts, values = dynamics.surface(spec, "concurrence", "qs")
         columns = {"param": np.repeat(params, ts.size), "t": np.tile(ts, params.size), "value": values.ravel()}
         assert_same_text(out, reference_bytes(columns, fmt))
+
+
+_EVENT_NOISES = st.one_of(
+    st.tuples(st.just("rtn"), st.floats(0.55, 12.0)),
+    st.tuples(st.just("moun"), st.floats(0.2, 5.0)),
+    st.tuples(st.just("markov"), st.floats(0.2, 5.0)),
+)
+
+
+def assert_events_match_records(state_argv, state, noise_kind, rate, tmax):
+    """`rqcx events` prints, in CSV and JSON, the reference bytes of detect_events' records,
+    which are EventRecords sorted by (t, measure, kind)."""
+    model_class, rate_key = cli._NOISE_KINDS[noise_kind]
+    events = dynamics.detect_events(state, model_class(rate), tmax)
+    assert all(type(e) is dynamics.EventRecord for e in events)
+    keys = [(e.t, e.measure, e.kind) for e in events]
+    assert keys == sorted(keys)
+    columns = {name: [getattr(e, name) for e in events] for name in ("kind", "measure", "t", "value")}
+    argv = ["events", *state_argv, f"--noise={noise_kind}", f"--{rate_key.replace('_', '-')}={rate!r}",
+            f"--tmax={tmax!r}"]
+    for fmt in ("csv", "json"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([*argv, f"--format={fmt}"]) == 0
+        assert_same_text(stdout.getvalue(), reference_bytes(columns, fmt))
+
+
+@pytest.fixture(scope="module")
+def state_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("events") / "state.json"
+
+
+class TestEventBytes:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank_deficient=st.booleans(), noise=_EVENT_NOISES,
+           tmax=st.floats(0.1, 10.0))
+    def test_random_states_print_their_records(self, state_file, seed, rank_deficient, noise, tmax):
+        state = random_xstate(np.random.default_rng(seed), rank_deficient)
+        state_file.write_text(json.dumps({"abcdrs": dataclasses.astuple(state)}))
+        assert_events_match_records(["--state=file", f"--state-file={state_file}"], state, *noise, tmax)
+
+    def test_dense_ladder(self):
+        # every RTN zero at a/gamma 1e3 gives laqc and qs deaths and revival rows
+        state = make_state(FamilySpec("mems", 0.5))
+        assert len(dynamics.detect_events(state, Rtn(1e3), 1.0)) > 2000
+        assert_events_match_records(["--state=mems", "--param=0.5"], state, "rtn", 1e3, 1.0)
 
 
 @st.composite

@@ -95,6 +95,13 @@ class TestEvents:
         with pytest.raises(TypeError, match="^t_end must be a number or an array of numbers, not text$"):
             detect_events(make_state(FamilySpec("werner", 1.0)), RTN4, t_end)
 
+    @pytest.mark.parametrize("threshold", ["0.1", b"0", bytearray(b"0"), np.array(["0.1"])],
+                             ids=["str", "bytes", "bytearray", "str-array"])
+    def test_text_threshold_refused(self, threshold):
+        # refused before the finiteness check, which numpy cannot make on text
+        with pytest.raises(TypeError, match="^threshold must be a number or an array of numbers, not text$"):
+            detect_events(make_state(FamilySpec("werner", 1.0)), RTN4, 3.0, threshold)
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
     def test_window_end_must_be_finite_and_positive(self, t_end):
         st = make_state(FamilySpec("werner", 0.8))
